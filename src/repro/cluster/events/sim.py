@@ -5,53 +5,39 @@ discrete-event timeline — broadcast transmissions, per-worker compute,
 result replies, §4.3 repair traffic — over an explicit
 :class:`~repro.cluster.events.topology.Topology` of links, instead of
 evaluating the closed form.  It subclasses
-:class:`~repro.cluster.simulator.CodedIterationSim` so the cost helpers
-(``_arrival``'s constituents, ``_progress_rows``, the timeout deadline)
-are literally the same code, and accepts the same plans and speed
-matrices.
+:class:`~repro.cluster.simulator.CodedIterationSim` and keeps none of the
+coded iteration's rules for itself: coverage completion, the §4.3 deadline,
+the cutoff search, opportunistic repair acceptance, the computed/used
+accounting and the batched kernel are the parent's code.  It adds exactly
+two things:
+
+* **its event loop**, which realises *when* things happen: each worker's
+  task starts when its copy of the broadcast arrives (after any encode
+  cost, over a possibly degraded link), replies and repair traffic ride
+  the links, shared top-of-rack links queue them, and the decoded result
+  can be shuffled back to the workers;
+* **its batch schedule and replay rule**: on dedicated duplex links every
+  timeline is queue-free, so :meth:`EventDrivenIterationSim.run_batch`
+  hands the parent's kernel analytic ``(trials, workers)`` broadcast
+  receipts ``encode_end + (latency + bytes/(bandwidth*factor))`` and reply
+  bandwidths ``bandwidth*factor`` — the event loop's floats, term by term
+  — and replays through the event loop only the trials whose ordering
+  could diverge: every trial on a rack or shuffle topology, and armed
+  trials whose repair round is not provably queue-free (non-unit link
+  factors, encode cost, or non-zero repair-request bytes).
 
 **Equivalence contract.**  With the default :class:`EventConfig`
 (dedicated duplex links, zero encode cost, zero-byte repair requests,
 unit link factors) every float operation mirrors the closed form's
-association order exactly:
-
-* a result arrives at ``((recv + fixed) + compute) + reply`` where
-  ``recv`` equals the broadcast time and ``reply`` equals
-  ``NetworkModel.transfer_time`` bitwise (uncontended factor-1 links);
-* the §4.3 deadline arms from the same ``np.mean`` over the same sorted
-  arrival slice; repair dispatch lands at ``cutoff + latency`` because a
-  zero-byte request costs exactly one latency; the cutoff search, greedy
-  reassignment, opportunistic acceptance, and the wasted-work accounting
-  replay :meth:`CodedIterationSim.run` step for step.
-
-The pinned suites assert bitwise equality in the zero-network limit
-(infinite bandwidth, zero latency) for every registered policy × scenario
-pair — where transfers vanish and even degraded link factors are
-irrelevant — and under the default controlled network for unit factors.
-
-What the closed form structurally cannot express, this backend adds:
-encode cost before the broadcast, per-worker link degradation
-(``link_factors`` from the network scenarios), shared top-of-rack links
-where repair traffic queues behind result traffic, and result-shuffle
-transfers after decode.
-
-**Batched kernel.**  :meth:`EventDrivenIterationSim.run_batch` does not
-loop the event loop per trial.  On dedicated duplex links every link
-carries at most one transmission per direction per phase, so the
-timeline is queue-free and the pop order is fully determined by the
-analytic schedule: ``recv = encode_end + (latency + bytes/(bw*factor))``
-per worker, ``arrival = ((recv + fixed) + compute) + reply``, k-of-n
-completion by a sorted-arrival reduction, and §4.3 arming by comparing
-the natural completion against the vectorized deadline.  Those
-``(trials, workers)`` arrays reproduce the event loop's floats bitwise
-(same association order, term by term).  A conservative divergence
-detector routes the rest to the scalar loop: topologies where events can
-queue (``rack_size``, ``shuffle_output``) replay every trial, and armed
-trials replay unless the repair round is provably queue-free too (unit
-link factors, zero encode cost, zero-byte repair requests) — in which
-case the closed form's native repair resolution applies unchanged.  The
-pinned batch suites fuzz this contract: batched output bitwise-equal to
-the per-trial loop for every route.
+association order exactly: a result arrives at
+``((recv + fixed) + compute) + reply`` where ``recv`` equals the broadcast
+time and ``reply`` equals ``NetworkModel.transfer_time`` bitwise, and a
+zero-byte repair request lands at ``cutoff + latency``.  The pinned suites
+assert bitwise equality in the zero-network limit (infinite bandwidth,
+zero latency) for every registered policy × scenario pair — where
+transfers vanish and even degraded link factors are irrelevant — under
+the default controlled network for unit factors, and between the batched
+kernel and the per-trial event loop on every route.
 """
 
 from __future__ import annotations
@@ -64,14 +50,12 @@ from repro.cluster.simulator import (
     BatchCodedOutcome,
     CodedIterationOutcome,
     CodedIterationSim,
-    WorkerIterationStats,
-    _normalise_batch,
+    _checked_speeds,
 )
 from repro.cluster.events.loop import Event, EventLoop
 from repro.cluster.events.topology import Topology
 from repro.profiling import span
 from repro.scheduling.base import CodedWorkPlan
-from repro.scheduling.timeout import repair_assignments
 
 __all__ = ["EventConfig", "EventTrace", "EventDrivenIterationSim"]
 
@@ -161,10 +145,6 @@ class EventDrivenIterationSim(CodedIterationSim):
     #: advertises this (the closed form has no links to degrade).
     wants_link_factors = True
 
-    # ------------------------------------------------------------------
-    # Scalar path
-    # ------------------------------------------------------------------
-
     def run(
         self,
         plan: CodedWorkPlan,
@@ -184,15 +164,10 @@ class EventDrivenIterationSim(CodedIterationSim):
         link_factors: np.ndarray | None = None,
     ) -> tuple[CodedIterationOutcome, EventTrace]:
         """Simulate and return the outcome plus the full event trace."""
-        speeds = np.asarray(speeds, dtype=np.float64)
         n = plan.n_workers
-        if speeds.shape != (n,):
-            raise ValueError(f"speeds must have shape ({n},), got {speeds.shape}")
-        if np.any(speeds <= 0):
-            raise ValueError("actual speeds must be positive (model failures "
-                             "via failed_workers)")
+        speeds = _checked_speeds(speeds, n, batch=False)
         factors = self._check_factors(link_factors, n)
-
+        profile = self._profile(plan)
         loop = EventLoop()
         topology = Topology(
             n,
@@ -200,26 +175,11 @@ class EventDrivenIterationSim(CodedIterationSim):
             rack_size=self.config.rack_size,
             rack_factor=self.config.rack_factor,
         )
-        stats = [WorkerIterationStats(worker=w) for w in range(n)]
-        rows_of = np.zeros(n, dtype=np.int64)
-        active: list[int] = []
-        for w in range(n):
-            rows = int(
-                self.grid.rows_of_chunks(plan.assignments[w].chunk_indices()).size
-            )
-            rows_of[w] = rows
-            stats[w].assigned_rows = rows
-            if rows > 0:
-                active.append(w)
 
         # --- Phase 0: encode + broadcast transmissions. --------------------
-        bw_bytes = (
-            self.broadcast_width if self.broadcast_width is not None else self.width
-        ) * self.cost.bytes_per_element
-        broadcast = self._broadcast_cost  # nominal (reported)
         encode_end = self.config.encode_flops / self.cost.master_flops
         for w in range(n):
-            recv = topology.send_down(w, encode_end, bw_bytes, factors[w])
+            recv = topology.send_down(w, encode_end, self._broadcast_bytes, factors[w])
             loop.schedule(
                 Event(time=recv, kind="recv", worker=w),
                 _PRIORITY["recv"],
@@ -227,38 +187,25 @@ class EventDrivenIterationSim(CodedIterationSim):
             )
 
         reply_bytes = float(self.cost.row_bytes(self.width_out))
-        expected_finite = sum(1 for w in active if w not in failed_workers)
-        arm_count = 0
-        if self.timeout is not None and expected_finite > 0:
-            k = self.timeout.min_responses or plan.coverage
-            arm_count = min(k, expected_finite)
-
-        # --- Event loop state. ---------------------------------------------
-        recv_time: dict[int, float] = {}
-        projected: dict[int, float] = {}  # exact on uncontended links
-        arrivals: dict[int, float] = {}
-        finite_values: list[float] = []
-        need = np.full(plan.num_chunks, plan.coverage, dtype=np.int64)
-        natural: dict[int, np.ndarray] = {}
-        done_time = np.inf
+        responders = sum(1 for w in profile.active if w not in failed_workers)
+        starts = np.zeros(n)  # broadcast receipt: when each task starts
+        projected = np.full(n, np.inf)  # exact on uncontended links
+        arrivals = np.full(n, np.inf)  # realised so far
+        arrived: dict[int, float] = {}  # the same, in pop order
         deadline: float | None = None
         tasks: dict[str, str] = {}
-        repair_plan = None  # (finished, extra, extra_rows, laggards, cutoff)
-        repair_contribs: dict[int, np.ndarray] = {}
+        repair = None
         repair_arrivals: dict[int, float] = {}
 
         while loop:
             event = loop.pop()
             w = event.worker
             if event.kind == "recv":
-                recv_time[w] = event.time
-                if rows_of[w] == 0 or w in failed_workers:
+                starts[w] = event.time
+                if not profile.rows[w] or w in failed_workers:
                     continue
-                rows = int(rows_of[w])
-                speed = float(speeds[w])
-                fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
-                compute = self.cost.compute_time(rows, self.width, speed)
-                compute_end = (event.time + fixed) + compute
+                rows = int(profile.rows[w])
+                compute_end = self._compute_end(rows, float(speeds[w]), event.time)
                 nbytes = rows * reply_bytes
                 projected[w] = compute_end + (
                     self.network.latency
@@ -279,58 +226,46 @@ class EventDrivenIterationSim(CodedIterationSim):
                     tiebreak=w,
                 )
             elif event.kind == "arrival":
-                arrivals[w] = event.time
-                # Incremental coverage walk, mirroring the closed-form
-                # sorted-arrival pass (pop order == (arrivals[w], w)).
-                if done_time == np.inf:
-                    chunks = plan.assignments[w].chunk_indices()
-                    useful = chunks[need[chunks] > 0]
-                    if useful.size:
-                        natural[w] = useful
-                        need[useful] -= 1
-                        if not need.any():
-                            done_time = event.time
-                finite_values.append(event.time)
-                if deadline is None and arm_count and len(finite_values) == arm_count:
-                    first_k = sorted(finite_values)[:arm_count]
-                    deadline = self.timeout.deadline(float(np.mean(first_k)))
-                    loop.schedule(
-                        Event(time=deadline, kind="timeout"),
-                        _PRIORITY["timeout"],
+                arrivals[w] = arrived[w] = event.time
+                if deadline is None:
+                    deadline = self._timeout_deadline(
+                        np.sort(arrivals[np.isfinite(arrivals)]),
+                        plan.coverage,
+                        responders,
                     )
+                    if deadline is not None:
+                        loop.schedule(
+                            Event(time=deadline, kind="timeout"),
+                            _PRIORITY["timeout"],
+                        )
             elif event.kind == "timeout":
-                if not done_time > event.time:
+                if self._natural_cover(profile, arrivals)[1] <= event.time:
                     continue  # coverage met by the deadline: no repair
-                repair_plan = self._plan_repair(
-                    plan, speeds, active, failed_workers, arrivals, projected,
-                    event.time,
+                # Arrival estimates: realised pop times where available,
+                # the uncontended link projection otherwise — identical on
+                # dedicated links, a lower bound under rack contention (the
+                # realised repair traffic still queues physically after).
+                estimates = np.where(np.isfinite(arrivals), arrivals, projected)
+                repair = self._search_repair(
+                    profile, speeds, estimates, event.time, failed_workers
                 )
-                if repair_plan is None:
+                if repair is None:
                     continue
-                finished, extra, extra_rows, laggards, cutoff = repair_plan
-                repair_contribs = {
-                    v: chunks.copy() for v, chunks in finished.items()
-                }
-                for v, chunks in extra.items():
-                    repair_contribs[v] = np.concatenate(
-                        [repair_contribs[v], chunks]
-                    )
-                    recv2 = topology.send_down(
-                        v, cutoff, self.config.repair_request_bytes, factors[v]
+                for v, rows in repair.extra_rows.items():
+                    recv = topology.send_down(
+                        v, repair.cutoff, self.config.repair_request_bytes,
+                        factors[v],
                     )
                     tasks[f"repair:{v}"] = "dispatched"
                     loop.schedule(
-                        Event(time=recv2, kind="repair-recv", worker=v,
-                              payload=extra_rows[v]),
+                        Event(time=recv, kind="repair-recv", worker=v,
+                              payload=rows),
                         _PRIORITY["repair-recv"],
                         tiebreak=v,
                     )
             elif event.kind == "repair-recv":
                 rows = int(event.payload)
-                speed = float(speeds[w])
-                fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
-                compute = self.cost.compute_time(rows, self.width, speed)
-                compute_end = (event.time + fixed) + compute
+                compute_end = self._compute_end(rows, float(speeds[w]), event.time)
                 loop.schedule(
                     Event(time=compute_end, kind="repair-compute", worker=w,
                           payload=rows * reply_bytes),
@@ -347,197 +282,63 @@ class EventDrivenIterationSim(CodedIterationSim):
             elif event.kind == "repair-arrival":
                 repair_arrivals[w] = event.time
 
-        # --- Resolution: opportunistic repair acceptance. -------------------
-        contributions: dict[int, np.ndarray] = {}
-        repaired = False
-        timed_out: frozenset[int] = frozenset()
-        extra_rows_final: dict[int, int] = {}
-        if repair_plan is not None:
-            finished, extra, extra_rows, laggards, cutoff = repair_plan
-            for v in finished:
-                if v in arrivals:
-                    stats[v].response_time = arrivals[v]
-            finish = cutoff
-            for v in extra:
-                finish = max(finish, repair_arrivals[v])
-            if finish < done_time:
-                repaired = True
-                contributions = repair_contribs
-                extra_rows_final = extra_rows
-                timed_out = laggards
-                done_time = finish
-        if not repaired:
-            if done_time == np.inf:
-                raise RuntimeError(
-                    "iteration cannot complete: coverage unsatisfiable with "
-                    "the surviving workers and no repair possible"
-                )
-            contributions = natural
-
-        # --- Accounting: computed vs used rows per worker. ------------------
-        for w in active:
-            rows = stats[w].assigned_rows
-            arrival_w = arrivals.get(w, np.inf)
-            if repaired and w in timed_out:
-                stats[w].cancelled = True
-                cap_time = deadline if deadline is not None else done_time
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], recv_time[w], cap_time, rows
-                    )
-                continue
-            if arrival_w <= done_time:
-                stats[w].computed_rows = float(rows)
-                stats[w].response_time = arrival_w
-            else:
-                stats[w].cancelled = True
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], recv_time[w], done_time, rows
-                    )
-        for w, chunks in contributions.items():
-            base_chunks = plan.assignments[w].chunk_indices()
-            used = self.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
-            stats[w].used_rows = int(used.size)
-            if repaired and w in extra_rows_final:
-                stats[w].computed_rows = float(
-                    self.grid.rows_of_chunks(base_chunks).size
-                    + extra_rows_final[w]
-                )
-        decode = self.cost.decode_time(
-            rows=self.grid.rows,
-            coverage=plan.coverage,
-            width_out=self.width_out,
-            groups=max(1, len(contributions)),
+        natural, done = self._natural_cover(profile, arrivals)
+        finish = None
+        if repair is not None:
+            finish = max([repair.cutoff, *(repair_arrivals[v] for v in repair.extra)])
+        outcome = self._settle(
+            profile, speeds, failed_workers, starts, arrivals, natural, done,
+            deadline, repair, finish,
         )
-        completion = done_time + decode
 
         # --- Optional result shuffle back to the workers. -------------------
         if self.config.shuffle_output:
             result_bytes = (
                 self.grid.rows * self.width_out * self.cost.bytes_per_element
             )
-            for w in active:
-                arrive = topology.send_down(w, completion, result_bytes, factors[w])
-                completion = max(completion, arrive)
+            for w in profile.active:
+                arrive = topology.send_down(
+                    w, outcome.completion_time, result_bytes, factors[w]
+                )
+                outcome.completion_time = max(outcome.completion_time, arrive)
 
         # --- Task ledger: every dispatched task terminates exactly once. ----
-        for w in active:
+        for w in profile.active:
             key = f"natural:{w}"
             if key in tasks:
-                tasks[key] = "cancelled" if stats[w].cancelled else "completed"
-        if repair_plan is not None:
-            for v in repair_plan[1]:
-                tasks[f"repair:{v}"] = "completed" if repaired else "cancelled"
+                tasks[key] = (
+                    "cancelled" if outcome.workers[w].cancelled else "completed"
+                )
+        if repair is not None:
+            for v in repair.extra:
+                tasks[f"repair:{v}"] = (
+                    "completed" if outcome.repaired else "cancelled"
+                )
 
-        outcome = CodedIterationOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            workers=stats,
-            contributions=contributions,
-            repaired=repaired,
-            timed_out_workers=timed_out,
-        )
         trace = EventTrace(
             loop=loop,
             topology=topology,
             tasks=tasks,
-            arrivals=arrivals,
-            done_time=done_time,
+            arrivals=arrived,
+            done_time=finish if outcome.repaired else done,
             deadline=deadline,
-            repaired=repaired,
+            repaired=outcome.repaired,
         )
         return outcome, trace
 
-    def _plan_repair(
-        self,
-        plan: CodedWorkPlan,
-        speeds: np.ndarray,
-        active: list[int],
-        failed_workers: frozenset[int],
-        arrivals: dict[int, float],
-        projected: dict[int, float],
-        deadline: float,
-    ):
-        """§4.3 cutoff search at the timeout pop, mirroring ``_attempt_repair``.
-
-        Arrival estimates use realised pop times where available and the
-        uncontended link projection otherwise — identical values on
-        dedicated links, a lower bound under rack contention (the realised
-        repair traffic still queues physically afterwards).
-        """
-        est = {
-            w: arrivals.get(w, projected.get(w, np.inf))
-            if w not in failed_workers
-            else np.inf
-            for w in active
-        }
-        order = sorted(active, key=lambda w: (est[w], w))
-        idle_alive = [
-            w
-            for w in range(plan.n_workers)
-            if plan.assignments[w].num_chunks == 0 and w not in failed_workers
-        ]
-        later_arrivals = sorted(
-            est[w] for w in order if deadline < est[w] < np.inf
-        )
-        for cutoff in [deadline, *later_arrivals]:
-            finished = {
-                w: plan.assignments[w].chunk_indices()
-                for w in order
-                if est[w] <= cutoff
-            }
-            for w in idle_alive:
-                finished.setdefault(w, np.empty(0, dtype=np.int64))
-            laggards = frozenset(w for w in order if est[w] > cutoff)
-            if not laggards or not finished:
-                return None
-            try:
-                extra = repair_assignments(plan, finished, speeds)
-            except ValueError:
-                continue  # wait for the next response, then reconsider
-            extra_rows = {
-                w: int(self.grid.rows_of_chunks(chunks).size)
-                for w, chunks in extra.items()
-            }
-            return finished, extra, extra_rows, laggards, cutoff
-        return None
-
     @staticmethod
-    def _check_factors(link_factors, n: int) -> np.ndarray:
+    def _check_factors(link_factors, *shape: int) -> np.ndarray:
+        """Link factors of ``shape`` as an array (all ones when ``None``)."""
         if link_factors is None:
-            return np.ones(n)
+            return np.ones(shape)
         factors = np.asarray(link_factors, dtype=np.float64)
-        if factors.shape != (n,):
+        if factors.shape != shape:
             raise ValueError(
-                f"link_factors must have shape ({n},), got {factors.shape}"
+                f"link_factors must have shape {shape}, got {factors.shape}"
             )
         if not np.all(np.isfinite(factors)) or np.any(factors <= 0):
             raise ValueError("link factors must be positive and finite")
         return factors
-
-    @staticmethod
-    def _check_factors_batch(link_factors, trials: int, n: int) -> np.ndarray:
-        if link_factors is None:
-            return np.ones((trials, n))
-        factors = np.asarray(link_factors, dtype=np.float64)
-        if factors.shape != (trials, n):
-            raise ValueError(
-                f"link_factors must have shape ({trials}, {n}), "
-                f"got {factors.shape}"
-            )
-        if not np.all(np.isfinite(factors)) or np.any(factors <= 0):
-            raise ValueError("link factors must be positive and finite")
-        return factors
-
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
 
     def run_batch(
         self,
@@ -548,247 +349,42 @@ class EventDrivenIterationSim(CodedIterationSim):
     ) -> BatchCodedOutcome:
         """Batched event simulation, bitwise-equal to looping :meth:`run`.
 
-        On dedicated duplex links the event timeline is queue-free, so
-        the per-trial schedules are precomputed as ``(trials, workers)``
-        arrays mirroring the event loop's float-operation order term by
-        term (see the module docstring).  Trials whose event ordering can
-        actually diverge from that schedule — shared-rack or shuffle
-        topologies, and repair-armed trials whose repair round is not
-        provably queue-free — are replayed through the scalar event loop,
-        so the fast path never has to be trusted beyond what the schedule
-        proves.  ``link_factors`` is a ``(trials, workers)`` matrix (or
-        ``None``).
+        The event loop's broadcast receipts and reply bandwidths become
+        ``(trials, workers)`` arrays for the parent's batched kernel
+        (queue-free on dedicated links, see the module docstring); trials
+        whose event ordering can diverge from that schedule replay
+        through :meth:`run`.  ``link_factors`` is a ``(trials, workers)``
+        matrix (or ``None``).
         """
-        speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        n = speeds.shape[1]
-        plan_list = (
-            [plans] * trials
-            if isinstance(plans, CodedWorkPlan)
-            else list(plans)
+        plan_list, speeds, failed_list = self._batch_inputs(
+            plans, speeds, failed_workers
         )
-        if len(plan_list) != trials:
-            raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
-        if any(p.n_workers != n for p in plan_list):
-            raise ValueError("every plan must span the batch's worker count")
-        factors = self._check_factors_batch(link_factors, trials, n)
-        factor_rows: list[np.ndarray | None] = (
-            [None] * trials
-            if link_factors is None
-            else [factors[t] for t in range(trials)]
-        )
-
-        completion = np.zeros(trials)
-        decode = np.zeros(trials)
-        assigned = np.zeros((trials, n), dtype=np.int64)
-        computed = np.zeros((trials, n))
-        used = np.zeros((trials, n), dtype=np.int64)
-        responded = np.zeros((trials, n), dtype=bool)
-        repaired = np.zeros(trials, dtype=bool)
-        broadcast = self._broadcast_cost
-
-        def replay(indices) -> None:
-            """Scalar event loop as the semantics of record for ``indices``."""
-            for t in indices:
-                outcome = self.run(
-                    plan_list[t], speeds[t], failed_list[t], factor_rows[t]
-                )
-                completion[t] = outcome.completion_time
-                decode[t] = outcome.decode_time
-                repaired[t] = outcome.repaired
-                stats = outcome.workers
-                assigned[t] = [s.assigned_rows for s in stats]
-                computed[t] = [s.computed_rows for s in stats]
-                used[t] = [s.used_rows for s in stats]
-                # The batch contract counts a response only when it was
-                # accepted (a late response recorded during a rejected
-                # repair probe stays a cancellation).
-                responded[t] = [
-                    s.response_time is not None and not s.cancelled
-                    for s in stats
-                ]
-
-        if self.config.rack_size is not None or self.config.shuffle_output:
-            # Shared ToR links queue repair behind result traffic, and the
-            # shuffle reuses down-links: event ordering genuinely matters.
-            with span("replay"):
-                replay(range(trials))
-            return BatchCodedOutcome(
-                completion_time=completion,
-                broadcast_time=broadcast,
-                decode_time=decode,
-                assigned_rows=assigned,
-                computed_rows=computed,
-                used_rows=used,
-                responded=responded,
-                repaired=repaired,
-            )
-
-        with span("plan"):
-            failed_mask = np.zeros((trials, n), dtype=bool)
-            for t, failed in enumerate(failed_list):
-                if failed:
-                    failed_mask[t, list(failed)] = True
-            profiles = {}
-            for p in plan_list:
-                if id(p) not in profiles:
-                    profiles[id(p)] = self._profile(p)
-            rows_mat = np.stack([profiles[id(p)].rows for p in plan_list])
-            active = rows_mat > 0
-            kinds = np.array([profiles[id(p)].kind for p in plan_list])
-            coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
-            assigned[:] = rows_mat
-
-        # The analytic schedule, mirroring the scalar event handlers'
-        # float-op order term by term (queue-free on dedicated links).
+        factors = self._check_factors(link_factors, *speeds.shape)
         with span("broadcast"):
-            bw_bytes = (
-                self.broadcast_width
-                if self.broadcast_width is not None
-                else self.width
-            ) * self.cost.bytes_per_element
+            bandwidth = self.network.bandwidth * factors
             encode_end = self.config.encode_flops / self.cost.master_flops
             recv = encode_end + (
-                self.network.latency
-                + bw_bytes / (self.network.bandwidth * factors)
+                self.network.latency + self._broadcast_bytes / bandwidth
             )
-        with span("compute"):
-            denom = self.cost.worker_flops * speeds
-            fixed = self.fixed_task_flops / denom
-            compute = (rows_mat * self.width * self.cost.flops_per_element) / denom
-            compute_end = (recv + fixed) + compute
-        with span("reply"):
-            reply_bytes = float(self.cost.row_bytes(self.width_out))
-            arrivals = compute_end + (
-                self.network.latency
-                + (rows_mat * reply_bytes) / (self.network.bandwidth * factors)
-            )
-            arrivals[failed_mask | ~active] = np.inf
-
-            # Natural completion: k-th response for full plans, last active
-            # response for exact-coverage plans (an inf from a failed
-            # active worker propagates as "never completes naturally").
-            done = np.full(trials, np.inf)
-            full_rows = kinds == "full"
-            exact_rows = kinds == "exact"
-            sorted_arr = np.sort(arrivals, axis=1)
-            if np.any(full_rows):
-                done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
-            if np.any(exact_rows):
-                masked = np.where(
-                    active[exact_rows], arrivals[exact_rows], -np.inf
-                )
-                done[exact_rows] = masked.max(axis=1)
-
-        # §4.3 arming and the divergence detector.  The vectorized arming
-        # test uses analytic event times, which the loop's causality clamp
-        # never alters, so it is exact on dedicated links for any factors;
-        # the *resolution* is only native when the repair round itself is
-        # queue-free and mirrors the closed form bitwise (unit factors,
-        # zero encode cost, zero-byte repair requests).
-        with span("repair"):
-            deadlines = self._batch_deadlines(sorted_arr, coverages)
-            general = kinds == "general"
-            armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
-            native_ok = (
-                self.config.encode_flops == 0.0
-                and self.config.repair_request_bytes == 0.0
-            )
-            unit_links = np.all(factors == 1.0, axis=1)
-            fallback = general | (armed & ~(native_ok & unit_links))
-            armed_native = armed & ~fallback
-            if np.any(armed_native):
-                chunk_sizes = np.diff(self.grid.chunk_offsets())
-                for t in np.flatnonzero(armed_native):
-                    result = self._repair_batch_trial(
-                        plan_list[t],
-                        profiles[id(plan_list[t])],
-                        speeds[t],
-                        arrivals[t],
-                        float(deadlines[t]),
-                        float(done[t]),
-                        failed_list[t],
-                        broadcast,
-                        chunk_sizes,
-                    )
-                    if result is None:
-                        continue  # rejected: the trial completes naturally
-                    finish, decode_t, computed_t, used_t, responded_t = result
-                    repaired[t] = True
-                    completion[t] = finish + decode_t
-                    decode[t] = decode_t
-                    computed[t] = computed_t
-                    used[t] = used_t
-                    responded[t] = responded_t
-
-        fast = ~fallback & ~repaired
-        if np.any(np.isinf(done) & fast):
-            raise RuntimeError(
-                "iteration cannot complete: coverage unsatisfiable with "
-                "the surviving workers and no repair possible"
-            )
-        if np.any(fast):
-            with span("decode"):
-                resp = active & (arrivals <= done[:, None]) & fast[:, None]
-                # Partial progress of cancelled stragglers: the event
-                # accounting starts the clock at the worker's recv time
-                # (mirrors _progress_rows term by term).
-                per_row = (self.width * self.cost.flops_per_element) / denom
-                elapsed = (done[:, None] - recv) - fixed
-                progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
-                progress = np.minimum(rows_mat, np.maximum(0.0, progress))
-                computed_fast = np.where(
-                    resp,
-                    rows_mat.astype(np.float64),
-                    np.where(failed_mask, 0.0, progress),
-                )
-                computed_fast[~active] = 0.0
-                computed[fast] = computed_fast[fast]
-                responded[fast] = resp[fast]
-                # Used rows: every active worker on exact plans; the first
-                # ``coverage`` responses (pop order == stable arrival
-                # order) on full plans.
-                exact_fast = exact_rows & fast
-                if np.any(exact_fast):
-                    used[exact_fast] = np.where(
-                        active[exact_fast], rows_mat[exact_fast], 0
-                    )
-                full_fast = full_rows & fast
-                if np.any(full_fast):
-                    order = np.argsort(
-                        arrivals[full_fast], axis=1, kind="stable"
-                    )
-                    sub = np.zeros((int(full_fast.sum()), n), dtype=np.int64)
-                    take = coverages[full_fast]
-                    for i in range(sub.shape[0]):
-                        contributors = order[i, : take[i]]
-                        sub[i, contributors] = rows_mat[full_fast][
-                            i, contributors
-                        ]
-                    used[full_fast] = sub
-                groups = np.array(
-                    [profiles[id(p)].decode_groups for p in plan_list],
-                    dtype=np.int64,
-                )
-                for t in np.flatnonzero(fast):
-                    decode[t] = self.cost.decode_time(
-                        rows=self.grid.rows,
-                        coverage=int(coverages[t]),
-                        width_out=self.width_out,
-                        groups=max(1, int(groups[t])),
-                    )
-                completion[fast] = done[fast] + decode[fast]
-
-        if np.any(fallback):
-            with span("replay"):
-                replay(np.flatnonzero(fallback))
-
-        return BatchCodedOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            assigned_rows=assigned,
-            computed_rows=computed,
-            used_rows=used,
-            responded=responded,
-            repaired=repaired,
+        # The repair round is queue-free, and mirrors the closed form's
+        # dispatch bitwise, only with unit links and free encode/requests.
+        queue_free_repair = (
+            self.config.encode_flops == 0.0
+            and self.config.repair_request_bytes == 0.0
+        ) & np.all(factors == 1.0, axis=1)
+        return self._batch_kernel(
+            plan_list,
+            speeds,
+            failed_list,
+            recv=recv,
+            bandwidth=bandwidth,
+            replay=lambda t: self.run(
+                plan_list[t], speeds[t], failed_list[t], factors[t]
+            ),
+            # Shared ToR links queue repair behind result traffic, and the
+            # shuffle reuses down-links: event ordering genuinely matters.
+            replay_all=(
+                self.config.rack_size is not None or self.config.shuffle_output
+            ),
+            replay_armed=~queue_free_repair,
         )

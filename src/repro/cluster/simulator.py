@@ -22,23 +22,29 @@ Every simulator returns an outcome carrying the iteration latency breakdown,
 per-worker computed/used row counts (the wasted-computation accounting of
 Figs 9/11), the bytes moved for load balancing, and the *contributions* the
 master actually uses — which the runtime layer then executes numerically.
+Every entry point rejects non-positive and non-finite speeds the same way.
 
-Batched Monte-Carlo trials
+One coded-iteration kernel
 --------------------------
+:class:`CodedIterationSim` is the only home of the coded iteration's rules:
+coverage completion, the §4.3 deadline (mean of the first ``k`` responses),
+the cutoff search that reassigns the laggards' chunks, the opportunistic
+acceptance of a repair, and the computed/used accounting.  The event
+backend (:mod:`repro.cluster.events.sim`) reuses every one of them and only
+supplies when each worker's task starts and how its reply travels.
+
 :meth:`CodedIterationSim.run_batch` simulates a whole ``(trials, workers)``
 speed matrix in one call.  The two plan shapes every scheduler here produces
 — *full* plans (conventional coded computation: everyone computes
 everything) and *exact-coverage* plans (S2C2's no-wasted-work wraparound
 layout) — admit closed-form batch timelines, so arrivals, completion times
 and the computed/used accounting are evaluated with stacked numpy arrays
-across all trials at once.  Trials that arm the §4.3 timeout are resolved
-*natively* on the batch path: the repair decision replays on the already
-vectorized arrival matrix and cached per-plan chunk geometry — closed-form
-repair arrivals, opportunistic-straggler acceptance, and the timed-out
-progress accounting mirror :meth:`~CodedIterationSim.run` float-op for
-float-op, so repair-armed trials stay bitwise-equal to a per-trial loop
-without paying the scalar simulator's per-worker row expansion.  Only plans
-of an unclassifiable shape delegate to the scalar path.
+across all trials at once.  Trials that arm the §4.3 timeout run the scalar
+path's own cutoff search and accounting on the already vectorized arrival
+matrix and cached per-plan chunk geometry, so they stay bitwise-equal to a
+per-trial loop without re-simulating the trial.  Only *general* plans
+(neither full nor exact coverage) replay through
+:meth:`~CodedIterationSim.run`.
 :meth:`ReplicationIterationSim.run_batch` vectorizes the arrival
 computation and resolves the (inherently sequential) speculation decisions
 per trial; :meth:`OverDecompositionIterationSim.run_batch` stacks the
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +80,29 @@ __all__ = [
 ]
 
 
+def _checked_speeds(
+    speeds: np.ndarray, n_workers: int | None, batch: bool
+) -> np.ndarray:
+    """``speeds`` as float64, after the one check every simulator entry runs.
+
+    A ``batch`` is a ``(trials, workers)`` matrix, anything else a single
+    ``(workers,)`` row; ``n_workers=None`` accepts any width.  Every speed
+    must be positive and finite: failures are modelled via
+    ``failed_workers``, never with a zero, NaN or infinite speed.
+    """
+    speeds = np.asarray(speeds, dtype=np.float64)
+    expected = "workers" if n_workers is None else str(n_workers)
+    if speeds.ndim != (2 if batch else 1) or n_workers not in (
+        None, speeds.shape[-1]
+    ):
+        want = f"2-D (trials, {expected})" if batch else f"of shape ({expected},)"
+        raise ValueError(f"speeds must be {want}, got shape {speeds.shape}")
+    if not np.all(np.isfinite(speeds) & (speeds > 0)):
+        raise ValueError("speeds must be positive and finite (model failures "
+                         "via failed_workers)")
+    return speeds
+
+
 def _normalise_batch(
     speeds: np.ndarray,
     failed_workers: frozenset[int] | Sequence[frozenset[int]],
@@ -84,15 +113,7 @@ def _normalise_batch(
     Returns the ``(trials, workers)`` speed matrix, the trial count, and
     one failure set per trial (a single set is broadcast to all trials).
     """
-    speeds = np.asarray(speeds, dtype=np.float64)
-    expected = "workers" if n_workers is None else str(n_workers)
-    if speeds.ndim != 2 or (n_workers is not None and speeds.shape[1] != n_workers):
-        raise ValueError(
-            f"speeds must be 2-D (trials, {expected}), got shape {speeds.shape}"
-        )
-    if np.any(speeds <= 0):
-        raise ValueError("speeds must be positive (model failures via "
-                         "failed_workers)")
+    speeds = _checked_speeds(speeds, n_workers, batch=True)
     trials = speeds.shape[0]
     if isinstance(failed_workers, (frozenset, set)):
         failed_list = [frozenset(failed_workers)] * trials
@@ -103,6 +124,16 @@ def _normalise_batch(
                 f"got {len(failed_list)} failure sets for {trials} trials"
             )
     return speeds, trials, failed_list
+
+
+def _per_trial(plans, plan_type: type, trials: int) -> list:
+    """One plan per trial; a single ``plan_type`` plan is shared by all."""
+    if isinstance(plans, plan_type):
+        return [plans] * trials
+    plan_list = list(plans)
+    if len(plan_list) != trials:
+        raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
+    return plan_list
 
 
 @dataclass
@@ -191,25 +222,35 @@ class BatchCodedOutcome:
 
 @dataclass(frozen=True)
 class _PlanProfile:
-    """Per-plan constants the batch path reuses across trials."""
+    """Per-plan constants every path reuses across workers and trials."""
 
+    plan: CodedWorkPlan
     kind: str  # "full" | "exact" | "general"
     rows: np.ndarray  # (n,) assigned rows per worker
     chunk_counts: np.ndarray  # (n,) assigned chunks per worker
-    n_active: int
-    decode_groups: int  # groups for decode_time on the natural path
+    active: tuple[int, ...]  # workers assigned at least one row
+    decode_groups: int  # groups for decode_time on the natural batch path
     #: Lazily filled worker → sorted chunk-index array cache, shared by
-    #: every repair-armed trial of this plan (expansion is O(chunks) and
-    #: the arrays are read-only inputs to ``repair_assignments``).
+    #: every trial of this plan (the arrays are read-only inputs).
     chunk_cache: dict = field(default_factory=dict)
 
-    def chunks_of(self, plan: CodedWorkPlan, worker: int) -> np.ndarray:
+    def chunks_of(self, worker: int) -> np.ndarray:
         """Worker's sorted chunk indices (memoised per plan profile)."""
         cached = self.chunk_cache.get(worker)
         if cached is None:
-            cached = plan.assignments[worker].chunk_indices()
+            cached = self.plan.assignments[worker].chunk_indices()
             self.chunk_cache[worker] = cached
         return cached
+
+
+class _Repair(NamedTuple):
+    """A feasible §4.3 reassignment (see :meth:`CodedIterationSim._search_repair`)."""
+
+    finished: dict[int, np.ndarray]  # helper → chunks it sent by the cutoff
+    extra: dict[int, np.ndarray]  # helper → chunks reassigned to it
+    extra_rows: dict[int, int]  # helper → rows of its reassigned chunks
+    laggards: frozenset[int]  # workers cancelled at the cutoff
+    cutoff: float  # when the master reassigns
 
 
 @dataclass(frozen=True)
@@ -246,6 +287,12 @@ class CodedIterationSim:
     timeout: TimeoutPolicy | None = None
 
     @functools.cached_property
+    def _broadcast_bytes(self) -> float:
+        """Bytes of the broadcast input vector."""
+        width = self.broadcast_width if self.broadcast_width is not None else self.width
+        return width * self.cost.bytes_per_element
+
+    @functools.cached_property
     def _broadcast_cost(self) -> float:
         """Broadcast transfer time, computed once per simulator instance.
 
@@ -255,19 +302,19 @@ class CodedIterationSim:
         recomputed per trial.  (``functools.cached_property`` writes the
         instance ``__dict__`` directly, which frozen dataclasses permit.)
         """
-        return self.network.transfer_time(
-            (self.broadcast_width if self.broadcast_width is not None else self.width)
-            * self.cost.bytes_per_element
-        )
+        return self.network.transfer_time(self._broadcast_bytes)
+
+    def _compute_end(self, rows: int, speed: float, start: float) -> float:
+        """When a ``rows``-row task started at ``start`` finishes computing."""
+        fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
+        return (start + fixed) + self.cost.compute_time(rows, self.width, speed)
 
     def _arrival(self, rows: int, speed: float, start: float) -> float:
         """Absolute arrival time at the master of a ``rows``-row task."""
-        compute = self.cost.compute_time(rows, self.width, speed)
-        fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
         reply = self.network.transfer_time(
             rows * self.cost.row_bytes(self.width_out)
         )
-        return start + fixed + compute + reply
+        return self._compute_end(rows, speed, start) + reply
 
     def _progress_rows(
         self, speed: float, start: float, until: float, cap: int
@@ -277,242 +324,21 @@ class CodedIterationSim:
         done = self.cost.rows_computable(until - start - fixed, self.width, speed)
         return float(min(cap, max(0.0, done)))
 
-    def run(
-        self,
-        plan: CodedWorkPlan,
-        speeds: np.ndarray,
-        failed_workers: frozenset[int] = frozenset(),
-    ) -> CodedIterationOutcome:
-        """Simulate the iteration and return the outcome.
-
-        ``speeds`` are the *actual* speeds (the plan may have been built
-        from different, predicted speeds — that gap is what the timeout
-        mechanism repairs).  ``failed_workers`` never respond, regardless
-        of speed.
-        """
-        speeds = np.asarray(speeds, dtype=np.float64)
-        n = plan.n_workers
-        if speeds.shape != (n,):
-            raise ValueError(f"speeds must have shape ({n},), got {speeds.shape}")
-        if np.any(speeds <= 0):
-            raise ValueError("actual speeds must be positive (model failures "
-                             "via failed_workers)")
-        broadcast = self._broadcast_cost
-        stats = [WorkerIterationStats(worker=w) for w in range(n)]
-        chunk_rows = {
-            w: self.grid.rows_of_chunks(plan.assignments[w].chunk_indices())
-            for w in range(n)
-        }
-        arrivals: dict[int, float] = {}
-        active: list[int] = []
-        for w in range(n):
-            rows = int(chunk_rows[w].size)
-            stats[w].assigned_rows = rows
-            if rows == 0:
-                continue
-            active.append(w)
-            if w in failed_workers:
-                arrivals[w] = np.inf
-            else:
-                arrivals[w] = self._arrival(rows, speeds[w], broadcast)
-
-        # --- Find the natural coverage-completion time. ---------------------
-        # Walk arrivals in time order; each worker's *useful* chunks are the
-        # ones still lacking coverage when it arrives (the master uses the
-        # first `coverage` results per chunk and ignores the rest, §2).
-        order = sorted(active, key=lambda w: (arrivals[w], w))
-        need = np.full(plan.num_chunks, plan.coverage, dtype=np.int64)
-        natural: dict[int, np.ndarray] = {}
-        done_time = np.inf
-        for w in order:
-            if arrivals[w] == np.inf:
-                break
-            chunks = plan.assignments[w].chunk_indices()
-            useful = chunks[need[chunks] > 0]
-            if useful.size:
-                natural[w] = useful
-                need[useful] -= 1
-                if not need.any():
-                    done_time = arrivals[w]
-                    break
-        contributions: dict[int, np.ndarray] = {}
-        repaired = False
-        timed_out: frozenset[int] = frozenset()
-        extra_rows: dict[int, int] = {}
-        repair_arrival = 0.0
-
-        deadline = self._timeout_deadline(plan, order, arrivals)
-        if (
-            self.timeout is not None
-            and deadline is not None
-            and done_time > deadline
-        ):
-            # Workers that were assigned no chunks this iteration still
-            # hold their full encoded partitions (§4.4): the master can
-            # recruit them for repair work alongside the finished workers.
-            idle_alive = [
-                w
-                for w in range(n)
-                if plan.assignments[w].num_chunks == 0 and w not in failed_workers
-            ]
-            outcome = self._attempt_repair(
-                plan, speeds, arrivals, order, deadline, stats, idle_alive
-            )
-            # Opportunistic repair: the master keeps accepting straggler
-            # results while the reassigned work is in flight, so repair
-            # only shortens the iteration when it actually finishes first.
-            if outcome is not None and outcome[3] < done_time:
-                (contributions, extra_rows, timed_out, repair_arrival) = outcome
-                repaired = True
-                done_time = repair_arrival
-
-        if not repaired:
-            if done_time == np.inf:
-                raise RuntimeError(
-                    "iteration cannot complete: coverage unsatisfiable with "
-                    "the surviving workers and no repair possible"
-                )
-            contributions = natural
-
-        # --- Accounting: computed vs used rows per worker. ------------------
-        for w in active:
-            rows = stats[w].assigned_rows
-            if repaired and w in timed_out:
-                stats[w].cancelled = True
-                cap_time = deadline if deadline is not None else done_time
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], broadcast, cap_time, rows
-                    )
-                continue
-            if arrivals[w] <= done_time:
-                stats[w].computed_rows = float(rows)
-                stats[w].response_time = arrivals[w]
-            else:
-                # Still running when the master finished: cancelled.
-                stats[w].cancelled = True
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], broadcast, done_time, rows
-                    )
-        for w, chunks in contributions.items():
-            base_chunks = plan.assignments[w].chunk_indices()
-            used = self.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
-            stats[w].used_rows = int(used.size)
-            if repaired and w in extra_rows:
-                stats[w].computed_rows = float(
-                    self.grid.rows_of_chunks(base_chunks).size + extra_rows[w]
-                )
-        decode = self.cost.decode_time(
+    def _decode_time(self, coverage: int, groups: int) -> float:
+        """Master decode time from ``groups`` provider groups (at least one)."""
+        return self.cost.decode_time(
             rows=self.grid.rows,
-            coverage=plan.coverage,
+            coverage=coverage,
             width_out=self.width_out,
-            groups=max(1, len(contributions)),
+            groups=max(1, groups),
         )
-        return CodedIterationOutcome(
-            completion_time=done_time + decode,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            workers=stats,
-            contributions=contributions,
-            repaired=repaired,
-            timed_out_workers=timed_out,
-        )
-
-    def _timeout_deadline(
-        self,
-        plan: CodedWorkPlan,
-        order: list[int],
-        arrivals: dict[int, float],
-    ) -> float | None:
-        """§4.3: deadline armed after the first ``k`` responses, or None.
-
-        When fewer than ``k`` workers can ever respond (failures among the
-        assigned set), the deadline arms from every response that does
-        arrive — a real master cannot distinguish "slow" from "dead" and
-        must eventually time out either way.
-        """
-        if self.timeout is None:
-            return None
-        k = self.timeout.min_responses or plan.coverage
-        finite = [arrivals[w] for w in order if arrivals[w] < np.inf]
-        if not finite:
-            return None
-        first_k = sorted(finite)[: min(k, len(finite))]
-        return self.timeout.deadline(float(np.mean(first_k)))
-
-    def _attempt_repair(
-        self,
-        plan: CodedWorkPlan,
-        speeds: np.ndarray,
-        arrivals: dict[int, float],
-        order: list[int],
-        deadline: float,
-        stats: list[WorkerIterationStats],
-        idle_alive: list[int] | None = None,
-    ):
-        """Cancel laggards at ``deadline`` and reassign their chunks.
-
-        ``idle_alive`` workers (assigned nothing, but holding their coded
-        partitions and presumed responsive) are recruited as additional
-        repair helpers.  When reassignment among the workers finished *by
-        the deadline* cannot restore coverage (e.g. several laggards but a
-        dead worker among them), the master keeps collecting responses and
-        re-attempts at each subsequent arrival — so only genuinely
-        unreachable coverage makes repair fail.  Returns
-        ``(contributions, extra_rows, timed_out, finish_time)`` or ``None``
-        (the master then falls back to waiting — §4.4).
-        """
-        later_arrivals = sorted(
-            arrivals[w] for w in order if deadline < arrivals[w] < np.inf
-        )
-        for cutoff in [deadline, *later_arrivals]:
-            finished = {
-                w: plan.assignments[w].chunk_indices()
-                for w in order
-                if arrivals[w] <= cutoff
-            }
-            for w in idle_alive or ():
-                finished.setdefault(w, np.empty(0, dtype=np.int64))
-            laggards = frozenset(w for w in order if arrivals[w] > cutoff)
-            if not laggards or not finished:
-                return None
-            try:
-                extra = repair_assignments(plan, finished, speeds)
-            except ValueError:
-                continue  # wait for the next response, then reconsider
-            contributions: dict[int, np.ndarray] = {
-                w: chunks.copy() for w, chunks in finished.items()
-            }
-            extra_rows: dict[int, int] = {}
-            finish = cutoff
-            dispatch = cutoff + self.network.latency  # reassignment message
-            for w, chunks in extra.items():
-                rows = self.grid.rows_of_chunks(chunks)
-                extra_rows[w] = int(rows.size)
-                arrival = self._arrival(int(rows.size), speeds[w], dispatch)
-                finish = max(finish, arrival)
-                contributions[w] = np.concatenate([contributions[w], chunks])
-            for w, stat in enumerate(stats):
-                if w in finished and w in arrivals:
-                    stat.response_time = arrivals[w]
-            return contributions, extra_rows, laggards, finish
-        return None
-
-    # ------------------------------------------------------------------
-    # Batched Monte-Carlo path
-    # ------------------------------------------------------------------
 
     def _profile(self, plan: CodedWorkPlan) -> _PlanProfile:
         """Classify a plan and precompute the per-worker row counts.
 
         Row counts come from the grid's chunk offsets and the plan's range
-        representation directly — O(ranges) per worker instead of expanding
-        10k-chunk index arrays the way the scalar path does.
+        representation directly — O(ranges) per worker instead of
+        expanding 10k-chunk index arrays into rows.
         """
         offsets = self.grid.chunk_offsets()
         num_chunks = plan.num_chunks
@@ -527,146 +353,311 @@ class CodedIterationSim:
                 rows[w] += int(offsets[end] - offsets[begin])
                 chunk_counts[w] += end - begin
                 coverage[begin:end] += 1
-        n_active = int(np.count_nonzero(rows))
+        active = tuple(np.flatnonzero(rows).tolist())
         if full:
             kind = "full"
             groups = plan.coverage
         elif bool(np.all(coverage == plan.coverage)):
             kind = "exact"
-            groups = n_active
+            groups = len(active)
         else:
             kind = "general"
             groups = 0
         return _PlanProfile(
+            plan=plan,
             kind=kind,
             rows=rows,
             chunk_counts=chunk_counts,
-            n_active=n_active,
+            active=active,
             decode_groups=groups,
         )
 
-    def _batch_deadlines(
-        self, sorted_active: np.ndarray, coverages: np.ndarray
-    ) -> np.ndarray:
-        """Per-trial §4.3 deadlines (NaN where the timeout cannot arm).
+    # ------------------------------------------------------------------
+    # The coded iteration's rules, shared by every path and backend
+    # ------------------------------------------------------------------
 
-        Mirrors :meth:`_timeout_deadline` per trial — including computing
-        the mean with ``np.mean`` on the same slice, so the armed deadline
-        is bit-identical to the scalar path.
+    def _natural_cover(
+        self, profile: _PlanProfile, arrivals: np.ndarray
+    ) -> tuple[dict[int, np.ndarray], float]:
+        """Walk ``arrivals`` in time order until every chunk is covered.
+
+        Each worker's *useful* chunks are the ones still lacking coverage
+        when it arrives (the master uses the first ``coverage`` results per
+        chunk and ignores the rest, §2).  Returns those contributions and
+        the coverage-completion time (``inf``: never).
         """
-        trials = sorted_active.shape[0]
-        deadlines = np.full(trials, np.nan)
-        if self.timeout is None:
-            return deadlines
-        for t in range(trials):
-            k = self.timeout.min_responses or int(coverages[t])
-            finite = sorted_active[t][np.isfinite(sorted_active[t])]
-            if finite.size == 0:
-                continue
-            deadlines[t] = self.timeout.deadline(
-                float(np.mean(finite[: min(k, finite.size)]))
-            )
-        return deadlines
+        plan = profile.plan
+        need = np.full(plan.num_chunks, plan.coverage, dtype=np.int64)
+        natural: dict[int, np.ndarray] = {}
+        for w in sorted(profile.active, key=lambda w: (arrivals[w], w)):
+            if arrivals[w] == np.inf:
+                break
+            chunks = profile.chunks_of(w)
+            useful = chunks[need[chunks] > 0]
+            if useful.size:
+                natural[w] = useful
+                need[useful] -= 1
+                if not need.any():
+                    return natural, arrivals[w]
+        return natural, np.inf
 
-    def _repair_batch_trial(
+    def _timeout_deadline(
         self,
-        plan: CodedWorkPlan,
-        profile: _PlanProfile,
-        speeds_t: np.ndarray,
-        arrivals_t: np.ndarray,
-        deadline: float,
-        natural_done: float,
-        failed: frozenset[int],
-        broadcast: float,
-        chunk_sizes: np.ndarray,
-    ):
-        """Resolve the §4.3 repair decision for one armed trial, natively.
+        responses: np.ndarray,
+        coverage: int,
+        responders: int | None = None,
+    ) -> float | None:
+        """§4.3: the deadline armed after the first ``k`` responses, or None.
 
-        Mirrors :meth:`_attempt_repair` plus :meth:`run`'s repaired-branch
-        accounting on the batch path's precomputed arrival row and the
-        plan profile's cached chunk geometry — every float operation
-        (repair arrivals via :meth:`_arrival`, cancelled progress via
-        :meth:`_progress_rows`, the greedy :func:`repair_assignments`)
-        is the same code the scalar path runs, so results are bitwise
-        identical without re-simulating the whole trial.
-
-        Returns ``None`` when the master falls back to waiting for
-        stragglers (no feasible reassignment, or the repair would finish
-        after the natural completion — the opportunistic rule), else
-        ``(finish, decode, computed, used, responded)`` per-trial arrays.
+        ``responses`` are the finite response times seen so far, ascending;
+        ``responders`` is how many workers can respond at all (default: all
+        of them already have).  When fewer than ``k`` workers can ever
+        respond (failures among the assigned set), the deadline arms from
+        every response that does arrive — a real master cannot distinguish
+        "slow" from "dead" and must eventually time out either way.
         """
-        n = plan.n_workers
-        rows = profile.rows
-        active = [int(w) for w in np.flatnonzero(rows > 0)]
-        order = sorted(active, key=lambda w: (arrivals_t[w], w))
+        if self.timeout is None:
+            return None
+        k = min(
+            self.timeout.min_responses or coverage,
+            len(responses) if responders is None else responders,
+        )
+        if k == 0 or len(responses) < k:
+            return None
+        return self.timeout.deadline(float(np.mean(responses[:k])))
+
+    def _search_repair(
+        self,
+        profile: _PlanProfile,
+        speeds: np.ndarray,
+        arrivals: np.ndarray,
+        deadline: float,
+        failed: frozenset[int],
+    ) -> _Repair | None:
+        """§4.3: cancel the laggards at ``deadline``, reassign their chunks.
+
+        Workers assigned nothing this iteration but alive still hold their
+        encoded partitions (§4.4), so the master recruits them as helpers
+        alongside the finished workers.  When reassignment among the
+        workers finished by the deadline cannot restore coverage (e.g.
+        several laggards but a dead worker among them), the master keeps
+        collecting responses and retries at each later arrival — so only
+        genuinely unreachable coverage makes repair fail.  ``None`` means
+        the master waits for the stragglers instead (§4.4).
+        """
+        plan = profile.plan
+        order = sorted(profile.active, key=lambda w: (arrivals[w], w))
         idle_alive = [
             w
-            for w in range(n)
+            for w in range(plan.n_workers)
             if profile.chunk_counts[w] == 0 and w not in failed
         ]
-        later_arrivals = sorted(
-            arrivals_t[w] for w in order if deadline < arrivals_t[w] < np.inf
+        later = sorted(
+            arrivals[w] for w in order if deadline < arrivals[w] < np.inf
         )
-        outcome = None
-        for cutoff in [deadline, *later_arrivals]:
+        sizes = self.grid.chunk_sizes()
+        for cutoff in [deadline, *later]:
             finished = {
-                w: profile.chunks_of(plan, w)
-                for w in order
-                if arrivals_t[w] <= cutoff
+                w: profile.chunks_of(w) for w in order if arrivals[w] <= cutoff
             }
             for w in idle_alive:
-                finished.setdefault(w, np.empty(0, dtype=np.int64))
-            laggards = frozenset(w for w in order if arrivals_t[w] > cutoff)
+                finished[w] = np.empty(0, dtype=np.int64)
+            laggards = frozenset(w for w in order if arrivals[w] > cutoff)
             if not laggards or not finished:
                 return None
             try:
-                extra = repair_assignments(plan, finished, speeds_t)
+                extra = repair_assignments(plan, finished, speeds)
             except ValueError:
                 continue  # wait for the next response, then reconsider
-            extra_rows: dict[int, int] = {}
-            finish = cutoff
-            dispatch = cutoff + self.network.latency  # reassignment message
-            for w, chunks in extra.items():
-                cnt = int(chunk_sizes[chunks].sum())
-                extra_rows[w] = cnt
-                arrival = self._arrival(cnt, speeds_t[w], dispatch)
-                finish = max(finish, arrival)
-            outcome = (finished, extra_rows, laggards, finish)
-            break
-        # Opportunistic repair: accept only when it beats the stragglers.
-        if outcome is None or outcome[3] >= natural_done:
-            return None
-        finished, extra_rows, laggards, finish = outcome
+            extra_rows = {
+                w: int(sizes[chunks].sum()) for w, chunks in extra.items()
+            }
+            return _Repair(finished, extra, extra_rows, laggards, cutoff)
+        return None
 
-        computed = np.zeros(n)
-        used = np.zeros(n, dtype=np.int64)
-        responded = np.zeros(n, dtype=bool)
-        for w in active:
+    def _repair_finish(self, speeds: np.ndarray, repair: _Repair) -> float:
+        """When the reassigned work is back at the master (closed form)."""
+        finish = repair.cutoff
+        dispatch = repair.cutoff + self.network.latency  # reassignment message
+        for w, rows in repair.extra_rows.items():
+            finish = max(finish, self._arrival(rows, speeds[w], dispatch))
+        return finish
+
+    def _account(
+        self,
+        profile: _PlanProfile,
+        speeds: np.ndarray,
+        failed: frozenset[int],
+        starts: np.ndarray,
+        arrivals: np.ndarray,
+        done: float,
+        deadline: float | None,
+        repair: _Repair | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows each worker computed, and which results the master took.
+
+        The master finishes at ``done``.  A worker whose result arrived by
+        then computed its whole task; any other was cancelled having
+        computed what it managed since its task started at ``starts[w]``
+        (nothing, if it failed) — until the §4.3 ``deadline`` for the
+        accepted ``repair``'s laggards, until ``done`` for the rest.
+        Repair helpers also computed their reassigned rows.
+        """
+        rows = profile.rows
+        computed = np.zeros(rows.size)
+        responded = np.zeros(rows.size, dtype=bool)
+        laggards = repair.laggards if repair is not None else frozenset()
+        for w in profile.active:
             if w in laggards:
-                if w not in failed:
-                    computed[w] = self._progress_rows(
-                        speeds_t[w], broadcast, deadline, int(rows[w])
-                    )
-                continue
-            if arrivals_t[w] <= finish:
-                computed[w] = float(rows[w])
+                until = deadline
+            elif arrivals[w] <= done:
+                computed[w] = rows[w]
                 responded[w] = True
-            elif w not in failed:  # pragma: no cover - finished <= cutoff
+                continue
+            else:
+                until = done
+            if w not in failed:
                 computed[w] = self._progress_rows(
-                    speeds_t[w], broadcast, finish, int(rows[w])
+                    speeds[w], starts[w], until, int(rows[w])
                 )
-        for w in finished:
-            used[w] = int(rows[w])
-        for w, cnt in extra_rows.items():
-            used[w] += cnt
-            computed[w] = float(int(rows[w]) + cnt)
-        decode = self.cost.decode_time(
-            rows=self.grid.rows,
-            coverage=plan.coverage,
-            width_out=self.width_out,
-            groups=max(1, len(finished)),
+        if repair is not None:
+            for w, extra in repair.extra_rows.items():
+                computed[w] = rows[w] + extra
+        return computed, responded
+
+    def _settle(
+        self,
+        profile: _PlanProfile,
+        speeds: np.ndarray,
+        failed: frozenset[int],
+        starts: np.ndarray,
+        arrivals: np.ndarray,
+        natural: dict[int, np.ndarray],
+        done: float,
+        deadline: float | None,
+        repair: _Repair | None,
+        finish: float | None,
+    ) -> CodedIterationOutcome:
+        """One iteration's outcome once its timeline has run.
+
+        ``starts`` and ``arrivals`` are when each worker's task started and
+        when its result reached the master (``inf``: never); the
+        ``natural`` coverage of those arrivals completes at ``done``.  A
+        ``repair`` whose reassigned work is back at ``finish`` replaces it
+        only when it finishes first — the master keeps accepting straggler
+        results while the reassigned work is in flight (opportunistic
+        repair).
+        """
+        plan = profile.plan
+        if repair is not None and finish < done:
+            accepted, done = repair, finish
+            contributions = {
+                w: np.concatenate([chunks, repair.extra[w]])
+                if w in repair.extra
+                else chunks.copy()
+                for w, chunks in repair.finished.items()
+            }
+        else:
+            if done == np.inf:
+                raise RuntimeError(
+                    "iteration cannot complete: coverage unsatisfiable with "
+                    "the surviving workers and no repair possible"
+                )
+            accepted, contributions = None, natural
+        computed, responded = self._account(
+            profile, speeds, failed, starts, arrivals, done, deadline, accepted
         )
-        return finish, decode, computed, used, responded
+        # A repair the master found stamps its finished workers' responses,
+        # whether or not it then wins.
+        probed = repair.finished if repair is not None else {}
+        sizes = self.grid.chunk_sizes()
+        stats = [
+            WorkerIterationStats(
+                worker=w,
+                assigned_rows=rows,
+                computed_rows=float(computed[w]),
+                used_rows=(
+                    int(sizes[contributions[w]].sum()) if w in contributions else 0
+                ),
+                response_time=(
+                    float(arrivals[w])
+                    if responded[w] or (rows and w in probed)
+                    else None
+                ),
+                cancelled=bool(rows) and not responded[w],
+            )
+            for w, rows in enumerate(profile.rows.tolist())
+        ]
+        decode = self._decode_time(plan.coverage, len(contributions))
+        return CodedIterationOutcome(
+            completion_time=float(done + decode),
+            broadcast_time=self._broadcast_cost,
+            decode_time=decode,
+            workers=stats,
+            contributions=contributions,
+            repaired=accepted is not None,
+            timed_out_workers=accepted.laggards if accepted else frozenset(),
+        )
+
+    # ------------------------------------------------------------------
+    # Scalar path
+    # ------------------------------------------------------------------
+
+    def run(
+        self,
+        plan: CodedWorkPlan,
+        speeds: np.ndarray,
+        failed_workers: frozenset[int] = frozenset(),
+    ) -> CodedIterationOutcome:
+        """Simulate the iteration and return the outcome.
+
+        ``speeds`` are the *actual* speeds (the plan may have been built
+        from different, predicted speeds — that gap is what the timeout
+        mechanism repairs).  ``failed_workers`` never respond, regardless
+        of speed.
+        """
+        n = plan.n_workers
+        speeds = _checked_speeds(speeds, n, batch=False)
+        profile = self._profile(plan)
+        broadcast = self._broadcast_cost
+        arrivals = np.full(n, np.inf)
+        for w in profile.active:
+            if w not in failed_workers:
+                arrivals[w] = self._arrival(
+                    int(profile.rows[w]), speeds[w], broadcast
+                )
+        natural, done = self._natural_cover(profile, arrivals)
+        deadline = self._timeout_deadline(
+            np.sort(arrivals[np.isfinite(arrivals)]), plan.coverage
+        )
+        repair = finish = None
+        if deadline is not None and done > deadline:
+            repair = self._search_repair(
+                profile, speeds, arrivals, deadline, failed_workers
+            )
+            if repair is not None:
+                finish = self._repair_finish(speeds, repair)
+        return self._settle(
+            profile, speeds, failed_workers, np.full(n, broadcast), arrivals,
+            natural, done, deadline, repair, finish,
+        )
+
+    # ------------------------------------------------------------------
+    # Batched Monte-Carlo path
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _batch_inputs(
+        plans: CodedWorkPlan | Sequence[CodedWorkPlan],
+        speeds: np.ndarray,
+        failed_workers: frozenset[int] | Sequence[frozenset[int]],
+    ) -> tuple[list[CodedWorkPlan], np.ndarray, list[frozenset[int]]]:
+        """Validated per-trial plans, speed matrix and failure sets."""
+        speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
+        plan_list = _per_trial(plans, CodedWorkPlan, trials)
+        if any(p.n_workers != speeds.shape[1] for p in plan_list):
+            raise ValueError("every plan must span the batch's worker count")
+        return plan_list, speeds, failed_list
 
     def run_batch(
         self,
@@ -688,42 +679,64 @@ class CodedIterationSim:
             A single frozenset applied to every trial, or one per trial.
 
         Returns per-trial results exactly equal to looping
-        :meth:`run` — full and exact-coverage plans take closed-form
-        vectorized timelines, repair-armed trials are resolved natively on
-        those timelines (see :meth:`_repair_batch_trial`); only plans of
-        any other shape are delegated to the scalar path.
+        :meth:`run` — see :meth:`_batch_kernel`.
         """
-        speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        n = speeds.shape[1]
-        if isinstance(plans, CodedWorkPlan):
-            plan_list = [plans] * trials
-        else:
-            plan_list = list(plans)
-            if len(plan_list) != trials:
-                raise ValueError(
-                    f"got {len(plan_list)} plans for {trials} trials"
-                )
-        if any(p.n_workers != n for p in plan_list):
-            raise ValueError("every plan must span the batch's worker count")
+        plan_list, speeds, failed_list = self._batch_inputs(
+            plans, speeds, failed_workers
+        )
+        return self._batch_kernel(
+            plan_list,
+            speeds,
+            failed_list,
+            recv=self._broadcast_cost,
+            bandwidth=self.network.bandwidth,
+            replay=lambda t: self.run(plan_list[t], speeds[t], failed_list[t]),
+        )
+
+    def _batch_kernel(
+        self,
+        plan_list: list[CodedWorkPlan],
+        speeds: np.ndarray,
+        failed_list: list[frozenset[int]],
+        recv: float | np.ndarray,
+        bandwidth: float | np.ndarray,
+        replay: Callable[[int], CodedIterationOutcome],
+        replay_all: bool = False,
+        replay_armed: np.ndarray | bool = False,
+    ) -> BatchCodedOutcome:
+        """The batched coded iteration behind both backends' ``run_batch``.
+
+        ``recv`` is when each worker starts its task (it has received the
+        broadcast) and ``bandwidth`` that of its reply link: scalars, or
+        ``(trials, workers)`` arrays.  Full and exact-coverage plans take
+        closed-form vectorized timelines; trials whose §4.3 timeout arms
+        run :meth:`_search_repair` and :meth:`_account` on them, exactly
+        as :meth:`run` does.  ``replay(t)`` re-simulates trial ``t``
+        through the scalar path, the semantics of record for general
+        plans, for every trial when ``replay_all``, and for armed trials
+        flagged in ``replay_armed``.
+        """
+        trials, n = speeds.shape
         with span("plan"):
             failed_mask = np.zeros((trials, n), dtype=bool)
             for t, failed in enumerate(failed_list):
                 if failed:
                     failed_mask[t, list(failed)] = True
-
             profiles: dict[int, _PlanProfile] = {}
             for p in plan_list:
                 if id(p) not in profiles:
                     profiles[id(p)] = self._profile(p)
-            rows_mat = np.stack([profiles[id(p)].rows for p in plan_list])
+            trial_profiles = [profiles[id(p)] for p in plan_list]
+            rows_mat = np.stack([pr.rows for pr in trial_profiles])
             active = rows_mat > 0
-            kinds = np.array([profiles[id(p)].kind for p in plan_list])
+            kinds = np.array([pr.kind for pr in trial_profiles])
             coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
 
         # Arrivals, mirroring _arrival()'s float-op order term by term so
-        # batched values are bit-identical to the scalar path.
+        # batched values are bit-identical to the scalar timelines.
         with span("broadcast"):
             broadcast = self._broadcast_cost
+            recv = np.broadcast_to(recv, (trials, n))
         with span("compute"):
             denom = self.cost.worker_flops * speeds
             fixed = self.fixed_task_flops / denom
@@ -731,8 +744,8 @@ class CodedIterationSim:
         with span("reply"):
             reply = self.network.latency + (
                 rows_mat * self.cost.row_bytes(self.width_out)
-            ) / self.network.bandwidth
-            arrivals = ((broadcast + fixed) + compute) + reply
+            ) / bandwidth
+            arrivals = ((recv + fixed) + compute) + reply
             arrivals[failed_mask | ~active] = np.inf
 
             # Natural completion: k-th response for full plans, last active
@@ -742,8 +755,7 @@ class CodedIterationSim:
             exact_rows = kinds == "exact"
             sorted_arr = np.sort(arrivals, axis=1)
             if np.any(full_rows):
-                kth = sorted_arr[full_rows, coverages[full_rows] - 1]
-                done[full_rows] = kth
+                done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
             if np.any(exact_rows):
                 # Exact coverage needs every active worker; a failed active
                 # worker leaves its arrival at inf, which propagates through
@@ -753,12 +765,6 @@ class CodedIterationSim:
                 )
                 done[exact_rows] = masked.max(axis=1)
 
-        with span("repair"):
-            deadlines = self._batch_deadlines(sorted_arr, coverages)
-            fallback = kinds == "general"
-            armed = ~fallback & ~np.isnan(deadlines) & (done > deadlines)
-
-        assigned = rows_mat.copy()
         computed = np.zeros((trials, n))
         used = np.zeros((trials, n), dtype=np.int64)
         responded = np.zeros((trials, n), dtype=bool)
@@ -766,33 +772,42 @@ class CodedIterationSim:
         decode = np.zeros(trials)
         completion = np.zeros(trials)
 
-        # Native §4.3 repair resolution on the precomputed arrival matrix.
-        if np.any(armed):
-            with span("repair"):
-                chunk_sizes = np.diff(self.grid.chunk_offsets())
-                for t in np.flatnonzero(armed):
-                    result = self._repair_batch_trial(
-                        plan_list[t],
-                        profiles[id(plan_list[t])],
-                        speeds[t],
-                        arrivals[t],
-                        float(deadlines[t]),
-                        float(done[t]),
-                        failed_list[t],
-                        broadcast,
-                        chunk_sizes,
+        with span("repair"):
+            deadlines = np.full(trials, np.nan)
+            if self.timeout is not None:
+                for t in range(trials):
+                    deadline = self._timeout_deadline(
+                        sorted_arr[t][np.isfinite(sorted_arr[t])],
+                        int(coverages[t]),
                     )
-                    if result is None:
-                        continue  # rejected: the trial completes naturally
-                    finish, decode_t, computed_t, used_t, responded_t = result
-                    repaired[t] = True
-                    completion[t] = finish + decode_t
-                    decode[t] = decode_t
-                    computed[t] = computed_t
-                    used[t] = used_t
-                    responded[t] = responded_t
+                    if deadline is not None:
+                        deadlines[t] = deadline
+            general = kinds == "general"
+            armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
+            replayed = general | replay_all | (armed & replay_armed)
+            for t in np.flatnonzero(armed & ~replayed):
+                profile = trial_profiles[t]
+                repair = self._search_repair(
+                    profile, speeds[t], arrivals[t], deadlines[t], failed_list[t]
+                )
+                if repair is None:
+                    continue
+                finish = self._repair_finish(speeds[t], repair)
+                if finish >= done[t]:
+                    continue  # rejected: the trial completes naturally
+                computed[t], responded[t] = self._account(
+                    profile, speeds[t], failed_list[t], recv[t], arrivals[t],
+                    finish, deadlines[t], repair,
+                )
+                helpers = list(repair.finished)
+                used[t, helpers] = profile.rows[helpers]
+                for w, extra in repair.extra_rows.items():
+                    used[t, w] += extra
+                decode[t] = self._decode_time(int(coverages[t]), len(helpers))
+                completion[t] = finish + decode[t]
+                repaired[t] = True
 
-        fast = ~fallback & ~repaired
+        fast = ~replayed & ~repaired
         if np.any(np.isinf(done) & fast):
             raise RuntimeError(
                 "iteration cannot complete: coverage unsatisfiable with "
@@ -801,10 +816,10 @@ class CodedIterationSim:
         if np.any(fast):
             with span("decode"):
                 resp = active & (arrivals <= done[:, None]) & fast[:, None]
-                # Partial progress of cancelled stragglers (mirrors
-                # _progress_rows term by term).
+                # Partial progress of cancelled stragglers since their task
+                # started (mirrors _progress_rows term by term).
                 per_row = (self.width * self.cost.flops_per_element) / denom
-                elapsed = (done[:, None] - broadcast) - fixed
+                elapsed = (done[:, None] - recv) - fixed
                 progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
                 progress = np.minimum(rows_mat, np.maximum(0.0, progress))
                 computed_fast = np.where(
@@ -836,39 +851,35 @@ class CodedIterationSim:
                             i, contributors
                         ]
                     used[full_fast] = sub
-                groups = np.array(
-                    [profiles[id(p)].decode_groups for p in plan_list],
-                    dtype=np.int64,
-                )
                 for t in np.flatnonzero(fast):
-                    decode[t] = self.cost.decode_time(
-                        rows=self.grid.rows,
-                        coverage=int(coverages[t]),
-                        width_out=self.width_out,
-                        groups=max(1, int(groups[t])),
+                    decode[t] = self._decode_time(
+                        int(coverages[t]), trial_profiles[t].decode_groups
                     )
                 completion[fast] = done[fast] + decode[fast]
 
-        # Unclassified plan shapes: the scalar simulator is the semantics
-        # of record.
-        if np.any(fallback):
+        if np.any(replayed):
             with span("replay"):
-                for t in np.flatnonzero(fallback):
-                    outcome = self.run(plan_list[t], speeds[t], failed_list[t])
+                for t in np.flatnonzero(replayed):
+                    outcome = replay(t)
                     completion[t] = outcome.completion_time
                     decode[t] = outcome.decode_time
                     repaired[t] = outcome.repaired
-                    for w, stat in enumerate(outcome.workers):
-                        assigned[t, w] = stat.assigned_rows
-                        computed[t, w] = stat.computed_rows
-                        used[t, w] = stat.used_rows
-                        responded[t, w] = stat.response_time is not None
+                    stats = outcome.workers
+                    computed[t] = [s.computed_rows for s in stats]
+                    used[t] = [s.used_rows for s in stats]
+                    # A response counts only when the master took it (a
+                    # late response stamped by a rejected repair probe
+                    # stays a cancellation).
+                    responded[t] = [
+                        s.response_time is not None and not s.cancelled
+                        for s in stats
+                    ]
 
         return BatchCodedOutcome(
             completion_time=completion,
             broadcast_time=broadcast,
             decode_time=decode,
-            assigned_rows=assigned,
+            assigned_rows=rows_mat,
             computed_rows=computed,
             used_rows=used,
             responded=responded,
@@ -968,12 +979,7 @@ class ReplicationIterationSim:
         failed_workers: frozenset[int] = frozenset(),
     ) -> UncodedIterationOutcome:
         """Simulate one iteration; every partition must produce one result."""
-        n = self.placement.n_workers
-        speeds = np.asarray(speeds, dtype=np.float64)
-        if speeds.shape != (n,):
-            raise ValueError(f"speeds must have shape ({n},), got {speeds.shape}")
-        if np.any(speeds <= 0):
-            raise ValueError("speeds must be positive; use failed_workers")
+        speeds = _checked_speeds(speeds, self.placement.n_workers, batch=False)
         primary = self._primary_arrivals(speeds[None, :], [failed_workers])[0]
         return self._complete(speeds, primary, failed_workers)
 
@@ -1107,6 +1113,16 @@ class ReplicationIterationSim:
         )
 
 
+def _check_owners(plan: OverDecompositionPlan, n_workers: int) -> np.ndarray:
+    """The plan's partition → owner array, every owner one of the workers."""
+    owner = np.asarray(plan.owner)
+    if owner.size and (owner.min() < 0 or owner.max() >= n_workers):
+        raise ValueError(
+            f"plan owner index out of range for {n_workers} workers"
+        )
+    return owner
+
+
 @dataclass(frozen=True)
 class OverDecompositionIterationSim:
     """Charm++-like over-decomposition with migration (§7.2 baseline).
@@ -1133,10 +1149,9 @@ class OverDecompositionIterationSim:
         failed_workers: frozenset[int] = frozenset(),
     ) -> UncodedIterationOutcome:
         """Simulate one iteration of the over-decomposition strategy."""
-        speeds = np.asarray(speeds, dtype=np.float64)
+        speeds = _checked_speeds(speeds, None, batch=False)
         n = speeds.size
-        if np.any(speeds <= 0):
-            raise ValueError("speeds must be positive; use failed_workers")
+        _check_owners(plan, n)
         if failed_workers & set(np.unique(plan.owner).tolist()):
             raise RuntimeError(
                 "a failed worker owns partitions; over-decomposition has no "
@@ -1198,14 +1213,7 @@ class OverDecompositionIterationSim:
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
         n = speeds.shape[1]
-        if isinstance(plans, OverDecompositionPlan):
-            plan_list: list[OverDecompositionPlan] = [plans] * trials
-        else:
-            plan_list = list(plans)
-            if len(plan_list) != trials:
-                raise ValueError(
-                    f"got {len(plan_list)} plans for {trials} trials"
-                )
+        plan_list = _per_trial(plans, OverDecompositionPlan, trials)
 
         # Per-distinct-plan constants (duplicate plan objects profiled once):
         # partition and migration counts per worker, plus the owner set for
@@ -1213,9 +1221,7 @@ class OverDecompositionIterationSim:
         profiles: dict[int, tuple[np.ndarray, np.ndarray, frozenset[int]]] = {}
         for p in plan_list:
             if id(p) not in profiles:
-                owner = np.asarray(p.owner)
-                if owner.size and (owner.min() < 0 or owner.max() >= n):
-                    raise ValueError("plan owner index out of range for batch")
+                owner = _check_owners(p, n)
                 counts = np.bincount(owner, minlength=n).astype(np.int64)
                 migr = np.bincount(
                     owner[np.asarray(p.migrated, dtype=bool)], minlength=n

@@ -736,7 +736,6 @@ def _s2c2_with_repair(
     num_chunks: int,
     slack: float,
     predictor_factory,
-    max_rounds: int = 3,
 ) -> CodedPolicyRunner:
     if slack < 0:
         raise ValueError("slack must be >= 0")
@@ -747,7 +746,7 @@ def _s2c2_with_repair(
         num_chunks,
         lambda: GeneralS2C2Scheduler(coverage=k, num_chunks=num_chunks),
         predictor_factory,
-        TimeoutPolicy(slack=slack, max_rounds=max_rounds),
+        TimeoutPolicy(slack=slack),
     )
 
 
@@ -758,20 +757,10 @@ def _s2c2_with_repair(
     figures=("fig08", "fig10", "fig12", "fig13", "scenlat", "scenrepair"),
     num_chunks=10_000,
     slack=0.15,
-    max_rounds=3,
 )
-def _build_timeout_repair(
-    n_workers: int, k: int, num_chunks: int, slack: float, max_rounds: int
-):
-    check_positive_int(max_rounds, "max_rounds")
+def _build_timeout_repair(n_workers: int, k: int, num_chunks: int, slack: float):
     return _s2c2_with_repair(
-        "timeout-repair",
-        n_workers,
-        k,
-        num_chunks,
-        slack,
-        _last_value_predictor,
-        max_rounds=max_rounds,
+        "timeout-repair", n_workers, k, num_chunks, slack, _last_value_predictor
     )
 
 

@@ -36,20 +36,14 @@ class TimeoutPolicy:
     min_responses:
         How many full responses must arrive before the timeout arms;
         ``None`` means the code's coverage ``k`` (the paper's choice).
-    max_rounds:
-        Upper bound on successive repair rounds within one iteration — a
-        safety net against pathological speed collapse.
     """
 
     slack: float = 0.15
     min_responses: int | None = None
-    max_rounds: int = 3
 
     def __post_init__(self) -> None:
         if self.slack < 0:
             raise ValueError("slack must be >= 0")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if self.min_responses is not None and self.min_responses < 1:
             raise ValueError("min_responses must be >= 1 when given")
 

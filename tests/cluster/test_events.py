@@ -420,8 +420,11 @@ class TestEventConfig:
             event.run(plan, speeds, link_factors=np.array([1, 1, 1, 0.0]))
         with pytest.raises(ValueError, match="positive and finite"):
             event.run(plan, speeds, link_factors=np.array([1, 1, 1, np.inf]))
-        with pytest.raises(ValueError, match="positive"):
-            event.run(plan, np.array([1.0, 1.0, 1.0, 0.0]))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="speeds must be positive"):
+                event.run(plan, np.array([1.0, 1.0, 1.0, bad]))
+            with pytest.raises(ValueError, match="speeds must be positive"):
+                event.run_batch(plan, np.array([[1.0, 1.0, 1.0, bad]]))
 
     def test_backend_registry(self):
         assert available_backends() == ("closed", "event")

@@ -251,6 +251,27 @@ class TestDivergenceDetector:
         )
         assert calls == trials
 
+    @pytest.mark.parametrize("slack", [None, 0.05])
+    def test_general_plan_replays_each_trial_once(
+        self, monkeypatch, general_plan, slack
+    ):
+        # Neither full nor exact coverage: no analytic completion, so
+        # every trial replays through the event loop, armed or not.
+        timeout = None if slack is None else TimeoutPolicy(slack=slack)
+        sim = make_event_sim(timeout=timeout, chunks=4)
+        trials = 64
+        speeds = np.exp(np.random.default_rng(5).normal(0.0, 0.6, (trials, 4)))
+        failed_list = [frozenset()] * trials
+        expected = assert_batch_equals_loop(
+            sim, general_plan, speeds, failed_list, None
+        )
+        if timeout is not None:
+            assert expected.repaired.any() and not expected.repaired.all()
+        _batch, calls = self._count_scalar_runs(
+            monkeypatch, sim, general_plan, speeds, failed_workers=failed_list
+        )
+        assert calls == trials
+
     def test_shuffle_output_replays_every_trial(self, monkeypatch):
         n, k, chunks, trials = 6, 4, 30, 3
         sim = make_event_sim(chunks=chunks,

@@ -13,7 +13,10 @@ from repro.cluster.simulator import (
 )
 from repro.coding.partition import ChunkGrid
 from repro.scheduling.base import full_plan
-from repro.scheduling.overdecomposition import OverDecompositionPlacement
+from repro.scheduling.overdecomposition import (
+    OverDecompositionPlacement,
+    OverDecompositionPlan,
+)
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler
 from repro.scheduling.timeout import TimeoutPolicy
@@ -153,10 +156,13 @@ class TestCodedIterationSim:
         with pytest.raises(ValueError, match="shape"):
             sim.run(full_plan(4, 60, 2), np.ones(3))
 
-    def test_nonpositive_speed_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_nonpositive_speed_rejected(self, bad):
         sim = make_sim()
-        with pytest.raises(ValueError, match="positive"):
-            sim.run(full_plan(2, 60, 1), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            sim.run(full_plan(2, 60, 1), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            sim.run_batch(full_plan(2, 60, 1), np.array([[1.0, 1.0], [1.0, bad]]))
 
     def test_completion_includes_decode_time(self):
         sim = make_sim()
@@ -261,12 +267,17 @@ class TestReplicationIterationSim:
         outcome = sim.run(np.ones(12), failed_workers=frozenset({3}))
         assert outcome.partition_owner[3] != 3
 
-    def test_speed_validation(self):
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_speed_validation(self, bad):
         sim = self.make()
         with pytest.raises(ValueError):
             sim.run(np.ones(5))
-        with pytest.raises(ValueError):
-            sim.run(np.zeros(12))
+        speeds = np.ones(12)
+        speeds[4] = bad
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            sim.run(speeds)
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            sim.run_batch(np.stack([np.ones(12), speeds]))
 
 
 class TestOverDecompositionIterationSim:
@@ -312,3 +323,24 @@ class TestOverDecompositionIterationSim:
         plan = placement.plan(np.ones(4))
         with pytest.raises(RuntimeError, match="failed"):
             self.make().run(plan, np.ones(4), failed_workers=frozenset({1}))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_speed_validation(self, bad):
+        placement = OverDecompositionPlacement(4, factor=2)
+        plan = placement.plan(np.ones(4))
+        speeds = np.array([1.0, bad, 1.0, 1.0])
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            self.make().run(plan, speeds)
+        with pytest.raises(ValueError, match="speeds must be positive"):
+            self.make().run_batch(plan, np.stack([np.ones(4), speeds]))
+
+    def test_owner_beyond_the_workers_rejected(self):
+        # Partition 3 goes to worker 3, but only three workers have speeds:
+        # both entries reject the plan instead of dropping the partition.
+        plan = OverDecompositionPlan(
+            owner=np.array([0, 1, 2, 3]), migrated=np.zeros(4, dtype=bool)
+        )
+        with pytest.raises(ValueError, match="owner index out of range"):
+            self.make().run(plan, np.ones(3))
+        with pytest.raises(ValueError, match="owner index out of range"):
+            self.make().run_batch(plan, np.ones((2, 3)))

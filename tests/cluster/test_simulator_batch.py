@@ -203,6 +203,35 @@ class TestCodedBatchEquivalence:
         batch = _assert_batch_matches_loop(sim, plans, actual)
         assert batch.repaired.any() and not batch.repaired.all()
 
+    @pytest.mark.parametrize("slack", [None, 0.05])
+    def test_general_plan_replays_each_trial_once(
+        self, monkeypatch, general_plan, slack
+    ):
+        # General plans have no closed-form batch timeline: every trial
+        # replays through the scalar run, with and without an armed timeout.
+        timeout = None if slack is None else TimeoutPolicy(slack=slack)
+        sim = CodedIterationSim(
+            grid=ChunkGrid(ROWS, 4),
+            width=64,
+            timeout=timeout,
+            network=NetworkModel(latency=5e-6, bandwidth=2.5e8),
+            cost=CostModel(worker_flops=5e7),
+        )
+        speeds = np.exp(np.random.default_rng(5).normal(0.0, 0.6, (64, 4)))
+        expected = _assert_batch_matches_loop(sim, general_plan, speeds)
+        if timeout is not None:
+            assert expected.repaired.any() and not expected.repaired.all()
+        calls = []
+        original = CodedIterationSim.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CodedIterationSim, "run", counting)
+        sim.run_batch(general_plan, speeds)
+        assert len(calls) == speeds.shape[0]
+
     def test_unsatisfiable_raises_like_scalar(self):
         plan = StaticCodedScheduler(coverage=N, num_chunks=CHUNKS).plan(np.ones(N))
         speeds = _speed_batch(3, stragglers=0)

@@ -402,7 +402,7 @@ class TestExpressionValidation:
         knob = "".join(
             rng.choice("abcdefghijklmnopqrstuvwxyz_") for _ in range(rng.randrange(3, 9))
         )
-        valid = {"slack", "num_chunks", "max_rounds", "factor", "replication"}
+        valid = {"slack", "num_chunks", "factor", "replication"}
         if knob in valid | set(CONTROLLER_KEYS):
             knob = "zz_" + knob
         expr = f"adaptive({base},{knob}=1:2)"

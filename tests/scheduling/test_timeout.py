@@ -22,8 +22,6 @@ class TestTimeoutPolicy:
         with pytest.raises(ValueError):
             TimeoutPolicy(slack=-0.1)
         with pytest.raises(ValueError):
-            TimeoutPolicy(max_rounds=0)
-        with pytest.raises(ValueError):
             TimeoutPolicy(min_responses=0)
 
 
