@@ -68,6 +68,15 @@ python -m repro fuzz --quick --scenarios 8 --trials 2 --jobs 2 --seed 7 \
 echo "== phase profile (batched kernels, quick) =="
 python -m repro profile --quick --trials 2 --backend event
 
+echo "== benchmark output parity (pinned stdout digests, one cycle each) =="
+# Tier-1 runs only an unpinned workload; this checks that every benchmark
+# workload still reproduces its pinned seed-0 stdout digest.
+for W in $(python -c "from perfbench.workloads import WORKLOADS; print(*WORKLOADS)"); do
+    python3 perfbench/run.py --workload "$W" --seed 0 --seconds 0 --trace 0 \
+        | tail -n 1 | grep -q '"failed": 0[,}]' \
+        || { echo "benchmark workload $W: output parity failed" >&2; exit 1; }
+done
+
 if [ "$1" = "bench" ]; then
     echo "== bench (appending to BENCH_SWEEP.json) =="
     # --predictor-trials drives the prediction-path micro-bench (per-trial

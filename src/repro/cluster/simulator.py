@@ -39,12 +39,16 @@ speed matrix in one call.  The two plan shapes every scheduler here produces
 everything) and *exact-coverage* plans (S2C2's no-wasted-work wraparound
 layout) — admit closed-form batch timelines, so arrivals, completion times
 and the computed/used accounting are evaluated with stacked numpy arrays
-across all trials at once.  Trials that arm the §4.3 timeout run the scalar
-path's own cutoff search and accounting on the already vectorized arrival
-matrix and cached per-plan chunk geometry, so they stay bitwise-equal to a
-per-trial loop without re-simulating the trial.  Only *general* plans
-(neither full nor exact coverage) replay through
-:meth:`~CodedIterationSim.run`.
+across all trials at once.  Trials that arm the §4.3 timeout are repaired
+together in one array pass over the same arrival matrix: the cutoff of the
+scalar path's search comes in closed form (a reassignment exists iff at
+least ``k`` helpers are available — the feasibility identity of
+:mod:`repro.scheduling.timeout`), one batched
+:func:`~repro.scheduling.timeout.repair_assignments` call plans every
+trial's reassignment, and the repair finish and accounting mirror the
+scalar helpers term by term, so they stay bitwise-equal to a per-trial
+loop without re-simulating the trial.  Only *general* plans (neither full
+nor exact coverage) replay through :meth:`~CodedIterationSim.run`.
 :meth:`ReplicationIterationSim.run_batch` vectorizes the arrival
 computation and resolves the (inherently sequential) speculation decisions
 per trial; :meth:`OverDecompositionIterationSim.run_batch` stacks the
@@ -324,6 +328,23 @@ class CodedIterationSim:
         done = self.cost.rows_computable(until - start - fixed, self.width, speed)
         return float(min(cap, max(0.0, done)))
 
+    def _progress_batch(
+        self,
+        denom: np.ndarray,
+        start: np.ndarray,
+        until: float | np.ndarray,
+        cap: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`_progress_rows` over arrays, term by term.
+
+        ``denom`` is ``worker_flops × speeds``; the other arguments
+        broadcast against it.
+        """
+        per_row = (self.width * self.cost.flops_per_element) / denom
+        elapsed = (until - start) - self.fixed_task_flops / denom
+        done = np.where(elapsed <= 0, 0.0, elapsed / per_row)
+        return np.minimum(cap, np.maximum(0.0, done))
+
     def _decode_time(self, coverage: int, groups: int) -> float:
         """Master decode time from ``groups`` provider groups (at least one)."""
         return self.cost.decode_time(
@@ -443,7 +464,9 @@ class CodedIterationSim:
         several laggards but a dead worker among them), the master keeps
         collecting responses and retries at each later arrival — so only
         genuinely unreachable coverage makes repair fail.  ``None`` means
-        the master waits for the stragglers instead (§4.4).
+        the master waits for the stragglers instead (§4.4).  This walk is
+        the semantics of record; :meth:`_repair_batch` takes the same
+        cutoff in closed form.
         """
         plan = profile.plan
         order = sorted(profile.active, key=lambda w: (arrivals[w], w))
@@ -693,6 +716,106 @@ class CodedIterationSim:
             replay=lambda t: self.run(plan_list[t], speeds[t], failed_list[t]),
         )
 
+    def _repair_batch(
+        self,
+        out: BatchCodedOutcome,
+        native: np.ndarray,
+        plans: list[CodedWorkPlan],
+        speeds: np.ndarray,
+        failed: np.ndarray,
+        recv: np.ndarray,
+        arrivals: np.ndarray,
+        sorted_arr: np.ndarray,
+        deadline: np.ndarray,
+        done: np.ndarray,
+    ) -> None:
+        """§4.3 repair of the ``native`` armed trials in one array pass.
+
+        The cutoff is :meth:`_search_repair`'s in closed form: a cutoff is
+        feasible iff at least ``k`` helpers (finished plus idle-alive
+        workers) are available (the identity in
+        :mod:`repro.scheduling.timeout`), so the walk stops at
+        ``max(deadline, (k − #idle)-th arrival)`` — and finds nothing when
+        that arrival never comes or no active worker is still pending.
+        One batched :func:`repair_assignments` call plans every trial's
+        reassignment; the finish time and the accounting mirror
+        :meth:`_repair_finish` and :meth:`_account` term by term.  Trials
+        whose repair beats waiting are written into ``out``; the others
+        are left to complete naturally.
+        """
+        plans = [plans[t] for t in native]
+        rows = out.assigned_rows[native]
+        speeds, failed, recv, arrivals, sorted_arr, deadline, done = (
+            a[native]
+            for a in (speeds, failed, recv, arrivals, sorted_arr, deadline, done)
+        )
+        active = rows > 0
+        idle = ~active & ~failed  # still hold their partitions (§4.4)
+        coverage = np.array([p.coverage for p in plans])
+        need = coverage - idle.sum(axis=1)
+        nth = sorted_arr[np.arange(native.size), np.maximum(need, 1) - 1]
+        cutoff = np.maximum(deadline, np.where(need > 0, nth, -np.inf))
+        finished = arrivals <= cutoff[:, None]  # inactive arrivals are inf
+        lagging = active & ~finished
+        found = (
+            np.isfinite(cutoff)
+            & lagging.any(axis=1)
+            & ((arrivals <= deadline[:, None]) | idle).any(axis=1)
+        )
+        if not found.any():
+            return
+        helpers = (finished | idle)[found]
+        extra = repair_assignments(
+            [p for p, ok in zip(plans, found.tolist()) if ok],
+            helpers,
+            speeds[found],
+        )
+        extra_rows = extra @ self.grid.chunk_sizes()[: extra.shape[2]]
+        reassigned = extra.any(axis=2)
+        # _repair_finish: the reassignment message leaves at the cutoff,
+        # and each helper's _arrival is ((start + fixed) + compute) + reply.
+        cutoff, denom = cutoff[found], self.cost.worker_flops * speeds[found]
+        fixed = self.fixed_task_flops / denom
+        compute = (extra_rows * self.width * self.cost.flops_per_element) / denom
+        reply = self.network.latency + (
+            extra_rows * self.cost.row_bytes(self.width_out)
+        ) / self.network.bandwidth
+        dispatch = cutoff[:, None] + self.network.latency
+        back = ((dispatch + fixed) + compute) + reply
+        finish = np.maximum(
+            cutoff, np.where(reassigned, back, -np.inf).max(axis=1)
+        )
+        win = finish < done[found]
+        accepted = found.copy()
+        accepted[found] = win
+        # _account with the master done at ``finish``: the finished workers
+        # responded, laggards computed until the deadline (nothing, if
+        # failed), and helpers also computed their reassigned rows.
+        rows, extra_rows, helpers = rows[accepted], extra_rows[win], helpers[win]
+        computed = np.where(
+            lagging[accepted] & ~failed[accepted],
+            self._progress_batch(
+                denom[win], recv[accepted], deadline[accepted, None], rows
+            ),
+            0.0,
+        )
+        computed = np.where(finished[accepted], rows, computed)
+        trials = native[accepted]
+        out.computed_rows[trials] = np.where(
+            reassigned[win], rows + extra_rows, computed
+        )
+        out.responded[trials] = finished[accepted]
+        out.used_rows[trials] = np.where(helpers, rows, 0) + extra_rows
+        out.repaired[trials] = True
+        for t, k, groups, end in zip(
+            trials.tolist(),
+            coverage[accepted].tolist(),
+            helpers.sum(axis=1).tolist(),
+            finish[win].tolist(),
+        ):
+            out.decode_time[t] = self._decode_time(k, groups)
+            out.completion_time[t] = end + out.decode_time[t]
+
     def _batch_kernel(
         self,
         plan_list: list[CodedWorkPlan],
@@ -709,9 +832,9 @@ class CodedIterationSim:
         ``recv`` is when each worker starts its task (it has received the
         broadcast) and ``bandwidth`` that of its reply link: scalars, or
         ``(trials, workers)`` arrays.  Full and exact-coverage plans take
-        closed-form vectorized timelines; trials whose §4.3 timeout arms
-        run :meth:`_search_repair` and :meth:`_account` on them, exactly
-        as :meth:`run` does.  ``replay(t)`` re-simulates trial ``t``
+        closed-form vectorized timelines; the trials whose §4.3 timeout
+        arms are repaired together by :meth:`_repair_batch`, bitwise-equal
+        to what :meth:`run` does.  ``replay(t)`` re-simulates trial ``t``
         through the scalar path, the semantics of record for general
         plans, for every trial when ``replay_all``, and for armed trials
         flagged in ``replay_armed``.
@@ -765,12 +888,22 @@ class CodedIterationSim:
                 )
                 done[exact_rows] = masked.max(axis=1)
 
-        computed = np.zeros((trials, n))
-        used = np.zeros((trials, n), dtype=np.int64)
-        responded = np.zeros((trials, n), dtype=bool)
-        repaired = np.zeros(trials, dtype=bool)
-        decode = np.zeros(trials)
-        completion = np.zeros(trials)
+        out = BatchCodedOutcome(
+            completion_time=np.zeros(trials),
+            broadcast_time=broadcast,
+            decode_time=np.zeros(trials),
+            assigned_rows=rows_mat,
+            computed_rows=np.zeros((trials, n)),
+            used_rows=np.zeros((trials, n), dtype=np.int64),
+            responded=np.zeros((trials, n), dtype=bool),
+            repaired=np.zeros(trials, dtype=bool),
+        )
+        computed, used, responded = (
+            out.computed_rows, out.used_rows, out.responded
+        )
+        repaired, decode, completion = (
+            out.repaired, out.decode_time, out.completion_time
+        )
 
         with span("repair"):
             deadlines = np.full(trials, np.nan)
@@ -785,27 +918,12 @@ class CodedIterationSim:
             general = kinds == "general"
             armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
             replayed = general | replay_all | (armed & replay_armed)
-            for t in np.flatnonzero(armed & ~replayed):
-                profile = trial_profiles[t]
-                repair = self._search_repair(
-                    profile, speeds[t], arrivals[t], deadlines[t], failed_list[t]
+            native = np.flatnonzero(armed & ~replayed)
+            if native.size:
+                self._repair_batch(
+                    out, native, plan_list, speeds, failed_mask, recv,
+                    arrivals, sorted_arr, deadlines, done,
                 )
-                if repair is None:
-                    continue
-                finish = self._repair_finish(speeds[t], repair)
-                if finish >= done[t]:
-                    continue  # rejected: the trial completes naturally
-                computed[t], responded[t] = self._account(
-                    profile, speeds[t], failed_list[t], recv[t], arrivals[t],
-                    finish, deadlines[t], repair,
-                )
-                helpers = list(repair.finished)
-                used[t, helpers] = profile.rows[helpers]
-                for w, extra in repair.extra_rows.items():
-                    used[t, w] += extra
-                decode[t] = self._decode_time(int(coverages[t]), len(helpers))
-                completion[t] = finish + decode[t]
-                repaired[t] = True
 
         fast = ~replayed & ~repaired
         if np.any(np.isinf(done) & fast):
@@ -817,11 +935,10 @@ class CodedIterationSim:
             with span("decode"):
                 resp = active & (arrivals <= done[:, None]) & fast[:, None]
                 # Partial progress of cancelled stragglers since their task
-                # started (mirrors _progress_rows term by term).
-                per_row = (self.width * self.cost.flops_per_element) / denom
-                elapsed = (done[:, None] - recv) - fixed
-                progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
-                progress = np.minimum(rows_mat, np.maximum(0.0, progress))
+                # started.
+                progress = self._progress_batch(
+                    denom, recv, done[:, None], rows_mat
+                )
                 computed_fast = np.where(
                     resp,
                     rows_mat.astype(np.float64),
@@ -875,16 +992,7 @@ class CodedIterationSim:
                         for s in stats
                     ]
 
-        return BatchCodedOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            assigned_rows=rows_mat,
-            computed_rows=computed,
-            used_rows=used,
-            responded=responded,
-            repaired=repaired,
-        )
+        return out
 
 
 @dataclass

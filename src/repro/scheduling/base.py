@@ -156,6 +156,23 @@ class CodedWorkPlan:
         """Total chunk-computations across the cluster."""
         return int(self.chunks_per_worker().sum())
 
+    def chunk_mask(self) -> np.ndarray:
+        """Return the ``(n_workers, num_chunks)`` mask of who computes what.
+
+        The plan is frozen, so the mask is computed once per plan and
+        returned read-only thereafter.
+        """
+        cached = self.__dict__.get("_chunk_mask")
+        if cached is not None:
+            return cached
+        mask = np.zeros((self.n_workers, self.num_chunks), dtype=bool)
+        for worker, assignment in enumerate(self.assignments):
+            for begin, end in assignment.ranges:
+                mask[worker, begin:end] = True
+        mask.setflags(write=False)
+        object.__setattr__(self, "_chunk_mask", mask)
+        return mask
+
 
 @runtime_checkable
 class Scheduler(Protocol):
