@@ -49,11 +49,16 @@ trial's reassignment, and the repair finish and accounting mirror the
 scalar helpers term by term, so they stay bitwise-equal to a per-trial
 loop without re-simulating the trial.  Only *general* plans (neither full
 nor exact coverage) replay through :meth:`~CodedIterationSim.run`.
-:meth:`ReplicationIterationSim.run_batch` vectorizes the arrival
-computation and resolves the (inherently sequential) speculation decisions
-per trial; :meth:`OverDecompositionIterationSim.run_batch` stacks the
-per-worker chunk timelines — migration fetches, compute, reply — across
-all trials at once, with the same bitwise-equality contract.
+
+Both uncoded simulators return the same stacked
+:class:`BatchUncodedOutcome`.  :meth:`ReplicationIterationSim.run_batch`
+vectorizes the primary arrivals and resolves each trial's speculation — a
+bounded sequence of relaunches on whichever workers are idle — with the
+scalar path's own :meth:`~ReplicationIterationSim._complete`;
+:meth:`OverDecompositionIterationSim.run_batch` stacks the per-worker chunk
+timelines — migration fetches, compute, reply — across all trials at once,
+and its :meth:`~OverDecompositionIterationSim.run` is one row of that
+timeline.
 """
 
 from __future__ import annotations
@@ -119,6 +124,10 @@ def _normalise_batch(
     """
     speeds = _checked_speeds(speeds, n_workers, batch=True)
     trials = speeds.shape[0]
+    if trials == 0:
+        raise ValueError(
+            f"speeds must hold at least one trial, got shape {speeds.shape}"
+        )
     if isinstance(failed_workers, (frozenset, set)):
         failed_list = [frozenset(failed_workers)] * trials
     else:
@@ -1017,9 +1026,10 @@ class BatchUncodedOutcome:
     """Stacked outcomes of ``trials`` uncoded iterations (one row per trial).
 
     Per-trial values equal what the scalar ``run`` returns for that trial's
-    (plan, speeds) pair; the ``partition_owner`` map is not materialised
-    (latency/waste sweeps never read it — use the scalar path when the
-    ownership detail is needed).
+    (plan, speeds) pair; the ``partition_owner`` map and the speculative
+    launch count are not materialised (latency/waste sweeps never read
+    them — use the scalar path when that detail is needed).  Replication
+    never migrates, so its ``migrations`` are zero.
     """
 
     completion_time: np.ndarray  # (trials,)
@@ -1095,22 +1105,36 @@ class ReplicationIterationSim:
         self,
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]] = frozenset(),
-    ) -> list[UncodedIterationOutcome]:
-        """Simulate a ``(trials, n)`` batch; one outcome per trial.
+    ) -> BatchUncodedOutcome:
+        """Simulate a ``(trials, n)`` batch; one stacked row per trial.
 
         Arrivals are computed for the whole batch at once; the speculation
         decisions (inherently sequential: a bounded number of relaunches on
-        whichever workers happen to be idle) are resolved per trial by the
-        same code the scalar path uses.
+        whichever workers happen to be idle) are resolved per trial by
+        :meth:`_complete`, the code the scalar path uses, so row ``t``
+        equals :meth:`run` on ``speeds[t]`` exactly.
         """
         speeds, trials, failed_list = _normalise_batch(
             speeds, failed_workers, n_workers=self.placement.n_workers
         )
         arrivals = self._primary_arrivals(speeds, failed_list)
-        return [
+        outcomes = [
             self._complete(speeds[t], arrivals[t], failed_list[t])
             for t in range(trials)
         ]
+        stats = [o.workers for o in outcomes]
+        return BatchUncodedOutcome(
+            completion_time=np.array([o.completion_time for o in outcomes]),
+            broadcast_time=outcomes[0].broadcast_time,
+            assigned_rows=np.array([[s.assigned_rows for s in r] for r in stats]),
+            computed_rows=np.array([[s.computed_rows for s in r] for r in stats]),
+            used_rows=np.array([[s.used_rows for s in r] for r in stats]),
+            responded=np.array(
+                [[s.response_time is not None for s in r] for r in stats]
+            ),
+            data_moved_bytes=np.array([o.data_moved_bytes for o in outcomes]),
+            migrations=np.zeros(trials, dtype=np.int64),
+        )
 
     def _complete(
         self,
@@ -1256,52 +1280,34 @@ class OverDecompositionIterationSim:
         speeds: np.ndarray,
         failed_workers: frozenset[int] = frozenset(),
     ) -> UncodedIterationOutcome:
-        """Simulate one iteration of the over-decomposition strategy."""
+        """Simulate one iteration: one row of :meth:`run_batch`'s timeline.
+
+        Response times and the partition → worker map are read off the
+        same arrival matrix and plan the batch path evaluates.
+        """
         speeds = _checked_speeds(speeds, None, batch=False)
-        n = speeds.size
-        _check_owners(plan, n)
-        if failed_workers & set(np.unique(plan.owner).tolist()):
-            raise RuntimeError(
-                "a failed worker owns partitions; over-decomposition has no "
-                "repair path within an iteration"
+        out, arrival = self._timeline(
+            [plan], speeds[None, :], [frozenset(failed_workers)]
+        )
+        stats = [
+            WorkerIterationStats(
+                worker=w,
+                assigned_rows=rows,
+                computed_rows=float(rows),
+                used_rows=rows,
+                response_time=float(arrival[0, w]) if responded else None,
             )
-        rows = self.rows_per_partition
-        broadcast = self.network.transfer_time(self.width * self.cost.bytes_per_element)
-        partition_bytes = rows * self.cost.row_bytes(self.width)
-        stats = [WorkerIterationStats(worker=w) for w in range(n)]
-        owner: dict[int, int] = {}
-        completion = 0.0
-        data_moved = 0.0
-        for w in range(n):
-            mine = plan.partitions_of(w)
-            if mine.size == 0:
-                continue
-            migrations = int(plan.migrated[mine].sum())
-            fetch = sum(
-                self.network.transfer_time(partition_bytes)
-                for _ in range(migrations)
+            for w, (rows, responded) in enumerate(
+                zip(out.assigned_rows[0].tolist(), out.responded[0].tolist())
             )
-            data_moved += migrations * partition_bytes
-            total_rows = int(rows * mine.size)
-            stats[w].assigned_rows = total_rows
-            compute = self.cost.compute_time(total_rows, self.width, speeds[w])
-            reply = self.network.transfer_time(
-                total_rows * self.cost.row_bytes(self.width_out)
-            )
-            arrival = broadcast + fetch + compute + reply
-            stats[w].computed_rows = float(total_rows)
-            stats[w].used_rows = total_rows
-            stats[w].response_time = arrival
-            completion = max(completion, arrival)
-            for p in mine:
-                owner[int(p)] = w
+        ]
         return UncodedIterationOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
+            completion_time=float(out.completion_time[0]),
+            broadcast_time=out.broadcast_time,
             workers=stats,
-            partition_owner=owner,
-            data_moved_bytes=data_moved,
-            migrations=int(plan.migrated.sum()),
+            partition_owner=dict(enumerate(np.asarray(plan.owner).tolist())),
+            data_moved_bytes=float(out.data_moved_bytes[0]),
+            migrations=int(out.migrations[0]),
         )
 
     def run_batch(
@@ -1316,12 +1322,26 @@ class OverDecompositionIterationSim:
         (long-running sessions re-plan each iteration as copies migrate,
         so the per-trial form is the common one).  The per-worker chunk
         timelines — migration fetches, compute, reply — are evaluated with
-        stacked arrays across all trials, mirroring :meth:`run` float-op
-        for float-op: per-trial results are bitwise-equal to a scalar loop.
+        stacked arrays across all trials (see :meth:`_timeline`).
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        n = speeds.shape[1]
         plan_list = _per_trial(plans, OverDecompositionPlan, trials)
+        return self._timeline(plan_list, speeds, failed_list)[0]
+
+    def _timeline(
+        self,
+        plan_list: list[OverDecompositionPlan],
+        speeds: np.ndarray,
+        failed_list: list[frozenset[int]],
+    ) -> tuple[BatchUncodedOutcome, np.ndarray]:
+        """The stacked outcome and the ``(trials, workers)`` arrival matrix.
+
+        A worker that owns partitions fetches its migrated ones (one
+        transfer each, added left to right), computes all of them, and
+        replies; the iteration ends at the last reply.  A failed worker
+        that owns partitions has no repair path and raises.
+        """
+        trials, n = speeds.shape
 
         # Per-distinct-plan constants (duplicate plan objects profiled once):
         # partition and migration counts per worker, plus the owner set for
@@ -1351,9 +1371,9 @@ class OverDecompositionIterationSim:
             self.width * self.cost.bytes_per_element
         )
         partition_bytes = self.rows_per_partition * self.cost.row_bytes(self.width)
-        # The scalar path charges each migration fetch as a separate
-        # left-to-right float addition; a cumulative table replays that
-        # exact rounding sequence for every possible migration count.
+        # Each migration fetch is a separate left-to-right float addition
+        # (the order a per-partition loop charges them in); a cumulative
+        # table replays that rounding sequence for every migration count.
         max_migr = int(migr_mat.max()) if migr_mat.size else 0
         fetch_table = np.concatenate(
             [
@@ -1375,14 +1395,14 @@ class OverDecompositionIterationSim:
         arrival = ((broadcast + fetch) + compute) + reply
 
         completion = np.max(arrival, axis=1, initial=0.0, where=active)
-        # Scalar accumulation order: workers ascending, one addition each.
+        # Per-worker loop order: workers ascending, one addition each.
         data_moved = np.zeros(trials)
         for w in range(n):
             data_moved = data_moved + migr_mat[:, w] * partition_bytes
         migrations = np.array(
             [int(np.asarray(p.migrated).sum()) for p in plan_list], dtype=np.int64
         )
-        return BatchUncodedOutcome(
+        out = BatchUncodedOutcome(
             completion_time=completion,
             broadcast_time=broadcast,
             assigned_rows=np.where(active, rows_mat, 0),
@@ -1392,3 +1412,4 @@ class OverDecompositionIterationSim:
             data_moved_bytes=data_moved,
             migrations=migrations,
         )
+        return out, arrival

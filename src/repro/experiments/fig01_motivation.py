@@ -9,9 +9,9 @@ stragglers.  Shapes to reproduce:
 * (12,9)-MDS is flat through 3 stragglers but pays a higher baseline
   (each worker computes S/9 instead of S/10).
 
-Runs as a strategy × straggler-count sweep; coded cells simulate all
-trials at once through the batched latency engine, the uncoded baseline
-replays its speculation timeline per trial.
+Runs as a strategy × straggler-count sweep; every cell, the uncoded
+baseline included, simulates all trials at once through the batched
+latency engine.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
-from repro.experiments.harness import ExperimentResult, run_replicated_lr_like
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import LastValuePredictor, StackedPredictor
 from repro.scheduling.policies import build_policy
@@ -51,31 +51,23 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
     s = params["stragglers"]
     rows, cols = (480, 120) if ctx.quick else (2400, 600)
     iterations = 5 if ctx.quick else 15
+    ids = None
     if strategy == "uncoded-3rep":
         # Fig 1's uncoded baseline is classic strict-locality Hadoop: no
         # data movement for speculative copies (the registry's `uncoded`
         # policy; `k` is meaningless for it).  At r = 3 stragglers we
         # place them adversarially on all three replica holders of one
         # partition — the paper's "all the nodes with replicas are also
-        # stragglers" worst case.  The latency never depends on the matrix
-        # values, so the baseline runs on a zero matrix of the right shape.
-        strict = build_policy("uncoded", N_WORKERS, 1).config
-        placement = ReplicaPlacement(N_WORKERS, strict.replication, seed=0)
-        ids = placement.holders(0) if s == strict.replication else None
-        matrix = np.zeros((rows, cols))
-        return [
-            run_replicated_lr_like(
-                matrix,
-                _speeds(s, seed, ids),
-                LastValuePredictor(N_WORKERS),
-                iterations=iterations,
-                config=strict,
-            ).metrics.total_time
-            for seed in ctx.seeds
-        ]
-    k = {"mds-12-10": 10, "mds-12-9": 9}[strategy]
-    metrics = build_policy("mds", N_WORKERS, k).run_batch(
-        StackedSpeeds([_speeds(s, seed) for seed in ctx.seeds]),
+        # stragglers" worst case, under the runner's seed-0 placement.
+        policy = build_policy("uncoded", N_WORKERS, 1)
+        replication = policy.config.replication
+        if s == replication:
+            ids = ReplicaPlacement(N_WORKERS, replication, seed=0).holders(0)
+    else:
+        k = {"mds-12-10": 10, "mds-12-9": 9}[strategy]
+        policy = build_policy("mds", N_WORKERS, k)
+    metrics = policy.run_batch(
+        StackedSpeeds([_speeds(s, seed, ids) for seed in ctx.seeds]),
         StackedPredictor([LastValuePredictor(N_WORKERS) for _ in ctx.seeds]),
         rows=rows,
         cols=cols,

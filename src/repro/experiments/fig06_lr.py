@@ -15,7 +15,7 @@ general ≤ basic (it squeezes the ±20% slack too); (12,10) collapses past
 2 stragglers; (12,6) flat but with a high baseline; uncoded degrades
 steadily and super-linearly once data movement enters the critical path.
 
-Runs as a strategy × straggler-count sweep; coded cells simulate all
+Runs as a strategy × straggler-count sweep; every cell simulates all
 trials at once through the batched latency engine.
 """
 
@@ -24,13 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
-from repro.experiments.harness import ExperimentResult, run_replicated_lr_like
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
-from repro.prediction.predictor import (
-    LastValuePredictor,
-    OraclePredictor,
-    StackedPredictor,
-)
+from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.scheduling.policies import build_policy
 
 __all__ = ["run", "main", "STRATEGIES"]
@@ -93,22 +89,14 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
     s = params["stragglers"]
     rows, cols = (480, 120) if ctx.quick else (2400, 600)
     iterations = 4 if ctx.quick else 15
-    if strategy == "uncoded-3rep":
-        # The registry's `replication` policy: enhanced Hadoop / LATE with
-        # data movement (`k` is meaningless for it).
-        config = build_policy("replication", N_WORKERS, 1).config
-        matrix = np.zeros((rows, cols))  # latency is value-independent
-        return [
-            run_replicated_lr_like(
-                matrix,
-                _speeds(s, seed),
-                LastValuePredictor(N_WORKERS),
-                iterations=iterations,
-                config=config,
-            ).metrics.total_time
-            for seed in ctx.seeds
-        ]
-    metrics = _coded_policy(strategy).run_batch(
+    # The uncoded baseline is the registry's `replication` policy:
+    # enhanced Hadoop / LATE with data movement (`k` is meaningless for it).
+    policy = (
+        build_policy("replication", N_WORKERS, 1)
+        if strategy == "uncoded-3rep"
+        else _coded_policy(strategy)
+    )
+    metrics = policy.run_batch(
         StackedSpeeds([_speeds(s, seed) for seed in ctx.seeds]),
         StackedPredictor(
             [OraclePredictor(speed_model=_speeds(s, seed)) for seed in ctx.seeds]

@@ -5,7 +5,7 @@ matrix–vector product with the (square) transition matrix per iteration —
 on the same 12-worker controlled cluster as Fig 6.  Same expected shapes,
 with general S2C2 improving over basic in every scenario.
 
-Runs as a strategy × straggler-count sweep; coded cells simulate all
+Runs as a strategy × straggler-count sweep; every cell simulates all
 trials at once through the batched latency engine (power iteration with
 ``tol=0`` performs exactly ``iterations`` mat-vecs, so the timeline does
 not depend on the ranks themselves).
@@ -23,13 +23,9 @@ from repro.experiments.harness import (
     controlled_network,
 )
 from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
-from repro.prediction.predictor import (
-    LastValuePredictor,
-    OraclePredictor,
-    StackedPredictor,
-)
+from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.runtime.batch import build_batch_runner
-from repro.runtime.session import ReplicationSession
+from repro.scheduling.policies import build_policy
 
 __all__ = ["run", "main", "STRATEGIES"]
 
@@ -57,32 +53,24 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
     n_pages = 480 if ctx.quick else 2400
     iterations = 4 if ctx.quick else 15
     if strategy == "uncoded-3rep":
-        totals = []
-        for seed in ctx.seeds:
-            session = ReplicationSession(
-                speed_model=_speeds(s, seed),
-                predictor=LastValuePredictor(N_WORKERS),
-                network=controlled_network(),
-                cost=controlled_cost(),
-            )
-            session.register_matvec("M", np.zeros((n_pages, n_pages)))
-            x = np.zeros(n_pages)
-            for _ in range(iterations):
-                session.matvec("M", x)
-            totals.append(session.metrics.total_time)
-        return totals
-    policy = _coded_policy(strategy)  # same strategy set as Fig 6
+        # Same baseline as Fig 6: the registry's `replication` policy.
+        config = build_policy("replication", N_WORKERS, 1).config
+        family, knobs, operator = "replication", {"config": config}, ()
+    else:
+        policy = _coded_policy(strategy)  # same strategy set as Fig 6
+        family, knobs = "coded", {"timeout": policy.timeout}
+        operator = (policy.k, policy.make_scheduler())
     batch = build_batch_runner(
-        "coded",
+        family,
         StackedSpeeds([_speeds(s, seed) for seed in ctx.seeds]),
         StackedPredictor(
             [OraclePredictor(speed_model=_speeds(s, seed)) for seed in ctx.seeds]
         ),
         network=controlled_network(),
         cost=controlled_cost(),
-        timeout=policy.timeout,
+        **knobs,
     )
-    batch.register_matvec("M", n_pages, n_pages, policy.k, policy.make_scheduler())
+    batch.register_matvec("M", n_pages, n_pages, *operator)
     for _ in range(iterations):
         batch.matvec("M")
     return [float(v) for v in batch.metrics.total_time]

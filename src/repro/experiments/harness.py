@@ -34,10 +34,9 @@ __all__ = [
     "controlled_network",
     "controlled_cost",
     "run_coded_lr_like",
-    "run_coded_lr_like_batch",
+    "run_lr_like_batch",
     "run_replicated_lr_like",
     "run_overdecomposition_lr_like",
-    "run_overdecomposition_lr_like_batch",
 ]
 
 
@@ -207,41 +206,44 @@ def run_coded_lr_like(
     return session
 
 
-def run_coded_lr_like_batch(
+def run_lr_like_batch(
+    family: str,
     n_rows: int,
     n_cols: int,
-    k: int,
-    scheduler: Scheduler,
     speed_model: BatchSpeedModel,
     predictor: BatchPredictor,
     iterations: int = 15,
-    timeout: TimeoutPolicy | None = None,
+    *,
+    operator: tuple = (),
     network: NetworkModel | None = None,
-    backend: str = "closed",
+    **knobs,
 ) -> BatchRunMetrics:
-    """Latency-only twin of :func:`run_coded_lr_like` for a trial batch.
+    """Latency-only twin of the ``run_*_lr_like`` sessions for a trial batch.
 
-    Plays the same 'A then Aᵀ' round pattern on an ``(n_rows, n_cols)``
-    matrix geometry encoded at threshold ``k`` — no matrices are built or
-    encoded, because the latency/waste metrics the figures report depend
-    only on plans and speeds.  Trial ``t`` reproduces a single-trial
-    session seeded the same way, bit for bit.
+    Builds the ``family`` batch runner (``"coded"``, ``"overdecomposition"``
+    or ``"replication"``, configured by ``knobs`` — see
+    :func:`~repro.runtime.batch.build_batch_runner`) and plays the same
+    'A then Aᵀ' round pattern on an ``(n_rows, n_cols)`` matrix geometry.
+    ``operator`` holds the family's registration arguments after the
+    geometry — ``(k, scheduler)`` for the coded family, nothing for the
+    uncoded ones.  No matrices are built or encoded, because the
+    latency/waste metrics the figures report depend only on plans and
+    speeds.  Trial ``t`` reproduces a single-trial session seeded the same
+    way, bit for bit.
 
     ``network`` overrides :func:`controlled_network` (the equivalence
-    suite injects the zero-network limit here), and ``backend`` selects
-    the simulator core (``"closed"`` or ``"event"``).
+    suite injects the zero-network limit here).
     """
     runner = build_batch_runner(
-        "coded",
+        family,
         speed_model,
         predictor,
         network=network if network is not None else controlled_network(),
         cost=controlled_cost(),
-        timeout=timeout,
-        backend=backend,
+        **knobs,
     )
-    runner.register_matvec("A", n_rows, n_cols, k, scheduler)
-    runner.register_matvec("At", n_cols, n_rows, k, scheduler)
+    runner.register_matvec("A", n_rows, n_cols, *operator)
+    runner.register_matvec("At", n_cols, n_rows, *operator)
     for _ in range(iterations):
         runner.matvec("A")
         runner.matvec("At")
@@ -269,38 +271,6 @@ def run_replicated_lr_like(
     session.register_matvec("At", matrix.T)
     _lr_like_loop(session, matrix.shape[1], iterations, np.random.default_rng(seed))
     return session
-
-
-def run_overdecomposition_lr_like_batch(
-    n_rows: int,
-    n_cols: int,
-    speed_model: BatchSpeedModel,
-    predictor: BatchPredictor,
-    iterations: int = 15,
-    factor: int = 4,
-    replication: float = 1.42,
-) -> BatchRunMetrics:
-    """Latency-only twin of :func:`run_overdecomposition_lr_like` for a batch.
-
-    Plays the 'A then Aᵀ' round pattern on an ``(n_rows, n_cols)`` matrix
-    geometry over-decomposed into ``factor × n`` partitions.  Trial ``t``
-    reproduces a single-trial session seeded the same way, bit for bit.
-    """
-    runner = build_batch_runner(
-        "overdecomposition",
-        speed_model,
-        predictor,
-        network=controlled_network(),
-        cost=controlled_cost(),
-        factor=factor,
-        replication=replication,
-    )
-    runner.register_matvec("A", n_rows, n_cols)
-    runner.register_matvec("At", n_cols, n_rows)
-    for _ in range(iterations):
-        runner.matvec("A")
-        runner.matvec("At")
-    return runner.metrics
 
 
 def run_overdecomposition_lr_like(

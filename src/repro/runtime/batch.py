@@ -26,16 +26,17 @@ over-decomposition baseline: per-trial partition plans (the holder tables
 evolve independently per trial, exactly as
 :class:`~repro.runtime.session.OverDecompositionSession` evolves them) feed
 :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`'s
-stacked timeline.  The replication baseline intentionally stays on the
-session path: its speculation control flow is sequential by nature and its
-per-iteration numerics are a single mat-vec.
+stacked timeline.  :class:`BatchReplicationRunner` replays
+:class:`~repro.runtime.session.ReplicationSession` the same way: the
+replication baseline plans nothing, so every round is one
+:meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch` call.
 
-Both runners share one chassis: a single :class:`_BatchOperator` record
-(name + simulator + per-family state) and the :class:`_BatchRunnerBase`
-round loop — speeds, forecast, family-specific planning, stacked
-simulation, forecaster feedback, metrics.  :func:`build_batch_runner` is
-the one construction surface the experiment harness and the execution
-engine go through.
+All three runners share one chassis: a single :class:`_BatchOperator`
+record (name + simulator + per-family state) and the
+:class:`_BatchRunnerBase` round loop — speeds, forecast, family-specific
+planning, stacked simulation, forecaster feedback, metrics.
+:func:`build_batch_runner` is the one construction surface the experiment
+harness and the execution engine go through.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.network import CostModel, NetworkModel
-from repro.cluster.simulator import CodedIterationSim, OverDecompositionIterationSim
+from repro.cluster.simulator import (
+    CodedIterationSim,
+    OverDecompositionIterationSim,
+    ReplicationIterationSim,
+)
 from repro.cluster.speed_models import BatchSpeedModel
 from repro.coding.partition import ChunkGrid, RowPartition
 from repro.prediction.predictor import BatchPredictor, misprediction_rate
@@ -55,12 +60,14 @@ from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
     plan_assignment,
 )
+from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.timeout import TimeoutPolicy
 
 __all__ = [
     "BatchRunMetrics",
     "BatchCodedRunner",
     "BatchOverDecompositionRunner",
+    "BatchReplicationRunner",
     "build_batch_runner",
 ]
 
@@ -176,16 +183,17 @@ class BatchRunMetrics:
 
 @dataclass
 class _BatchOperator:
-    """Shared operator adapter: one registered op of either runner family.
+    """Shared operator adapter: one registered op of any runner family.
 
     Coded operators carry their scheduler; over-decomposition operators
-    carry the per-trial holder tables (one evolving table per trial).  The
-    round loop in :class:`_BatchRunnerBase` only sees the simulator; the
-    family-specific state is consulted by the subclass planning hooks.
+    carry the per-trial holder tables (one evolving table per trial);
+    replication operators carry only their simulator.  The round loop in
+    :class:`_BatchRunnerBase` only sees the simulator; the family-specific
+    state is consulted by the subclass planning hooks.
     """
 
     name: str
-    sim: CodedIterationSim | OverDecompositionIterationSim
+    sim: CodedIterationSim | OverDecompositionIterationSim | ReplicationIterationSim
     scheduler: Scheduler | None = None
     holders: list[list[tuple[int, ...]]] | None = None
 
@@ -229,11 +237,12 @@ class _BatchRunnerBase:
         self._operators[op.name] = op
 
     def _plan_round(self, op: _BatchOperator, predicted: np.ndarray):
-        raise NotImplementedError
+        """Family planning hook; ``None`` means the family plans nothing."""
+        return None
 
     def _finish_round(self, op: _BatchOperator, plans, outcome) -> np.ndarray:
         """Post-simulation family hook; returns the per-trial repair flags."""
-        raise NotImplementedError
+        return np.zeros(self.n_trials, dtype=bool)
 
     def matvec(self, name: str) -> None:
         """Play one round for every trial (mat-vec or bilinear)."""
@@ -245,13 +254,14 @@ class _BatchRunnerBase:
         )
         predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
         plans = self._plan_round(op, predicted)
+        planned = () if plans is None else (plans,)
         if getattr(op.sim, "wants_link_factors", False):
             from repro.cluster.events.factors import link_factors_batch
 
             factors = link_factors_batch(self.speed_model, self._iteration)
-            outcome = op.sim.run_batch(plans, actual, link_factors=factors)
+            outcome = op.sim.run_batch(*planned, actual, link_factors=factors)
         else:
-            outcome = op.sim.run_batch(plans, actual)
+            outcome = op.sim.run_batch(*planned, actual)
         repaired = self._finish_round(op, plans, outcome)
         self.predictor.update(np.where(outcome.responded, actual, np.nan))
         self.metrics.add_round(
@@ -427,13 +437,49 @@ class BatchOverDecompositionRunner(_BatchRunnerBase):
                 worker = int(plan.owner[partition])
                 if worker not in holders[partition]:
                     holders[partition] = holders[partition] + (worker,)
-        return np.zeros(self.n_trials, dtype=bool)
+        return super()._finish_round(op, plans, outcome)
+
+
+@dataclass
+class BatchReplicationRunner(_BatchRunnerBase):
+    """Latency twin of :class:`~repro.runtime.session.ReplicationSession`.
+
+    The replication baseline plans nothing: each round simulates every
+    trial's primaries and speculative copies through
+    :meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch`,
+    feeds the measured speeds back to the forecaster (whose predictions
+    are only recorded), and skips the numeric mat-vec.  Trial ``t`` is
+    bitwise-identical to a single-trial session built from the same seed.
+    """
+
+    config: SpeculationConfig = field(default_factory=SpeculationConfig)
+
+    def register_matvec(self, name: str, total_rows: int, width: int) -> None:
+        """Register the latency geometry of a replicated uncoded mat-vec.
+
+        Mirrors ``ReplicationSession.register_matvec`` for a
+        ``total_rows × width`` matrix split into ``n`` partitions — same
+        seed-0 replica placement, same per-partition row count, no matrix
+        built.
+        """
+        sim = ReplicationIterationSim(
+            placement=ReplicaPlacement(
+                self.n_workers, self.config.replication, seed=0
+            ),
+            config=self.config,
+            rows_per_partition=RowPartition(total_rows, self.n_workers).block_rows,
+            width=width,
+            network=self.network,
+            cost=self.cost,
+        )
+        self._add_operator(_BatchOperator(name=name, sim=sim))
 
 
 #: The runner families :func:`build_batch_runner` can construct.
 _RUNNER_FAMILIES = {
     "coded": BatchCodedRunner,
     "overdecomposition": BatchOverDecompositionRunner,
+    "replication": BatchReplicationRunner,
 }
 
 
@@ -448,11 +494,12 @@ def build_batch_runner(
 ) -> _BatchRunnerBase:
     """One construction surface for the batched runner families.
 
-    ``family`` is ``"coded"`` (knobs: ``timeout``, ``backend``) or
-    ``"overdecomposition"`` (knobs: ``factor``, ``replication``); unknown
-    families and knobs raise ``ValueError`` listing what is available.
-    The experiment harness and the execution engine build every batched
-    runner through here, so the two families cannot drift apart.
+    ``family`` is ``"coded"`` (knobs: ``timeout``, ``backend``),
+    ``"overdecomposition"`` (knobs: ``factor``, ``replication``) or
+    ``"replication"`` (knob: ``config``); unknown families and knobs raise
+    ``ValueError`` listing what is available.  The experiment harness and
+    the execution engine build every batched runner through here, so the
+    families cannot drift apart.
     """
     try:
         runner_cls = _RUNNER_FAMILIES[family]

@@ -286,7 +286,6 @@ class ReplicationSession(_BaseSession):
     """Session for the uncoded r-replication + speculation baseline."""
 
     config: SpeculationConfig = field(default_factory=SpeculationConfig)
-    placement_seed: int = 0
     _operators: dict[str, tuple[_UncodedOperator, ReplicationIterationSim]] = field(
         init=False, default_factory=dict
     )
@@ -297,9 +296,7 @@ class ReplicationSession(_BaseSession):
             raise ValueError(f"operator {name!r} already registered")
         matrix = np.asarray(matrix, dtype=np.float64)
         part = RowPartition(matrix.shape[0], self.n_workers)
-        placement = ReplicaPlacement(
-            self.n_workers, self.config.replication, seed=self.placement_seed
-        )
+        placement = ReplicaPlacement(self.n_workers, self.config.replication, seed=0)
         sim = ReplicationIterationSim(
             placement=placement,
             config=self.config,

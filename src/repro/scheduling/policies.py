@@ -302,27 +302,29 @@ def _batch_metrics_dict(metrics) -> dict:
     }
 
 
-def _run_scenario_batched(runner, scenario, ctx, *, rows, cols, iterations):
-    """Shared ``run_scenario`` body of the batched-engine runners.
+class _BatchedPolicyRunner:
+    """The shared ``run_scenario`` of every built-in runner.
 
     Resolves the named scenario into the per-trial-seeded batch speed
-    form, wires the runner's own forecaster, and reduces the metrics to
-    the matrix cell contract.
+    form, wires the runner's own forecaster into its ``run_batch``, and
+    reduces the metrics to the matrix cell contract.
     """
-    from repro.cluster.scenarios import scenario_batch
 
-    metrics = runner.run_batch(
-        scenario_batch(scenario, runner.n_workers, ctx.seeds),
-        runner.predictor_factory(scenario, ctx, runner.n_workers),
-        rows=rows,
-        cols=cols,
-        iterations=iterations,
-    )
-    return _batch_metrics_dict(metrics)
+    def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
+        from repro.cluster.scenarios import scenario_batch
+
+        metrics = self.run_batch(
+            scenario_batch(scenario, self.n_workers, ctx.seeds),
+            self.predictor_factory(scenario, ctx, self.n_workers),
+            rows=rows,
+            cols=cols,
+            iterations=iterations,
+        )
+        return _batch_metrics_dict(metrics)
 
 
 @dataclass(frozen=True)
-class CodedPolicyRunner:
+class CodedPolicyRunner(_BatchedPolicyRunner):
     """A coded-computation policy: scheduler family + forecaster + repair.
 
     ``scheduler_factory()`` builds a fresh per-run scheduler (schedulers
@@ -350,29 +352,24 @@ class CodedPolicyRunner:
 
     def run_batch(self, speed_model, predictor, *, rows, cols, iterations):
         """All trials at once on the batched coded engine; returns metrics."""
-        from repro.experiments.harness import run_coded_lr_like_batch
+        from repro.experiments.harness import run_lr_like_batch
 
-        return run_coded_lr_like_batch(
+        return run_lr_like_batch(
+            "coded",
             rows,
             cols,
-            self.k,
-            self.make_scheduler(),
             speed_model,
             predictor,
-            iterations=iterations,
-            timeout=self.timeout,
+            iterations,
+            operator=(self.k, self.make_scheduler()),
             network=self.network,
+            timeout=self.timeout,
             backend=self.backend,
-        )
-
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
-        return _run_scenario_batched(
-            self, scenario, ctx, rows=rows, cols=cols, iterations=iterations
         )
 
 
 @dataclass(frozen=True)
-class OverDecompositionPolicyRunner:
+class OverDecompositionPolicyRunner(_BatchedPolicyRunner):
     """The Charm++-like over-decomposition baseline as a policy."""
 
     policy: str
@@ -383,61 +380,49 @@ class OverDecompositionPolicyRunner:
 
     def run_batch(self, speed_model, predictor, *, rows, cols, iterations):
         """All trials at once on the batched over-decomposition engine."""
-        from repro.experiments.harness import run_overdecomposition_lr_like_batch
+        from repro.experiments.harness import run_lr_like_batch
 
-        return run_overdecomposition_lr_like_batch(
+        return run_lr_like_batch(
+            "overdecomposition",
             rows,
             cols,
             speed_model,
             predictor,
-            iterations=iterations,
+            iterations,
             factor=self.factor,
             replication=self.replication,
         )
 
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
-        return _run_scenario_batched(
-            self, scenario, ctx, rows=rows, cols=cols, iterations=iterations
-        )
-
 
 @dataclass(frozen=True)
-class ReplicationPolicyRunner:
+class ReplicationPolicyRunner(_BatchedPolicyRunner):
     """Uncoded r-replication + speculation as a policy.
 
-    The replication baseline has no batched engine (its speculation
-    timeline is inherently per-trial — see
-    :class:`~repro.cluster.simulator.ReplicationIterationSim`), so
-    ``run_scenario`` replays one seeded scalar session per trial, exactly
-    as the Fig 1/Fig 6 cells do.  The latency never depends on the matrix
-    values, so the sessions run on a zero matrix of the right shape.
+    Runs every trial at once on the batched replication engine (see
+    :class:`~repro.runtime.batch.BatchReplicationRunner`), like the other
+    families.  The forecaster never shapes a replication round — there is
+    no plan — so ``predictor_factory`` only supplies the predictions the
+    metrics record.
     """
 
     policy: str
     n_workers: int
     config: SpeculationConfig
+    predictor_factory: Callable[[str, Any, int], Any]
 
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
-        from repro.cluster.scenarios import scenario_speed_model
-        from repro.experiments.harness import run_replicated_lr_like
-        from repro.prediction.predictor import LastValuePredictor
+    def run_batch(self, speed_model, predictor, *, rows, cols, iterations):
+        """All trials at once on the batched replication engine."""
+        from repro.experiments.harness import run_lr_like_batch
 
-        matrix = np.zeros((rows, cols))
-        totals: list[float] = []
-        wasted: list[float] = []
-        for seed in ctx.seeds:
-            session = run_replicated_lr_like(
-                matrix,
-                scenario_speed_model(scenario, self.n_workers, seed=seed),
-                LastValuePredictor(self.n_workers),
-                iterations=iterations,
-                config=self.config,
-            )
-            totals.append(float(session.metrics.total_time))
-            wasted.append(
-                float(np.mean(session.metrics.wasted_fraction_of_assigned()))
-            )
-        return {"total": totals, "wasted": wasted}
+        return run_lr_like_batch(
+            "replication",
+            rows,
+            cols,
+            speed_model,
+            predictor,
+            iterations,
+            config=self.config,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +589,7 @@ def _build_uncoded(
     return ReplicationPolicyRunner(
         policy="uncoded",
         n_workers=n_workers,
+        predictor_factory=_last_value_predictor,
         config=SpeculationConfig(
             replication=replication,
             max_speculative=max_speculative,
@@ -626,6 +612,7 @@ def _build_replication(
     return ReplicationPolicyRunner(
         policy="replication",
         n_workers=n_workers,
+        predictor_factory=_last_value_predictor,
         config=SpeculationConfig(
             replication=replication,
             max_speculative=max_speculative,

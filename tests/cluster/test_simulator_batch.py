@@ -5,12 +5,18 @@ The contract of every ``run_batch``: per-trial results are *exactly* equal
 speed rows.  These tests sweep the plan shapes the schedulers produce
 (full, exact-coverage wraparound, repair-armed — including idle-helper
 recruitment, multi-cutoff repair, and opportunistic rejection) plus
-failures, and the over-decomposition baseline's stacked chunk timelines.
+failures, and both uncoded baselines' stacked outcomes.  Over-decomposition's
+``run`` is itself one row of the stacked timeline, so both of its entries
+are pinned against a frozen per-worker loop (``tests/cluster/conftest.py``).
+Every ``run_batch`` rejects an empty trial batch the same way.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.cluster.events import EventDrivenIterationSim
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.scenarios import scenario_batch
 from repro.cluster.simulator import (
@@ -260,30 +266,55 @@ class TestReplicationBatchEquivalence:
         )
 
     def _check(self, sim, speeds, failed=frozenset()):
-        outcomes = sim.run_batch(speeds, failed)
+        batch = sim.run_batch(speeds, failed)
+        assert batch.n_trials == speeds.shape[0]
         failed_list = (
             [failed] * speeds.shape[0] if isinstance(failed, frozenset) else failed
         )
-        for t, got in enumerate(outcomes):
+        launches = 0
+        for t in range(speeds.shape[0]):
             want = sim.run(speeds[t], failed_list[t])
-            assert got.completion_time == want.completion_time
-            assert got.partition_owner == want.partition_owner
-            assert got.speculative_launches == want.speculative_launches
-            assert got.data_moved_bytes == want.data_moved_bytes
-            for w in range(N):
-                assert got.workers[w].computed_rows == want.workers[w].computed_rows
-                assert got.workers[w].used_rows == want.workers[w].used_rows
+            assert batch.completion_time[t] == want.completion_time, f"trial {t}"
+            assert batch.broadcast_time == want.broadcast_time
+            assert batch.data_moved_bytes[t] == want.data_moved_bytes
+            assert batch.migrations[t] == 0
+            for w, stat in enumerate(want.workers):
+                assert batch.assigned_rows[t, w] == stat.assigned_rows
+                assert batch.computed_rows[t, w] == stat.computed_rows
+                assert batch.used_rows[t, w] == stat.used_rows
+                assert bool(batch.responded[t, w]) == (
+                    stat.response_time is not None
+                )
+            launches += want.speculative_launches
+        return launches
 
     def test_speculation_and_movement(self):
-        self._check(self._sim(), _speed_batch(8, stragglers=2))
+        assert self._check(self._sim(), _speed_batch(8, stragglers=2)) > 0
 
     def test_strict_locality(self):
-        self._check(self._sim(allow_movement=False), _speed_batch(8, stragglers=1))
+        sim = self._sim(allow_movement=False)
+        assert self._check(sim, _speed_batch(8, stragglers=1)) > 0
 
     def test_with_failures(self):
         self._check(
             self._sim(), _speed_batch(4, stragglers=0), frozenset({2})
         )
+
+    @pytest.mark.parametrize("allow_movement", [True, False])
+    def test_copies_win_under_compute_dominant_models(self, allow_movement):
+        # Controlled-cluster models: a straggler's speculative copy can
+        # finish first, cancelling its primary (and, with movement, after
+        # fetching the partition to a worker without a replica).
+        sim = dataclasses.replace(
+            self._sim(allow_movement),
+            network=NetworkModel(latency=5e-6, bandwidth=2.5e8),
+            cost=CostModel(worker_flops=5e7),
+        )
+        speeds = _speed_batch(8, stragglers=3)
+        assert self._check(sim, speeds) > 0
+        batch = sim.run_batch(speeds)
+        assert not batch.responded.all()
+        assert batch.data_moved_bytes.any() == allow_movement
 
 
 class TestOverDecompositionBatchEquivalence:
@@ -295,11 +326,16 @@ class TestOverDecompositionBatchEquivalence:
             cost=CostModel(worker_flops=5e7),
         )
 
+    @pytest.fixture(autouse=True)
+    def _reference(self, overdecomposition_reference):
+        self.reference = overdecomposition_reference
+
     def _check(self, sim, plans, speeds):
+        """``run_batch`` rows and ``run`` both equal the frozen reference."""
         batch = sim.run_batch(plans, speeds)
         plan_list = plans if isinstance(plans, list) else [plans] * speeds.shape[0]
         for t in range(speeds.shape[0]):
-            want = sim.run(plan_list[t], speeds[t])
+            want = self.reference(sim, plan_list[t], speeds[t])
             assert batch.completion_time[t] == want.completion_time, f"trial {t}"
             assert batch.broadcast_time == want.broadcast_time
             assert batch.data_moved_bytes[t] == want.data_moved_bytes
@@ -311,6 +347,7 @@ class TestOverDecompositionBatchEquivalence:
                 assert bool(batch.responded[t, w]) == (
                     stat.response_time is not None
                 )
+            assert sim.run(plan_list[t], speeds[t]) == want, f"trial {t}"
         return batch
 
     def test_per_trial_plans_with_migrations(self):
@@ -331,6 +368,10 @@ class TestOverDecompositionBatchEquivalence:
         plan = plan_assignment(placement.holders, np.ones(N), N)
         speeds = _speed_batch(3, stragglers=0)
         with pytest.raises(RuntimeError, match="no repair path"):
+            self.reference(self._sim(), plan, speeds[0], frozenset({0}))
+        with pytest.raises(RuntimeError, match="no repair path"):
+            self._sim().run(plan, speeds[0], frozenset({0}))
+        with pytest.raises(RuntimeError, match="no repair path"):
             self._sim().run_batch(plan, speeds, frozenset({0}))
 
     def test_plan_count_validated(self):
@@ -338,6 +379,41 @@ class TestOverDecompositionBatchEquivalence:
         plan = plan_assignment(placement.holders, np.ones(N), N)
         with pytest.raises(ValueError, match="plans"):
             self._sim().run_batch([plan], _speed_batch(3, stragglers=0))
+
+
+def _shared_full_plan():
+    return StaticCodedScheduler(coverage=COVERAGE, num_chunks=CHUNKS).plan(np.ones(N))
+
+
+def _shared_partition_plan():
+    placement = OverDecompositionPlacement(N, factor=2, replication=1.0)
+    return plan_assignment(placement.holders, np.ones(N), N)
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda speeds: _sim().run_batch(_shared_full_plan(), speeds),
+        lambda speeds: EventDrivenIterationSim(
+            grid=ChunkGrid(ROWS, CHUNKS), width=64
+        ).run_batch(_shared_full_plan(), speeds),
+        lambda speeds: ReplicationIterationSim(
+            placement=ReplicaPlacement(N, 3, seed=0),
+            config=SpeculationConfig(),
+            rows_per_partition=25,
+            width=64,
+        ).run_batch(speeds),
+        lambda speeds: OverDecompositionIterationSim(
+            rows_per_partition=25, width=64
+        ).run_batch(_shared_partition_plan(), speeds),
+    ],
+    ids=["coded", "event", "replication", "overdecomposition"],
+)
+def test_empty_trial_batch_is_a_typed_error(simulate):
+    # Every run_batch shares one validation: an empty trial axis names
+    # ``speeds`` and its shape instead of failing deep inside numpy.
+    with pytest.raises(ValueError, match=r"speeds .* got shape \(0, 8\)"):
+        simulate(np.empty((0, N)))
 
 
 class TestBatchSpeedModels:

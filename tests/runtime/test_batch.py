@@ -1,9 +1,10 @@
 """Batched latency runner vs real sessions: metrics must match exactly.
 
 The batch engine's whole claim is that trial ``t`` of a batched run equals
-a single-trial :class:`CodedSession` run built from the same seed — same
-plans, same timeline, same predictor feedback — with the numeric payload
-skipped.  These tests pin that equality for the controlled-cluster and
+a single-trial session run built from the same seed — same plans, same
+timeline, same predictor feedback — with the numeric payload skipped.
+These tests pin that equality for every runner family (coded,
+over-decomposition, replication) on the controlled-cluster and
 cloud-trace experiment shapes.
 """
 
@@ -19,9 +20,9 @@ from repro.cluster.speed_models import (
 from repro.coding.mds import MDSCode
 from repro.experiments.harness import (
     run_coded_lr_like,
-    run_coded_lr_like_batch,
+    run_lr_like_batch,
     run_overdecomposition_lr_like,
-    run_overdecomposition_lr_like_batch,
+    run_replicated_lr_like,
 )
 from repro.prediction.predictor import (
     LastValuePredictor,
@@ -30,6 +31,7 @@ from repro.prediction.predictor import (
     StalePredictor,
 )
 from repro.prediction.traces import VOLATILE, generate_speed_traces
+from repro.scheduling.replication import SpeculationConfig
 from repro.scheduling.s2c2 import BasicS2C2Scheduler, GeneralS2C2Scheduler
 from repro.scheduling.static import StaticCodedScheduler
 from repro.scheduling.timeout import TimeoutPolicy
@@ -80,11 +82,10 @@ def _session_metrics(scheduler, seed, stragglers=2, timeout=None, predictor=None
 def test_batch_matches_sessions_controlled(scheduler_factory, timeout):
     seeds = [11 + 3 * t for t in range(TRIALS)]
     stragglers = 2
-    batch = run_coded_lr_like_batch(
+    batch = run_lr_like_batch(
+        "coded",
         ROWS,
         COLS,
-        scheduler_factory().coverage,
-        scheduler_factory(),
         StackedSpeeds([_controlled(s, stragglers) for s in seeds]),
         StackedPredictor(
             [
@@ -93,6 +94,7 @@ def test_batch_matches_sessions_controlled(scheduler_factory, timeout):
             ]
         ),
         iterations=ITERATIONS,
+        operator=(scheduler_factory().coverage, scheduler_factory()),
         timeout=timeout,
     )
     totals = batch.total_time
@@ -118,11 +120,10 @@ def test_batch_matches_sessions_traces_stale_predictor():
         for s in seeds
     ]
     scheduler = GeneralS2C2Scheduler(coverage=9, num_chunks=10_000)
-    batch = run_coded_lr_like_batch(
+    batch = run_lr_like_batch(
+        "coded",
         ROWS,
         COLS,
-        9,
-        scheduler,
         BatchTraceSpeeds.from_traces(traces),
         StackedPredictor(
             [
@@ -133,6 +134,7 @@ def test_batch_matches_sessions_traces_stale_predictor():
             ]
         ),
         iterations=ITERATIONS,
+        operator=(9, scheduler),
         timeout=TimeoutPolicy(),
     )
     matrix = np.random.default_rng(0).normal(size=(ROWS, COLS))
@@ -157,14 +159,14 @@ def test_batch_matches_sessions_last_value_predictor():
     # exercises the responded-mask parity end to end.
     seeds = [3, 4]
     scheduler = StaticCodedScheduler(coverage=9, num_chunks=10_000)
-    batch = run_coded_lr_like_batch(
+    batch = run_lr_like_batch(
+        "coded",
         ROWS,
         COLS,
-        9,
-        scheduler,
         StackedSpeeds([_controlled(s, 1) for s in seeds]),
         StackedPredictor([LastValuePredictor(N) for _ in seeds]),
         iterations=ITERATIONS,
+        operator=(9, scheduler),
     )
     for t, seed in enumerate(seeds):
         metrics = _session_metrics(
@@ -182,7 +184,8 @@ def test_overdecomposition_batch_matches_sessions():
         generate_speed_traces(N, 2 * ITERATIONS + 2, VOLATILE, seed=s)
         for s in seeds
     ]
-    batch = run_overdecomposition_lr_like_batch(
+    batch = run_lr_like_batch(
+        "overdecomposition",
         ROWS,
         COLS,
         BatchTraceSpeeds.from_traces(traces),
@@ -208,6 +211,49 @@ def test_overdecomposition_batch_matches_sessions():
             r.migrations for r in session.metrics.records
         )
     assert migrated_any, "test should exercise migrating holder tables"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SpeculationConfig(allow_data_movement=False),  # the `uncoded` policy
+        SpeculationConfig(allow_data_movement=True),  # the `replication` one
+    ],
+    ids=["strict-locality", "data-movement"],
+)
+def test_replication_batch_matches_sessions(config):
+    # Fig 1/6-style configuration: controlled stragglers, enough of them
+    # that the sessions launch speculative copies, which the batched
+    # runner must resolve per trial exactly as each session does.
+    seeds = [5, 6, 7]
+    stragglers = 3
+    batch = run_lr_like_batch(
+        "replication",
+        ROWS,
+        COLS,
+        StackedSpeeds([_controlled(s, stragglers) for s in seeds]),
+        StackedPredictor([LastValuePredictor(N) for _ in seeds]),
+        iterations=ITERATIONS,
+        config=config,
+    )
+    matrix = np.random.default_rng(0).normal(size=(ROWS, COLS))
+    launched = 0
+    for t, seed in enumerate(seeds):
+        session = run_replicated_lr_like(
+            matrix,
+            _controlled(seed, stragglers),
+            LastValuePredictor(N),
+            iterations=ITERATIONS,
+            seed=seed,
+            config=config,
+        )
+        assert batch.total_time[t] == session.metrics.total_time, f"trial {t}"
+        np.testing.assert_array_equal(
+            batch.wasted_fraction_of_assigned()[t],
+            session.metrics.wasted_fraction_of_assigned(),
+        )
+        launched += sum(r.speculative_launches for r in session.metrics.records)
+    assert launched > 0, "test should exercise speculative re-execution"
 
 
 def test_metrics_require_rounds():

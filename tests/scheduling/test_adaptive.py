@@ -113,6 +113,17 @@ class TestDegenerateWrapperIsTheBase:
         )
         assert wrapped == base
 
+    @pytest.mark.parametrize(
+        "scenario", ["bursty", "spot", "controlled", "netslow"]
+    )
+    def test_single_candidate_replication_matches_base_bitwise(self, scenario):
+        # The replication baseline is tunable too: with one candidate at
+        # the base default the wrapper is its base exactly, even across
+        # the default one-iteration segments (no forecast shapes a round).
+        base = _run("replication", scenario, _ctx())
+        wrapped = _run("adaptive(replication,max_speculative=6)", scenario, _ctx())
+        assert wrapped == base
+
     def test_cadence_past_horizon_single_segment_matches_base(self):
         # One segment spanning the whole run, single candidate at the
         # base default: the composition machinery (materialise → replay →
@@ -357,9 +368,32 @@ class TestExpressionValidation:
         with pytest.raises(KeyError, match="available"):
             get_policy("adaptive(nope,slack=0.1)")
 
-    def test_untunable_base_lists_tunable_bases(self):
-        with pytest.raises(KeyError, match="tunable"):
-            get_policy("adaptive(uncoded,slack=0.1)")
+    def test_untunable_base_lists_tunable_bases(self, monkeypatch):
+        # Every built-in fixed policy is tunable; a user-registered one
+        # whose runner has only ``run_scenario`` is not.
+        import repro.scheduling.policies as pol
+
+        class ScenarioOnlyRunner:
+            def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
+                return {"total": [], "wasted": []}
+
+        monkeypatch.setitem(
+            pol._REGISTRY,
+            "scenario-only",
+            pol.PolicySpec(
+                name="scenario-only",
+                summary="a runner without a batched engine",
+                paper="",
+                figures=(),
+                builder=lambda n_workers, k, knob: ScenarioOnlyRunner(),
+                defaults=(("knob", 1),),
+            ),
+        )
+        with pytest.raises(KeyError, match="tunable bases") as err:
+            get_policy("adaptive(scenario-only,knob=1:2)")
+        message = str(err.value)
+        assert "'scenario-only' has no batched engine" in message
+        assert "uncoded" in message and "replication" in message
 
     def test_nested_adaptive_is_rejected(self):
         with pytest.raises(KeyError, match="adaptive"):

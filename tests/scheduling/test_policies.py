@@ -168,8 +168,8 @@ class TestRunners:
         assert all(0 <= v <= 1 for v in first["wasted"])
 
     def test_replication_runner_matches_fig06_baseline(self):
-        # The registry's replication policy must reproduce the Fig 6
-        # uncoded-3rep cell runner (scalar sessions, zero matrix).
+        # The registry's replication policy must reproduce, bit for bit,
+        # one seeded scalar session per trial (the Fig 6 baseline).
         from repro.experiments.harness import run_replicated_lr_like
         from repro.cluster.scenarios import scenario_speed_model
         from repro.prediction.predictor import LastValuePredictor
@@ -178,16 +178,19 @@ class TestRunners:
         got = build_policy("replication", 12, 8).run_scenario(
             "controlled", ctx, rows=240, cols=60, iterations=2
         )
-        expected = [
+        sessions = [
             run_replicated_lr_like(
                 np.zeros((240, 60)),
                 scenario_speed_model("controlled", 12, seed=seed),
                 LastValuePredictor(12),
                 iterations=2,
-            ).metrics.total_time
+            ).metrics
             for seed in ctx.seeds
         ]
-        assert got["total"] == pytest.approx(expected)
+        assert got["total"] == [m.total_time for m in sessions]
+        assert got["wasted"] == [
+            float(np.mean(m.wasted_fraction_of_assigned())) for m in sessions
+        ]
 
     def test_coded_run_scenario_matches_direct_batch(self):
         # run_scenario is exactly run_batch over scenario_batch speeds.
