@@ -55,7 +55,7 @@ from repro.cluster.simulator import (
 from repro.cluster.events.loop import Event, EventLoop
 from repro.cluster.events.topology import Topology
 from repro.profiling import span
-from repro.scheduling.base import CodedWorkPlan
+from repro.scheduling.base import CodedWorkPlan, PlanBatch
 
 __all__ = ["EventConfig", "EventTrace", "EventDrivenIterationSim"]
 
@@ -342,7 +342,7 @@ class EventDrivenIterationSim(CodedIterationSim):
 
     def run_batch(
         self,
-        plans: CodedWorkPlan | list[CodedWorkPlan],
+        plans: PlanBatch | CodedWorkPlan | list[CodedWorkPlan],
         speeds: np.ndarray,
         failed_workers: frozenset[int] | list[frozenset[int]] = frozenset(),
         link_factors: np.ndarray | None = None,
@@ -353,10 +353,10 @@ class EventDrivenIterationSim(CodedIterationSim):
         ``(trials, workers)`` arrays for the parent's batched kernel
         (queue-free on dedicated links, see the module docstring); trials
         whose event ordering can diverge from that schedule replay
-        through :meth:`run`.  ``link_factors`` is a ``(trials, workers)``
-        matrix (or ``None``).
+        through :meth:`run` on the plan ``batch[t]`` builds.
+        ``link_factors`` is a ``(trials, workers)`` matrix (or ``None``).
         """
-        plan_list, speeds, failed_list = self._batch_inputs(
+        batch, speeds, failed_list = self._batch_inputs(
             plans, speeds, failed_workers
         )
         factors = self._check_factors(link_factors, *speeds.shape)
@@ -373,13 +373,13 @@ class EventDrivenIterationSim(CodedIterationSim):
             and self.config.repair_request_bytes == 0.0
         ) & np.all(factors == 1.0, axis=1)
         return self._batch_kernel(
-            plan_list,
+            batch,
             speeds,
             failed_list,
             recv=recv,
             bandwidth=bandwidth,
             replay=lambda t: self.run(
-                plan_list[t], speeds[t], failed_list[t], factors[t]
+                batch[t], speeds[t], failed_list[t], factors[t]
             ),
             # Shared ToR links queue repair behind result traffic, and the
             # shuffle reuses down-links: event ordering genuinely matters.

@@ -34,7 +34,11 @@ backend (:mod:`repro.cluster.events.sim`) reuses every one of them and only
 supplies when each worker's task starts and how its reply travels.
 
 :meth:`CodedIterationSim.run_batch` simulates a whole ``(trials, workers)``
-speed matrix in one call.  The two plan shapes every scheduler here produces
+speed matrix in one call.  It reads the plans as a
+:class:`~repro.scheduling.base.PlanBatch` — one arc of the chunk circle per
+worker, as ``(trials, workers)`` arrays — so rows per worker, each trial's
+plan shape and the repair's holder mask are array expressions, with no
+per-trial plan object.  The two plan shapes every scheduler here produces
 — *full* plans (conventional coded computation: everyone computes
 everything) and *exact-coverage* plans (S2C2's no-wasted-work wraparound
 layout) — admit closed-form batch timelines, so arrivals, completion times
@@ -72,7 +76,7 @@ import numpy as np
 from repro.cluster.network import CostModel, NetworkModel
 from repro.profiling import span
 from repro.coding.partition import ChunkGrid
-from repro.scheduling.base import CodedWorkPlan
+from repro.scheduling.base import CodedWorkPlan, PlanBatch, as_plan_batch
 from repro.scheduling.overdecomposition import OverDecompositionPlan
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.timeout import TimeoutPolicy, repair_assignments
@@ -137,16 +141,6 @@ def _normalise_batch(
                 f"got {len(failed_list)} failure sets for {trials} trials"
             )
     return speeds, trials, failed_list
-
-
-def _per_trial(plans, plan_type: type, trials: int) -> list:
-    """One plan per trial; a single ``plan_type`` plan is shared by all."""
-    if isinstance(plans, plan_type):
-        return [plans] * trials
-    plan_list = list(plans)
-    if len(plan_list) != trials:
-        raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
-    return plan_list
 
 
 @dataclass
@@ -235,16 +229,13 @@ class BatchCodedOutcome:
 
 @dataclass(frozen=True)
 class _PlanProfile:
-    """Per-plan constants every path reuses across workers and trials."""
+    """Per-plan constants the scalar path reuses across workers."""
 
     plan: CodedWorkPlan
-    kind: str  # "full" | "exact" | "general"
     rows: np.ndarray  # (n,) assigned rows per worker
-    chunk_counts: np.ndarray  # (n,) assigned chunks per worker
     active: tuple[int, ...]  # workers assigned at least one row
-    decode_groups: int  # groups for decode_time on the natural batch path
-    #: Lazily filled worker → sorted chunk-index array cache, shared by
-    #: every trial of this plan (the arrays are read-only inputs).
+    #: Lazily filled worker → sorted chunk-index array cache (the arrays
+    #: are read-only inputs).
     chunk_cache: dict = field(default_factory=dict)
 
     def chunks_of(self, worker: int) -> np.ndarray:
@@ -364,43 +355,9 @@ class CodedIterationSim:
         )
 
     def _profile(self, plan: CodedWorkPlan) -> _PlanProfile:
-        """Classify a plan and precompute the per-worker row counts.
-
-        Row counts come from the grid's chunk offsets and the plan's range
-        representation directly — O(ranges) per worker instead of
-        expanding 10k-chunk index arrays into rows.
-        """
-        offsets = self.grid.chunk_offsets()
-        num_chunks = plan.num_chunks
-        rows = np.zeros(plan.n_workers, dtype=np.int64)
-        chunk_counts = np.zeros(plan.n_workers, dtype=np.int64)
-        full = True
-        coverage = np.zeros(num_chunks, dtype=np.int64)
-        for w, assignment in enumerate(plan.assignments):
-            if assignment.ranges != ((0, num_chunks),):
-                full = False
-            for begin, end in assignment.ranges:
-                rows[w] += int(offsets[end] - offsets[begin])
-                chunk_counts[w] += end - begin
-                coverage[begin:end] += 1
-        active = tuple(np.flatnonzero(rows).tolist())
-        if full:
-            kind = "full"
-            groups = plan.coverage
-        elif bool(np.all(coverage == plan.coverage)):
-            kind = "exact"
-            groups = len(active)
-        else:
-            kind = "general"
-            groups = 0
-        return _PlanProfile(
-            plan=plan,
-            kind=kind,
-            rows=rows,
-            chunk_counts=chunk_counts,
-            active=active,
-            decode_groups=groups,
-        )
+        """Precompute a plan's per-worker row counts."""
+        rows = PlanBatch.from_plans([plan]).rows(self.grid.chunk_offsets())[0]
+        return _PlanProfile(plan, rows, tuple(np.flatnonzero(rows).tolist()))
 
     # ------------------------------------------------------------------
     # The coded iteration's rules, shared by every path and backend
@@ -482,7 +439,7 @@ class CodedIterationSim:
         idle_alive = [
             w
             for w in range(plan.n_workers)
-            if profile.chunk_counts[w] == 0 and w not in failed
+            if profile.rows[w] == 0 and w not in failed
         ]
         later = sorted(
             arrivals[w] for w in order if deadline < arrivals[w] < np.inf
@@ -680,20 +637,20 @@ class CodedIterationSim:
 
     @staticmethod
     def _batch_inputs(
-        plans: CodedWorkPlan | Sequence[CodedWorkPlan],
+        plans: PlanBatch | CodedWorkPlan | Sequence[CodedWorkPlan],
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]],
-    ) -> tuple[list[CodedWorkPlan], np.ndarray, list[frozenset[int]]]:
-        """Validated per-trial plans, speed matrix and failure sets."""
+    ) -> tuple[PlanBatch, np.ndarray, list[frozenset[int]]]:
+        """Validated plan batch, speed matrix and per-trial failure sets."""
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        plan_list = _per_trial(plans, CodedWorkPlan, trials)
-        if any(p.n_workers != speeds.shape[1] for p in plan_list):
+        batch = as_plan_batch(plans, trials)
+        if batch.n_workers != speeds.shape[1]:
             raise ValueError("every plan must span the batch's worker count")
-        return plan_list, speeds, failed_list
+        return batch, speeds, failed_list
 
     def run_batch(
         self,
-        plans: CodedWorkPlan | Sequence[CodedWorkPlan],
+        plans: PlanBatch | CodedWorkPlan | Sequence[CodedWorkPlan],
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]] = frozenset(),
     ) -> BatchCodedOutcome:
@@ -702,9 +659,10 @@ class CodedIterationSim:
         Parameters
         ----------
         plans:
-            One plan shared by every trial, or one plan per trial (plans
-            built from per-trial predictions).  Duplicate plan *objects*
-            are profiled once.
+            A :class:`~repro.scheduling.base.PlanBatch` (what every
+            built-in scheduler's ``plan_batch`` returns), one plan shared
+            by every trial, or one plan per trial (converted to a batch
+            once).
         speeds:
             ``(trials, workers)`` matrix of actual speeds.
         failed_workers:
@@ -713,23 +671,29 @@ class CodedIterationSim:
         Returns per-trial results exactly equal to looping
         :meth:`run` — see :meth:`_batch_kernel`.
         """
-        plan_list, speeds, failed_list = self._batch_inputs(
+        batch, speeds, failed_list = self._batch_inputs(
             plans, speeds, failed_workers
         )
         return self._batch_kernel(
-            plan_list,
+            batch,
             speeds,
             failed_list,
             recv=self._broadcast_cost,
             bandwidth=self.network.bandwidth,
-            replay=lambda t: self.run(plan_list[t], speeds[t], failed_list[t]),
+            replay=lambda t: self.run(batch[t], speeds[t], failed_list[t]),
         )
+
+    def _decode_times(self, coverage: int, groups: np.ndarray) -> np.ndarray:
+        """:meth:`_decode_time` per entry of ``groups``, once per distinct value."""
+        values, inverse = np.unique(groups, return_inverse=True)
+        times = [self._decode_time(coverage, g) for g in values.tolist()]
+        return np.array(times)[inverse.ravel()]
 
     def _repair_batch(
         self,
         out: BatchCodedOutcome,
         native: np.ndarray,
-        plans: list[CodedWorkPlan],
+        batch: PlanBatch,
         speeds: np.ndarray,
         failed: np.ndarray,
         recv: np.ndarray,
@@ -752,7 +716,6 @@ class CodedIterationSim:
         whose repair beats waiting are written into ``out``; the others
         are left to complete naturally.
         """
-        plans = [plans[t] for t in native]
         rows = out.assigned_rows[native]
         speeds, failed, recv, arrivals, sorted_arr, deadline, done = (
             a[native]
@@ -760,8 +723,7 @@ class CodedIterationSim:
         )
         active = rows > 0
         idle = ~active & ~failed  # still hold their partitions (§4.4)
-        coverage = np.array([p.coverage for p in plans])
-        need = coverage - idle.sum(axis=1)
+        need = batch.coverage - idle.sum(axis=1)
         nth = sorted_arr[np.arange(native.size), np.maximum(need, 1) - 1]
         cutoff = np.maximum(deadline, np.where(need > 0, nth, -np.inf))
         finished = arrivals <= cutoff[:, None]  # inactive arrivals are inf
@@ -775,9 +737,7 @@ class CodedIterationSim:
             return
         helpers = (finished | idle)[found]
         extra = repair_assignments(
-            [p for p, ok in zip(plans, found.tolist()) if ok],
-            helpers,
-            speeds[found],
+            batch.subset(native[found]), helpers, speeds[found]
         )
         extra_rows = extra @ self.grid.chunk_sizes()[: extra.shape[2]]
         reassigned = extra.any(axis=2)
@@ -816,18 +776,14 @@ class CodedIterationSim:
         out.responded[trials] = finished[accepted]
         out.used_rows[trials] = np.where(helpers, rows, 0) + extra_rows
         out.repaired[trials] = True
-        for t, k, groups, end in zip(
-            trials.tolist(),
-            coverage[accepted].tolist(),
-            helpers.sum(axis=1).tolist(),
-            finish[win].tolist(),
-        ):
-            out.decode_time[t] = self._decode_time(k, groups)
-            out.completion_time[t] = end + out.decode_time[t]
+        out.decode_time[trials] = self._decode_times(
+            batch.coverage, helpers.sum(axis=1)
+        )
+        out.completion_time[trials] = finish[win] + out.decode_time[trials]
 
     def _batch_kernel(
         self,
-        plan_list: list[CodedWorkPlan],
+        batch: PlanBatch,
         speeds: np.ndarray,
         failed_list: list[frozenset[int]],
         recv: float | np.ndarray,
@@ -854,15 +810,10 @@ class CodedIterationSim:
             for t, failed in enumerate(failed_list):
                 if failed:
                     failed_mask[t, list(failed)] = True
-            profiles: dict[int, _PlanProfile] = {}
-            for p in plan_list:
-                if id(p) not in profiles:
-                    profiles[id(p)] = self._profile(p)
-            trial_profiles = [profiles[id(p)] for p in plan_list]
-            rows_mat = np.stack([pr.rows for pr in trial_profiles])
-            active = rows_mat > 0
-            kinds = np.array([pr.kind for pr in trial_profiles])
-            coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
+            rows_mat = batch.rows(self.grid.chunk_offsets())
+            active = batch.count > 0
+            full_rows, exact_rows = batch.full, batch.exact
+            coverage = batch.coverage
 
         # Arrivals, mirroring _arrival()'s float-op order term by term so
         # batched values are bit-identical to the scalar timelines.
@@ -883,11 +834,9 @@ class CodedIterationSim:
             # Natural completion: k-th response for full plans, last active
             # response for exact-coverage plans.
             done = np.full(trials, np.inf)
-            full_rows = kinds == "full"
-            exact_rows = kinds == "exact"
             sorted_arr = np.sort(arrivals, axis=1)
             if np.any(full_rows):
-                done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
+                done[full_rows] = sorted_arr[full_rows, coverage - 1]
             if np.any(exact_rows):
                 # Exact coverage needs every active worker; a failed active
                 # worker leaves its arrival at inf, which propagates through
@@ -919,18 +868,17 @@ class CodedIterationSim:
             if self.timeout is not None:
                 for t in range(trials):
                     deadline = self._timeout_deadline(
-                        sorted_arr[t][np.isfinite(sorted_arr[t])],
-                        int(coverages[t]),
+                        sorted_arr[t][np.isfinite(sorted_arr[t])], coverage
                     )
                     if deadline is not None:
                         deadlines[t] = deadline
-            general = kinds == "general"
+            general = ~full_rows & ~exact_rows
             armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
             replayed = general | replay_all | (armed & replay_armed)
             native = np.flatnonzero(armed & ~replayed)
             if native.size:
                 self._repair_batch(
-                    out, native, plan_list, speeds, failed_mask, recv,
+                    out, native, batch, speeds, failed_mask, recv,
                     arrivals, sorted_arr, deadlines, done,
                 )
 
@@ -966,21 +914,18 @@ class CodedIterationSim:
                     )
                 full_fast = full_rows & fast
                 if np.any(full_fast):
-                    order = np.argsort(
+                    first = np.argsort(
                         arrivals[full_fast], axis=1, kind="stable"
-                    )
+                    )[:, :coverage]
                     sub = np.zeros((int(full_fast.sum()), n), dtype=np.int64)
-                    take = coverages[full_fast]
-                    for i in range(sub.shape[0]):
-                        contributors = order[i, : take[i]]
-                        sub[i, contributors] = rows_mat[full_fast][
-                            i, contributors
-                        ]
-                    used[full_fast] = sub
-                for t in np.flatnonzero(fast):
-                    decode[t] = self._decode_time(
-                        int(coverages[t]), trial_profiles[t].decode_groups
+                    np.put_along_axis(
+                        sub, first, np.take_along_axis(rows_mat[full_fast], first, 1), 1
                     )
+                    used[full_fast] = sub
+                # Decode groups: the first k responses on full plans, every
+                # active worker on exact plans.
+                groups = np.where(full_rows, coverage, active.sum(axis=1))
+                decode[fast] = self._decode_times(coverage, groups[fast])
                 completion[fast] = done[fast] + decode[fast]
 
         if np.any(replayed):
@@ -1325,7 +1270,10 @@ class OverDecompositionIterationSim:
         stacked arrays across all trials (see :meth:`_timeline`).
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        plan_list = _per_trial(plans, OverDecompositionPlan, trials)
+        shared = isinstance(plans, OverDecompositionPlan)
+        plan_list = [plans] * trials if shared else list(plans)
+        if len(plan_list) != trials:
+            raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
         return self._timeline(plan_list, speeds, failed_list)[0]
 
     def _timeline(

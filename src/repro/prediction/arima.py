@@ -152,27 +152,27 @@ class ARIMA111Model:
     _fitted: bool = field(init=False, default=False)
 
     @staticmethod
-    def _css(params: np.ndarray, diffs_list: list[np.ndarray]) -> float:
+    def _css(params: np.ndarray, diffs: np.ndarray) -> float:
+        """Squared innovations ``((d_t − c) − φ·d_{t−1}) − θ·e_{t−1}`` of every
+        row of ``diffs``, summed one by one in series-major order."""
         c, phi, theta = params
-        total = 0.0
-        for diffs in diffs_list:
-            err_prev = 0.0
-            for t in range(1, diffs.size):
-                err = diffs[t] - c - phi * diffs[t - 1] - theta * err_prev
-                total += err * err
-                err_prev = err
-        return total
+        errs = np.zeros((diffs.shape[0], max(diffs.shape[1] - 1, 0)))
+        err = np.zeros(diffs.shape[0])
+        for t in range(1, diffs.shape[1]):
+            err = ((diffs[:, t] - c) - phi * diffs[:, t - 1]) - theta * err
+            errs[:, t - 1] = err
+        squares = (errs * errs).ravel()
+        return float(np.cumsum(squares)[-1]) if squares.size else 0.0
 
     def fit(self, series: np.ndarray) -> "ARIMA111Model":
         """Fit on the pooled first differences of ``series`` (``(N, L)``)."""
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 2 or series.shape[1] < 3:
             raise ValueError("series must be 2-D with length >= 3")
-        diffs_list = [np.diff(row) for row in series]
         result = optimize.minimize(
             self._css,
             x0=np.array([0.0, 0.2, 0.1]),
-            args=(diffs_list,),
+            args=(np.diff(series, axis=1),),
             method="Nelder-Mead",
             options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-9},
         )

@@ -16,6 +16,13 @@ The chunk-allocation core is the paper's Algorithm 1:
 4. lay the shares out consecutively around the ``C``-chunk circle
    (wrap-around), which covers every chunk exactly ``k`` times because every
    share is ≤ ``C``.
+
+Both schedulers run that algorithm over every row of a ``(trials, n)`` speed
+matrix in one array pass and return a
+:class:`~repro.scheduling.base.PlanBatch` of the arcs; ``plan(speeds)`` is
+the one-row batch's plan, and :func:`allocate_chunks` /
+:func:`wraparound_plan` are the one-row forms of steps 3 and 4.  NaN and
+infinite speeds are rejected; zero and negative ones get no work.
 """
 
 from __future__ import annotations
@@ -25,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.scheduling.base import (
-    ChunkAssignment,
-    CodedWorkPlan,
-    as_speed_matrix,
-    full_plan,
-    plan_unique_rows,
-)
+from repro.scheduling.base import CodedWorkPlan, PlanBatch, as_speed_matrix
 
 __all__ = [
     "allocate_chunks",
@@ -39,6 +40,102 @@ __all__ = [
     "GeneralS2C2Scheduler",
     "BasicS2C2Scheduler",
 ]
+
+
+def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row ``values[mask].sum()``, each row summed as its own 1-D array.
+
+    numpy sums eight or more elements pairwise, so zero-filling the masked
+    entries would change the rounding; rows are compacted instead, grouped
+    by how many entries they keep.
+    """
+    if mask.all():
+        return values.sum(axis=1)
+    kept = mask.sum(axis=1)
+    sums = np.zeros(len(kept))
+    for size in np.flatnonzero(np.bincount(kept)).tolist():
+        rows = np.flatnonzero(kept == size)
+        sums[rows] = values[rows][mask[rows]].reshape(rows.size, size).sum(axis=1)
+    return sums
+
+
+def _allocate(
+    speeds: np.ndarray, coverage: int, num_chunks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1's allocation step over every row of a ``(trials, n)`` matrix.
+
+    Returns the ``(trials, n)`` chunk counts and the ``(trials,)`` mask of
+    feasible rows (at least ``coverage`` positive speeds); infeasible rows
+    get no counts.
+    """
+    alive = speeds > 0
+    feasible = alive.sum(axis=1) >= coverage
+    active = alive & feasible[:, None]
+    counts = np.zeros(speeds.shape, dtype=np.int64)
+    remaining = np.where(feasible, coverage * num_chunks, 0)
+    # Water-fill the per-worker cap: workers whose proportional share
+    # exceeds a full partition are pinned at C and their excess re-spreads
+    # over the rest (the paper's "re-assigns these extra chunks to next
+    # worker" step, order-independently).  A row with nothing left active
+    # has a NaN share and pins nobody.
+    with np.errstate(invalid="ignore"):
+        while True:
+            rate = np.where(active, speeds, 0.0)
+            share = rate / _row_sums(rate, active)[:, None] * remaining[:, None]
+            capped = active & (share >= num_chunks)
+            if not capped.any():
+                break
+            counts[capped] = num_chunks
+            active &= ~capped
+            remaining -= num_chunks * capped.sum(axis=1)
+    # Integerise the proportional shares: floor, then hand out the rounding
+    # shortfall one chunk at a time to whichever worker's finish time
+    # (count+1)/speed grows least, ties to the lower id.  Plain
+    # largest-remainder rounding can give the extra chunk to the *slowest*
+    # worker, whose finish time then dominates the whole iteration at
+    # coarse granularities.  A worker's finish times grow with its count,
+    # so that walk takes the ``shortfall`` smallest of all next finish
+    # times in (time, worker) order.  Listing two per worker nearly always
+    # suffices; a worker that takes both may want more, and then a row's
+    # whole shortfall is listed per worker.
+    floors = np.floor(np.where(active, share, 0.0)).astype(np.int64)
+    counts = np.where(active, floors, counts)
+    shortfall = remaining - floors.sum(axis=1)
+    most = int(shortfall.max(initial=0))
+    steps = min(most, 2)
+    while steps:
+        after = counts[:, :, None] + np.arange(1, steps + 1)
+        finish = np.full(after.shape, np.inf)
+        usable = active[:, :, None] & (after <= num_chunks)
+        np.divide(after, speeds[:, :, None], out=finish, where=usable)
+        order = finish.reshape(len(counts), -1).argsort(axis=1, kind="stable")
+        taken = np.empty(order.shape, dtype=bool)
+        first = np.arange(order.shape[1]) < shortfall[:, None]
+        taken[np.arange(len(order))[:, None], order] = first
+        taken = taken.reshape(after.shape)
+        if steps < most and taken[:, :, -1].any():
+            steps = most
+            continue
+        if np.isinf(finish[taken]).any():
+            raise AssertionError("allocation failed to converge")  # pragma: no cover
+        counts += taken.sum(axis=2)
+        break
+    return counts, feasible
+
+
+def _layout(counts: np.ndarray, num_chunks: int) -> np.ndarray:
+    """Arc starts laying ``(trials, n)`` counts consecutively around the circle.
+
+    Workers are traversed in descending count order, ties to the lower id
+    (matching the allocation walk); each starts where the previous ended,
+    modulo ``num_chunks``.
+    """
+    trials = np.arange(len(counts))[:, None]
+    order = np.argsort(-counts, axis=1, kind="stable")
+    ordered = counts[trials, order]
+    begin = np.empty_like(counts)
+    begin[trials, order] = (np.cumsum(ordered, axis=1) - ordered) % num_chunks
+    return np.where(counts > 0, begin, 0)
 
 
 def allocate_chunks(
@@ -50,7 +147,8 @@ def allocate_chunks(
     ----------
     speeds:
         Predicted per-worker speeds; non-positive entries mark workers to
-        skip entirely (dead or full stragglers).
+        skip entirely (dead or full stragglers).  NaN and infinities are
+        rejected.
     coverage:
         Required per-chunk coverage ``k``.
     num_chunks:
@@ -73,53 +171,13 @@ def allocate_chunks(
         raise ValueError("speeds must be 1-D")
     check_positive_int(coverage, "coverage")
     check_positive_int(num_chunks, "num_chunks")
-    n = speeds.size
-    alive = speeds > 0
-    if int(alive.sum()) < coverage:
+    counts, feasible = _allocate(as_speed_matrix(speeds[None]), coverage, num_chunks)
+    if not feasible[0]:
         raise ValueError(
-            f"only {int(alive.sum())} workers have positive speed; "
+            f"only {int((speeds > 0).sum())} workers have positive speed; "
             f"coverage {coverage} is infeasible under the per-worker cap"
         )
-    total = coverage * num_chunks
-    counts = np.zeros(n, dtype=np.int64)
-    # Water-fill the per-worker cap: workers whose proportional share
-    # exceeds a full partition are pinned at C and their excess re-spreads
-    # over the rest (the paper's "re-assigns these extra chunks to next
-    # worker" step, order-independently).
-    active = [int(i) for i in np.flatnonzero(alive)]
-    remaining = total
-    while True:
-        share_sum = float(speeds[active].sum())
-        capped = [
-            w for w in active if speeds[w] / share_sum * remaining >= num_chunks
-        ]
-        if not capped:
-            break
-        for w in capped:
-            counts[w] = num_chunks
-            active.remove(w)
-        remaining -= num_chunks * len(capped)
-        if not active:
-            break
-    if remaining > 0:
-        # Integerise the proportional shares: floor, then hand out the
-        # rounding shortfall one chunk at a time to whichever worker's
-        # finish time (count+1)/speed grows least.  Plain largest-remainder
-        # rounding can give the extra chunk to the *slowest* worker, whose
-        # finish time then dominates the whole iteration at coarse
-        # granularities.
-        share_sum = float(speeds[active].sum())
-        exact = speeds[active] / share_sum * remaining
-        floors = np.floor(exact).astype(np.int64)
-        counts[active] = floors
-        shortfall = remaining - int(floors.sum())
-        for _ in range(shortfall):
-            candidates = [w for w in active if counts[w] < num_chunks]
-            best = min(candidates, key=lambda w: ((counts[w] + 1) / speeds[w], w))
-            counts[best] += 1
-    if counts.sum() != total or counts.max(initial=0) > num_chunks:
-        raise AssertionError("allocation failed to converge")  # pragma: no cover
-    return counts
+    return counts[0]
 
 
 def wraparound_plan(
@@ -134,7 +192,6 @@ def wraparound_plan(
     chunk exactly ``coverage`` times.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n = counts.size
     if counts.sum() != coverage * num_chunks:
         raise ValueError(
             f"counts sum {counts.sum()} != coverage*num_chunks "
@@ -142,29 +199,8 @@ def wraparound_plan(
         )
     if counts.max(initial=0) > num_chunks:
         raise ValueError("a worker count exceeds num_chunks")
-    ranges_per_worker: list[tuple[tuple[int, int], ...]] = [()] * n
-    cursor = 0
-    order = np.lexsort((np.arange(n), -counts))
-    for worker in order:
-        share = int(counts[worker])
-        if share == 0:
-            continue
-        begin = cursor % num_chunks
-        end = begin + share
-        if end <= num_chunks:
-            ranges_per_worker[worker] = ((begin, end),)
-        else:
-            ranges_per_worker[worker] = ((begin, num_chunks), (0, end - num_chunks))
-        cursor += share
-    assignments = tuple(
-        ChunkAssignment(worker=w, ranges=ranges_per_worker[w]) for w in range(n)
-    )
-    return CodedWorkPlan(
-        n_workers=n,
-        num_chunks=num_chunks,
-        coverage=coverage,
-        assignments=assignments,
-    )
+    counts = counts[None]
+    return PlanBatch(_layout(counts, num_chunks), counts, coverage, num_chunks)[0]
 
 
 @dataclass(frozen=True)
@@ -180,21 +216,14 @@ class GeneralS2C2Scheduler:
         Over-decomposition granularity ``C`` (chunks per partition).  The
         paper sets ``C ≈ Σ uᵢ``; any value ≥ a few × ``n`` works — see the
         chunk-granularity ablation.
-    straggler_speed_floor:
-        Speeds below this fraction of the *median* alive speed are treated
-        as zero (full stragglers get no work; the code's redundancy absorbs
-        them).  Set to 0 to always assign proportionally.
     """
 
     coverage: int
     num_chunks: int = 60
-    straggler_speed_floor: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive_int(self.coverage, "coverage")
         check_positive_int(self.num_chunks, "num_chunks")
-        if self.straggler_speed_floor < 0:
-            raise ValueError("straggler_speed_floor must be >= 0")
 
     def plan(self, speeds: np.ndarray) -> CodedWorkPlan:
         """Build the per-iteration plan from predicted speeds.
@@ -202,17 +231,14 @@ class GeneralS2C2Scheduler:
         Falls back to the conventional full plan when fewer than
         ``coverage`` workers look alive (robustness guarantee, §4.4).
         """
-        speeds = np.asarray(speeds, dtype=np.float64).copy()
-        if self.straggler_speed_floor > 0:
-            alive = speeds[speeds > 0]
-            if alive.size:
-                floor = self.straggler_speed_floor * float(np.median(alive))
-                speeds[speeds < floor] = 0.0
-        try:
-            counts = allocate_chunks(speeds, self.coverage, self.num_chunks)
-        except ValueError:
-            return full_plan(speeds.size, self.num_chunks, self.coverage)
-        return wraparound_plan(counts, self.coverage, self.num_chunks)
+        return self.plan_batch(np.asarray(speeds, dtype=np.float64)[None])[0]
+
+    def plan_batch(self, speeds: np.ndarray) -> PlanBatch:
+        """:meth:`plan` for every row of a ``(trials, workers)`` matrix at once."""
+        chunks = self.num_chunks
+        counts, feasible = _allocate(as_speed_matrix(speeds), self.coverage, chunks)
+        counts[~feasible] = chunks
+        return PlanBatch(_layout(counts, chunks), counts, self.coverage, chunks)
 
 
 @dataclass(frozen=True)
@@ -239,28 +265,11 @@ class BasicS2C2Scheduler:
 
     def plan(self, speeds: np.ndarray) -> CodedWorkPlan:
         """Classify stragglers, then split work equally among the fast set."""
-        speeds = np.asarray(speeds, dtype=np.float64)
-        return self._plan_binary(self._classify(speeds))
+        return self.plan_batch(np.asarray(speeds, dtype=np.float64)[None])[0]
 
-    def plan_batch(self, speeds: np.ndarray) -> list[CodedWorkPlan]:
-        """Per-trial plans, deduplicated on the binary classification.
-
-        Distinct speed rows usually collapse to the same fast/straggler
-        pattern, so a Monte-Carlo batch typically needs only a handful of
-        distinct plans — which the batched simulator then profiles once
-        each.
-        """
+    def plan_batch(self, speeds: np.ndarray) -> PlanBatch:
+        """:meth:`plan` for every row of a ``(trials, workers)`` matrix at once."""
         speeds = as_speed_matrix(speeds)
-        binary = np.stack([self._classify(row) for row in speeds])
-        return plan_unique_rows(binary, self._plan_binary)
-
-    def _classify(self, speeds: np.ndarray) -> np.ndarray:
-        fastest = float(speeds.max(initial=0.0))
-        return np.where(speeds >= self.straggler_threshold * fastest, 1.0, 0.0)
-
-    def _plan_binary(self, binary: np.ndarray) -> CodedWorkPlan:
-        try:
-            counts = allocate_chunks(binary, self.coverage, self.num_chunks)
-        except ValueError:
-            return full_plan(binary.size, self.num_chunks, self.coverage)
-        return wraparound_plan(counts, self.coverage, self.num_chunks)
+        fastest = speeds.max(axis=1, initial=0.0)[:, None]
+        binary = np.where(speeds >= self.straggler_threshold * fastest, 1.0, 0.0)
+        return GeneralS2C2Scheduler(self.coverage, self.num_chunks).plan_batch(binary)

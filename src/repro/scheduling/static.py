@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.scheduling.base import CodedWorkPlan, as_speed_matrix, full_plan
+from repro.scheduling.base import CodedWorkPlan, PlanBatch, as_speed_matrix
 
 __all__ = ["StaticCodedScheduler"]
 
@@ -41,11 +41,9 @@ class StaticCodedScheduler:
 
     def plan(self, speeds: np.ndarray) -> CodedWorkPlan:
         """Ignore ``speeds`` and assign every chunk to every worker."""
-        speeds = np.asarray(speeds)
-        return full_plan(speeds.size, self.num_chunks, self.coverage)
+        return self.plan_batch(np.asarray(speeds, dtype=np.float64)[None])[0]
 
-    def plan_batch(self, speeds: np.ndarray) -> list[CodedWorkPlan]:
-        """One shared full plan for the whole batch (the plan is static)."""
-        speeds = as_speed_matrix(speeds)
-        shared = full_plan(speeds.shape[1], self.num_chunks, self.coverage)
-        return [shared] * speeds.shape[0]
+    def plan_batch(self, speeds: np.ndarray) -> PlanBatch:
+        """Full arcs for every trial of a ``(trials, workers)`` matrix."""
+        full = np.full(as_speed_matrix(speeds).shape, self.num_chunks)
+        return PlanBatch(np.zeros_like(full), full, self.coverage, self.num_chunks)

@@ -17,8 +17,9 @@ half (when the timeout fires, how long repairs take) lives in
 * ``repair_assignments(plan, {worker: chunks}, speeds)`` — one iteration:
   the chunks each finished worker sent, and a ``(n,)`` speed vector;
   returns ``{worker: extra chunks}``.
-* ``repair_assignments(plans, finished, speeds)`` — a batch: one plan per
-  trial (or one shared plan), a ``(trials, n)`` boolean mask of the
+* ``repair_assignments(plans, finished, speeds)`` — a batch: a
+  :class:`~repro.scheduling.base.PlanBatch`, one plan per trial or one
+  shared plan, a ``(trials, n)`` boolean mask of the
   workers that finished — each having sent its whole plan assignment —
   and a ``(trials, n)`` speed matrix; returns the ``(trials, n,
   num_chunks)`` boolean mask of reassigned chunks.
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.scheduling.base import CodedWorkPlan
+from repro.scheduling.base import CodedWorkPlan, PlanBatch, as_plan_batch
 
 __all__ = ["TimeoutPolicy", "repair_assignments"]
 
@@ -72,7 +73,7 @@ class TimeoutPolicy:
 
 
 def repair_assignments(
-    plan: CodedWorkPlan | Sequence[CodedWorkPlan],
+    plan: PlanBatch | CodedWorkPlan | Sequence[CodedWorkPlan],
     completed: dict[int, np.ndarray] | np.ndarray,
     speeds: np.ndarray,
 ) -> dict[int, np.ndarray] | np.ndarray:
@@ -82,7 +83,8 @@ def repair_assignments(
     ----------
     plan:
         The original coded work plan (defines ``coverage``); in the batched
-        form, one plan per trial or one plan shared by every trial.
+        form, a :class:`~repro.scheduling.base.PlanBatch`, one plan per
+        trial, or one plan shared by every trial.
     completed:
         Mapping of finished worker → chunk indices it already contributed;
         in the batched form, a ``(trials, n)`` boolean mask of finished
@@ -130,22 +132,20 @@ def repair_assignments(
             f"got {finished.dtype} array of shape {finished.shape}"
         )
     trials, n = finished.shape
-    plans = [plan] * trials if isinstance(plan, CodedWorkPlan) else list(plan)
-    if len(plans) != trials:
-        raise ValueError(f"plan: got {len(plans)} plans for {trials} trials")
-    if any(
-        p.n_workers != n or p.num_chunks != plans[0].num_chunks for p in plans
-    ):
-        raise ValueError(
-            "plan: every plan must span the mask's workers and share num_chunks"
-        )
     if not trials:
         return np.zeros((0, n, 0), dtype=bool)
+    batch = as_plan_batch(plan, trials, "plan")
+    if batch.n_workers != n:
+        raise ValueError(
+            f"plan: plans span {batch.n_workers} workers, the mask {n}"
+        )
+    holds = batch.chunk_mask()
+    holds &= finished[:, :, None]
     return _greedy_fill(
-        np.stack([p.chunk_mask() for p in plans]) & finished[:, :, None],
+        holds,
         finished,
         _checked_speeds(speeds, finished.shape),
-        np.array([p.coverage for p in plans]),
+        np.full(trials, batch.coverage),
         batched=True,
     )
 

@@ -2,9 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.prediction.arima import ARIMA111Model, ARModel
-from repro.prediction.traces import STABLE, generate_speed_traces
+from repro.prediction.traces import MEASURED, STABLE, generate_speed_traces
+
+
+def reference_css(params, diffs_list):
+    """The per-series scalar CSS loop, frozen as the oracle."""
+    c, phi, theta = params
+    total = 0.0
+    for diffs in diffs_list:
+        err_prev = 0.0
+        for t in range(1, diffs.size):
+            err = diffs[t] - c - phi * diffs[t - 1] - theta * err_prev
+            total += err * err
+            err_prev = err
+    return total
 
 
 def ar1_series(phi=0.8, c=0.2, n=8, length=300, seed=0):
@@ -75,6 +90,43 @@ class TestARModel:
 
 
 class TestARIMA111Model:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(-1.0, 1.0),
+        phi=st.floats(-1.0, 1.0),
+        theta=st.one_of(
+            st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.999, 0.999, 1.0])
+        ),
+        series=st.integers(1, 6),
+        length=st.integers(3, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_css_equals_scalar_loop(self, seed, c, phi, theta, series, length):
+        traces = np.random.default_rng(seed).lognormal(0.0, 0.5, (series, length))
+        params = np.array([c, phi, theta])
+        got = ARIMA111Model._css(params, np.diff(traces, axis=1))
+        assert type(got) is float
+        assert got == reference_css(params, [np.diff(row) for row in traces])
+
+    @pytest.mark.parametrize(
+        "nodes, length, expected",
+        [
+            (40, 250, ("-0x1.142949d5c84a6p-16", "0x1.8cb02fd0df7f8p-5",
+                       "-0x1.c9ced1846523ep-2")),
+            (100, 1000, ("0x1.9a2835445d552p-17", "0x1.f1a3c586ae7a8p-4",
+                         "-0x1.e893f655cc172p-2")),
+        ],
+        ids=["quick", "full"],
+    )
+    def test_fit_on_sec61_inputs_is_pinned(self, nodes, length, expected):
+        # The §6.1 training split at seed 0: the fitted (c, φ, θ) of the
+        # per-series scalar CSS, to the last bit.
+        train = generate_speed_traces(nodes, length, MEASURED, seed=0)
+        model = ARIMA111Model().fit(train[: int(0.8 * nodes)])
+        assert (model.intercept, model.phi, model.theta) == tuple(
+            float.fromhex(v) for v in expected
+        )
+
     def test_fit_and_predict_shapes(self):
         traces = generate_speed_traces(10, 150, STABLE, seed=1)
         model = ARIMA111Model().fit(traces[:8])
