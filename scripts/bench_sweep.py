@@ -53,10 +53,10 @@ per-phase hot-spot table, and attaches the phase totals to the
 
 The prediction-path micro-bench (``--predictor-trials``) drives the §6.2
 online LSTM forecasting loop — the prediction-in-the-loop side of every
-cloud experiment — through a homogeneous ``StackedPredictor`` twice: once
-with ``vectorize=False`` (the old per-trial Python loop) and once on the
-vectorized fast path (one stacked recurrent step per round), asserting
-the forecasts stay point-for-point identical.
+cloud experiment — twice: once as a ``StackedPredictor`` of one-trial
+``LSTMPredictor`` views (one Python call per trial and round) and once as
+one ``BatchLSTMPredictor`` (one stacked recurrent step per round),
+asserting the forecasts stay point-for-point identical.
 
 The per-trial numbers of the compute paths are identical (the batch engine
 is bitwise-equivalent by construction — see ``tests/runtime/test_batch.py``
@@ -416,7 +416,7 @@ def bench_event_kernel(
 
 
 def bench_predictor_path(quick: bool, trials: int) -> tuple[float, float, int]:
-    """Online-forecasting bench: per-trial predictor loop vs batched stack.
+    """Online-forecasting bench: a stack of one-trial views vs one batch kernel.
 
     Returns ``(loop_seconds, batch_seconds, rounds)``.  One trained §6.1
     LSTM shared by ``trials`` independent per-worker recurrent states,
@@ -424,7 +424,11 @@ def bench_predictor_path(quick: bool, trials: int) -> tuple[float, float, int]:
     the cloud experiments' forecasting feedback loop.
     """
     from repro.prediction.lstm import LSTMSpeedModel
-    from repro.prediction.predictor import LSTMPredictor, StackedPredictor
+    from repro.prediction.predictor import (
+        BatchLSTMPredictor,
+        LSTMPredictor,
+        StackedPredictor,
+    )
     from repro.prediction.traces import VOLATILE, generate_speed_traces
 
     n_workers = 10
@@ -441,8 +445,7 @@ def bench_predictor_path(quick: bool, trials: int) -> tuple[float, float, int]:
     )
 
     loop = StackedPredictor(
-        [LSTMPredictor(model, n_workers) for _ in range(trials)],
-        vectorize=False,
+        [LSTMPredictor(model, n_workers) for _ in range(trials)]
     )
     start = time.perf_counter()
     for r in range(rounds):
@@ -450,18 +453,15 @@ def bench_predictor_path(quick: bool, trials: int) -> tuple[float, float, int]:
         loop.predict()
     loop_s = time.perf_counter() - start
 
-    fast = StackedPredictor(
-        [LSTMPredictor(model, n_workers) for _ in range(trials)]
-    )
-    assert fast.vectorized
+    batch = BatchLSTMPredictor(model, trials, n_workers)
     start = time.perf_counter()
     for r in range(rounds):
-        fast.update(observed[:, :, r])
-        fast.predict()
+        batch.update(observed[:, :, r])
+        batch.predict()
     batch_s = time.perf_counter() - start
 
     # Point-for-point contract, cheap to hold.
-    assert np.array_equal(fast.predict(), loop.predict())
+    assert np.array_equal(batch.predict(), loop.predict())
     return loop_s, batch_s, rounds
 
 
@@ -640,11 +640,11 @@ def main() -> None:
 
     loop_s, pbatch_s, rounds = bench_predictor_path(quick, args.predictor_trials)
     print(
-        f"predict per-trial loop ({args.predictor_trials} trials, "
+        f"predict per-trial views ({args.predictor_trials} trials, "
         f"{rounds} rounds): {loop_s:7.2f}s"
     )
     print(
-        f"predict batched stack:                    {pbatch_s:7.2f}s   "
+        f"predict batched kernel:                   {pbatch_s:7.2f}s   "
         f"({loop_s / pbatch_s:.1f}x)"
     )
     record["predictor"] = {

@@ -10,7 +10,7 @@ tables' measured columns come from this output.  ``--jobs N`` spreads
 shard work units of each figure over the ``--executor`` backend (cells
 with many trials are split into deterministic trial shards), ``--trials
 N`` averages every figure over N seeded Monte-Carlo trials simulated in
-vectorized batches, and ``--resume`` picks an interrupted sweep up from
+batches, and ``--resume`` picks an interrupted sweep up from
 the run store.  Flag validation is shared with ``python -m repro``.
 """
 

@@ -79,8 +79,8 @@ done
 
 if [ "$1" = "bench" ]; then
     echo "== bench (appending to BENCH_SWEEP.json) =="
-    # --predictor-trials drives the prediction-path micro-bench (per-trial
-    # forecasting loop vs the batched predictor stack), --matrix the
+    # --predictor-trials drives the prediction-path micro-bench (a stack
+    # of one-trial LSTM views vs one batched LSTM kernel), --matrix the
     # policy x scenario grid, --engine the fat-cell scheduling bench
     # (cell-granular vs trial-sharded at --engine-jobs width), and
     # --events the event-backend benches (closed form vs per-trial event

@@ -8,7 +8,7 @@ Commands
     Regenerate the paper's figures (all of them by default) and print the
     tables.  ``--quick`` uses the reduced CI-scale configurations;
     ``--trials`` averages every figure over N seeded Monte-Carlo trials
-    (simulated in vectorized batches); ``--jobs`` spreads shard work units
+    (simulated in batches); ``--jobs`` spreads shard work units
     over the selected ``--executor`` backend (``serial`` / ``thread`` /
     ``process``) — large-trial cells are split into deterministic trial
     shards, so one fat cell scales across cores; results are persisted to

@@ -11,7 +11,7 @@ environment" into a *named scenario* that experiments can sweep over:
   plus declared default parameters;
 * :func:`scenario_speed_model` builds the single-trial model,
   :func:`scenario_batch` stacks per-trial-seeded models into the
-  ``(trials, workers)`` batch form the vectorized simulators consume —
+  ``(trials, workers)`` batch form the batched simulators consume —
   the same scenario therefore drives the scalar *and* the batched paths;
 * scenario names are plain strings, so a scenario is directly usable as a
   :class:`~repro.experiments.sweep.SweepSpec` axis value (JSON-serialisable,

@@ -56,7 +56,7 @@ nor exact coverage) replay through :meth:`~CodedIterationSim.run`.
 
 Both uncoded simulators return the same stacked
 :class:`BatchUncodedOutcome`.  :meth:`ReplicationIterationSim.run_batch`
-vectorizes the primary arrivals and resolves each trial's speculation — a
+batches the primary arrivals and resolves each trial's speculation — a
 bounded sequence of relaunches on whichever workers are idle — with the
 scalar path's own :meth:`~ReplicationIterationSim._complete`;
 :meth:`OverDecompositionIterationSim.run_batch` stacks the per-worker chunk
@@ -797,7 +797,7 @@ class CodedIterationSim:
         ``recv`` is when each worker starts its task (it has received the
         broadcast) and ``bandwidth`` that of its reply link: scalars, or
         ``(trials, workers)`` arrays.  Full and exact-coverage plans take
-        closed-form vectorized timelines; the trials whose §4.3 timeout
+        closed-form array timelines; the trials whose §4.3 timeout
         arms are repaired together by :meth:`_repair_batch`, bitwise-equal
         to what :meth:`run` does.  ``replay(t)`` re-simulates trial ``t``
         through the scalar path, the semantics of record for general

@@ -232,7 +232,7 @@ class StackedSpeeds:
     would — the property the batched-vs-loop equivalence tests rely on.
     Generation cost is linear in trials, which is negligible next to the
     simulation itself; the payoff is the stacked ``(trials, workers)``
-    matrix the vectorized simulators operate on.
+    matrix the batched simulators operate on.
     """
 
     models: tuple[SpeedModel, ...]

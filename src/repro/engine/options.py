@@ -87,8 +87,8 @@ def add_execution_arguments(
             type=positive_int,
             default=trials_default,
             metavar="N",
-            help="Monte-Carlo trials per sweep cell, simulated in vectorized "
-            f"batches and averaged (default: {trials_default})",
+            help="Monte-Carlo trials per sweep cell, simulated in batches "
+            f"and averaged (default: {trials_default})",
         )
     parser.add_argument(
         "--jobs",

@@ -17,7 +17,7 @@ speed draws in, per-trial metric lists out), so concatenating shard values
 in trial order is **bitwise-equal** to a single monolithic evaluation; the
 batched simulators' own contract (trial ``t`` of a batch equals a
 single-trial run from the same seed, for any batch composition) is what
-makes the guarantee hold through the vectorized engines.
+makes the guarantee hold through the batched engines.
 ``tests/engine/test_determinism.py`` pins it for representative policies ×
 scenarios at shard sizes {1, 7, trials}.
 

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
-from repro.prediction.predictor import LastValuePredictor, StackedPredictor
+from repro.prediction.predictor import BatchLastValuePredictor
 from repro.scheduling.policies import build_policy
 from repro.scheduling.replication import ReplicaPlacement
 
@@ -68,7 +68,7 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
         policy = build_policy("mds", N_WORKERS, k)
     metrics = policy.run_batch(
         StackedSpeeds([_speeds(s, seed, ids) for seed in ctx.seeds]),
-        StackedPredictor([LastValuePredictor(N_WORKERS) for _ in ctx.seeds]),
+        BatchLastValuePredictor(ctx.trials, N_WORKERS),
         rows=rows,
         cols=cols,
         iterations=iterations,

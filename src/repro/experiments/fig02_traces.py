@@ -12,7 +12,7 @@ stable preset, reproducing the observation the whole paper builds on.
 
 Runs as a single-cell sweep; with ``trials > 1`` the statistics are
 averaged over independently seeded trace generations.  The regime
-statistics reduce through the vectorized
+statistics reduce through the batched
 :func:`~repro.prediction.traces.regime_length_means` kernel — one time
 sweep over the whole stacked ``(trials × nodes, length)`` tensor instead
 of a Python recursion per node per trial, numerically identical per row.

@@ -101,14 +101,18 @@ class ExperimentResult:
             )
         self.rows.append((label, *values))
 
-    def column(self, name: str) -> np.ndarray:
-        """Extract one numeric column by name."""
+    def _numeric_index(self, name: str) -> int:
         try:
             idx = self.columns.index(name)
         except ValueError:
             raise KeyError(f"no column named {name!r}") from None
         if idx == 0:
-            raise KeyError("column 0 holds labels; use .labels()")
+            raise KeyError(f"column {name!r} holds labels; use .labels()")
+        return idx
+
+    def column(self, name: str) -> np.ndarray:
+        """Extract one numeric column by name."""
+        idx = self._numeric_index(name)
         return np.array([row[idx] for row in self.rows], dtype=np.float64)
 
     def labels(self) -> list[str]:
@@ -117,7 +121,7 @@ class ExperimentResult:
 
     def value(self, label: str, column: str) -> float:
         """Single cell lookup by row label and column name."""
-        idx = self.columns.index(column)
+        idx = self._numeric_index(column)
         for row in self.rows:
             if row[0] == label:
                 return float(row[idx])

@@ -26,7 +26,7 @@ import numpy as np
 from repro.cluster.scenarios import available_scenarios, scenario_batch
 from repro.experiments.harness import ExperimentResult, trial_mean
 from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
-from repro.prediction.predictor import LastValuePredictor, StackedPredictor
+from repro.prediction.predictor import BatchLastValuePredictor
 from repro.scheduling.policies import build_policy
 
 __all__ = ["run", "main", "N_WORKERS", "COVERAGE", "VARIANTS"]
@@ -48,7 +48,7 @@ def _cell(params: dict, ctx: SweepContext) -> dict:
     policy = build_policy(_POLICY_OF[params["variant"]], N_WORKERS, COVERAGE)
     metrics = policy.run_batch(
         scenario_batch(scenario, N_WORKERS, ctx.seeds),
-        StackedPredictor([LastValuePredictor(N_WORKERS) for _ in ctx.seeds]),
+        BatchLastValuePredictor(ctx.trials, N_WORKERS),
         rows=rows,
         cols=cols,
         iterations=iterations,

@@ -13,7 +13,7 @@ is the best ARIMA, and the LSTM is at least as good as AR(1).
 Runs as a single-cell sweep; with ``trials > 1`` the MAPEs are averaged
 over independently seeded trace generations (and model trainings).  The
 trials ride one stacked ``(trials, nodes, length)`` trace tensor: the
-naive-floor errors reduce in a single vectorized pass and only the
+naive-floor errors reduce in a single array pass and only the
 irreducibly per-seed work — fitting each trial's independent models —
 still loops, with trial ``t`` numerically identical to a single-trial run
 seeded the same way.

@@ -7,7 +7,6 @@ from repro.prediction.predictor import (
     BatchARPredictor,
     BatchLastValuePredictor,
     BatchLSTMPredictor,
-    BatchOnlinePredictor,
     LastValuePredictor,
     LSTMPredictor,
     OnlinePredictor,
@@ -35,7 +34,6 @@ __all__ = [
     "BatchARPredictor",
     "BatchLSTMPredictor",
     "BatchLastValuePredictor",
-    "BatchOnlinePredictor",
     "LSTMPredictor",
     "LSTMSpeedModel",
     "LSTMState",

@@ -286,7 +286,9 @@ class LSTMSpeedModel:
         The recurrent math is row-independent, so a whole Monte-Carlo
         batch shares one ``initial_state(trials * nodes)`` and advances in
         a single :meth:`step` call per round; row ``(t, n)`` evolves bit
-        for bit as node ``n`` of an independent trial-``t`` state would.
+        for bit as node ``n`` of an independent trial-``t`` state would,
+        unless that state has one row (a one-row step takes BLAS's
+        matrix-vector kernel, which rounds differently).
         This is the kernel behind
         :class:`~repro.prediction.predictor.BatchLSTMPredictor`.
         """

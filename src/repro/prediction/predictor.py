@@ -21,21 +21,20 @@ Implementations:
   environments in experiments.
 
 Monte-Carlo sweeps run many trials of the prediction-in-the-loop S2C2
-control loop at once, so forecasting is also available *natively batched*:
-:class:`BatchLastValuePredictor`, :class:`BatchARPredictor` and
-:class:`BatchLSTMPredictor` advance a whole ``(trials, nodes)`` state
-tensor per round (one vectorized kernel call instead of one Python call
-per trial), behind the common :class:`BatchOnlinePredictor` protocol.
-Each batched counterpart evolves row ``t`` bit for bit as the scalar
-predictor it mirrors would — :class:`StackedPredictor` exploits that to
-swap a homogeneous per-trial stack for the vectorized kernel
-transparently.
+control loop at once, so the three model-backed forecasters are written
+once, batched: :class:`BatchLastValuePredictor`, :class:`BatchARPredictor`
+and :class:`BatchLSTMPredictor` advance a whole ``(trials, nodes)`` state
+tensor per round (one kernel call instead of one Python call per trial).
+The scalar last-value, AR and LSTM predictors are one-trial views of those
+kernels, so a session and trial ``t`` of a sweep run the same code.
+:class:`StackedPredictor` loops the predictors that have no batched kernel
+(oracle, stale and user-defined ones) over the trials of a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from repro.prediction.lstm import LSTMSpeedModel
 __all__ = [
     "OnlinePredictor",
     "BatchPredictor",
-    "BatchOnlinePredictor",
     "LastValuePredictor",
     "ARPredictor",
     "LSTMPredictor",
@@ -144,31 +142,6 @@ class BatchPredictor(Protocol):
         ...
 
 
-@runtime_checkable
-class BatchOnlinePredictor(Protocol):
-    """Natively vectorized :class:`BatchPredictor` with a fixed node count.
-
-    The contract the batched forecasting kernels add on top of
-    :class:`BatchPredictor`: the node dimension is declared up front
-    (``update`` validates the full ``(n_trials, n_nodes)`` shape) and
-    trial ``t`` must evolve bit for bit as the scalar counterpart
-    predictor would under the same observations — the property the
-    :class:`StackedPredictor` fast path and the batched-vs-loop
-    equivalence tests rely on.
-    """
-
-    n_trials: int
-    n_nodes: int
-
-    def update(self, observed: np.ndarray) -> None:
-        """Record measurements for every trial (NaN = no measurement)."""
-        ...
-
-    def predict(self) -> np.ndarray:
-        """Forecast the next iteration's speeds for every trial."""
-        ...
-
-
 def _fill_nan_with(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     mask = np.isnan(values)
     if mask.any():
@@ -177,22 +150,39 @@ def _fill_nan_with(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass
-class LastValuePredictor:
-    """Predict each node's next speed as its last observed speed."""
+def _check_batch_observed(
+    observed: np.ndarray, n_trials: int, n_nodes: int
+) -> np.ndarray:
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.shape != (n_trials, n_nodes):
+        raise ValueError(
+            f"observed must have shape ({n_trials}, {n_nodes}), "
+            f"got {observed.shape}"
+        )
+    return observed
 
+
+# ---------------------------------------------------------------------------
+# Batched forecasting kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BatchLastValuePredictor:
+    """Last-value forecasts over a ``(trials, nodes)`` state."""
+
+    n_trials: int
     n_nodes: int
     initial: float = 1.0
     _last: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_positive_int(self.n_trials, "n_trials")
         check_positive_int(self.n_nodes, "n_nodes")
-        self._last = np.full(self.n_nodes, float(self.initial))
+        self._last = np.full((self.n_trials, self.n_nodes), float(self.initial))
 
     def update(self, observed: np.ndarray) -> None:
-        observed = np.asarray(observed, dtype=np.float64)
-        if observed.shape != (self.n_nodes,):
-            raise ValueError(f"observed must have shape ({self.n_nodes},)")
+        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
         self._last = _fill_nan_with(observed, self._last)
 
     def predict(self) -> np.ndarray:
@@ -200,26 +190,33 @@ class LastValuePredictor:
 
 
 @dataclass
-class ARPredictor:
-    """Online wrapper around a fitted AR(p) model."""
+class BatchARPredictor:
+    """AR(p) forecasts for all trials: one regression pass per round.
+
+    All trials share the single fitted :class:`ARModel` (its coefficients
+    are read-only at prediction time); the lag window is kept as a
+    ``(trials, nodes)`` tensor per lag and the pooled forecast runs as one
+    ``(trials * nodes, p)`` regression pass.  Until ``p`` observations
+    have arrived the forecast is the last observation.
+    """
 
     model: ARModel
+    n_trials: int
     n_nodes: int
     initial: float = 1.0
     _history: list[np.ndarray] = field(init=False, repr=False)
     _last: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_positive_int(self.n_trials, "n_trials")
         check_positive_int(self.n_nodes, "n_nodes")
         if self.model.coef is None:
-            raise ValueError("ARPredictor requires a fitted ARModel")
+            raise ValueError("model must be a fitted ARModel")
         self._history = []
-        self._last = np.full(self.n_nodes, float(self.initial))
+        self._last = np.full((self.n_trials, self.n_nodes), float(self.initial))
 
     def update(self, observed: np.ndarray) -> None:
-        observed = np.asarray(observed, dtype=np.float64)
-        if observed.shape != (self.n_nodes,):
-            raise ValueError(f"observed must have shape ({self.n_nodes},)")
+        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
         self._last = _fill_nan_with(observed, self._last)
         self._history.append(self._last.copy())
         if len(self._history) > self.model.p:
@@ -228,15 +225,25 @@ class ARPredictor:
     def predict(self) -> np.ndarray:
         if len(self._history) < self.model.p:
             return self._last.copy()
-        history = np.stack(self._history, axis=1)
-        return np.clip(self.model.predict_next(history), 1e-6, None)
+        history = np.stack(self._history, axis=2)  # (trials, nodes, p)
+        flat = history.reshape(self.n_trials * self.n_nodes, -1)
+        pred = np.clip(self.model.predict_next(flat), 1e-6, None)
+        return pred.reshape(self.n_trials, self.n_nodes)
 
 
 @dataclass
-class LSTMPredictor:
-    """Online wrapper around a trained LSTM with per-node recurrent state."""
+class BatchLSTMPredictor:
+    """LSTM forecasts for all trials: one recurrent step per round.
+
+    All trials share the single trained :class:`LSTMSpeedModel` (its
+    weights are read-only at prediction time) while the recurrent state is
+    one stacked ``initial_state(trials * nodes)`` tensor, advanced by a
+    single :meth:`~repro.prediction.lstm.LSTMSpeedModel.step_stacked` call
+    per round.
+    """
 
     model: LSTMSpeedModel
+    n_trials: int
     n_nodes: int
     initial: float = 1.0
     _state: object = field(init=False, repr=False)
@@ -244,21 +251,88 @@ class LSTMPredictor:
     _last: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_positive_int(self.n_trials, "n_trials")
         check_positive_int(self.n_nodes, "n_nodes")
-        self._state = self.model.initial_state(self.n_nodes)
-        self._pred = np.full(self.n_nodes, float(self.initial))
-        self._last = np.full(self.n_nodes, float(self.initial))
+        shape = (self.n_trials, self.n_nodes)
+        self._state = self.model.initial_state(self.n_trials * self.n_nodes)
+        self._pred = np.full(shape, float(self.initial))
+        self._last = np.full(shape, float(self.initial))
+
+    def update(self, observed: np.ndarray) -> None:
+        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
+        filled = _fill_nan_with(observed, self._last)
+        self._last = filled
+        self._pred = np.clip(
+            self.model.step_stacked(self._state, filled), 1e-6, None
+        )
+
+    def predict(self) -> np.ndarray:
+        return self._pred.copy()
+
+
+# ---------------------------------------------------------------------------
+# One-trial views: the scalar OnlinePredictor form of each kernel
+# ---------------------------------------------------------------------------
+
+
+class _OneTrialView:
+    """Scalar ``update``/``predict`` as row 0 of a one-trial ``_batch``."""
 
     def update(self, observed: np.ndarray) -> None:
         observed = np.asarray(observed, dtype=np.float64)
         if observed.shape != (self.n_nodes,):
             raise ValueError(f"observed must have shape ({self.n_nodes},)")
-        filled = _fill_nan_with(observed, self._last)
-        self._last = filled
-        self._pred = np.clip(self.model.step(self._state, filled), 1e-6, None)
+        self._batch.update(observed[None])
 
     def predict(self) -> np.ndarray:
-        return self._pred.copy()
+        return self._batch.predict()[0]
+
+
+@dataclass
+class LastValuePredictor(_OneTrialView):
+    """Predict each node's next speed as its last observed speed.
+
+    One-trial view of :class:`BatchLastValuePredictor`.
+    """
+
+    n_nodes: int
+    initial: float = 1.0
+    _batch: BatchLastValuePredictor = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._batch = BatchLastValuePredictor(1, self.n_nodes, self.initial)
+
+
+@dataclass
+class ARPredictor(_OneTrialView):
+    """Online wrapper around a fitted AR(p) model.
+
+    One-trial view of :class:`BatchARPredictor`.
+    """
+
+    model: ARModel
+    n_nodes: int
+    initial: float = 1.0
+    _batch: BatchARPredictor = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._batch = BatchARPredictor(self.model, 1, self.n_nodes, self.initial)
+
+
+@dataclass
+class LSTMPredictor(_OneTrialView):
+    """Online wrapper around a trained LSTM with per-node recurrent state.
+
+    One-trial view of :class:`BatchLSTMPredictor`.
+    """
+
+    model: LSTMSpeedModel
+    n_nodes: int
+    initial: float = 1.0
+    _batch: BatchLSTMPredictor = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._batch = BatchLSTMPredictor(self.model, 1, self.n_nodes, self.initial)
 
 
 @dataclass
@@ -302,7 +376,10 @@ class StalePredictor:
         self._rng = as_rng(self.seed)
 
     def update(self, observed: np.ndarray) -> None:
-        self._prev = np.asarray(observed, dtype=np.float64).copy()
+        observed = np.asarray(observed, dtype=np.float64)
+        if observed.shape != (self.speed_model.n_workers,):
+            raise ValueError("observed must have shape (n,)")
+        self._prev = observed.copy()
         self._iteration += 1
 
     def predict(self) -> np.ndarray:
@@ -316,184 +393,6 @@ class StalePredictor:
         return np.where(missed, prev, truth)
 
 
-# ---------------------------------------------------------------------------
-# Natively batched predictors
-# ---------------------------------------------------------------------------
-
-
-def _check_batch_observed(
-    observed: np.ndarray, n_trials: int, n_nodes: int
-) -> np.ndarray:
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.shape != (n_trials, n_nodes):
-        raise ValueError(
-            f"observed must have shape ({n_trials}, {n_nodes}), "
-            f"got {observed.shape}"
-        )
-    return observed
-
-
-@dataclass
-class BatchLastValuePredictor:
-    """Vectorized :class:`LastValuePredictor` over a ``(trials, nodes)`` state."""
-
-    n_trials: int
-    n_nodes: int
-    initial: float = 1.0
-    _last: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.n_trials, "n_trials")
-        check_positive_int(self.n_nodes, "n_nodes")
-        self._last = np.full((self.n_trials, self.n_nodes), float(self.initial))
-
-    @classmethod
-    def from_predictors(
-        cls, predictors: Sequence[LastValuePredictor]
-    ) -> "BatchLastValuePredictor":
-        """Adopt the current state of one scalar predictor per trial."""
-        n_nodes = {p.n_nodes for p in predictors}
-        if len(n_nodes) != 1:
-            raise ValueError("predictors must share one node count")
-        batch = cls(len(predictors), n_nodes.pop())
-        batch._last = np.stack([p._last for p in predictors])
-        return batch
-
-    def update(self, observed: np.ndarray) -> None:
-        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
-        self._last = _fill_nan_with(observed, self._last)
-
-    def predict(self) -> np.ndarray:
-        return self._last.copy()
-
-
-@dataclass
-class BatchARPredictor:
-    """Vectorized :class:`ARPredictor`: one AR(p) kernel call for all trials.
-
-    All trials share the single fitted :class:`ARModel` (its coefficients
-    are read-only at prediction time); the lag window is kept as a
-    ``(trials, nodes)`` tensor per lag and the pooled forecast runs as one
-    ``(trials * nodes, p)`` regression pass.
-    """
-
-    model: ARModel
-    n_trials: int
-    n_nodes: int
-    initial: float = 1.0
-    _history: list[np.ndarray] = field(init=False, repr=False)
-    _last: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.n_trials, "n_trials")
-        check_positive_int(self.n_nodes, "n_nodes")
-        if self.model.coef is None:
-            raise ValueError("BatchARPredictor requires a fitted ARModel")
-        self._history = []
-        self._last = np.full((self.n_trials, self.n_nodes), float(self.initial))
-
-    @classmethod
-    def from_predictors(
-        cls, predictors: Sequence[ARPredictor]
-    ) -> "BatchARPredictor":
-        """Adopt the current state of one scalar predictor per trial."""
-        first = predictors[0]
-        if any(p.model is not first.model for p in predictors):
-            raise ValueError("predictors must share one fitted ARModel")
-        if len({p.n_nodes for p in predictors}) != 1:
-            raise ValueError("predictors must share one node count")
-        if len({len(p._history) for p in predictors}) != 1:
-            raise ValueError("predictors must share one history depth")
-        batch = cls(first.model, len(predictors), first.n_nodes)
-        batch._last = np.stack([p._last for p in predictors])
-        batch._history = [
-            np.stack([p._history[i] for p in predictors])
-            for i in range(len(first._history))
-        ]
-        return batch
-
-    def update(self, observed: np.ndarray) -> None:
-        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
-        self._last = _fill_nan_with(observed, self._last)
-        self._history.append(self._last.copy())
-        if len(self._history) > self.model.p:
-            self._history.pop(0)
-
-    def predict(self) -> np.ndarray:
-        if len(self._history) < self.model.p:
-            return self._last.copy()
-        history = np.stack(self._history, axis=2)  # (trials, nodes, p)
-        flat = history.reshape(self.n_trials * self.n_nodes, -1)
-        pred = np.clip(self.model.predict_next(flat), 1e-6, None)
-        return pred.reshape(self.n_trials, self.n_nodes)
-
-
-@dataclass
-class BatchLSTMPredictor:
-    """Vectorized :class:`LSTMPredictor`: one recurrent step for all trials.
-
-    All trials share the single trained :class:`LSTMSpeedModel` (its
-    weights are read-only at prediction time) while the recurrent state is
-    one stacked ``initial_state(trials * nodes)`` tensor, advanced by a
-    single :meth:`~repro.prediction.lstm.LSTMSpeedModel.step_stacked` call
-    per round.
-    """
-
-    model: LSTMSpeedModel
-    n_trials: int
-    n_nodes: int
-    initial: float = 1.0
-    _state: object = field(init=False, repr=False)
-    _pred: np.ndarray = field(init=False, repr=False)
-    _last: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.n_trials, "n_trials")
-        check_positive_int(self.n_nodes, "n_nodes")
-        shape = (self.n_trials, self.n_nodes)
-        self._state = self.model.initial_state(self.n_trials * self.n_nodes)
-        self._pred = np.full(shape, float(self.initial))
-        self._last = np.full(shape, float(self.initial))
-
-    @classmethod
-    def from_predictors(
-        cls, predictors: Sequence[LSTMPredictor]
-    ) -> "BatchLSTMPredictor":
-        """Adopt the current recurrent state of one scalar predictor per trial."""
-        first = predictors[0]
-        if any(p.model is not first.model for p in predictors):
-            raise ValueError("predictors must share one trained LSTMSpeedModel")
-        if len({p.n_nodes for p in predictors}) != 1:
-            raise ValueError("predictors must share one node count")
-        batch = cls(first.model, len(predictors), first.n_nodes)
-        batch._state.h = np.concatenate([p._state.h for p in predictors])
-        batch._state.c = np.concatenate([p._state.c for p in predictors])
-        batch._pred = np.stack([p._pred for p in predictors])
-        batch._last = np.stack([p._last for p in predictors])
-        return batch
-
-    def update(self, observed: np.ndarray) -> None:
-        observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
-        filled = _fill_nan_with(observed, self._last)
-        self._last = filled
-        self._pred = np.clip(
-            self.model.step_stacked(self._state, filled), 1e-6, None
-        )
-
-    def predict(self) -> np.ndarray:
-        return self._pred.copy()
-
-
-#: Scalar predictor type → its vectorized counterpart.  Oracle and stale
-#: predictors are deliberately absent: they own per-trial RNG / speed-model
-#: state whose evolution a shared kernel could not replay exactly.
-_BATCH_COUNTERPARTS: dict[type, type] = {
-    LastValuePredictor: BatchLastValuePredictor,
-    ARPredictor: BatchARPredictor,
-    LSTMPredictor: BatchLSTMPredictor,
-}
-
-
 @dataclass
 class StackedPredictor:
     """Batch adapter: one independent :class:`OnlinePredictor` per trial.
@@ -501,54 +400,20 @@ class StackedPredictor:
     Trial ``t`` of the batch evolves exactly as ``predictors[t]`` would in
     a single-trial run — including its private RNG and recurrent state — so
     batched Monte-Carlo runs are comparable point-for-point with per-trial
-    loops.
-
-    Homogeneous stacks take a **vectorized fast path**: when every
-    predictor is the same last-value / AR / LSTM wrapper (sharing one
-    fitted model), the stack's current state is adopted by the matching
-    :class:`BatchOnlinePredictor` at construction and every subsequent
-    ``update``/``predict`` is a single kernel call instead of a per-trial
-    Python loop.  The fast path is numerically equal to the loop, point
-    for point; once it engages, the wrapped scalar predictors are no
-    longer advanced (the batch tensor owns the state).  Heterogeneous
-    stacks — and predictor kinds with per-trial RNG, like the oracle and
-    stale wrappers — fall back to the per-trial loop transparently.  Pass
-    ``vectorize=False`` to force the loop (the benches use this to measure
-    the fast path's win).
+    loops.  Each ``update``/``predict`` is a Python loop over the trials:
+    the adapter is for predictors without a batched kernel (the oracle,
+    stale and user-defined ones).  Last-value, AR and LSTM forecasting
+    should build :class:`BatchLastValuePredictor`, :class:`BatchARPredictor`
+    or :class:`BatchLSTMPredictor` directly, which advance every trial in
+    one call.
     """
 
     predictors: tuple[OnlinePredictor, ...]
-    vectorize: bool = True
-    _batch: BatchOnlinePredictor | None = field(
-        init=False, default=None, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.predictors = tuple(self.predictors)
         if not self.predictors:
             raise ValueError("at least one predictor is required")
-        if self.vectorize:
-            self._batch = self._vectorized()
-
-    def _vectorized(self) -> BatchOnlinePredictor | None:
-        """The stack's batched counterpart, or None for mixed stacks."""
-        kind = type(self.predictors[0])
-        batch_cls = _BATCH_COUNTERPARTS.get(kind)
-        if batch_cls is None:
-            return None
-        if any(type(p) is not kind for p in self.predictors):
-            return None
-        try:
-            return batch_cls.from_predictors(self.predictors)
-        except ValueError:
-            # Different node counts / models / warm-up depths per trial:
-            # not stackable into one tensor, keep the faithful loop.
-            return None
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the stack runs on the batched fast path."""
-        return self._batch is not None
 
     @property
     def n_trials(self) -> int:
@@ -561,13 +426,8 @@ class StackedPredictor:
                 f"observed must have shape ({self.n_trials}, nodes), "
                 f"got {observed.shape}"
             )
-        if self._batch is not None:
-            self._batch.update(observed)
-            return
         for t, predictor in enumerate(self.predictors):
             predictor.update(observed[t])
 
     def predict(self) -> np.ndarray:
-        if self._batch is not None:
-            return self._batch.predict()
         return np.stack([p.predict() for p in self.predictors])

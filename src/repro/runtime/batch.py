@@ -12,12 +12,13 @@ trials per call, feeding ``(trials, workers)`` speed matrices straight into
 Trial ``t`` of a batch run is numerically identical to a single-trial
 session built from the same seed: the simulators guarantee bitwise-equal
 timelines, and the forecasting side holds the same contract — any
-:class:`~repro.prediction.predictor.BatchPredictor` works, whether a
-:class:`~repro.prediction.predictor.StackedPredictor` looping per-trial
-state (vectorizing itself automatically for homogeneous stacks) or a
-natively batched kernel such as
+:class:`~repro.prediction.predictor.BatchPredictor` sized for the speed
+model's trial count works: a batched kernel such as
 :class:`~repro.prediction.predictor.BatchLSTMPredictor`, which advances
-one stacked ``(trials, workers)`` recurrent state per round.
+one stacked ``(trials, workers)`` recurrent state per round (the scalar
+last-value, AR and LSTM predictors are one-trial views of such kernels), or a
+:class:`~repro.prediction.predictor.StackedPredictor` looping per-trial
+oracle, stale or user-defined predictors.
 ``tests/runtime/test_batch.py`` pins this equality against real
 :class:`CodedSession` runs.
 
@@ -218,6 +219,11 @@ class _BatchRunnerBase:
     _iteration: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        if self.predictor.n_trials != self.speed_model.n_trials:
+            raise ValueError(
+                f"predictor forecasts {self.predictor.n_trials} trials but "
+                f"the speed model draws {self.speed_model.n_trials}"
+            )
         self.metrics = BatchRunMetrics(
             n_trials=self.speed_model.n_trials,
             n_workers=self.speed_model.n_workers,

@@ -44,6 +44,10 @@ class TestExperimentResult:
         assert self.make().value("y", "a") == 3.0
         with pytest.raises(KeyError):
             self.make().value("z", "a")
+        with pytest.raises(KeyError, match="'c'"):
+            self.make().value("y", "c")
+        with pytest.raises(KeyError, match="'label' holds labels"):
+            self.make().value("y", "label")
 
     def test_format_table_contains_everything(self):
         result = self.make()

@@ -11,7 +11,6 @@ from repro.prediction.predictor import (
     BatchARPredictor,
     BatchLastValuePredictor,
     BatchLSTMPredictor,
-    BatchOnlinePredictor,
     BatchPredictor,
     LastValuePredictor,
     LSTMPredictor,
@@ -189,6 +188,12 @@ class TestStalePredictor:
     def test_validation(self):
         with pytest.raises(ValueError):
             StalePredictor(ConstantSpeeds(np.ones(2)), miss_rate=1.5)
+        stale = StalePredictor(TraceSpeeds(np.ones((3, 3))), miss_rate=1.0)
+        with pytest.raises(ValueError, match=r"observed must have shape \(n,\)"):
+            stale.update(np.array([0.5]))
+        with pytest.raises(ValueError, match="shape"):
+            stale.update(np.ones((1, 3)))
+        np.testing.assert_array_equal(stale.predict(), np.ones(3))
 
 
 class TestARPredictor:
@@ -300,7 +305,6 @@ class TestBatchPredictors:
 
     def test_satisfies_protocols(self, ar_model, lstm_model):
         for _make_scalar, batch in self._pairs(ar_model, lstm_model):
-            assert isinstance(batch, BatchOnlinePredictor)
             assert isinstance(batch, BatchPredictor)
 
     def test_shape_validated(self, ar_model, lstm_model):
@@ -323,79 +327,36 @@ class TestBatchPredictors:
             BatchLSTMPredictor(lstm_model, 2, 0)
 
 
-class TestStackedPredictorFastPath:
-    TRIALS, NODES, ROUNDS = 5, 4, 10
+class TestStackedPredictor:
+    TRIALS, NODES, ROUNDS = 3, 4, 10
 
-    def _drive(self, stack, stream):
-        outputs = []
-        for observed in stream:
-            outputs.append(stack.predict())
-            stack.update(observed)
-        outputs.append(stack.predict())
-        return np.stack(outputs)
+    def _traces(self, trial):
+        rng = np.random.default_rng(trial)
+        return rng.uniform(0.1, 1.0, size=(self.NODES, self.ROUNDS + 1))
 
-    @pytest.mark.parametrize("kind", ["last-value", "ar", "lstm"])
-    def test_fast_path_engages_and_matches_loop(self, kind, ar_model, lstm_model):
-        makers = {
-            "last-value": lambda: LastValuePredictor(self.NODES),
-            "ar": lambda: ARPredictor(ar_model, self.NODES),
-            "lstm": lambda: LSTMPredictor(lstm_model, self.NODES),
-        }
-        make = makers[kind]
-        fast = StackedPredictor([make() for _ in range(self.TRIALS)])
-        loop = StackedPredictor(
-            [make() for _ in range(self.TRIALS)], vectorize=False
-        )
-        assert fast.vectorized
-        assert not loop.vectorized
-        stream = _observation_stream(self.TRIALS, self.NODES, self.ROUNDS, seed=3)
-        np.testing.assert_array_equal(
-            self._drive(fast, stream), self._drive(loop, stream)
-        )
-
-    def test_adopts_warmed_state(self, lstm_model):
-        # Predictors warmed *before* stacking: the fast path must adopt the
-        # warm recurrent state, not restart from cold.
-        stream = _observation_stream(self.TRIALS, self.NODES, 4, seed=5, nan_rate=0)
-        warmed = [LSTMPredictor(lstm_model, self.NODES) for _ in range(self.TRIALS)]
-        reference = [
-            LSTMPredictor(lstm_model, self.NODES) for _ in range(self.TRIALS)
+    def _predictors(self):
+        """Oracle, stale and stale-at-full-miss predictors, one per trial."""
+        return [
+            OraclePredictor(TraceSpeeds(self._traces(0))),
+            StalePredictor(TraceSpeeds(self._traces(1)), miss_rate=0.4, seed=1),
+            StalePredictor(TraceSpeeds(self._traces(2)), miss_rate=1.0, seed=2),
         ]
+
+    def test_stack_equals_each_predictor_alone(self):
+        stack = StackedPredictor(self._predictors())
+        alone = self._predictors()
+        stream = _observation_stream(self.TRIALS, self.NODES, self.ROUNDS, seed=3)
         for observed in stream:
-            for t in range(self.TRIALS):
-                warmed[t].update(observed[t])
-                reference[t].update(observed[t])
-        fast = StackedPredictor(warmed)
-        assert fast.vectorized
+            forecasts = stack.predict()
+            assert forecasts.shape == (self.TRIALS, self.NODES)
+            for t, predictor in enumerate(alone):
+                assert forecasts[t].tobytes() == predictor.predict().tobytes()
+            stack.update(observed)
+            for t, predictor in enumerate(alone):
+                predictor.update(observed[t])
         np.testing.assert_array_equal(
-            fast.predict(), np.stack([p.predict() for p in reference])
+            stack.predict(), np.stack([p.predict() for p in alone])
         )
-
-    def test_mixed_stack_falls_back(self, lstm_model):
-        stack = StackedPredictor(
-            [LastValuePredictor(self.NODES), LSTMPredictor(lstm_model, self.NODES)]
-        )
-        assert not stack.vectorized
-
-    def test_rng_bearing_predictors_fall_back(self):
-        stack = StackedPredictor(
-            [
-                OraclePredictor(ConstantSpeeds(np.ones(self.NODES)))
-                for _ in range(3)
-            ]
-        )
-        assert not stack.vectorized
-
-    def test_distinct_models_fall_back(self, lstm_model):
-        other = LSTMSpeedModel(hidden=4, seed=0)
-        stack = StackedPredictor(
-            [LSTMPredictor(lstm_model, self.NODES), LSTMPredictor(other, self.NODES)]
-        )
-        assert not stack.vectorized
-
-    def test_mismatched_node_counts_fall_back(self):
-        stack = StackedPredictor([LastValuePredictor(2), LastValuePredictor(3)])
-        assert not stack.vectorized
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -408,9 +369,4 @@ class TestStackedPredictorFastPath:
         with pytest.raises(ValueError, match="shape"):
             stack.update(np.ones((4, 3)))  # wrong trial count
         with pytest.raises(ValueError, match="shape"):
-            stack.update(np.ones((2, 5)))  # wrong node count (fast path)
-        loop = StackedPredictor(
-            [LastValuePredictor(3) for _ in range(2)], vectorize=False
-        )
-        with pytest.raises(ValueError):
-            loop.update(np.ones((2, 5)))  # wrong node count (loop path)
+            stack.update(np.ones((2, 5)))  # wrong node count
