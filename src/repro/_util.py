@@ -2,12 +2,15 @@
 
 These utilities deliberately stay dependency-free (NumPy only) and contain
 the argument-validation and RNG plumbing used by every subsystem, so error
-messages are consistent across the code base.
+messages are consistent across the code base, plus the builder-source
+cache both named registries (scenarios, policies) digest through.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import inspect
+import os
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +22,7 @@ __all__ = [
     "ranges_to_indices",
     "indices_to_ranges",
     "largest_remainder_round",
+    "builder_source",
 ]
 
 
@@ -116,3 +120,54 @@ def largest_remainder_round(weights: np.ndarray, total: int) -> np.ndarray:
         order = np.lexsort((np.arange(weights.size), -remainders))
         base[order[:short]] += 1
     return base
+
+
+def _source_stamp(builder: Callable) -> tuple | None:
+    """``(code, file, st_mtime_ns, st_size)`` of ``builder``'s source.
+
+    What :func:`inspect.getsource` reads the source from (its
+    ``linecache`` re-reads a file only when the size or mtime changes);
+    ``None`` when the builder has no ``__code__`` or no file to stat.
+    """
+    code = getattr(inspect.unwrap(builder), "__code__", None)
+    if code is None:
+        return None
+    try:
+        stat = os.stat(code.co_filename)
+    except OSError:
+        return None
+    return code, code.co_filename, stat.st_mtime_ns, stat.st_size
+
+
+#: Builder sources read this run, by :func:`_source_stamp`.
+_SOURCES: dict[tuple, str] = {}
+_SOURCES_HOOKED = False
+
+
+def builder_source(builder: Callable) -> str:
+    """Source of a registry builder, or its ``repr`` when not retrievable.
+
+    What the scenario and policy registry digests hash for each builder.
+    A read is cached for the run under the builder's source stamps (see
+    :func:`_source_stamp`), so an edited builder file is read afresh and
+    a builder with no stamps is read on every call.  Every new
+    :class:`~repro.engine.runner.ExecutionEngine` drops the cache (see
+    :func:`~repro.engine.runner.register_run_scoped_cache`).
+    """
+    global _SOURCES_HOOKED
+    stamp = _source_stamp(builder)
+    if stamp in _SOURCES:
+        return _SOURCES[stamp]
+    try:
+        source = inspect.getsource(builder)
+    except (OSError, TypeError):
+        return repr(builder)
+    if stamp is not None:
+        if not _SOURCES_HOOKED:
+            # Imported here: repro.engine imports this module.
+            from repro.engine.runner import register_run_scoped_cache
+
+            register_run_scoped_cache(_SOURCES.clear)
+            _SOURCES_HOOKED = True
+        _SOURCES[stamp] = source
+    return source

@@ -41,13 +41,17 @@ each built-in models.
 from __future__ import annotations
 
 import hashlib
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int, check_probability
+from repro._util import (
+    as_rng,
+    builder_source,
+    check_positive_int,
+    check_probability,
+)
 from repro.cluster.speed_models import (
     ConstantSpeeds,
     ControlledSpeeds,
@@ -223,11 +227,7 @@ def _spec_digest(spec: ScenarioSpec) -> str:
     digest = hashlib.sha256()
     digest.update(spec.name.encode())
     digest.update(repr(spec.defaults).encode())
-    try:
-        source = inspect.getsource(spec.builder)
-    except (OSError, TypeError):
-        source = repr(spec.builder)
-    digest.update(source.encode())
+    digest.update(builder_source(spec.builder).encode())
     return digest.hexdigest()
 
 

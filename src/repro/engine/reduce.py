@@ -14,7 +14,8 @@ Reducer protocol
 ----------------
 ``init() → state``, ``update(state, shard_value, lo, size) → state``
 (fold one shard's raw value; ``lo`` is the shard's first global trial
-index, ``size`` its trial count), ``merge(a, b) → state`` (``a`` covers
+index, ``size`` its trial count, at least 1 — an empty slice raises
+:class:`ReducerShapeError`), ``merge(a, b) → state`` (``a`` covers
 earlier trials than ``b``), ``finalize(state) → cell value``.  States are
 plain JSON-serialisable structures — the run store persists them as
 per-cell checkpoints so ``--resume`` folds from a checkpoint instead of
@@ -94,6 +95,14 @@ class ReducerShapeError(ShardMergeError):
     """A cell value does not fit the selected reducer's leaf contract."""
 
 
+def _check_size(size: int, cell: str) -> None:
+    """Reject an empty trial slice: no shard the engine plans is empty."""
+    if size < 1:
+        raise ReducerShapeError(
+            f"{cell}: a shard covers at least one trial, got size={size}"
+        )
+
+
 class Reducer:
     """Base class of the streaming-reduction protocol (see module docs)."""
 
@@ -140,6 +149,7 @@ class ConcatReducer(Reducer):
         return {"pieces": [], "sizes": []}
 
     def update(self, state, value, lo, size, cell="cell"):
+        _check_size(size, cell)
         state["pieces"].append(value)
         state["sizes"].append(size)
         return state
@@ -232,6 +242,7 @@ class _StreamingReducer(Reducer):
         return a
 
     def update(self, state, value, lo, size, cell="cell"):
+        _check_size(size, cell)
         piece = self._lift(value, lo, size, cell)
         if state is None:
             return piece

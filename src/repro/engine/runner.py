@@ -11,12 +11,16 @@ experiment surface.  One ``run(spec)`` call:
    mitigation-policy registry digests, the grid point, the shard's seeds,
    the scale flag, and the package version — any source or registry edit
    invalidates stored results rather than silently serving numbers
-   computed by old code);
+   computed by old code).  The package digest is computed once per
+   process; the registry digests are rebuilt from the live registries on
+   every run, reading each builder's source once per run;
 3. **restores** cells whose reducer checkpoint is already persisted in
    the run's ``cells.jsonl`` log, **streams** stored shard records into
    the remaining cells' folds, and schedules the rest on the selected
    :mod:`executor backend <repro.engine.executors>`, appending each
-   finished shard to the run's log as it completes;
+   finished shard to the run's log as it completes.  A complete stored
+   run whose every cell restores is only read: its manifest is not
+   rewritten;
 4. **folds** shard values into cell values *as the executor yields them*
    — each shard payload is converted to its reducer state on arrival and
    discarded, so peak memory tracks the shard, not the sweep.  States
@@ -126,10 +130,12 @@ def package_source_digest() -> str:
 def _content_digests() -> dict[str, str]:
     """Every content digest a shard key folds in.
 
-    The registry digests are imported lazily (and not lru-cached like the
-    package digest): both registries can gain entries at runtime, and a
-    cell resolving a scenario or policy by name must never hit a stored
-    shard computed under a different registry.
+    The registry digests are imported lazily and rebuilt from the live
+    registries on every call (not lru-cached like the package digest):
+    both registries can gain or swap entries at runtime, and a cell
+    resolving a scenario or policy by name must never hit a stored shard
+    computed under a different registry.  Only each builder's source is
+    cached for the run (:func:`repro._util.builder_source`).
     """
     from repro.cluster.scenarios import registry_digest
     from repro.scheduling.policies import (

@@ -16,7 +16,9 @@ describe *runs in flight*, not just finished cells:
   false``) and rewritten when every shard is in (``complete: true``), so
   an interrupted sweep is recognisable and ``--resume`` can report
   progress.  The manifest carries the spec identity and the content
-  digests the shard keys were computed under.
+  digests the shard keys were computed under.  A manifest already
+  complete is never rewritten, so a warm re-run that restores every
+  cell writes nothing at all.
 * **Append-only shard records** — every finished shard is appended to
   ``shards.jsonl`` *immediately* as one JSON line (a single ``write`` on
   an ``O_APPEND`` descriptor), so a killed process loses at most the
@@ -207,8 +209,13 @@ class RunHandle:
         _write_json_atomic(self.path / "manifest.json", manifest)
 
     def mark_complete(self) -> None:
-        """Flip the manifest to ``complete: true`` (atomic rewrite)."""
+        """Flip the manifest to ``complete: true`` (atomic rewrite).
+
+        A manifest that already says so is left untouched.
+        """
         manifest = self.manifest() or {}
+        if manifest.get("complete"):
+            return
         manifest["complete"] = True
         self.write_manifest(manifest)
 

@@ -6,7 +6,7 @@ LSTM and found ARIMA(1,0,0) the best of the three.  We implement:
 * :class:`ARModel` — AR(p) fitted by pooled ordinary least squares across
   all training traces (exact, no iterative optimisation needed);
 * :class:`ARIMA111Model` — ARIMA(1,1,1) fitted by conditional least squares
-  on first differences via Nelder–Mead.
+  on first differences via Nelder–Mead (SciPy's, imported by the fit).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro._util import check_positive_int
 from repro.prediction.lstm import mape
@@ -166,6 +165,9 @@ class ARIMA111Model:
 
     def fit(self, series: np.ndarray) -> "ARIMA111Model":
         """Fit on the pooled first differences of ``series`` (``(N, L)``)."""
+        # Imported on first fit, SciPy's only use: no other command loads it.
+        from scipy import optimize
+
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 2 or series.shape[1] < 3:
             raise ValueError("series must be 2-D with length >= 3")

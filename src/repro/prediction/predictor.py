@@ -143,11 +143,12 @@ class BatchPredictor(Protocol):
 
 
 def _fill_nan_with(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    mask = np.isnan(values)
-    if mask.any():
-        values = values.copy()
-        values[mask] = fallback[mask]
-    return values
+    """A fresh array: ``values`` with each NaN taken from ``fallback``.
+
+    Never the caller's buffer, so a caller reusing it cannot rewrite a
+    predictor's state.
+    """
+    return np.where(np.isnan(values), fallback, values)
 
 
 def _check_batch_observed(
@@ -218,7 +219,7 @@ class BatchARPredictor:
     def update(self, observed: np.ndarray) -> None:
         observed = _check_batch_observed(observed, self.n_trials, self.n_nodes)
         self._last = _fill_nan_with(observed, self._last)
-        self._history.append(self._last.copy())
+        self._history.append(self._last)
         if len(self._history) > self.model.p:
             self._history.pop(0)
 
@@ -348,6 +349,8 @@ class OraclePredictor:
     _iteration: int = field(init=False, default=0)
 
     def update(self, observed: np.ndarray) -> None:
+        if np.shape(observed) != (self.speed_model.n_workers,):
+            raise ValueError("observed must have shape (n,)")
         self._iteration += 1
 
     def predict(self) -> np.ndarray:

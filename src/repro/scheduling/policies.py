@@ -45,13 +45,12 @@ scenario registry resolves composition expressions.  See
 from __future__ import annotations
 
 import hashlib
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro._util import check_positive_int, check_probability
+from repro._util import builder_source, check_positive_int, check_probability
 from repro.scheduling.replication import SpeculationConfig
 from repro.scheduling.s2c2 import BasicS2C2Scheduler, GeneralS2C2Scheduler
 from repro.scheduling.static import StaticCodedScheduler
@@ -253,11 +252,7 @@ def registry_digest() -> str:
         spec = _REGISTRY[name]
         digest.update(name.encode())
         digest.update(repr(spec.defaults).encode())
-        try:
-            source = inspect.getsource(spec.builder)
-        except (OSError, TypeError):
-            source = repr(spec.builder)
-        digest.update(source.encode())
+        digest.update(builder_source(spec.builder).encode())
     return digest.hexdigest()
 
 

@@ -293,6 +293,17 @@ class TestShapeErrors:
         with pytest.raises(ReducerShapeError, match="no shard values"):
             reducer.finalize(reducer.init())
 
+    @pytest.mark.parametrize("value", [[], {"x": []}], ids=["list", "dict"])
+    @pytest.mark.parametrize("name", available_reducers())
+    def test_empty_trial_slice_rejected(self, name, value):
+        # No planned shard is empty; folding one used to divide by zero
+        # (mean), hit numpy's empty-reduction error (minmax, stats) or
+        # return a zero count with NaN probes (count, sum, quantile).
+        reducer = get_reducer(name)
+        with pytest.raises(ValueError, match=r"fig\[7\]: .*size=0") as caught:
+            reducer.update(reducer.init(), value, 0, 0, cell="fig[7]")
+        assert isinstance(caught.value, ReducerShapeError)
+
 
 class TestQuantileSummary:
     def _summary(self, residuals, pieces=4):

@@ -154,6 +154,16 @@ class TestOraclePredictor:
     def test_protocol(self):
         assert isinstance(OraclePredictor(ConstantSpeeds(np.ones(2))), OnlinePredictor)
 
+    def test_validation(self):
+        traces = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        oracle = OraclePredictor(TraceSpeeds(traces))
+        with pytest.raises(ValueError, match=r"observed must have shape \(n,\)"):
+            oracle.update(np.array([0.5]))
+        with pytest.raises(ValueError, match="shape"):
+            oracle.update(np.ones((1, 3)))
+        # A rejected observation does not advance the iteration.
+        np.testing.assert_array_equal(oracle.predict(), [1.0, 3.0, 5.0])
+
 
 class TestStalePredictor:
     def test_zero_miss_rate_is_oracle(self):
@@ -325,6 +335,36 @@ class TestBatchPredictors:
             BatchLastValuePredictor(0, 3)
         with pytest.raises(ValueError):
             BatchLSTMPredictor(lstm_model, 2, 0)
+
+
+#: Each built-in model in its one-trial view and its batch form.
+_FORMS = {
+    "last-value-view": lambda ar, lstm: LastValuePredictor(3),
+    "last-value-batch": lambda ar, lstm: BatchLastValuePredictor(2, 3),
+    "ar-view": lambda ar, lstm: ARPredictor(ar, 3),
+    "ar-batch": lambda ar, lstm: BatchARPredictor(ar, 2, 3),
+    "lstm-view": lambda ar, lstm: LSTMPredictor(lstm, 3),
+    "lstm-batch": lambda ar, lstm: BatchLSTMPredictor(lstm, 2, 3),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_caller_buffer_not_aliased(form, ar_model, lstm_model):
+    # A caller that rewrites its observation buffer after update() must
+    # not reach the predictor's state: each form tracks a twin fed
+    # private copies, through an all-NaN round that falls back on the
+    # remembered observation.
+    reused = _FORMS[form](ar_model, lstm_model)
+    fresh = _FORMS[form](ar_model, lstm_model)
+    shape = fresh.predict().shape
+    rng = np.random.default_rng(0)
+    rounds = [rng.uniform(0.1, 1.0, shape) for _ in range(3)]
+    for observed in rounds + [np.full(shape, np.nan)]:
+        buffer = observed.copy()
+        reused.update(buffer)
+        fresh.update(observed.copy())
+        buffer[...] = 9.0
+        np.testing.assert_array_equal(reused.predict(), fresh.predict())
 
 
 class TestStackedPredictor:
