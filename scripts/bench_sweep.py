@@ -14,7 +14,7 @@ one repair-heavy high-straggler iteration batch under three regimes:
   :class:`CodedSession` per (cell, trial), complete with encode / numeric
   compute / decode, strategies and trials looped in Python;
 * **sweep + batched engine** — the same cells through
-  ``SweepSpec``/``SweepRunner`` with the batched latency simulators
+  ``SweepSpec``/``ExecutionEngine`` with the batched latency simulators
   (``--jobs`` controls the process pool; on a single-core machine the win
   comes from batching alone);
 * **sweep, warm cache** — a re-run against the on-disk result cache.
@@ -105,7 +105,7 @@ def bench_serial_sessions(quick: bool, trials: int) -> float:
         run_coded_lr_like,
         run_replicated_lr_like,
     )
-    from repro.experiments.sweep import SEED_STRIDE
+    from repro.engine import SEED_STRIDE
     from repro.prediction.predictor import LastValuePredictor, OraclePredictor
     from repro.scheduling.timeout import TimeoutPolicy
 
@@ -151,13 +151,15 @@ def bench_sweep(
     quick: bool, trials: int, jobs: int, cache_dir, executor: str = "process"
 ) -> float:
     from repro.experiments.fig06_lr import run
-    from repro.experiments.sweep import SweepRunner
+    from repro.engine import ExecutionEngine, RunStore
 
     start = time.perf_counter()
     run(
         quick=quick,
         trials=trials,
-        runner=SweepRunner(jobs=jobs, cache_dir=cache_dir, executor=executor),
+        runner=ExecutionEngine(
+            jobs=jobs, executor=executor, store=RunStore(cache_dir)
+        ),
     )
     return time.perf_counter() - start
 
@@ -176,7 +178,7 @@ def bench_engine(
     """
     from repro.engine.plan import compile_plan
     from repro.experiments.fig06_lr import _cell
-    from repro.experiments.sweep import SweepRunner, SweepSpec
+    from repro.engine import ExecutionEngine, SweepSpec
 
     spec = SweepSpec(
         name="engine-fat-cell",
@@ -186,10 +188,12 @@ def bench_engine(
         quick=quick,
     )
     start = time.perf_counter()
-    mono = SweepRunner(jobs=jobs, shard_size=trials, executor=executor).run(spec)
+    mono = ExecutionEngine(
+        jobs=jobs, shard_size=trials, executor=executor
+    ).run(spec)
     cell_s = time.perf_counter() - start
     start = time.perf_counter()
-    sharded = SweepRunner(jobs=jobs, executor=executor).run(spec)
+    sharded = ExecutionEngine(jobs=jobs, executor=executor).run(spec)
     shard_s = time.perf_counter() - start
     assert sharded.values == mono.values  # bitwise shard-merge contract
     return cell_s, shard_s, len(compile_plan(spec).shards)
@@ -202,7 +206,7 @@ def bench_fig13(quick: bool, trials: int, jobs: int) -> tuple[float, float]:
     from repro.coding.mds import MDSCode
     from repro.experiments.fig13_scale import MDS_K, N_WORKERS, run
     from repro.experiments.harness import run_coded_lr_like
-    from repro.experiments.sweep import SEED_STRIDE, SweepRunner
+    from repro.engine import SEED_STRIDE, ExecutionEngine
     from repro.prediction.predictor import StalePredictor
     from repro.prediction.traces import BURSTY, STABLE, generate_speed_traces
     from repro.scheduling.s2c2 import GeneralS2C2Scheduler
@@ -242,7 +246,7 @@ def bench_fig13(quick: bool, trials: int, jobs: int) -> tuple[float, float]:
     serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    run(quick=quick, trials=trials, runner=SweepRunner(jobs=jobs))
+    run(quick=quick, trials=trials, runner=ExecutionEngine(jobs=jobs))
     return serial, time.perf_counter() - start
 
 
@@ -261,7 +265,7 @@ def bench_repair_path(
     from repro.cluster.scenarios import scenario_batch
     from repro.cluster.simulator import CodedIterationSim
     from repro.coding.partition import ChunkGrid
-    from repro.experiments.sweep import SEED_STRIDE
+    from repro.engine import SEED_STRIDE
     from repro.scheduling.s2c2 import GeneralS2C2Scheduler
     from repro.scheduling.timeout import TimeoutPolicy
 
@@ -300,21 +304,21 @@ def bench_matrix(quick: bool, trials: int, jobs: int) -> tuple[float, float, int
     Returns ``(cold_seconds, warm_seconds, cells)``.
     """
     from repro.experiments.matrix import run_matrix
-    from repro.experiments.sweep import SweepRunner
+    from repro.engine import ExecutionEngine, RunStore
 
     with tempfile.TemporaryDirectory() as cache:
         start = time.perf_counter()
         result = run_matrix(
             quick=quick,
             trials=trials,
-            runner=SweepRunner(jobs=jobs, cache_dir=cache),
+            runner=ExecutionEngine(jobs=jobs, store=RunStore(cache)),
         )
         cold = time.perf_counter() - start
         start = time.perf_counter()
         run_matrix(
             quick=quick,
             trials=trials,
-            runner=SweepRunner(jobs=jobs, cache_dir=cache),
+            runner=ExecutionEngine(jobs=jobs, store=RunStore(cache)),
         )
         warm = time.perf_counter() - start
     return cold, warm, len(result.policies) * len(result.scenarios)
@@ -331,7 +335,7 @@ def bench_event_backend(
     (which only the event backend resolves differently).
     """
     from repro.experiments.matrix import run_matrix
-    from repro.experiments.sweep import SweepRunner
+    from repro.engine import ExecutionEngine
 
     policies = ("mds", "timeout-repair")
     scenarios = ("bursty", "netslow")
@@ -341,7 +345,7 @@ def bench_event_backend(
         run_matrix(
             quick=quick,
             trials=trials,
-            runner=SweepRunner(jobs=jobs),
+            runner=ExecutionEngine(jobs=jobs),
             policies=policies,
             scenarios=scenarios,
             backend=backend,
@@ -369,7 +373,7 @@ def bench_event_kernel(
     from repro.cluster.scenarios import scenario_batch
     from repro.cluster.simulator import CodedIterationSim
     from repro.coding.partition import ChunkGrid
-    from repro.experiments.sweep import SEED_STRIDE
+    from repro.engine import SEED_STRIDE
     from repro.profiling import profiled
     from repro.scheduling.s2c2 import GeneralS2C2Scheduler
 

@@ -86,330 +86,211 @@ Commands
 ``version``
     Print the package version.
 
-Validation is uniform across subcommands: a bad ``--trials`` / ``--jobs``
-/ ``--executor`` / ``--shard-size`` value exits 2 with a message naming
-the flag (the shared types live in :mod:`repro.engine.options`).
+Every command takes one path: validate, run, report.  A bad ``--trials``
+/ ``--jobs`` / ``--executor`` / ``--shard-size`` / ``--seed`` value exits
+2 with a message naming the flag (the shared types live in
+:mod:`repro.engine.options`); an unknown experiment, policy or scenario
+name, an unusable ``--cache-dir`` and a ``--resume`` with nothing stored
+exit 2 with an ``error:`` line on stderr and nothing on stdout.  Each
+command's timing goes to stderr, so stdout stays byte-deterministic
+across identical-seed re-runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
 
-def _cmd_list() -> int:
+class _CommandError(Exception):
+    """A usage error: ``error: <message>`` on stderr, exit 2."""
+
+
+def _resolve(lookup, names) -> list:
+    """``lookup`` every name; an unknown one exits 2 listing the registry."""
+    try:
+        return [lookup(name) for name in names]
+    except KeyError as error:
+        # The registries' messages already list what is available.
+        raise _CommandError(error.args[0]) from None
+
+
+def _check_names(policies, scenarios) -> list:
+    """Resolve ``--policy`` / ``--scenario`` names; return the policy specs.
+
+    Checked before anything runs, so the ``KeyError`` catch is scoped to
+    the CLI contract and never masks a failure inside a sweep cell.
+    """
+    from repro.cluster.scenarios import get_scenario
+    from repro.scheduling.policies import get_policy
+
+    specs = _resolve(get_policy, policies)
+    _resolve(get_scenario, scenarios)
+    return specs
+
+
+def _engine(args: argparse.Namespace):
+    """The :class:`~repro.engine.runner.ExecutionEngine` the sweep flags describe."""
+    from repro.engine import ExecutionEngine, RunStore, default_cache_dir
+
+    try:
+        store = None if args.no_cache else RunStore(
+            args.cache_dir or default_cache_dir()
+        )
+        return ExecutionEngine(
+            jobs=args.jobs,
+            executor=args.executor,
+            store=store,
+            shard_size=args.shard_size,
+            resume=args.resume,
+        )
+    except ValueError as error:
+        raise _CommandError(str(error)) from None
+
+
+def _context(args: argparse.Namespace):
+    """The in-process cell context of ``--quick`` / ``--seed`` / ``--trials``."""
+    from repro.engine import SEED_STRIDE, SweepContext
+
+    return SweepContext(
+        quick=args.quick,
+        base_seed=args.seed,
+        seeds=tuple(args.seed + SEED_STRIDE * t for t in range(args.trials)),
+    )
+
+
+@contextlib.contextmanager
+def _timed():
+    """Run a command body; a failed ``--resume`` exits 2, timing to stderr."""
+    from repro.engine import NothingToResumeError
+
+    start = time.perf_counter()
+    try:
+        yield
+    except NothingToResumeError as error:
+        raise _CommandError(f"--resume: {error}") from None
+    print(f"   [{time.perf_counter() - start:.1f}s]", file=sys.stderr)
+
+
+def _print_tables(tables) -> None:
+    for table in tables:
+        print(table.format_table())
+        print(flush=True)
+
+
+def _cmd_list(args: argparse.Namespace) -> None:
     from repro.experiments import ALL_EXPERIMENTS
 
     for name, runner in sorted(ALL_EXPERIMENTS.items()):
         module = sys.modules[runner.__module__]
         headline = (module.__doc__ or "").strip().splitlines()[0]
         print(f"{name:8s} {headline}")
-    return 0
 
 
-def _cmd_scenarios(names: list[str]) -> int:
+def _cmd_scenarios(args: argparse.Namespace) -> None:
     from repro.cluster.scenarios import available_scenarios, get_scenario
 
-    try:
-        specs = [get_scenario(name) for name in (names or available_scenarios())]
-    except KeyError as error:
-        # get_scenario's message already lists the available registry.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    for spec in specs:
+    for spec in _resolve(get_scenario, args.names or available_scenarios()):
         defaults = ", ".join(f"{k}={v!r}" for k, v in spec.defaults)
         print(f"{spec.name:12s} {spec.summary}")
         print(f"{'':12s}   models: {spec.models}")
         print(f"{'':12s}   params: {defaults or '(none)'}")
-    return 0
 
 
-def _cmd_policies(names: list[str]) -> int:
+def _cmd_policies(args: argparse.Namespace) -> None:
     from repro.scheduling.policies import available_policies, get_policy
 
-    try:
-        specs = [get_policy(name) for name in (names or available_policies())]
-    except KeyError as error:
-        # get_policy's message already lists the available registry.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    for spec in specs:
+    for spec in _resolve(get_policy, args.names or available_policies()):
         defaults = ", ".join(f"{k}={v!r}" for k, v in spec.defaults)
         print(f"{spec.name:16s} {spec.summary}")
         print(f"{'':16s}   paper:   {spec.paper or '(beyond paper)'}")
         print(f"{'':16s}   figures: {', '.join(spec.figures) or '(none)'}")
         print(f"{'':16s}   params:  {defaults or '(none)'}")
-    return 0
 
 
-def _make_runner(args: argparse.Namespace):
-    """Build the SweepRunner shared sweep flags describe, or ``None`` (exit 2)."""
-    from repro.experiments.sweep import SweepRunner, default_cache_dir
+def _cmd_version(args: argparse.Namespace) -> None:
+    from repro import __version__
 
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    try:
-        return SweepRunner(
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            executor=args.executor,
-            shard_size=args.shard_size,
-            resume=args.resume,
+    print(__version__)
+
+
+def _cmd_experiments(args: argparse.Namespace) -> None:
+    from repro.experiments import ALL_EXPERIMENTS
+
+    unknown = [n for n in args.names if n not in ALL_EXPERIMENTS]
+    if unknown:
+        raise _CommandError(
+            f"unknown experiments: {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(ALL_EXPERIMENTS))}"
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
+    engine = _engine(args)
+    for name in args.names or sorted(ALL_EXPERIMENTS):
+        with _timed():
+            result = ALL_EXPERIMENTS[name](
+                quick=args.quick, seed=args.seed, trials=args.trials, runner=engine
+            )
+            print(result.format_table())
+        print(flush=True)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.cluster.scenarios import get_scenario
+def _cmd_matrix(args: argparse.Namespace) -> None:
     from repro.experiments.matrix import run_matrix
-    from repro.experiments.sweep import NothingToResumeError
-    from repro.scheduling.policies import get_policy
 
-    # Validate names before running anything, so the KeyError catch is
-    # scoped to the CLI contract (unknown name → exit 2 listing the
-    # registry) and never masks a failure inside a sweep cell.
-    try:
-        for name in args.policy or ():
-            get_policy(name)
-        for name in args.scenario or ():
-            get_scenario(name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    runner = _make_runner(args)
-    if runner is None:
-        return 2
-    start = time.perf_counter()
-    try:
+    _check_names(args.policy or (), args.scenario or ())
+    engine = _engine(args)
+    with _timed():
         result = run_matrix(
             quick=args.quick,
             seed=args.seed,
             trials=args.trials,
-            runner=runner,
+            runner=engine,
             policies=tuple(args.policy) if args.policy else None,
             scenarios=tuple(args.scenario) if args.scenario else None,
             backend=args.backend,
         )
-    except NothingToResumeError as error:
-        print(f"error: --resume: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    if args.summary_only:
-        tables = [result.summary, result.waste]
-        if result.adaptive is not None:
-            tables.append(result.adaptive)
-    else:
-        tables = result.tables()
-    for table in tables:
-        print(table.format_table())
-        print(flush=True)
-    # Timing is diagnostic and lands on stderr: stdout stays
-    # byte-deterministic across identical-seed re-runs.
-    print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-    return 0
+        if args.summary_only:
+            tables = [result.summary, result.waste]
+            if result.adaptive is not None:
+                tables.append(result.adaptive)
+        else:
+            tables = result.tables()
+        _print_tables(tables)
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster.scenarios import get_scenario
-    from repro.engine.plan import SEED_STRIDE, SweepContext
-    from repro.experiments.matrix import COVERAGE, N_WORKERS
-    from repro.scheduling.policies import (
-        available_policies,
-        build_policy,
-        get_policy,
-    )
-
-    try:
-        spec = get_policy(args.policy)
-        get_scenario(args.scenario)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    if "adaptive" not in spec.tags:
-        adaptive = ", ".join(
-            n for n in available_policies() if "adaptive" in get_policy(n).tags
-        )
-        print(
-            f"error: policy {args.policy!r} is not adaptive and records no "
-            f"controller trace; adaptive policies: {adaptive}, or an "
-            "adaptive(<base>, knob=v1:v2, ...) expression",
-            file=sys.stderr,
-        )
-        return 2
-    ctx = SweepContext(
-        quick=args.quick,
-        base_seed=args.seed,
-        seeds=tuple(args.seed + SEED_STRIDE * t for t in range(args.trials)),
-    )
-    runner = build_policy(spec.name, N_WORKERS, COVERAGE, backend=args.backend)
-    # The matrix cell geometry, so a tuned policy's totals line up with
-    # its matrix rows.
-    rows, cols = (480, 120) if args.quick else (2400, 600)
-    iterations = 4 if args.quick else 15
-    trace: list = []
-    start = time.perf_counter()
-    result = runner.run_scenario(
-        args.scenario,
-        ctx,
-        rows=rows,
-        cols=cols,
-        iterations=iterations,
-        trace=trace,
-    )
-    elapsed = time.perf_counter() - start
-    # Sorted JSON keeps stdout byte-deterministic across identical-seed
-    # re-runs (the determinism contract every sweep surface honours).
-    print(
-        json.dumps(
-            {
-                "policy": spec.name,
-                "scenario": args.scenario,
-                "backend": args.backend,
-                "seed": args.seed,
-                "trials": args.trials,
-                "iterations": iterations,
-                "total": result["total"],
-                "wasted": result["wasted"],
-                "trace": trace,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
-    print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster.scenarios import get_scenario
-    from repro.engine.plan import SEED_STRIDE, SweepContext
-    from repro.experiments.matrix import COVERAGE, N_WORKERS
-    from repro.profiling import PhaseProfiler, profiled
-    from repro.scheduling.policies import build_policy, get_policy
-
-    policies = tuple(args.policy or ("mds", "timeout-repair"))
-    scenarios = tuple(args.scenario or ("bursty", "netslow"))
-    try:
-        specs = [get_policy(name) for name in policies]
-        for name in scenarios:
-            get_scenario(name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    ctx = SweepContext(
-        quick=args.quick,
-        base_seed=args.seed,
-        seeds=tuple(args.seed + SEED_STRIDE * t for t in range(args.trials)),
-    )
-    # The matrix cell geometry, run in-process (executors would hide the
-    # spans in worker processes) with the profiler installed.
-    rows, cols = (480, 120) if args.quick else (2400, 600)
-    iterations = 4 if args.quick else 15
-    profiler = PhaseProfiler()
-    start = time.perf_counter()
-    with profiled(profiler):
-        for spec in specs:
-            runner = build_policy(
-                spec.name, N_WORKERS, COVERAGE, backend=args.backend
-            )
-            for scenario in scenarios:
-                runner.run_scenario(
-                    scenario, ctx, rows=rows, cols=cols, iterations=iterations
-                )
-    elapsed = time.perf_counter() - start
-    if args.json:
-        # Sorted JSON keeps stdout byte-deterministic modulo the timings
-        # themselves (which are wall-clock by nature).
-        print(
-            json.dumps(
-                {
-                    "backend": args.backend,
-                    "iterations": iterations,
-                    "phases": profiler.as_dict(),
-                    "policies": list(policies),
-                    "scenarios": list(scenarios),
-                    "seed": args.seed,
-                    "trials": args.trials,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-    else:
-        print(profiler.format_table())
-    print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-    return 0
-
-
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.cluster.scenarios import get_scenario
-    from repro.experiments.sweep import NothingToResumeError
+def _cmd_fuzz(args: argparse.Namespace) -> None:
     from repro.experiments.tournament import run_tournament
-    from repro.scheduling.policies import get_policy
 
-    # Same contract as `matrix`: validate names before running anything,
-    # so the KeyError catch never masks a failure inside a sweep cell.
-    try:
-        for name in args.policy or ():
-            get_policy(name)
-        for name in args.scenario or ():
-            get_scenario(name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    runner = _make_runner(args)
-    if runner is None:
-        return 2
-    start = time.perf_counter()
-    try:
+    _check_names(args.policy or (), args.scenario or ())
+    engine = _engine(args)
+    with _timed():
         result = run_tournament(
             quick=args.quick,
             seed=args.seed,
             trials=args.trials,
-            runner=runner,
+            runner=engine,
             policies=tuple(args.policy) if args.policy else None,
             n_scenarios=args.scenarios,
             population_seed=args.population_seed,
             extra_scenarios=tuple(args.scenario) if args.scenario else (),
             backend=args.backend,
         )
-    except NothingToResumeError as error:
-        print(f"error: --resume: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    tables = (
-        [result.summary, result.pareto] if args.summary_only else result.tables()
-    )
-    for table in tables:
-        print(table.format_table())
-        print(flush=True)
-    print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-    return 0
+        _print_tables(
+            [result.summary, result.pareto]
+            if args.summary_only
+            else result.tables()
+        )
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
+def _cmd_stream(args: argparse.Namespace) -> None:
     import json
 
-    from repro.cluster.scenarios import get_scenario
+    from repro.engine import SweepSpec
     from repro.experiments.matrix import _cell
-    from repro.experiments.sweep import NothingToResumeError, SweepSpec
-    from repro.scheduling.policies import get_policy
 
-    try:
-        get_policy(args.policy)
-        get_scenario(args.scenario)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    runner = _make_runner(args)
-    if runner is None:
-        return 2
+    _check_names([args.policy], [args.scenario])
+    engine = _engine(args)
     spec = SweepSpec(
         name="stream",
         cell=_cell,
@@ -423,138 +304,135 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         quick=args.quick,
         reducer=args.reducer,
     )
-    start = time.perf_counter()
-    try:
-        swept = runner.run(spec)
-    except NothingToResumeError as error:
-        print(f"error: --resume: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    value = swept.get(
-        policy=args.policy, scenario=args.scenario, backend=args.backend
-    )
-    # Sorted JSON keeps stdout byte-deterministic across identical-seed
-    # re-runs (the determinism contract every sweep surface honours).
-    print(json.dumps(value, sort_keys=True, indent=2))
-    print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-    return 0
+    with _timed():
+        value = engine.run(spec).get(
+            policy=args.policy, scenario=args.scenario, backend=args.backend
+        )
+        print(json.dumps(value, sort_keys=True, indent=2))
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.sweep import NothingToResumeError
+def _cmd_tune(args: argparse.Namespace) -> None:
+    import json
 
-    targets = args.names or sorted(ALL_EXPERIMENTS)
-    unknown = [n for n in targets if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(ALL_EXPERIMENTS))}", file=sys.stderr)
-        return 2
-    runner = _make_runner(args)
-    if runner is None:
-        return 2
-    for name in targets:
-        start = time.perf_counter()
-        try:
-            result = ALL_EXPERIMENTS[name](
-                quick=args.quick, seed=args.seed, trials=args.trials, runner=runner
-            )
-        except NothingToResumeError as error:
-            print(f"error: --resume: {error}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - start
-        print(result.format_table())
-        print(f"   [{elapsed:.1f}s]", file=sys.stderr)
-        print(flush=True)
-    return 0
+    from repro.experiments.matrix import cell_geometry, run_cell
+    from repro.scheduling.policies import available_policies, get_policy
+
+    (spec,) = _check_names([args.policy], [args.scenario])
+    if "adaptive" not in spec.tags:
+        adaptive = ", ".join(
+            n for n in available_policies() if "adaptive" in get_policy(n).tags
+        )
+        raise _CommandError(
+            f"policy {args.policy!r} is not adaptive and records no "
+            f"controller trace; adaptive policies: {adaptive}, or an "
+            "adaptive(<base>, knob=v1:v2, ...) expression"
+        )
+    trace: list = []
+    with _timed():
+        result = run_cell(
+            spec.name, args.scenario, _context(args),
+            backend=args.backend, trace=trace,
+        )
+        report = {
+            "policy": spec.name,
+            "scenario": args.scenario,
+            "backend": args.backend,
+            "seed": args.seed,
+            "trials": args.trials,
+            "iterations": cell_geometry(args.quick)[2],
+            "total": result["total"],
+            "wasted": result["wasted"],
+            "trace": trace,
+        }
+        print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _sweep_flags() -> argparse.ArgumentParser:
-    """Parent parser: the sweep flags every sweep-running command shares."""
-    from repro.engine.options import add_execution_arguments
+def _cmd_profile(args: argparse.Namespace) -> None:
+    import json
 
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
+    from repro.experiments.matrix import cell_geometry, run_cell
+    from repro.profiling import PhaseProfiler, profiled
+
+    policies = tuple(args.policy or ("mds", "timeout-repair"))
+    scenarios = tuple(args.scenario or ("bursty", "netslow"))
+    specs = _check_names(policies, scenarios)
+    ctx = _context(args)
+    profiler = PhaseProfiler()
+    with _timed():
+        # Matrix cells run in-process (executors would hide the spans in
+        # worker processes) with the profiler installed.
+        with profiled(profiler):
+            for spec in specs:
+                for scenario in scenarios:
+                    run_cell(spec.name, scenario, ctx, backend=args.backend)
+        if args.json:
+            report = {
+                "backend": args.backend,
+                "iterations": cell_geometry(args.quick)[2],
+                "phases": profiler.as_dict(),
+                "policies": list(policies),
+                "scenarios": list(scenarios),
+                "seed": args.seed,
+                "trials": args.trials,
+            }
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            print(profiler.format_table())
+
+
+def _scale_flags(parser: argparse.ArgumentParser, trials: int) -> None:
+    """``--quick`` / ``--trials`` / ``--seed``: the scale and seeds of a cell."""
+    from repro.engine.options import non_negative_int, positive_int
+
+    parser.add_argument(
         "--quick", action="store_true", help="reduced CI-scale configurations"
     )
-    add_execution_arguments(flags)
-    flags.add_argument(
-        "--seed", type=int, default=0, help="base seed of trial 0 (default: 0)"
+    parser.add_argument(
+        "--trials",
+        type=positive_int,
+        default=trials,
+        metavar="N",
+        help="seeded Monte-Carlo trials per cell, simulated in batches "
+        f"(default: {trials})",
     )
-    flags.add_argument(
+    parser.add_argument(
+        "--seed",
+        type=non_negative_int,
+        default=0,
+        help="base seed of trial 0 (default: 0)",
+    )
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every command that runs sweeps on the engine."""
+    from repro.engine.options import add_execution_arguments
+
+    _scale_flags(parser, trials=1)
+    add_execution_arguments(parser)
+    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk sweep run store",
     )
-    flags.add_argument(
+    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
         help="sweep run-store directory (default: $REPRO_CACHE_DIR or "
         "~/.cache/repro/sweeps)",
     )
-    flags.add_argument(
+    parser.add_argument(
         "--resume",
         action="store_true",
         help="resume an interrupted sweep from the run store (exits 2 when "
         "no stored run matches the current sources and parameters)",
     )
-    return flags
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (shared with ``scripts/``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="S2C2 (SC '19) reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command")
-    sweep_flags = _sweep_flags()
-    run_p = sub.add_parser(
-        "experiments", help="regenerate paper figures", parents=[sweep_flags]
-    )
-    run_p.add_argument("names", nargs="*", help="figure ids (default: all)")
-    sub.add_parser("list", help="list available experiments")
-    scen_p = sub.add_parser(
-        "scenarios", help="list the registered straggler scenarios"
-    )
-    scen_p.add_argument(
-        "names",
-        nargs="*",
-        help="scenario names to show (default: the whole registry); an "
-        "unknown name fails with the available list",
-    )
-    pol_p = sub.add_parser(
-        "policies", help="list the registered mitigation policies"
-    )
-    pol_p.add_argument(
-        "names",
-        nargs="*",
-        help="policy names to show (default: the whole registry); an "
-        "unknown name fails with the available list",
-    )
-    mat_p = sub.add_parser(
-        "matrix",
-        help="policy × scenario evaluation matrix",
-        parents=[sweep_flags],
-    )
-    mat_p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to this policy (repeatable; default: whole registry)",
-    )
-    mat_p.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to this scenario (repeatable; default: whole registry)",
-    )
+def _backend_flag(parser: argparse.ArgumentParser) -> None:
     from repro.engine.options import backend_name
 
-    mat_p.add_argument(
+    parser.add_argument(
         "--backend",
         type=backend_name,
         default="closed",
@@ -562,16 +440,74 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulator core: closed (analytic, default) or event "
         "(discrete-event engine with explicit network links)",
     )
+
+
+def _name_flags(
+    parser: argparse.ArgumentParser, policy_help: str, scenario_help: str
+) -> None:
+    """The repeatable ``--policy`` / ``--scenario`` selections."""
+    for flag, text in (("--policy", policy_help), ("--scenario", scenario_help)):
+        parser.add_argument(
+            flag, action="append", default=None, metavar="NAME", help=text
+        )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (shared with ``scripts/``)."""
+    from repro.engine.options import non_negative_int, positive_int, reducer_name
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="S2C2 (SC '19) reproduction toolkit",
+    )
+    sub = parser.add_subparsers(dest="command")
+
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(run=run)
+        return subparser
+
+    run_p = command("experiments", _cmd_experiments, "regenerate paper figures")
+    run_p.add_argument("names", nargs="*", help="figure ids (default: all)")
+    _sweep_flags(run_p)
+    command("list", _cmd_list, "list available experiments")
+    scen_p = command(
+        "scenarios", _cmd_scenarios, "list the registered straggler scenarios"
+    )
+    scen_p.add_argument(
+        "names",
+        nargs="*",
+        help="scenario names to show (default: the whole registry); an "
+        "unknown name fails with the available list",
+    )
+    pol_p = command(
+        "policies", _cmd_policies, "list the registered mitigation policies"
+    )
+    pol_p.add_argument(
+        "names",
+        nargs="*",
+        help="policy names to show (default: the whole registry); an "
+        "unknown name fails with the available list",
+    )
+    mat_p = command(
+        "matrix", _cmd_matrix, "policy × scenario evaluation matrix"
+    )
+    _sweep_flags(mat_p)
+    _name_flags(
+        mat_p,
+        "restrict to this policy (repeatable; default: whole registry)",
+        "restrict to this scenario (repeatable; default: whole registry)",
+    )
+    _backend_flag(mat_p)
     mat_p.add_argument(
         "--summary-only",
         action="store_true",
         help="print only the two summary grids, not the per-scenario tables",
     )
-    from repro.engine.options import positive_int
-
-    tune_p = sub.add_parser(
+    tune_p = command(
         "tune",
-        help="run one adaptive policy cell and dump its controller trace",
+        _cmd_tune,
+        "run one adaptive policy cell and dump its controller trace",
     )
     tune_p.add_argument(
         "--policy",
@@ -587,79 +523,29 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="straggler scenario of the cell (default: bursty)",
     )
-    tune_p.add_argument(
-        "--backend",
-        type=backend_name,
-        default="closed",
-        metavar="NAME",
-        help="simulator core: closed (analytic, default) or event "
-        "(discrete-event engine with explicit network links)",
-    )
-    tune_p.add_argument(
-        "--quick", action="store_true", help="reduced CI-scale configuration"
-    )
-    tune_p.add_argument(
-        "--trials",
-        type=positive_int,
-        default=2,
-        metavar="N",
-        help="seeded Monte-Carlo trials (default: 2)",
-    )
-    tune_p.add_argument(
-        "--seed", type=int, default=0, help="base seed of trial 0 (default: 0)"
-    )
-    prof_p = sub.add_parser(
+    _backend_flag(tune_p)
+    _scale_flags(tune_p, trials=2)
+    prof_p = command(
         "profile",
-        help="per-phase hot-spot profile of the batched simulator kernels",
+        _cmd_profile,
+        "per-phase hot-spot profile of the batched simulator kernels",
     )
-    prof_p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="profile this policy (repeatable; default: mds and "
-        "timeout-repair)",
+    _name_flags(
+        prof_p,
+        "profile this policy (repeatable; default: mds and timeout-repair)",
+        "profile this scenario (repeatable; default: bursty and netslow)",
     )
-    prof_p.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="profile this scenario (repeatable; default: bursty and "
-        "netslow)",
-    )
-    prof_p.add_argument(
-        "--backend",
-        type=backend_name,
-        default="closed",
-        metavar="NAME",
-        help="simulator core: closed (analytic, default) or event "
-        "(discrete-event engine with explicit network links)",
-    )
-    prof_p.add_argument(
-        "--quick", action="store_true", help="reduced CI-scale configuration"
-    )
-    prof_p.add_argument(
-        "--trials",
-        type=positive_int,
-        default=4,
-        metavar="N",
-        help="seeded Monte-Carlo trials (default: 4)",
-    )
-    prof_p.add_argument(
-        "--seed", type=int, default=0, help="base seed of trial 0 (default: 0)"
-    )
+    _backend_flag(prof_p)
+    _scale_flags(prof_p, trials=4)
     prof_p.add_argument(
         "--json",
         action="store_true",
         help="emit the phase totals as sorted JSON instead of the table",
     )
-    fuzz_p = sub.add_parser(
-        "fuzz",
-        help="policy tournament over fuzzer-generated scenarios",
-        parents=[sweep_flags],
+    fuzz_p = command(
+        "fuzz", _cmd_fuzz, "policy tournament over fuzzer-generated scenarios"
     )
-
+    _sweep_flags(fuzz_p)
     fuzz_p.add_argument(
         "--scenarios",
         type=positive_int,
@@ -670,48 +556,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_p.add_argument(
         "--population-seed",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="S",
         help="seed of the generated population (default: --seed, so one "
         "seed pins the whole tournament)",
     )
-    fuzz_p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to this policy (repeatable; default: whole registry)",
-    )
-    fuzz_p.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="append this scenario to the generated population (repeatable; "
+    _name_flags(
+        fuzz_p,
+        "restrict to this policy (repeatable; default: whole registry)",
+        "append this scenario to the generated population (repeatable; "
         "accepts composition expressions like 'overlay(rack,bursty)')",
     )
-    fuzz_p.add_argument(
-        "--backend",
-        type=backend_name,
-        default="closed",
-        metavar="NAME",
-        help="simulator core: closed (analytic, default) or event "
-        "(discrete-event engine with explicit network links)",
-    )
+    _backend_flag(fuzz_p)
     fuzz_p.add_argument(
         "--summary-only",
         action="store_true",
         help="print only the summary and Pareto tables, not the "
         "per-scenario winners",
     )
-    from repro.engine.options import reducer_name
-
-    stream_p = sub.add_parser(
+    stream_p = command(
         "stream",
-        help="one fat cell through a constant-memory streaming reducer",
-        parents=[sweep_flags],
+        _cmd_stream,
+        "one fat cell through a constant-memory streaming reducer",
     )
+    _sweep_flags(stream_p)
     stream_p.add_argument(
         "--policy",
         default="mds",
@@ -733,46 +602,23 @@ def build_parser() -> argparse.ArgumentParser:
         "'quantile' adds a seeded-reservoir sample and P² probes; "
         "'concat' keeps the exact per-trial lists)",
     )
-    stream_p.add_argument(
-        "--backend",
-        type=backend_name,
-        default="closed",
-        metavar="NAME",
-        help="simulator core: closed (analytic, default) or event "
-        "(discrete-event engine with explicit network links)",
-    )
-    sub.add_parser("version", help="print the package version")
+    _backend_flag(stream_p)
+    command("version", _cmd_version, "print the package version")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "experiments":
-        return _cmd_experiments(args)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "scenarios":
-        return _cmd_scenarios(args.names)
-    if args.command == "policies":
-        return _cmd_policies(args.names)
-    if args.command == "matrix":
-        return _cmd_matrix(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "stream":
-        return _cmd_stream(args)
-    if args.command == "version":
-        from repro import __version__
-
-        print(__version__)
-        return 0
-    parser.print_help()
-    return 1
+    if args.command is None:
+        parser.print_help()
+        return 1
+    try:
+        args.run(args)
+    except _CommandError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ environment" into a *named scenario* that experiments can sweep over:
   ``(trials, workers)`` batch form the batched simulators consume —
   the same scenario therefore drives the scalar *and* the batched paths;
 * scenario names are plain strings, so a scenario is directly usable as a
-  :class:`~repro.experiments.sweep.SweepSpec` axis value (JSON-serialisable,
+  :class:`~repro.engine.plan.SweepSpec` axis value (JSON-serialisable,
   picklable across the process pool) and from the CLI
   (``python -m repro scenarios`` lists the registry).
 
@@ -22,7 +22,7 @@ Because the built-in generators are part of the ``repro`` package, editing
 one already invalidates the sweep cache via the package source digest;
 :func:`registry_digest` additionally folds in *runtime* registrations
 (scenarios defined in user code) so
-:class:`~repro.experiments.sweep.SweepRunner` never serves a cached cell
+:class:`~repro.engine.runner.ExecutionEngine` never serves a cached cell
 computed under a different registry.
 
 Scenario processes built on :class:`GeneratedSpeeds` (or trace replay)

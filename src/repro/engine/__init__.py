@@ -20,8 +20,9 @@ The single execution core under every experiment surface, in three layers
   and per-cell reducer checkpoints; interrupted sweeps resume exactly
   where they stopped, folding completed cells from their checkpoints.
 
-:class:`repro.engine.runner.ExecutionEngine` ties the layers together;
-:class:`repro.experiments.sweep.SweepRunner` is its sweep-facing facade.
+:class:`repro.engine.runner.ExecutionEngine` ties the layers together: it
+runs every sweep, and its :class:`~repro.engine.runner.EngineReport`
+carries the cell values back (``report.get(**point)``).
 """
 
 from repro.engine.executors import (

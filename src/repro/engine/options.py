@@ -2,10 +2,11 @@
 
 Every surface that runs sweeps — ``python -m repro``'s subcommands,
 ``scripts/bench_sweep.py``, ``scripts/run_all_experiments.py`` — takes the
-same ``--trials`` / ``--jobs`` / ``--executor`` trio.  This module owns
-their argparse types and registration so validation is identical
-everywhere: a bad value exits 2 with a message naming the flag (argparse's
-``error:`` contract), never a mid-run traceback.
+same ``--trials`` / ``--jobs`` / ``--executor`` / ``--seed`` flags.  This
+module owns their argparse types (and registers the executor trio) so
+validation is identical everywhere: a bad value exits 2 with a message
+naming the flag (argparse's ``error:`` contract), never a mid-run
+traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.engine.executors import DEFAULT_EXECUTOR, available_executors
 
 __all__ = [
     "positive_int",
+    "non_negative_int",
     "executor_name",
     "backend_name",
     "reducer_name",
@@ -23,17 +25,26 @@ __all__ = [
 ]
 
 
-def positive_int(text: str) -> int:
-    """Argparse type for ``--trials`` / ``--jobs`` / ``--shard-size``."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}"
+            f"must be an integer >= {low}, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for ``--trials`` / ``--jobs`` / ``--shard-size``."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """Argparse type for ``--seed`` / ``--population-seed`` (NumPy seeds)."""
+    return _int_at_least(text, 0)
 
 
 def executor_name(text: str) -> str:
@@ -70,33 +81,18 @@ def reducer_name(text: str) -> str:
     return text
 
 
-def add_execution_arguments(
-    parser: argparse.ArgumentParser,
-    jobs_default: int = 1,
-    trials_default: int | None = 1,
-) -> None:
-    """Register the shared execution flags on ``parser``.
+def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register ``--jobs`` / ``--executor`` / ``--shard-size`` on ``parser``.
 
-    ``trials_default=None`` skips ``--trials`` for surfaces that don't
-    sweep trials.  ``--shard-size`` is the advanced knob (tests and the
-    micro-bench); the automatic stride is right for real sweeps.
+    ``--shard-size`` is the advanced knob (tests and the micro-bench); the
+    automatic stride is right for real sweeps.
     """
-    if trials_default is not None:
-        parser.add_argument(
-            "--trials",
-            type=positive_int,
-            default=trials_default,
-            metavar="N",
-            help="Monte-Carlo trials per sweep cell, simulated in batches "
-            f"and averaged (default: {trials_default})",
-        )
     parser.add_argument(
         "--jobs",
         type=positive_int,
-        default=jobs_default,
+        default=1,
         metavar="N",
-        help="executor width for sweep shards "
-        f"(default: {jobs_default}{' = inline' if jobs_default == 1 else ''})",
+        help="executor width for sweep shards (default: 1 = inline)",
     )
     parser.add_argument(
         "--executor",

@@ -156,6 +156,9 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} has no values")
         object.__setattr__(self, "axes", axes)
         check_positive_int(self.trials, "trials")
+        if self.base_seed < 0:
+            # Trial 0's seed is base_seed, and NumPy rejects negative seeds.
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         # Imported lazily: repro.engine.reduce imports this module.
         from repro.engine.reduce import available_reducers
 

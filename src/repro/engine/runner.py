@@ -37,11 +37,10 @@ Run-scoped memos
 ----------------
 Cell modules may memoise expensive shared work (trained models, shared
 sweep cells) in process memory.  Clearers registered through
-:func:`register_run_scoped_cache` are invoked whenever an engine (or a
-:class:`~repro.experiments.sweep.SweepRunner`) is constructed — the start
-of a fresh run — so those memos are scoped to a run instead of to the
-process: long-lived workers neither pin stale models in memory nor serve
-one run's entries to an unrelated later run.
+:func:`register_run_scoped_cache` are invoked whenever an engine is
+constructed — the start of a fresh run — so those memos are scoped to a
+run instead of to the process: long-lived workers neither pin stale
+models in memory nor serve one run's entries to an unrelated later run.
 """
 
 from __future__ import annotations
@@ -341,6 +340,13 @@ class EngineReport:
     run_key: str | None = None  #: ``None`` when no store was attached
     resumed: bool = False  #: an incomplete stored run was picked up
     reducer: str = "concat"  #: how shard values were folded
+
+    def get(self, **params) -> Any:
+        """Value of the cell at the given grid point."""
+        try:
+            return self.values[self.spec.key_of(params)]
+        except KeyError:
+            raise KeyError(f"no cell at {params!r}") from None
 
 
 class ExecutionEngine:

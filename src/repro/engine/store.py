@@ -224,12 +224,18 @@ class RunStore:
     """The on-disk store of sweep runs under one root directory.
 
     The root is created lazily on the first write; a missing or empty
-    store simply has nothing to serve.  ``RunStore(root)`` is cheap —
-    scanning happens in :meth:`shard_index`, once per sweep execution.
+    store simply has nothing to serve, while a root that exists as
+    anything but a directory is rejected with ``ValueError`` up front
+    rather than failing the first write.  ``RunStore(root)`` is cheap —
+    scanning happens in :meth:`iter_matching`, once per engine run.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
+        if not self.root.is_dir() and self.root.exists():
+            raise ValueError(
+                f"run store root {self.root} exists and is not a directory"
+            )
         self.runs_dir = self.root / "runs"
 
     def run_keys(self) -> list[str]:

@@ -1,8 +1,11 @@
 """Per-figure reproduction experiments (see DESIGN.md §4 for the index).
 
-Each ``figNN_*`` module exposes ``run(quick=True) -> ExperimentResult``
-and a printable ``main()``; ``benchmarks/`` wraps each in a pytest-benchmark
-target with shape assertions.
+Each module exposes ``run(quick, seed, trials, runner) -> ExperimentResult``,
+registered by name in :data:`ALL_EXPERIMENTS`; ``runner`` is the
+:class:`~repro.engine.runner.ExecutionEngine` the figure's sweep runs on.
+``python -m repro experiments <name>`` prints the tables, and
+``benchmarks/`` wraps each in a pytest-benchmark target with shape
+assertions.
 """
 
 from repro.experiments import (

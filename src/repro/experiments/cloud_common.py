@@ -13,8 +13,8 @@ trained on held-out traces; strategies:
 
 All four cloud figures read from the single :func:`cloud_cell` sweep cell
 (one per environment): Figs 8/9 share the low-environment cell and
-Figs 10/11 the high one, deduplicated by the sweep runner's on-disk cache
-across invocations (and by an in-process, run-scoped memo within one —
+Figs 10/11 the high one, deduplicated by the engine's run store across
+invocations (and by an in-process, run-scoped memo within one —
 see :func:`clear_memos`).  The coded strategies simulate every trial at
 once through the batched latency engine; the LSTM forecaster is trained
 once per environment (on traces disjoint from every replayed trial),
@@ -29,7 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import StackedSpeeds, TraceSpeeds
-from repro.experiments.sweep import SweepContext, register_run_scoped_cache
+from repro.engine import (
+    ExecutionEngine,
+    SweepContext,
+    SweepSpec,
+    register_run_scoped_cache,
+)
 from repro.prediction.lstm import LSTMSpeedModel
 from repro.prediction.predictor import BatchLSTMPredictor
 from repro.prediction.traces import STABLE, VOLATILE, TraceConfig, generate_speed_traces
@@ -60,7 +65,7 @@ def strategy_labels() -> list[str]:
 
 
 #: In-process memos, explicitly keyed and scoped to one sweep run (cleared
-#: whenever a :class:`~repro.experiments.sweep.SweepRunner` is built).
+#: whenever a :class:`~repro.engine.runner.ExecutionEngine` is built).
 #: Module-level ``lru_cache``\ s here used to outlive the sweep: entries
 #: persisted for the life of the worker process across unrelated runs and
 #: pinned trained LSTMs in memory indefinitely.
@@ -114,7 +119,7 @@ def run_environment(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner=None,
+    runner: ExecutionEngine | None = None,
 ) -> dict:
     """Run (or fetch from cache) one environment's strategy suite.
 
@@ -123,12 +128,10 @@ def run_environment(
     the shared cell across figures in one process, pass one ``runner`` to
     all of them (as the CLI does): the in-process memo is scoped to a
     sweep run and cleared whenever a new
-    :class:`~repro.experiments.sweep.SweepRunner` is constructed, so
+    :class:`~repro.engine.runner.ExecutionEngine` is constructed, so
     back-to-back calls that each default ``runner`` recompute unless the
-    runner's on-disk cache is enabled.
+    engine has a run store.
     """
-    from repro.experiments.sweep import SweepRunner, SweepSpec
-
     spec = SweepSpec(
         name=f"cloud-{environment}",
         cell=cloud_cell,
@@ -140,7 +143,7 @@ def run_environment(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    return (runner or SweepRunner()).run(spec).get(environment=environment)
+    return (runner or ExecutionEngine()).run(spec).get(environment=environment)
 
 
 def cloud_cell(params: dict, ctx: SweepContext) -> dict:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import BatchLastValuePredictor
 from repro.scheduling.policies import build_policy
 from repro.scheduling.replication import ReplicaPlacement
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 N_WORKERS = 12
 STRAGGLER_COUNTS = (0, 1, 2, 3)
@@ -80,7 +80,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 1's series; values normalised to uncoded @ 0 stragglers.
 
@@ -99,7 +99,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="fig01",
         description="Normalized LR computation latency vs straggler count",
@@ -119,11 +119,3 @@ def run(
         "(12,9) flat but higher baseline"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.traces import (
     MEASURED,
     generate_speed_traces,
     regime_length_means,
 )
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 N_NODES = 100
 REPRESENTATIVE = (0, 7, 42, 99)
@@ -68,7 +68,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Regenerate Fig 2's trace statistics for 4 representative nodes.
 
@@ -86,7 +86,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    stats = (runner or SweepRunner()).run(spec).get(preset="measured")
+    stats = (runner or ExecutionEngine()).run(spec).get(preset="measured")
     result = ExperimentResult(
         name="fig02",
         description="Cloud speed traces: per-node stats and regime lengths",
@@ -107,11 +107,3 @@ def run(
         f"{all_mean_regime:.1f} samples (paper: ~10)"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -19,12 +19,12 @@ import numpy as np
 
 from repro._util import largest_remainder_round
 from repro.cluster.speed_models import TraceSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.traces import VOLATILE, generate_speed_traces
 from repro.runtime.metrics import StorageTracker
 
-__all__ = ["run", "main", "uncoded_storage_curve"]
+__all__ = ["run", "uncoded_storage_curve"]
 
 N_WORKERS = 12
 MDS_K = 10
@@ -84,7 +84,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 3: mean storage fraction per node over GD iterations."""
     iterations = 90 if quick else 270
@@ -99,7 +99,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     optimal = np.asarray(swept.get(locality=False)["curves"]).mean(axis=0)
     friendly = np.asarray(swept.get(locality=True)["curves"]).mean(axis=0)
     s2c2_fraction = 1.0 / MDS_K  # encoded partition size, constant
@@ -119,11 +119,3 @@ def run(
         f"stays at 1/k = {s2c2_fraction:.0%} (paper: 10%)"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

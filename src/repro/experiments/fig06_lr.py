@@ -24,12 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.scheduling.policies import build_policy
 
-__all__ = ["run", "main", "STRATEGIES"]
+__all__ = ["run", "STRATEGIES"]
 
 N_WORKERS = 12
 STRAGGLER_COUNTS = (0, 1, 2, 3, 4, 5, 6)
@@ -112,7 +112,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 6's series; normalised to uncoded @ 0 stragglers.
 
@@ -131,7 +131,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="fig06",
         description="LR relative execution time, 5 strategies vs stragglers",
@@ -151,11 +151,3 @@ def run(
         "past 2 stragglers; (12,6) flat but high; uncoded degrades steadily"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -16,18 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.fig06_lr import _coded_policy
 from repro.experiments.harness import (
     ExperimentResult,
     controlled_cost,
     controlled_network,
 )
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.runtime.batch import build_batch_runner
 from repro.scheduling.policies import build_policy
 
-__all__ = ["run", "main", "STRATEGIES"]
+__all__ = ["run", "STRATEGIES"]
 
 N_WORKERS = 12
 STRAGGLER_COUNTS = (0, 1, 2, 3, 4, 5, 6)
@@ -80,7 +80,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 7's series; normalised to uncoded @ 0 stragglers."""
     counts = STRAGGLER_COUNTS[:4] if quick else STRAGGLER_COUNTS
@@ -95,7 +95,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="fig07",
         description="PageRank relative execution time, 5 strategies vs stragglers",
@@ -112,11 +112,3 @@ def run(
         )
     result.notes = "same expected shape as Fig 6 (PageRank instead of LR)"
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionEngine
 from repro.experiments.cloud_common import N_WORKERS, run_environment
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepRunner
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 9: wasted-computation fraction per worker at (10,7)."""
     cloud = run_environment("low", quick=quick, seed=seed, trials=trials, runner=runner)
@@ -39,11 +39,3 @@ def run(
         f"{100 * np.mean(s2c2):.1f}% mean waste (paper: S2C2 = 0%)"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionEngine
 from repro.experiments.cloud_common import CODE_VARIANTS, run_environment
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepRunner
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 10: strategy → normalised execution time."""
     cloud = run_environment(
@@ -55,11 +55,3 @@ def run(
         "still lowest but with smaller margins than Fig 8"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionEngine
 from repro.experiments.cloud_common import N_WORKERS, run_environment
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepRunner
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 11: wasted-computation fraction per worker at (10,7)."""
     cloud = run_environment(
@@ -43,11 +43,3 @@ def run(
         f"MDS wastes {100 * excess:.0f}% more (paper: 47% more)"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

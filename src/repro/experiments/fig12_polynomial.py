@@ -19,18 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import BatchTraceSpeeds, TraceSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import (
     ExperimentResult,
     controlled_cost,
     controlled_network,
 )
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import StackedPredictor, StalePredictor
 from repro.prediction.traces import BURSTY, STABLE, generate_speed_traces
 from repro.runtime.batch import build_batch_runner
 from repro.scheduling.policies import build_policy
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 N_WORKERS = 12
 SPLIT = 3  # a = b = 3, coverage 9
@@ -96,7 +96,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 12: conventional polynomial vs S2C2, both environments."""
     spec = SweepSpec(
@@ -110,7 +110,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="fig12",
         description="Hessian on polynomial codes (×S2C2 in each environment)",
@@ -125,11 +125,3 @@ def run(
         "reduce the diag(x) scaling portion of each worker task"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

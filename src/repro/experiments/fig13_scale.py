@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.speed_models import BatchTraceSpeeds, TraceSpeeds
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import StackedPredictor, StalePredictor
 from repro.prediction.traces import BURSTY, STABLE, generate_speed_traces
 from repro.scheduling.policies import build_policy
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 N_WORKERS = 50
 MDS_K = 40
@@ -66,7 +66,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig 13: (50,40)-MDS vs S2C2 in both environments."""
     spec = SweepSpec(
@@ -80,7 +80,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="fig13",
         description="51-node scalability: (50,40)-MDS vs S2C2 (×S2C2)",
@@ -92,11 +92,3 @@ def run(
         result.add_row(environment, float(np.mean(mds / s2c2)), 1.0)
     result.notes = "paper: 1.25 (low, the full 50/40 bound) and 1.12 (high)"
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

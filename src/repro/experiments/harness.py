@@ -2,9 +2,9 @@
 
 Every ``figNN_*.py`` module exposes ``run(quick=True) -> ExperimentResult``
 returning the same rows/series the paper's figure reports (normalised the
-same way), plus a ``main()`` that prints the table.  ``quick=True`` shrinks
-matrix sizes and iteration counts for CI; the shapes being validated are
-scale-free.
+same way); ``python -m repro experiments <name>`` prints the table.
+``quick=True`` shrinks matrix sizes and iteration counts for CI; the
+shapes being validated are scale-free.
 """
 
 from __future__ import annotations

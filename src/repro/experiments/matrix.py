@@ -37,14 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.scenarios import available_scenarios, get_scenario
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult, trial_mean
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.scheduling.policies import available_policies, build_policy, get_policy
 
 __all__ = [
     "run",
     "run_matrix",
-    "main",
+    "run_cell",
+    "cell_geometry",
     "MatrixResult",
     "N_WORKERS",
     "COVERAGE",
@@ -61,18 +62,41 @@ COVERAGE = 8
 BASELINE = "mds"
 
 
-def _cell(params: dict, ctx: SweepContext) -> dict:
-    """Per-trial totals and waste for one (policy, scenario) grid point."""
-    policy = build_policy(
-        params["policy"],
-        N_WORKERS,
-        COVERAGE,
-        backend=params.get("backend", "closed"),
+def cell_geometry(quick: bool) -> tuple[int, int, int]:
+    """``(rows, cols, iterations)`` of every matrix cell at this scale."""
+    return (480, 120, 4) if quick else (2400, 600, 15)
+
+
+def run_cell(
+    policy: str,
+    scenario: str,
+    ctx: SweepContext,
+    backend: str = "closed",
+    trace: list | None = None,
+) -> dict:
+    """Per-trial totals and waste of one (policy, scenario) matrix cell.
+
+    The one definition of a matrix cell: the sweeps (``matrix``, the
+    tournament, ``repro stream``) run it through :func:`_cell`, while
+    ``repro tune`` (which passes ``trace`` to collect an adaptive
+    policy's controller trace) and ``repro profile`` call it in-process,
+    so their numbers line up with the matrix rows.
+    """
+    rows, cols, iterations = cell_geometry(ctx.quick)
+    runner = build_policy(policy, N_WORKERS, COVERAGE, backend=backend)
+    extra = {} if trace is None else {"trace": trace}
+    return runner.run_scenario(
+        scenario, ctx, rows=rows, cols=cols, iterations=iterations, **extra
     )
-    rows, cols = (480, 120) if ctx.quick else (2400, 600)
-    iterations = 4 if ctx.quick else 15
-    return policy.run_scenario(
-        params["scenario"], ctx, rows=rows, cols=cols, iterations=iterations
+
+
+def _cell(params: dict, ctx: SweepContext) -> dict:
+    """The sweep cell of one (policy, scenario) grid point."""
+    return run_cell(
+        params["policy"],
+        params["scenario"],
+        ctx,
+        backend=params.get("backend", "closed"),
     )
 
 
@@ -110,7 +134,7 @@ def run_matrix(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
     policies: tuple[str, ...] | None = None,
     scenarios: tuple[str, ...] | None = None,
     backend: str = "closed",
@@ -152,7 +176,7 @@ def run_matrix(
         # concat reducer, not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
 
     tag = "" if backend == "closed" else f", {backend} backend"
     per_scenario: dict[str, ExperimentResult] = {}
@@ -268,18 +292,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """The registry entry point: the normalised-latency summary grid."""
     return run_matrix(quick=quick, seed=seed, trials=trials, runner=runner).summary
-
-
-def main() -> None:
-    result = run_matrix(quick=False)
-    for table in result.tables():
-        print(table.format_table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -27,12 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.scenarios import available_scenarios, scenario_batch
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult, trial_mean
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.predictor import BatchLastValuePredictor
 from repro.scheduling.policies import build_policy
 
-__all__ = ["run", "main", "N_WORKERS", "COVERAGE", "STRATEGIES"]
+__all__ = ["run", "N_WORKERS", "COVERAGE", "STRATEGIES"]
 
 N_WORKERS = 12
 COVERAGE = 8
@@ -63,7 +63,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Sweep every registered scenario; normalise per trial before averaging."""
     scenarios = available_scenarios()
@@ -78,7 +78,7 @@ def run(
         # trial lists — the exact concat reducer.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
     result = ExperimentResult(
         name="scenlat",
         description=(
@@ -103,11 +103,3 @@ def run(
         "scenarios (bursty, volatile traces) where forecasts go stale"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult, trial_mean
-from repro.experiments.sweep import SweepContext, SweepRunner, SweepSpec
 from repro.prediction.arima import ARIMA111Model, ARModel
 from repro.prediction.lstm import LSTMSpeedModel, MAPE_EPS
 from repro.prediction.traces import MEASURED, generate_speed_traces
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 MODELS = ("last-value", "arima-1-0-0", "arima-2-0-0", "arima-1-1-1", "lstm-h4")
 
@@ -74,7 +74,7 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """Reproduce the §6.1 model comparison: test MAPE per model."""
     spec = SweepSpec(
@@ -88,7 +88,7 @@ def run(
         # reducer (full trial lists), not a streaming summary.
         reducer="concat",
     )
-    mapes = (runner or SweepRunner()).run(spec).get(preset="measured")
+    mapes = (runner or ExecutionEngine()).run(spec).get(preset="measured")
     result = ExperimentResult(
         name="sec61",
         description="Speed-prediction test MAPE (lower is better)",
@@ -101,11 +101,3 @@ def run(
         "is the best ARIMA variant"
     )
     return result
-
-
-def main() -> None:
-    print(run(quick=False).format_table())
-
-
-if __name__ == "__main__":
-    main()

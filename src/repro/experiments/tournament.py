@@ -40,16 +40,15 @@ import numpy as np
 
 from repro.cluster.fuzz import generate_scenarios
 from repro.cluster.scenarios import get_scenario
+from repro.engine import ExecutionEngine, SweepSpec
 from repro.experiments.harness import ExperimentResult, trial_mean
 from repro.experiments.matrix import BASELINE, _cell
-from repro.experiments.sweep import SweepRunner, SweepSpec
 from repro.prediction.predictor import conformal_interval
 from repro.scheduling.policies import available_policies, get_policy
 
 __all__ = [
     "run",
     "run_tournament",
-    "main",
     "TournamentResult",
     "ALPHA",
     "DEFAULT_SCENARIOS",
@@ -86,7 +85,7 @@ def run_tournament(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
     policies: tuple[str, ...] | None = None,
     n_scenarios: int | None = None,
     population_seed: int | None = None,
@@ -134,7 +133,7 @@ def run_tournament(
         # the exact concat reducer, not a streaming summary.
         reducer="concat",
     )
-    swept = (runner or SweepRunner()).run(spec)
+    swept = (runner or ExecutionEngine()).run(spec)
 
     # Per (policy, scenario): mean total, mean waste, mean paired ratio.
     totals = np.empty((len(policies), len(scenarios)))
@@ -264,20 +263,9 @@ def run(
     quick: bool = True,
     seed: int = 0,
     trials: int = 1,
-    runner: SweepRunner | None = None,
+    runner: ExecutionEngine | None = None,
 ) -> ExperimentResult:
     """The registry entry point: the tournament summary table."""
     return run_tournament(
         quick=quick, seed=seed, trials=trials, runner=runner
     ).summary
-
-
-def main() -> None:
-    result = run_tournament(quick=False)
-    for table in result.tables():
-        print(table.format_table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

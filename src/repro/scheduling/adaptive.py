@@ -72,6 +72,7 @@ from typing import Any
 import numpy as np
 
 from repro._util import check_positive_int
+from repro.engine.runner import register_run_scoped_cache
 
 __all__ = [
     "AdaptiveController",
@@ -423,21 +424,12 @@ class AdaptivePolicyRunner:
 #: never changes a decision.  Cleared at every sweep-run boundary exactly
 #: like the trained-forecaster memo in :mod:`repro.scheduling.policies`.
 _COMMIT_MEMO: dict[tuple, tuple] = {}
-_MEMO_HOOKED = False
 
 
+@register_run_scoped_cache
 def clear_memos() -> None:
     """Drop the probe-commitment memo (run-boundary hook)."""
     _COMMIT_MEMO.clear()
-
-
-def _ensure_run_scoped() -> None:
-    global _MEMO_HOOKED
-    if not _MEMO_HOOKED:
-        from repro.experiments.sweep import register_run_scoped_cache
-
-        register_run_scoped_cache(clear_memos)
-        _MEMO_HOOKED = True
 
 
 @dataclass(frozen=True)
@@ -478,7 +470,6 @@ class AutoPolicyRunner:
         from repro.scheduling.policies import build_policy
 
         check_positive_int(self.probe_trials, "probe_trials")
-        _ensure_run_scoped()
         candidates = self.candidates()
         key = (
             "policy-auto",

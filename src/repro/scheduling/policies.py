@@ -18,13 +18,13 @@ registry on the strategy side:
   their own speed models and predictors (the cloud suite's trained LSTM,
   Fig 6's oracle);
 * policy names are plain strings, so a policy is directly usable as a
-  :class:`~repro.experiments.sweep.SweepSpec` axis value (the ``matrix``
+  :class:`~repro.engine.plan.SweepSpec` axis value (the ``matrix``
   experiment sweeps policy × scenario) and from the CLI
   (``python -m repro policies`` lists the registry, ``python -m repro
   matrix`` sweeps it);
 * :func:`registry_digest` folds runtime registrations into every sweep
   cache key — exactly like the scenario digest — so
-  :class:`~repro.experiments.sweep.SweepRunner` never serves a cached
+  :class:`~repro.engine.runner.ExecutionEngine` never serves a cached
   cell computed under a different policy registry.
 
 The built-ins cover the paper end to end: the §3 baselines (``uncoded``,
@@ -51,6 +51,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro._util import builder_source, check_positive_int, check_probability
+from repro.engine.runner import register_run_scoped_cache
 from repro.scheduling.replication import SpeculationConfig
 from repro.scheduling.s2c2 import BasicS2C2Scheduler, GeneralS2C2Scheduler
 from repro.scheduling.static import StaticCodedScheduler
@@ -427,26 +428,16 @@ class ReplicationPolicyRunner(_BatchedPolicyRunner):
 
 #: In-process memo for trained forecasting models, explicitly keyed and
 #: scoped to one sweep run (cleared whenever a
-#: :class:`~repro.experiments.sweep.SweepRunner` is built) so long-lived
+#: :class:`~repro.engine.runner.ExecutionEngine` is built) so long-lived
 #: pool workers neither pin stale models nor leak one run's models into an
-#: unrelated later run.  Registration with the sweep module is lazy to keep
-#: ``repro.scheduling`` importable without the experiments package.
+#: unrelated later run.
 _MODEL_MEMO: dict[tuple, Any] = {}
-_MEMO_HOOKED = False
 
 
+@register_run_scoped_cache
 def clear_memos() -> None:
     """Drop the trained forecaster memo (run-boundary hook)."""
     _MODEL_MEMO.clear()
-
-
-def _ensure_run_scoped() -> None:
-    global _MEMO_HOOKED
-    if not _MEMO_HOOKED:
-        from repro.experiments.sweep import register_run_scoped_cache
-
-        register_run_scoped_cache(clear_memos)
-        _MEMO_HOOKED = True
 
 
 def _training_traces(quick: bool, seed: int) -> np.ndarray:
@@ -463,7 +454,6 @@ def _training_traces(quick: bool, seed: int) -> np.ndarray:
 
 def _trained_lstm(hidden: int, quick: bool, seed: int):
     """Train (or fetch) the shared §6.1 LSTM forecaster."""
-    _ensure_run_scoped()
     key = ("lstm", hidden, quick, seed)
     model = _MODEL_MEMO.get(key)
     if model is None:
@@ -481,7 +471,6 @@ def _trained_lstm(hidden: int, quick: bool, seed: int):
 
 def _fitted_ar(p: int, quick: bool, seed: int):
     """Fit (or fetch) the shared AR(p) forecaster."""
-    _ensure_run_scoped()
     key = ("ar", p, quick, seed)
     model = _MODEL_MEMO.get(key)
     if model is None:

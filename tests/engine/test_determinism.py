@@ -27,7 +27,6 @@ from repro.engine import (
 )
 from repro.engine.plan import compile_plan, merge_shard_values
 from repro.experiments.matrix import _cell as matrix_cell
-from repro.experiments.sweep import SweepRunner
 
 #: Representative policy families: conventional MDS, the repair-armed full
 #: system, the batched over-decomposition baseline, and the scalar-session
@@ -52,16 +51,16 @@ class TestShardMergeDeterminism:
     @pytest.fixture(scope="class")
     def monolithic(self):
         # shard_size=trials: one unit per cell, the pre-engine behaviour.
-        return SweepRunner(jobs=1, shard_size=TRIALS).run(_spec()).values
+        return ExecutionEngine(jobs=1, shard_size=TRIALS).run(_spec()).values
 
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
-        sharded = SweepRunner(jobs=1, shard_size=shard_size).run(_spec())
+        sharded = ExecutionEngine(jobs=1, shard_size=shard_size).run(_spec())
         assert sharded.values == monolithic
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
-        pooled = SweepRunner(jobs=2, executor=executor, shard_size=3).run(
+        pooled = ExecutionEngine(jobs=2, executor=executor, shard_size=3).run(
             _spec()
         )
         assert pooled.values == monolithic
@@ -69,7 +68,7 @@ class TestShardMergeDeterminism:
     def test_trial_slices_match_smaller_sweeps(self, monolithic):
         # Trial t is seeded by stride arithmetic, so a 3-trial sweep is a
         # strict prefix of the 8-trial one, cell for cell.
-        small = SweepRunner(jobs=1).run(_spec(trials=3))
+        small = ExecutionEngine(jobs=1).run(_spec(trials=3))
         for key, value in small.values.items():
             full = monolithic[key]
             assert value == {k: v[:3] for k, v in full.items()}

@@ -27,7 +27,6 @@ from repro.engine import ExecutionEngine, RunStore, SweepSpec
 from repro.engine.plan import compile_plan, merge_shard_values
 from repro.experiments.matrix import COVERAGE, N_WORKERS
 from repro.experiments.matrix import _cell as matrix_cell
-from repro.experiments.sweep import SweepRunner
 from repro.scheduling.policies import available_policies, build_policy
 
 #: The limit where the event backend's links carry zero-cost traffic.
@@ -73,7 +72,7 @@ class TestZeroNetworkBitwiseEquivalence:
             base_seed=5,
             quick=True,
         )
-        return SweepRunner(jobs=1, shard_size=2).run(spec).values
+        return ExecutionEngine(jobs=1, shard_size=2).run(spec).values
 
     @pytest.mark.parametrize("policy", available_policies())
     def test_event_backend_bitwise_equals_closed_form(self, values, policy):
@@ -112,22 +111,22 @@ def _event_spec(trials=TRIALS, seed=11, backend="event"):
 class TestEventShardMergeDeterminism:
     @pytest.fixture(scope="class")
     def monolithic(self):
-        return SweepRunner(jobs=1, shard_size=TRIALS).run(_event_spec()).values
+        return ExecutionEngine(jobs=1, shard_size=TRIALS).run(_event_spec()).values
 
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
-        sharded = SweepRunner(jobs=1, shard_size=shard_size).run(_event_spec())
+        sharded = ExecutionEngine(jobs=1, shard_size=shard_size).run(_event_spec())
         assert sharded.values == monolithic
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
-        pooled = SweepRunner(jobs=2, executor=executor, shard_size=3).run(
+        pooled = ExecutionEngine(jobs=2, executor=executor, shard_size=3).run(
             _event_spec()
         )
         assert pooled.values == monolithic
 
     def test_trial_slices_match_smaller_sweeps(self, monolithic):
-        small = SweepRunner(jobs=1).run(_event_spec(trials=3))
+        small = ExecutionEngine(jobs=1).run(_event_spec(trials=3))
         for key, value in small.values.items():
             full = monolithic[key]
             assert value == {k: v[:3] for k, v in full.items()}
@@ -136,7 +135,7 @@ class TestEventShardMergeDeterminism:
         # "bursty" is compute-only, and the default EventConfig keeps
         # dedicated factor-1 links — so even on the controlled (non-zero)
         # network the event timeline equals the closed form bitwise.
-        closed = SweepRunner(jobs=1).run(_event_spec(backend="closed"))
+        closed = ExecutionEngine(jobs=1).run(_event_spec(backend="closed"))
         for policy in POLICIES:
             assert monolithic[(policy, "bursty", "event")] == closed.values[
                 (policy, "bursty", "closed")
@@ -146,7 +145,7 @@ class TestEventShardMergeDeterminism:
         # The point of the backend: under degraded links the closed form
         # (which sees unit speeds) must NOT match — network pressure is
         # only visible through the event timeline.
-        closed = SweepRunner(jobs=1).run(_event_spec(backend="closed"))
+        closed = ExecutionEngine(jobs=1).run(_event_spec(backend="closed"))
         assert any(
             monolithic[(policy, scenario, "event")]
             != closed.values[(policy, scenario, "closed")]

@@ -34,6 +34,13 @@ class TestRunLifecycle:
     def test_missing_run_has_no_manifest(self, tmp_path):
         assert RunStore(tmp_path).manifest_of("nope") is None
 
+    def test_root_that_is_a_file_rejected_naming_it(self, tmp_path):
+        # Up front, not as a bare NotADirectoryError on the first write.
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        with pytest.raises(ValueError, match="not-a-dir.*not a directory"):
+            RunStore(root)
+
 
 class TestShardRecords:
     def test_append_and_read_back(self, tmp_path):

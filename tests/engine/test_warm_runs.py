@@ -28,7 +28,6 @@ from repro.engine import (
     compile_plan,
     shard_key,
 )
-from repro.experiments.sweep import SweepRunner
 from repro.scheduling import policies as pol
 
 
@@ -162,7 +161,7 @@ class TestRegistryDigests:
         calls = _count_getsource(monkeypatch)
         module.registry_digest()
         assert calls == []
-        SweepRunner()
+        ExecutionEngine()
         module.registry_digest()
         assert calls
 

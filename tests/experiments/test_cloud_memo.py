@@ -3,14 +3,14 @@
 The cloud cell and its trained LSTM used to live in module-level
 ``functools.lru_cache``\\ s: entries persisted for the life of the worker
 process across unrelated sweep runs and pinned trained models in memory.
-They are now explicit dicts cleared at every :class:`SweepRunner`
+They are now explicit dicts cleared at every :class:`ExecutionEngine`
 construction (a run boundary) via the run-scoped cache registry.
 """
 
 import numpy as np
 
+from repro.engine import SEED_STRIDE, ExecutionEngine, SweepContext
 from repro.experiments import cloud_common
-from repro.experiments.sweep import SEED_STRIDE, SweepContext, SweepRunner
 
 
 def _ctx(seed: int, trials: int = 1) -> SweepContext:
@@ -44,7 +44,7 @@ class TestCloudMemos:
     def test_new_runner_clears_memos(self):
         cloud_common._CELL_MEMO[("sentinel",)] = {"stale": True}
         cloud_common._LSTM_MEMO[("sentinel",)] = object()
-        SweepRunner()
+        ExecutionEngine()
         assert not cloud_common._CELL_MEMO
         assert not cloud_common._LSTM_MEMO
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.speed_models import ConstantSpeeds
+from repro.engine import ExecutionEngine, RunStore
 from repro.experiments.matrix import BASELINE, run, run_matrix
-from repro.experiments.sweep import SweepRunner
 from repro.scheduling import policies as pol
 
 #: A cheap sub-grid used by most tests (the full registry product runs in
@@ -91,22 +91,20 @@ class TestDeterminism:
         ).per_scenario["spot"].rows
 
     def test_pool_matches_inline(self):
-        inline = _small(runner=SweepRunner(jobs=1))
-        pooled = _small(runner=SweepRunner(jobs=2))
+        inline = _small(runner=ExecutionEngine(jobs=1))
+        pooled = _small(runner=ExecutionEngine(jobs=2))
         for a, b in zip(inline.tables(), pooled.tables()):
             assert a.format_table() == b.format_table()
 
 
 class TestCacheInvalidation:
     def test_warm_store_hits_and_policy_registration_invalidates(self, tmp_path):
-        from repro.engine import RunStore
-
-        result = _small(runner=SweepRunner(jobs=1, cache_dir=tmp_path))
+        result = _small(runner=ExecutionEngine(jobs=1, store=RunStore(tmp_path)))
         cells = len(POLICIES) * len(SCENARIOS)
         # trials=2 < the shard stride, so one stored shard per cell.
         assert RunStore(tmp_path).shard_count() == cells
 
-        warm = _small(runner=SweepRunner(jobs=1, cache_dir=tmp_path))
+        warm = _small(runner=ExecutionEngine(jobs=1, store=RunStore(tmp_path)))
         for a, b in zip(result.tables(), warm.tables()):
             assert a.format_table() == b.format_table()
 
@@ -121,19 +119,18 @@ class TestCacheInvalidation:
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(pol._REGISTRY, "zz-cache-test", extra)
-            _small(runner=SweepRunner(jobs=1, cache_dir=tmp_path))
+            _small(runner=ExecutionEngine(jobs=1, store=RunStore(tmp_path)))
             assert RunStore(tmp_path).shard_count() == 2 * cells
         # Back under the original registry, the original records hit again.
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
+        runner = ExecutionEngine(jobs=1, store=RunStore(tmp_path))
         stored = RunStore(tmp_path).shard_count()
         _small(runner=runner)
         assert RunStore(tmp_path).shard_count() == stored
 
     def test_scenario_registration_also_invalidates(self, tmp_path):
         from repro.cluster import scenarios as scn
-        from repro.engine import RunStore
 
-        _small(runner=SweepRunner(jobs=1, cache_dir=tmp_path))
+        _small(runner=ExecutionEngine(jobs=1, store=RunStore(tmp_path)))
         cells = RunStore(tmp_path).shard_count()
         assert cells == len(POLICIES) * len(SCENARIOS)
         extra = scn.ScenarioSpec(
@@ -144,7 +141,7 @@ class TestCacheInvalidation:
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(scn._REGISTRY, "zz-cache-test", extra)
-            _small(runner=SweepRunner(jobs=1, cache_dir=tmp_path))
+            _small(runner=ExecutionEngine(jobs=1, store=RunStore(tmp_path)))
         assert RunStore(tmp_path).shard_count() == 2 * cells
 
 

@@ -1,8 +1,9 @@
-"""Sweep facade: grid enumeration, deterministic seeding, store, pool.
+"""Sweeps on the engine: grid enumeration, deterministic seeding, store, pool.
 
 The engine's own layers (plan compilation, executors, run store, resume)
-are covered in ``tests/engine/``; this module pins the stable
-``repro.experiments.sweep`` surface the experiment modules build on.
+are covered in ``tests/engine/``; this module pins the
+``ExecutionEngine`` / ``EngineReport`` surface the experiment modules
+build on.
 """
 
 import json
@@ -11,14 +12,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import RunStore, compile_plan, shard_key
-from repro.experiments.sweep import (
+from repro.engine import (
     SEED_STRIDE,
+    ExecutionEngine,
+    RunStore,
     SweepContext,
-    SweepRunner,
     SweepSpec,
+    compile_plan,
     default_cache_dir,
     register_run_scoped_cache,
+    shard_key,
 )
 
 
@@ -84,23 +87,28 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="no values"):
             SweepSpec(name="bad", cell=_record_and_compute, axes=(("a", ()),))
 
+    def test_negative_base_seed_rejected(self):
+        # Trial 0's seed is base_seed, which NumPy would reject mid-run.
+        with pytest.raises(ValueError, match="base_seed"):
+            _spec(base_seed=-1)
+
 
 class TestDeterminism:
     def test_same_spec_identical_results(self):
-        runner = SweepRunner(jobs=1)
+        runner = ExecutionEngine(jobs=1)
         first = runner.run(_spec())
         second = runner.run(_spec())
         assert first.values == second.values
 
     def test_trial_prefix_stable_as_trials_grow(self):
-        runner = SweepRunner(jobs=1)
+        runner = ExecutionEngine(jobs=1)
         small = runner.run(_spec(trials=1))
         large = runner.run(_spec(trials=4))
-        for params in small.points():
+        for params in small.spec.points():
             assert large.get(**params)[:1] == small.get(**params)
 
     def test_get_unknown_point(self):
-        result = SweepRunner(jobs=1).run(_spec())
+        result = ExecutionEngine(jobs=1).run(_spec())
         with pytest.raises(KeyError, match="no cell"):
             result.get(a=9, b=9)
 
@@ -110,21 +118,21 @@ class TestCache:
         markers = tmp_path / "markers"
         markers.mkdir()
         cache = tmp_path / "cache"
-        runner = SweepRunner(jobs=1, cache_dir=cache)
+        runner = ExecutionEngine(jobs=1, store=RunStore(cache))
         spec = _spec(marker_dir=str(markers))
         first = runner.run(spec)
-        assert first.cache_hits == 0
+        assert first.shard_hits == 0
         n_invocations = len(list(markers.iterdir()))
         assert n_invocations == 6
         second = runner.run(spec)
-        assert second.cache_hits == 6
+        assert second.shard_hits == 6
         assert len(list(markers.iterdir())) == n_invocations  # no re-runs
         assert second.values == first.values
 
     def test_incremental_new_cells_only(self, tmp_path):
         markers = tmp_path / "markers"
         markers.mkdir()
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path / "cache")
+        runner = ExecutionEngine(jobs=1, store=RunStore(tmp_path / "cache"))
         runner.run(_spec(marker_dir=str(markers)))
         before = len(list(markers.iterdir()))
         grown = _spec(
@@ -132,7 +140,7 @@ class TestCache:
             axes=(("a", (1, 2, 3)), ("b", (3, 4, 5))),
         )
         result = runner.run(grown)
-        assert result.cache_hits == 6  # the old grid
+        assert result.shard_hits == 6  # the old grid
         assert len(list(markers.iterdir())) == before + 3  # only a=3 cells ran
 
     def test_key_varies_with_seeds_and_quick(self):
@@ -178,7 +186,7 @@ class TestCache:
         assert shard_key(spec, shard) == base
 
     def test_corrupt_store_records_recomputed(self, tmp_path):
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
+        runner = ExecutionEngine(jobs=1, store=RunStore(tmp_path))
         spec = _spec()
         runner.run(spec)
         # Wiping both the raw shard records and the reducer checkpoints
@@ -187,7 +195,7 @@ class TestCache:
             for path in tmp_path.glob(f"runs/*/{name}"):
                 path.write_text("{not json\n")
         result = runner.run(spec)
-        assert result.cache_hits == 0
+        assert result.shard_hits == 0
         # The torn lines stay (append-only log) but every shard is stored
         # again as a well-formed record behind them.
         assert _stored_shards(tmp_path) == 6
@@ -203,7 +211,7 @@ class TestCache:
         # from their checkpoints and nothing is recomputed.
         markers = tmp_path / "markers"
         markers.mkdir()
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path / "cache")
+        runner = ExecutionEngine(jobs=1, store=RunStore(tmp_path / "cache"))
         spec = _spec(marker_dir=str(markers))
         first = runner.run(spec)
         n_invocations = len(list(markers.iterdir()))
@@ -211,7 +219,7 @@ class TestCache:
             path.write_text("{not json\n")
         second = runner.run(spec)
         assert second.values == first.values
-        assert second.cache_hits == 6  # served from cells.jsonl checkpoints
+        assert second.shard_hits == 6  # served from cells.jsonl checkpoints
         assert len(list(markers.iterdir())) == n_invocations  # no re-runs
 
     def test_default_cache_dir_env_override(self, monkeypatch, tmp_path):
@@ -222,20 +230,20 @@ class TestCache:
 class TestParallel:
     def test_pool_matches_inline(self, tmp_path):
         spec = _spec(trials=2)
-        inline = SweepRunner(jobs=1).run(spec)
-        pooled = SweepRunner(jobs=2).run(spec)
+        inline = ExecutionEngine(jobs=1).run(spec)
+        pooled = ExecutionEngine(jobs=2).run(spec)
         assert pooled.values == inline.values
 
     def test_pool_populates_store(self, tmp_path):
-        runner = SweepRunner(jobs=2, cache_dir=tmp_path)
+        runner = ExecutionEngine(jobs=2, store=RunStore(tmp_path))
         runner.run(_spec())
         assert _stored_shards(tmp_path) == 6
-        assert runner.run(_spec()).cache_hits == 6
+        assert runner.run(_spec()).shard_hits == 6
 
     def test_thread_executor_matches_inline(self):
         spec = _spec(trials=2)
-        inline = SweepRunner(jobs=1).run(spec)
-        threaded = SweepRunner(jobs=2, executor="thread").run(spec)
+        inline = ExecutionEngine(jobs=1).run(spec)
+        threaded = ExecutionEngine(jobs=2, executor="thread").run(spec)
         assert threaded.values == inline.values
 
 
@@ -247,10 +255,28 @@ class TestRunScopedCaches:
         clear = memo.clear
         try:
             assert register_run_scoped_cache(clear) is clear  # decorator style
-            SweepRunner()
+            ExecutionEngine()
             assert memo == {}
             memo["fresh"] = "entry"
-            SweepRunner(jobs=2)
+            ExecutionEngine(jobs=2)
             assert memo == {}
         finally:
             engine_runner._RUN_SCOPED_CACHE_CLEARERS.remove(clear)
+
+    @pytest.mark.parametrize(
+        "module, memo",
+        [
+            ("repro.scheduling.policies", "_MODEL_MEMO"),
+            ("repro.scheduling.adaptive", "_COMMIT_MEMO"),
+            ("repro.experiments.cloud_common", "_CELL_MEMO"),
+        ],
+    )
+    def test_module_memos_are_run_scoped_from_import(self, module, memo):
+        # Registered when the module is imported, so a memo filled by any
+        # path (not only the one that used to hook it lazily) is dropped.
+        import importlib
+
+        entries = getattr(importlib.import_module(module), memo)
+        entries[("sentinel",)] = object()
+        ExecutionEngine()
+        assert not entries

@@ -25,7 +25,6 @@ from repro.cluster.fuzz import generate_scenario
 from repro.engine import ExecutionEngine, RunStore, SweepSpec
 from repro.engine.plan import SEED_STRIDE, SweepContext, compile_plan, merge_shard_values
 from repro.experiments.matrix import _cell as matrix_cell
-from repro.experiments.sweep import SweepRunner
 from repro.scheduling.adaptive import (
     CONTROLLER_KEYS,
     AdaptiveController,
@@ -162,12 +161,13 @@ class TestShardAndExecutorDeterminism:
     @pytest.fixture(scope="class")
     def monolithic(self):
         clear_memos()
-        return SweepRunner(jobs=1, shard_size=TRIALS).run(_spec(ADAPTIVE_ROWS)).values
+        engine = ExecutionEngine(jobs=1, shard_size=TRIALS)
+        return engine.run(_spec(ADAPTIVE_ROWS)).values
 
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
         clear_memos()  # commitment must be re-derivable per shard
-        sharded = SweepRunner(jobs=1, shard_size=shard_size).run(
+        sharded = ExecutionEngine(jobs=1, shard_size=shard_size).run(
             _spec(ADAPTIVE_ROWS)
         )
         assert sharded.values == monolithic
@@ -175,7 +175,7 @@ class TestShardAndExecutorDeterminism:
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
         clear_memos()
-        pooled = SweepRunner(jobs=2, executor=executor, shard_size=3).run(
+        pooled = ExecutionEngine(jobs=2, executor=executor, shard_size=3).run(
             _spec(ADAPTIVE_ROWS)
         )
         assert pooled.values == monolithic
@@ -184,7 +184,7 @@ class TestShardAndExecutorDeterminism:
         # Per-trial controllers key on trial seeds, so a 3-trial sweep is
         # a strict prefix of the 8-trial one — no cross-trial leakage.
         clear_memos()
-        small = SweepRunner(jobs=1).run(_spec(ADAPTIVE_ROWS, trials=3))
+        small = ExecutionEngine(jobs=1).run(_spec(ADAPTIVE_ROWS, trials=3))
         for key, value in small.values.items():
             full = monolithic[key]
             assert value == {k: v[:3] for k, v in full.items()}
@@ -202,8 +202,8 @@ class TestShardAndExecutorDeterminism:
             base_seed=9,
             quick=True,
         )
-        whole = SweepRunner(jobs=1, shard_size=4).run(spec).values
-        sliced = SweepRunner(jobs=1, shard_size=1).run(spec).values
+        whole = ExecutionEngine(jobs=1, shard_size=4).run(spec).values
+        sliced = ExecutionEngine(jobs=1, shard_size=1).run(spec).values
         assert sliced == whole
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.sweep import SweepContext
+from repro.engine import SweepContext
 from repro.scheduling import policies as pol
 from repro.scheduling.policies import (
     CodedPolicyRunner,
@@ -18,7 +18,7 @@ from repro.scheduling.static import StaticCodedScheduler
 
 
 def _ctx(trials=2, quick=True, base_seed=0):
-    from repro.experiments.sweep import SEED_STRIDE
+    from repro.engine import SEED_STRIDE
 
     return SweepContext(
         quick=quick,
@@ -236,12 +236,12 @@ class TestRunners:
         assert np.mean(oracle["total"]) <= np.mean(stale["total"])
 
     def test_model_memo_is_run_scoped(self):
-        from repro.experiments.sweep import SweepRunner
+        from repro.engine import ExecutionEngine
 
         ctx = _ctx(trials=1)
         build_policy("s2c2-ar", 12, 8).run_scenario(
             "constant", ctx, rows=240, cols=60, iterations=1
         )
         assert pol._MODEL_MEMO  # the fitted AR model is memoised
-        SweepRunner()  # a new sweep run clears policy-layer model memos
+        ExecutionEngine()  # a new sweep run clears policy-layer model memos
         assert not pol._MODEL_MEMO

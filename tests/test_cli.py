@@ -323,18 +323,19 @@ class TestBenchSweepTags:
 
 
 class TestCliValidation:
-    """Bad --jobs/--trials/--executor values: exit 2, message names the flag.
+    """Bad flag values and names: exit 2, nothing on stdout, the error
+    names the flag or the unknown name.
 
-    The contract is uniform across subcommands (shared types in
-    `repro.engine.options`), so one subcommand per flag is representative;
-    `matrix` and `fuzz` are exercised once to pin the sharing.
+    Every sweep command takes the same validate → run → report path
+    (shared types in `repro.engine.options`), so each contract is pinned
+    on every command that has the flag.
     """
 
-    @pytest.mark.parametrize("command", ["experiments", "matrix", "fuzz"])
+    @pytest.mark.parametrize("command", ["experiments", "matrix", "fuzz", "stream"])
     @pytest.mark.parametrize(
         "flag,value",
         [("--jobs", "0"), ("--trials", "-3"), ("--trials", "many"),
-         ("--shard-size", "0"), ("--executor", "bogus")],
+         ("--shard-size", "0"), ("--executor", "bogus"), ("--seed", "-1")],
     )
     def test_bad_value_exits_2_naming_flag(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as excinfo:
@@ -342,6 +343,55 @@ class TestCliValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # NumPy rejects a negative seed mid-run; the flag must not
+            # let one through.
+            (["matrix", "--quick", "--seed", "-1", "--policy", "mds",
+              "--scenario", "constant", "--no-cache"], "--seed"),
+            (["stream", "--quick", "--seed", "-1", "--no-cache"], "--seed"),
+            (["tune", "--quick", "--seed", "-3"], "--seed"),
+            (["profile", "--quick", "--seed", "-1"], "--seed"),
+            (["fuzz", "--quick", "--population-seed", "-1"],
+             "--population-seed"),
+        ],
+    )
+    def test_negative_seed_exits_2_naming_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["matrix", "fuzz", "stream", "tune", "profile"]
+    )
+    @pytest.mark.parametrize(
+        "flag, kind, listed",
+        [("--policy", "policy", "s2c2-oracle"),
+         ("--scenario", "scenario", "markov")],
+    )
+    def test_unknown_name_exits_2_listing_registry(
+        self, capsys, command, flag, kind, listed
+    ):
+        assert main([command, "--quick", flag, "no-such-name"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing half-printed
+        assert f"unknown {kind} 'no-such-name'" in captured.err
+        assert listed in captured.err
+
+    @pytest.mark.parametrize("command", ["experiments", "matrix", "fuzz", "stream"])
+    def test_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "store-file"
+        path.write_text("")
+        assert main([command, "--quick", "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert str(path) in captured.err
 
     def test_unknown_executor_error_lists_backends(self, capsys):
         with pytest.raises(SystemExit):
@@ -355,14 +405,23 @@ class TestCliValidation:
         err = capsys.readouterr().err
         assert "error" in err and "resume" in err
 
-    def test_resume_with_nothing_stored_exits_2(self, capsys, tmp_path):
-        argv = [
-            "experiments", "fig02", "--quick",
-            "--cache-dir", str(tmp_path), "--resume",
-        ]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiments", "fig02"],
+            ["matrix", "--policy", "mds", "--scenario", "constant"],
+            ["fuzz", "--scenarios", "2", "--policy", "mds"],
+            ["stream"],
+        ],
+        ids=["experiments", "matrix", "fuzz", "stream"],
+    )
+    def test_resume_with_nothing_stored_exits_2(self, capsys, tmp_path, argv):
+        argv = argv + ["--quick", "--cache-dir", str(tmp_path), "--resume"]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--resume" in err and "nothing to resume" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--resume" in captured.err
+        assert "nothing to resume" in captured.err
 
     def test_thread_executor_runs(self, capsys):
         argv = [
@@ -424,6 +483,39 @@ class TestAdaptiveCli:
         report = json.loads(capsys.readouterr().out)
         (entry,) = report["trace"]
         assert entry["committed"] in entry["probe"]["scores"]
+
+    def test_tune_runs_at_the_matrix_geometry(self, capsys):
+        # `tune` and the matrix share one cell definition: the tuned totals
+        # are the matrix cell's, trial for trial.
+        import json
+
+        from repro.engine import ExecutionEngine, SweepSpec
+        from repro.experiments.matrix import _cell
+
+        argv = [
+            "tune", "--quick", "--policy", "adaptive-timeout",
+            "--scenario", "bursty", "--seed", "3", "--trials", "2",
+        ]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        spec = SweepSpec(
+            name="matrix",
+            cell=_cell,
+            axes=(
+                ("policy", ("adaptive-timeout",)),
+                ("scenario", ("bursty",)),
+                ("backend", ("closed",)),
+            ),
+            trials=2,
+            base_seed=3,
+            quick=True,
+        )
+        cell = ExecutionEngine().run(spec).get(
+            policy="adaptive-timeout", scenario="bursty", backend="closed"
+        )
+        assert report["total"] == cell["total"]
+        assert report["wasted"] == cell["wasted"]
+        assert report["iterations"] == 4
 
     def test_tune_rejects_non_adaptive_policy(self, capsys):
         assert main(["tune", "--quick", "--policy", "mds"]) == 2

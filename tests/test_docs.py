@@ -154,7 +154,7 @@ def test_checker_validates_fuzz_lines_and_composed_expressions(tmp_path):
 @pytest.mark.parametrize(
     "ref",
     [
-        "repro.experiments.sweep.SweepRunner",
+        "repro.engine.runner.ExecutionEngine.run",
         "repro.runtime.batch.BatchCodedRunner",
         "repro.cluster.simulator.CodedIterationSim.run_batch",
     ],
