@@ -1,6 +1,6 @@
 """Ablation: chunk-granularity sweep for general S2C2 (Algorithm 1).
 
-DESIGN.md §5.3: Algorithm 1 allocates whole chunks, so coarse grids
+Paper §4.2: Algorithm 1 allocates whole chunks, so coarse grids
 quantise the speed-proportional shares (up to ±1 chunk per worker) and the
 most-overloaded worker sets the iteration time.  This bench sweeps the
 over-decomposition factor and checks that finer granularity monotonically

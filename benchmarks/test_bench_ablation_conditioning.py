@@ -1,7 +1,7 @@
 """Ablation: generator-matrix construction vs decoding conditioning.
 
-DESIGN.md §5.1: real-valued any-k decoding lives or dies on the worst-case
-condition number over k-row submatrices.  This bench measures, per
+Real-valued any-k decoding (``repro.coding.linear``) lives or dies on the
+worst-case condition number over k-row submatrices.  This bench measures, per
 construction, the worst sampled condition number and the end-to-end decode
 error at the paper's largest code (50, 40), justifying the library default
 (systematic + Gaussian parity).

@@ -1,7 +1,7 @@
 """Ablation: timeout slack sweep for the §4.3 repair mechanism.
 
-DESIGN.md §5.2: the paper sets the timeout slack to 15% because the speed
-predictor's MAPE is 16.7%.  This bench sweeps the slack on a surprise-
+Paper §4.3: the timeout slack is 15% because the speed predictor's MAPE
+is 16.7% (§6.1).  This bench sweeps the slack on a surprise-
 straggler scenario and checks that (a) any reasonable slack beats not
 repairing at all, and (b) the opportunistic master never loses from having
 a timeout armed, even with an aggressively small slack.

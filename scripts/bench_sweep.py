@@ -41,15 +41,15 @@ value; the speedup is pure scheduling-granularity win and scales with
 physical cores (on a single-core machine the two are expected to tie).
 
 The event-backend micro-bench (``--events``) times one network-degraded
-iteration batch of ``--event-trials`` trials three ways — the closed-form
-``run_batch``, the per-trial discrete-event loop, and the batched event
-kernel (precomputed schedules, scalar replay only for diverging trials) —
-asserting the batched kernel bitwise-equal to the loop; the end-to-end
-policy × scenario cells on both backends ride along under the
-``matrix_*`` keys.  ``--profile`` additionally reruns the batched kernel
-with the phase profiler installed (:mod:`repro.profiling`), prints the
-per-phase hot-spot table, and attaches the phase totals to the
-``--append-json`` record, so the next optimisation round is data-driven.
+iteration batch of ``--event-trials`` trials two ways — the closed-form
+``run_batch`` and the event backend's ``run_batch`` (link-priced schedules
+on the same batched kernel; ``tests/cluster/test_events_batch.py`` pins
+it bitwise against the per-trial event loop); the end-to-end policy ×
+scenario cells on both backends ride along under the ``matrix_*`` keys.
+``--profile`` additionally reruns the event kernel with the phase profiler
+installed (:mod:`repro.profiling`), prints the per-phase hot-spot table,
+and attaches the phase totals to the ``--append-json`` record, so the next
+optimisation round is data-driven.
 
 The prediction-path micro-bench (``--predictor-trials``) drives the §6.2
 online LSTM forecasting loop — the prediction-in-the-loop side of every
@@ -356,16 +356,14 @@ def bench_event_backend(
 
 def bench_event_kernel(
     quick: bool, trials: int, profiler=None
-) -> tuple[float, float, float]:
-    """Event backend at scale: closed form vs per-trial loop vs batched kernel.
+) -> tuple[float, float]:
+    """Event backend at scale: closed form vs the link-priced batched kernel.
 
-    Returns ``(closed_seconds, loop_seconds, batch_seconds)`` for one
-    network-degraded iteration batch of ``trials`` trials (the ``netslow``
-    scenario's link factors, which only the event backend honours).  The
-    batched kernel is asserted bitwise-equal to the per-trial loop — the
-    contract ``tests/cluster/test_events_batch.py`` pins.  When
-    ``profiler`` is given the batched kernel runs once more with it
-    installed, so the record carries per-phase hot-spot totals.
+    Returns ``(closed_seconds, batch_seconds)`` for one network-degraded
+    iteration batch of ``trials`` trials (the ``netslow`` scenario's link
+    factors, which only the event backend honours).  When ``profiler`` is
+    given the event kernel runs once more with it installed, so the
+    record carries per-phase hot-spot totals.
     """
     from repro.cluster.events.factors import link_factors_batch
     from repro.cluster.events.sim import EventDrivenIterationSim
@@ -400,23 +398,13 @@ def bench_event_kernel(
     closed_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    loop = [
-        event_sim.run(plan, speeds[t], link_factors=factors[t])
-        for t in range(trials)
-    ]
-    loop_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch = event_sim.run_batch(plan, speeds, link_factors=factors)
+    event_sim.run_batch(plan, speeds, link_factors=factors)
     batch_s = time.perf_counter() - start
-
-    for t, outcome in enumerate(loop):  # bitwise contract, cheap to hold
-        assert batch.completion_time[t] == outcome.completion_time, t
 
     if profiler is not None:
         with profiled(profiler):
             event_sim.run_batch(plan, speeds, link_factors=factors)
-    return closed_s, loop_s, batch_s
+    return closed_s, batch_s
 
 
 def bench_predictor_path(quick: bool, trials: int) -> tuple[float, float, int]:
@@ -544,9 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--events",
         action="store_true",
-        help="also time the event-backend kernels (closed form vs per-trial "
-        "event loop vs batched event kernel) plus the policy × scenario "
-        "cells on both backends",
+        help="also time the event-backend kernel against the closed form, "
+        "plus the policy × scenario cells on both backends",
     )
     parser.add_argument(
         "--event-trials",
@@ -697,18 +684,12 @@ def main() -> None:
             from repro.profiling import PhaseProfiler
 
             profiler = PhaseProfiler()
-        kc_s, kl_s, kb_s = bench_event_kernel(
-            quick, args.event_trials, profiler
-        )
+        kc_s, kb_s = bench_event_kernel(quick, args.event_trials, profiler)
         print(
             f"events closed batch  ({args.event_trials} trials, netslow): "
             f"{kc_s:7.2f}s"
         )
-        print(f"events per-trial loop:                    {kl_s:7.2f}s")
-        print(
-            f"events batched kernel:                    {kb_s:7.2f}s   "
-            f"({kl_s / kb_s:.1f}x over the loop)"
-        )
+        print(f"events batched kernel:                    {kb_s:7.2f}s")
         mclosed_s, mevent_s, cells = bench_event_backend(
             quick, args.trials, args.jobs
         )
@@ -722,7 +703,6 @@ def main() -> None:
         )
         record["events"] = {
             "closed": kc_s,
-            "event": kl_s,
             "batch": kb_s,
             "trials": args.event_trials,
             "matrix_closed": mclosed_s,

@@ -7,7 +7,7 @@ Scans README.md and docs/*.md (by default) for
 * backticked ``repro.*`` dotted references — each must resolve to an
   importable module, or to an attribute of one (``repro.a.b.C.method``
   resolves module-prefix-first, then attribute access);
-* backticked repository paths (``scripts/x.sh``, ``docs/y.md``,
+* backticked repository paths (``scripts/x.sh``, ``docs/api.md``,
   ``src/repro/...``, ``tests/...``, ``benchmarks/``) — each must exist;
 * experiment names in ``python -m repro experiments <name>`` examples —
   each must be registered in ``repro.experiments.ALL_EXPERIMENTS``;

@@ -83,10 +83,10 @@ if [ "$1" = "bench" ]; then
     # of one-trial LSTM views vs one batched LSTM kernel), --matrix the
     # policy x scenario grid, --engine the fat-cell scheduling bench
     # (cell-granular vs trial-sharded at --engine-jobs width), and
-    # --events the event-backend benches (closed form vs per-trial event
-    # loop vs the batched event kernel at --event-trials, plus both
-    # backends on identical cells; --profile attaches the per-phase
-    # hot-spot totals), so BENCH_SWEEP.json tracks the prediction,
+    # --events the event-backend benches (closed form vs the event
+    # backend's batched kernel at --event-trials, plus both backends on
+    # identical cells; --profile attaches the per-phase hot-spot
+    # totals), so BENCH_SWEEP.json tracks the prediction,
     # matrix, engine, and event series alongside the simulation ones.
     python scripts/bench_sweep.py --trials 4 --jobs 2 --predictor-trials 64 \
         --matrix --engine --events --event-trials 64 --profile \

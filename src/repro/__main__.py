@@ -35,7 +35,7 @@ Commands
     grids.  ``--policy`` / ``--scenario`` filter the registries (repeat
     the flag); an unknown name exits 2 listing the registry.
     ``--backend`` selects the simulator core (``closed`` / ``event`` —
-    the discrete-event engine with explicit network links).
+    the same kernel with every transfer priced on its worker's link).
 ``tune [--policy NAME] [--scenario NAME] [--backend NAME] [--quick]
 [--trials N] [--seed S]``
     Run one adaptive policy cell (see :mod:`repro.scheduling.adaptive`)
@@ -438,7 +438,7 @@ def _backend_flag(parser: argparse.ArgumentParser) -> None:
         default="closed",
         metavar="NAME",
         help="simulator core: closed (analytic, default) or event "
-        "(discrete-event engine with explicit network links)",
+        "(transfers priced on per-worker network links)",
     )
 
 

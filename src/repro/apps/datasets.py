@@ -4,7 +4,7 @@ The paper uses the UCI *gisette* dataset (duplicated to size) for LR/SVM
 and a Toronto web-ranking dataset for PageRank/graph filtering.  Latency
 results depend only on matrix dimensions, and numeric correctness is
 data-independent, so synthetic equivalents with matching structure suffice
-(DESIGN.md §2):
+(the figure experiments README.md lists simulate from shapes alone):
 
 * :func:`make_classification` — two Gaussian blobs with ±1 labels
   (linearly separable-ish, like gisette after preprocessing);

@@ -8,8 +8,8 @@
   per-iteration timelines for every strategy.
 * :mod:`repro.cluster.scenarios` — the pluggable straggler-scenario
   registry (named speed processes, sweepable by string).
-* :mod:`repro.cluster.events` — the discrete-event backend: explicit
-  network links, rack topology, and the ``EventDrivenIterationSim``
+* :mod:`repro.cluster.events` — the event backend: per-worker network
+  links with degradable bandwidth, and the ``EventDrivenIterationSim``
   selectable wherever ``CodedIterationSim`` runs (kept out of this
   namespace so the closed-form core imports without it).
 * :class:`~repro.cluster.local.LocalMDSExecutor` — real multiprocessing

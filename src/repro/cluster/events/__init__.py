@@ -1,27 +1,17 @@
-"""Discrete-event cluster simulator (the ``event`` backend).
+"""The ``event`` backend: coded iterations over per-worker network links.
 
-The package realises one coded iteration as a timeline of scheduled
-events over explicit network links — see :mod:`repro.cluster.events.sim`
-for the equivalence contract with the closed-form core.
+:class:`EventDrivenIterationSim` prices every transfer on the worker's own
+link, whose bandwidth a network scenario may degrade, and runs the closed
+form's batched kernel on that schedule — see :mod:`repro.cluster.events.sim`
+for the equivalence contract and :mod:`repro.cluster.events.factors` for
+how link factors are read off (possibly composed) speed models.
 """
 
 from repro.cluster.events.factors import link_factors_batch, link_factors_of
-from repro.cluster.events.loop import Event, EventLoop
-from repro.cluster.events.sim import (
-    EventConfig,
-    EventDrivenIterationSim,
-    EventTrace,
-)
-from repro.cluster.events.topology import Link, Topology
+from repro.cluster.events.sim import EventDrivenIterationSim
 
 __all__ = [
-    "Event",
-    "EventConfig",
     "EventDrivenIterationSim",
-    "EventLoop",
-    "EventTrace",
-    "Link",
-    "Topology",
     "available_backends",
     "check_backend",
     "link_factors_batch",

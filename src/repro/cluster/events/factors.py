@@ -18,8 +18,8 @@ its network-scenario leaves are active:
   (scaling *speeds* does not scale *links*).
 
 A ``None`` return means "no network degradation anywhere in this tree" —
-callers skip passing factors entirely, keeping the bitwise-exact
-factor-1 path in :class:`~repro.cluster.events.topology.Link`.
+callers skip passing factors entirely, and the event backend then prices
+every transfer at the nominal bandwidth, bitwise as the closed form does.
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ least ``k`` helpers are available — the feasibility identity of
 trial's reassignment, and the repair finish and accounting mirror the
 scalar helpers term by term, so they stay bitwise-equal to a per-trial
 loop without re-simulating the trial.  Only *general* plans (neither full
-nor exact coverage) replay through :meth:`~CodedIterationSim.run`.
+nor exact coverage) replay through :meth:`~CodedIterationSim.run`, and
+only on this closed backend: the event backend rejects them.
 
 Both uncoded simulators return the same stacked
 :class:`BatchUncodedOutcome`.  :meth:`ReplicationIterationSim.run_batch`
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,6 +117,22 @@ def _checked_speeds(
     return speeds
 
 
+def _checked_failures(failed: Iterable[frozenset[int]], n_workers: int) -> None:
+    """Check that every index in the ``failed_workers`` sets names a worker.
+
+    Every simulator entry runs it next to :func:`_checked_speeds`, so an
+    index outside ``[0, n_workers)`` is a typed error on every path instead
+    of numpy's wrap-around, a silent no-op or a bare ``IndexError``.
+    """
+    for failed_set in failed:
+        for w in failed_set:
+            if not 0 <= w < n_workers:
+                raise ValueError(
+                    f"failed_workers must index the {n_workers} workers, "
+                    f"got {w}"
+                )
+
+
 def _normalise_batch(
     speeds: np.ndarray,
     failed_workers: frozenset[int] | Sequence[frozenset[int]],
@@ -140,6 +157,7 @@ def _normalise_batch(
             raise ValueError(
                 f"got {len(failed_list)} failure sets for {trials} trials"
             )
+    _checked_failures(set(failed_list), speeds.shape[1])
     return speeds, trials, failed_list
 
 
@@ -389,27 +407,20 @@ class CodedIterationSim:
         return natural, np.inf
 
     def _timeout_deadline(
-        self,
-        responses: np.ndarray,
-        coverage: int,
-        responders: int | None = None,
+        self, responses: np.ndarray, coverage: int
     ) -> float | None:
         """§4.3: the deadline armed after the first ``k`` responses, or None.
 
-        ``responses`` are the finite response times seen so far, ascending;
-        ``responders`` is how many workers can respond at all (default: all
-        of them already have).  When fewer than ``k`` workers can ever
-        respond (failures among the assigned set), the deadline arms from
-        every response that does arrive — a real master cannot distinguish
-        "slow" from "dead" and must eventually time out either way.
+        ``responses`` are every finite response time, ascending.  When
+        fewer than ``k`` workers can ever respond (failures among the
+        assigned set), the deadline arms from every response that does
+        arrive — a real master cannot distinguish "slow" from "dead" and
+        must eventually time out either way.
         """
         if self.timeout is None:
             return None
-        k = min(
-            self.timeout.min_responses or coverage,
-            len(responses) if responders is None else responders,
-        )
-        if k == 0 or len(responses) < k:
+        k = min(self.timeout.min_responses or coverage, len(responses))
+        if k == 0:
             return None
         return self.timeout.deadline(float(np.mean(responses[:k])))
 
@@ -607,6 +618,7 @@ class CodedIterationSim:
         """
         n = plan.n_workers
         speeds = _checked_speeds(speeds, n, batch=False)
+        _checked_failures([failed_workers], n)
         profile = self._profile(plan)
         broadcast = self._broadcast_cost
         arrivals = np.full(n, np.inf)
@@ -680,7 +692,6 @@ class CodedIterationSim:
             failed_list,
             recv=self._broadcast_cost,
             bandwidth=self.network.bandwidth,
-            replay=lambda t: self.run(batch[t], speeds[t], failed_list[t]),
         )
 
     def _decode_times(self, coverage: int, groups: np.ndarray) -> np.ndarray:
@@ -697,6 +708,7 @@ class CodedIterationSim:
         speeds: np.ndarray,
         failed: np.ndarray,
         recv: np.ndarray,
+        bandwidth: np.ndarray,
         arrivals: np.ndarray,
         sorted_arr: np.ndarray,
         deadline: np.ndarray,
@@ -712,19 +724,38 @@ class CodedIterationSim:
         that arrival never comes or no active worker is still pending.
         One batched :func:`repair_assignments` call plans every trial's
         reassignment; the finish time and the accounting mirror
-        :meth:`_repair_finish` and :meth:`_account` term by term.  Trials
-        whose repair beats waiting are written into ``out``; the others
-        are left to complete naturally.
+        :meth:`_repair_finish` and :meth:`_account` term by term, the
+        repair reply riding each helper's reply ``bandwidth`` as its
+        natural reply does.  Trials whose repair beats waiting are written
+        into ``out``; the others are left to complete naturally.
         """
         rows = out.assigned_rows[native]
-        speeds, failed, recv, arrivals, sorted_arr, deadline, done = (
+        speeds, failed, recv, bandwidth, arrivals, sorted_arr, deadline, done = (
             a[native]
-            for a in (speeds, failed, recv, arrivals, sorted_arr, deadline, done)
+            for a in (
+                speeds, failed, recv, bandwidth, arrivals, sorted_arr,
+                deadline, done,
+            )
         )
         active = rows > 0
         idle = ~active & ~failed  # still hold their partitions (§4.4)
+        # The timeout fires once the k-th response (k as in
+        # _timeout_deadline) is in, at the deadline at the earliest.  A
+        # worker whose task has not started by then (its broadcast copy
+        # still in flight) has no arrival the master can foresee, so the
+        # search below treats it as a laggard.
+        index = np.arange(native.size)
+        k = np.minimum(
+            self.timeout.min_responses or batch.coverage,
+            np.isfinite(sorted_arr).sum(axis=1),
+        )
+        fires = np.maximum(deadline, sorted_arr[index, k - 1])
+        unseen = recv > fires[:, None]
+        if unseen.any():
+            arrivals = np.where(unseen, np.inf, arrivals)
+            sorted_arr = np.sort(arrivals, axis=1)
         need = batch.coverage - idle.sum(axis=1)
-        nth = sorted_arr[np.arange(native.size), np.maximum(need, 1) - 1]
+        nth = sorted_arr[index, np.maximum(need, 1) - 1]
         cutoff = np.maximum(deadline, np.where(need > 0, nth, -np.inf))
         finished = arrivals <= cutoff[:, None]  # inactive arrivals are inf
         lagging = active & ~finished
@@ -741,15 +772,16 @@ class CodedIterationSim:
         )
         extra_rows = extra @ self.grid.chunk_sizes()[: extra.shape[2]]
         reassigned = extra.any(axis=2)
-        # _repair_finish: the reassignment message leaves at the cutoff,
-        # and each helper's _arrival is ((start + fixed) + compute) + reply.
+        # _repair_finish: the zero-byte reassignment message leaves at the
+        # cutoff (behind the broadcast on a helper's downlink), and each
+        # helper's _arrival is ((start + fixed) + compute) + reply.
         cutoff, denom = cutoff[found], self.cost.worker_flops * speeds[found]
         fixed = self.fixed_task_flops / denom
         compute = (extra_rows * self.width * self.cost.flops_per_element) / denom
         reply = self.network.latency + (
             extra_rows * self.cost.row_bytes(self.width_out)
-        ) / self.network.bandwidth
-        dispatch = cutoff[:, None] + self.network.latency
+        ) / bandwidth[found]
+        dispatch = np.maximum(cutoff[:, None], recv[found]) + self.network.latency
         back = ((dispatch + fixed) + compute) + reply
         finish = np.maximum(
             cutoff, np.where(reassigned, back, -np.inf).max(axis=1)
@@ -788,21 +820,17 @@ class CodedIterationSim:
         failed_list: list[frozenset[int]],
         recv: float | np.ndarray,
         bandwidth: float | np.ndarray,
-        replay: Callable[[int], CodedIterationOutcome],
-        replay_all: bool = False,
-        replay_armed: np.ndarray | bool = False,
     ) -> BatchCodedOutcome:
         """The batched coded iteration behind both backends' ``run_batch``.
 
         ``recv`` is when each worker starts its task (it has received the
-        broadcast) and ``bandwidth`` that of its reply link: scalars, or
-        ``(trials, workers)`` arrays.  Full and exact-coverage plans take
-        closed-form array timelines; the trials whose §4.3 timeout
-        arms are repaired together by :meth:`_repair_batch`, bitwise-equal
-        to what :meth:`run` does.  ``replay(t)`` re-simulates trial ``t``
-        through the scalar path, the semantics of record for general
-        plans, for every trial when ``replay_all``, and for armed trials
-        flagged in ``replay_armed``.
+        broadcast) and ``bandwidth`` that of its reply link, for natural
+        and repair replies alike: scalars, or ``(trials, workers)`` arrays.
+        Full and exact-coverage plans take closed-form array timelines;
+        the trials whose §4.3 timeout arms are repaired together by
+        :meth:`_repair_batch`, bitwise-equal to what :meth:`run` does.
+        Trials on general plans replay through :meth:`run`, their
+        semantics of record.
         """
         trials, n = speeds.shape
         with span("plan"):
@@ -820,6 +848,7 @@ class CodedIterationSim:
         with span("broadcast"):
             broadcast = self._broadcast_cost
             recv = np.broadcast_to(recv, (trials, n))
+            bandwidth = np.broadcast_to(bandwidth, (trials, n))
         with span("compute"):
             denom = self.cost.worker_flops * speeds
             fixed = self.fixed_task_flops / denom
@@ -874,15 +903,14 @@ class CodedIterationSim:
                         deadlines[t] = deadline
             general = ~full_rows & ~exact_rows
             armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
-            replayed = general | replay_all | (armed & replay_armed)
-            native = np.flatnonzero(armed & ~replayed)
+            native = np.flatnonzero(armed)
             if native.size:
                 self._repair_batch(
-                    out, native, batch, speeds, failed_mask, recv,
+                    out, native, batch, speeds, failed_mask, recv, bandwidth,
                     arrivals, sorted_arr, deadlines, done,
                 )
 
-        fast = ~replayed & ~repaired
+        fast = ~general & ~repaired
         if np.any(np.isinf(done) & fast):
             raise RuntimeError(
                 "iteration cannot complete: coverage unsatisfiable with "
@@ -928,10 +956,10 @@ class CodedIterationSim:
                 decode[fast] = self._decode_times(coverage, groups[fast])
                 completion[fast] = done[fast] + decode[fast]
 
-        if np.any(replayed):
+        if np.any(general):
             with span("replay"):
-                for t in np.flatnonzero(replayed):
-                    outcome = replay(t)
+                for t in np.flatnonzero(general):
+                    outcome = self.run(batch[t], speeds[t], failed_list[t])
                     completion[t] = outcome.completion_time
                     decode[t] = outcome.decode_time
                     repaired[t] = outcome.repaired
@@ -1043,6 +1071,7 @@ class ReplicationIterationSim:
     ) -> UncodedIterationOutcome:
         """Simulate one iteration; every partition must produce one result."""
         speeds = _checked_speeds(speeds, self.placement.n_workers, batch=False)
+        _checked_failures([failed_workers], speeds.size)
         primary = self._primary_arrivals(speeds[None, :], [failed_workers])[0]
         return self._complete(speeds, primary, failed_workers)
 
@@ -1231,6 +1260,7 @@ class OverDecompositionIterationSim:
         same arrival matrix and plan the batch path evaluates.
         """
         speeds = _checked_speeds(speeds, None, batch=False)
+        _checked_failures([failed_workers], speeds.size)
         out, arrival = self._timeline(
             [plan], speeds[None, :], [frozenset(failed_workers)]
         )

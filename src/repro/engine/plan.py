@@ -93,6 +93,15 @@ class SweepContext:
     base_seed: int
     seeds: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # NumPy rejects negative seeds, and a cell needs at least one trial.
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not self.seeds:
+            raise ValueError("seeds must hold at least one trial seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+
     @property
     def trials(self) -> int:
         return len(self.seeds)

@@ -1,4 +1,4 @@
-"""Per-figure reproduction experiments (see DESIGN.md §4 for the index).
+"""Per-figure reproduction experiments (README.md maps each to its figure).
 
 Each module exposes ``run(quick, seed, trials, runner) -> ExperimentResult``,
 registered by name in :data:`ALL_EXPERIMENTS`; ``runner`` is the

@@ -2,10 +2,10 @@
 
 The batched simulator kernels (closed form and event backend) bracket
 their phases — plan classification, broadcast, compute, reply, repair,
-decode, and the scalar-replay fallback — with :func:`span` context
-managers.  When no profiler is installed a span is a shared no-op object,
-so the instrumented kernels pay two attribute lookups per phase and
-nothing else; under :func:`profiled` every span accumulates wall-clock
+decode, and the closed backend's general-plan replay — with :func:`span`
+context managers.  When no profiler is installed a span is a shared no-op
+object, so the instrumented kernels pay two attribute lookups per phase
+and nothing else; under :func:`profiled` every span accumulates wall-clock
 seconds into a :class:`PhaseProfiler`, which renders a hot-spot table
 (``repro profile``) or a machine-readable dict
 (``scripts/bench_sweep.py --profile``).

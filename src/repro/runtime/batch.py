@@ -293,10 +293,10 @@ class BatchCodedRunner(_BatchRunnerBase):
     round for round, for all trials at once.
 
     ``backend`` selects the simulator core: ``"closed"`` (the analytic
-    default) or ``"event"`` (the discrete-event engine of
-    :mod:`repro.cluster.events`, bitwise-equal under its identity config
-    and additionally sensitive to link degradation from network
-    scenarios).
+    default) or ``"event"`` (the link-aware backend of
+    :mod:`repro.cluster.events`, bitwise-equal to the closed form on
+    healthy links and additionally sensitive to link degradation from
+    network scenarios).
     """
 
     timeout: TimeoutPolicy | None = None

@@ -1,19 +1,20 @@
-"""Tests for the discrete-event backend: loop, links, topology, simulator.
+"""Tests for the event backend and the discrete-event loop that pins it.
 
 Three layers of guarantees:
 
-* **event-loop invariants** — nondecreasing pops with deterministic
-  tie-breaks, checked as hypothesis properties over arbitrary schedules
-  and over the audit history of fuzzed scenario runs;
-* **bitwise equivalence** — under the default :class:`EventConfig` the
-  event timeline equals :class:`CodedIterationSim` float-for-float, on
-  real networks with unit link factors and in the zero-network limit for
-  *any* link factors (the engine-level policy × scenario pinning lives in
+* **event-loop invariants** — the oracle loop (``event_oracle.py``) pops
+  in nondecreasing order with deterministic tie-breaks, checked as
+  hypothesis properties over arbitrary schedules and over the audit
+  history of fuzzed scenario runs;
+* **bitwise equivalence** — the loop equals :class:`CodedIterationSim`
+  float-for-float on real networks with unit link factors and in the
+  zero-network limit for *any* link factors, and
+  :meth:`EventDrivenIterationSim.run_batch` equals the loop on every case
+  (the engine-level policy × scenario pinning lives in
   ``tests/engine/test_event_equivalence.py``);
 * **conservation and ledger properties** — every dispatched task
   terminates exactly once, and every byte a worker sent or received is
-  accounted on exactly the links it crossed, including shared
-  top-of-rack links.
+  accounted on exactly the links it crossed.
 """
 
 import numpy as np
@@ -22,12 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.events import (
-    Event,
-    EventConfig,
     EventDrivenIterationSim,
-    EventLoop,
-    Link,
-    Topology,
     available_backends,
     check_backend,
     link_factors_batch,
@@ -42,6 +38,15 @@ from repro.scheduling.base import full_plan
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler
 from repro.scheduling.timeout import TimeoutPolicy
 
+from event_oracle import (
+    Event,
+    EventLoop,
+    Link,
+    Topology,
+    event_loop_outcome,
+    run_event_loop,
+)
+
 # Fast network so compute dominates, as on the paper's InfiniBand cluster.
 NET = NetworkModel(latency=1e-6, bandwidth=1e12)
 # Controlled-cluster network (the experiment harness default).
@@ -51,8 +56,7 @@ ZERO_NET = NetworkModel(latency=0.0, bandwidth=float("inf"))
 COST = CostModel(worker_flops=1e6)
 
 
-def make_sims(network=NET, timeout=None, config=None, rows=120, chunks=60,
-              width=10):
+def make_sims(network=NET, timeout=None, rows=120, chunks=60, width=10):
     """A (closed, event) simulator pair sharing every analytic knob."""
     kwargs = dict(
         grid=ChunkGrid(rows, chunks),
@@ -61,11 +65,7 @@ def make_sims(network=NET, timeout=None, config=None, rows=120, chunks=60,
         cost=COST,
         timeout=timeout,
     )
-    closed = CodedIterationSim(**kwargs)
-    event = EventDrivenIterationSim(
-        **kwargs, **({"config": config} if config is not None else {})
-    )
-    return closed, event
+    return CodedIterationSim(**kwargs), EventDrivenIterationSim(**kwargs)
 
 
 def assert_outcomes_bitwise_equal(a, b):
@@ -84,6 +84,21 @@ def assert_outcomes_bitwise_equal(a, b):
         assert sa.used_rows == sb.used_rows
         assert sa.response_time == sb.response_time
         assert sa.cancelled == sb.cancelled
+
+
+def assert_batch_row_equal(batch, t, outcome):
+    """Row ``t`` of a batched outcome equals one scalar outcome, bitwise."""
+    assert batch.completion_time[t] == outcome.completion_time
+    assert batch.broadcast_time == outcome.broadcast_time
+    assert batch.decode_time[t] == outcome.decode_time
+    assert bool(batch.repaired[t]) == outcome.repaired
+    for w, stat in enumerate(outcome.workers):
+        assert batch.assigned_rows[t, w] == stat.assigned_rows, w
+        assert batch.computed_rows[t, w] == stat.computed_rows, w
+        assert batch.used_rows[t, w] == stat.used_rows, w
+        assert batch.responded[t, w] == (
+            stat.response_time is not None and not stat.cancelled
+        ), w
 
 
 # ---------------------------------------------------------------------------
@@ -193,38 +208,15 @@ class TestLink:
 class TestTopology:
     def test_flat_topology_is_contention_free(self):
         topo = Topology(4, NET)
-        assert topo.rack_of(2) is None
         # Simultaneous sends to every worker do not interact.
         for w in range(4):
             arrive = topo.send_down(w, 0.0, 1000.0)
             assert arrive == NET.transfer_time(1000.0)
         assert len(topo.links()) == 8
 
-    def test_rack_links_serialise_traffic(self):
-        net = NetworkModel(latency=0.0, bandwidth=10.0)
-        topo = Topology(4, net, rack_size=2)
-        assert [topo.rack_of(w) for w in range(4)] == [0, 0, 1, 1]
-        first = topo.send_up(0, 0.0, 100.0)  # ToR busy until t=20
-        second = topo.send_up(1, 0.0, 100.0)  # queues behind it
-        other_rack = topo.send_up(2, 0.0, 100.0)  # unaffected
-        assert second > first
-        assert other_rack == first
-        assert len(topo.rack_up) == 2
-        assert topo.rack_up[0].message_count == 2
-
-    def test_rack_factor_scales_tor_bandwidth(self):
-        net = NetworkModel(latency=0.0, bandwidth=10.0)
-        narrow = Topology(2, net, rack_size=2, rack_factor=0.5)
-        wide = Topology(2, net, rack_size=2, rack_factor=2.0)
-        assert narrow.send_down(0, 0.0, 100.0) > wide.send_down(0, 0.0, 100.0)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="n_workers"):
             Topology(0, NET)
-        with pytest.raises(ValueError, match="rack_size"):
-            Topology(4, NET, rack_size=0)
-        with pytest.raises(ValueError, match="rack_factor"):
-            Topology(4, NET, rack_size=2, rack_factor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +253,8 @@ def _random_case(case):
 class TestBitwiseEquivalence:
     @pytest.mark.parametrize("case", range(48))
     def test_random_cases_bitwise_equal(self, case):
+        # Unit links: the loop is the closed form, and the batched event
+        # kernel is the loop.
         plan, speeds, timeout, failed, network = _random_case(case)
         closed, event = make_sims(network=network, timeout=timeout,
                                   chunks=plan.num_chunks)
@@ -268,10 +262,14 @@ class TestBitwiseEquivalence:
             expected = closed.run(plan, speeds, failed_workers=failed)
         except RuntimeError:
             with pytest.raises(RuntimeError, match="cannot complete"):
-                event.run(plan, speeds, failed_workers=failed)
+                event_loop_outcome(event, plan, speeds, failed)
+            with pytest.raises(RuntimeError, match="cannot complete"):
+                event.run_batch(plan, speeds[None], failed_workers=failed)
             return
-        actual = event.run(plan, speeds, failed_workers=failed)
+        actual = event_loop_outcome(event, plan, speeds, failed)
         assert_outcomes_bitwise_equal(expected, actual)
+        batch = event.run_batch(plan, speeds[None], failed_workers=failed)
+        assert_batch_row_equal(batch, 0, actual)
 
     @pytest.mark.parametrize("case", range(0, 48, 7))
     def test_random_batches_bitwise_equal(self, case):
@@ -314,112 +312,67 @@ class TestBitwiseEquivalence:
             expected = closed.run(plan, speeds, failed_workers=failed)
         except RuntimeError:
             return
-        actual = event.run(
-            plan, speeds, failed_workers=failed, link_factors=factors
-        )
+        actual = event_loop_outcome(event, plan, speeds, failed, factors)
         assert_outcomes_bitwise_equal(expected, actual)
+        batch = event.run_batch(
+            plan, speeds[None], failed_workers=failed,
+            link_factors=factors[None],
+        )
+        assert_batch_row_equal(batch, 0, actual)
 
     def test_unrecoverable_raises_like_the_closed_form(self):
         closed, event = make_sims()
         plan = full_plan(3, 60, 2)
         failed = frozenset({0, 1})
-        for sim in (closed, event):
-            with pytest.raises(RuntimeError, match="cannot complete"):
-                sim.run(plan, np.ones(3), failed_workers=failed)
+        with pytest.raises(RuntimeError, match="cannot complete"):
+            closed.run(plan, np.ones(3), failed_workers=failed)
+        with pytest.raises(RuntimeError, match="cannot complete"):
+            event_loop_outcome(event, plan, np.ones(3), failed)
+        with pytest.raises(RuntimeError, match="cannot complete"):
+            event.run_batch(plan, np.ones((1, 3)), failed_workers=failed)
 
 
 # ---------------------------------------------------------------------------
-# EventConfig knobs (beyond the closed form's reach)
+# The event backend's own inputs: link factors and the backend registry
 # ---------------------------------------------------------------------------
 
 
-class TestEventConfig:
-    def _baseline(self, config=None, timeout=None, factors=None):
-        _closed, event = make_sims(network=SLOW_NET, timeout=timeout,
-                                   config=config)
-        plan = full_plan(4, 60, 2)
-        return event.run(plan, np.array([4.0, 2.0, 1.0, 0.5]),
-                         link_factors=factors)
-
-    def test_encode_cost_delays_completion(self):
-        plain = self._baseline()
-        encoded = self._baseline(EventConfig(encode_flops=1e9))
-        shift = 1e9 / COST.master_flops
-        assert encoded.completion_time == pytest.approx(
-            plain.completion_time + shift, rel=1e-12
-        )
-
-    def test_shuffle_output_extends_completion(self):
-        plain = self._baseline()
-        shuffled = self._baseline(EventConfig(shuffle_output=True))
-        assert shuffled.completion_time > plain.completion_time
-
+class TestEventBackend:
     def test_degraded_link_factor_slows_only_that_worker(self):
-        plain = self._baseline()
-        factors = np.array([1.0, 1.0, 1.0, 1e-6])
-        degraded = self._baseline(factors=factors)
+        _closed, event = make_sims(network=SLOW_NET)
+        plan = full_plan(4, 60, 2)
+        speeds = np.array([[4.0, 2.0, 1.0, 0.5]])
+        plain = event.run_batch(plan, speeds)
+        degraded = event.run_batch(
+            plan, speeds, link_factors=np.array([[1.0, 1.0, 1.0, 1e-6]])
+        )
         # Worker 3 was cancelled mid-flight anyway; the winners' replies
         # are untouched, so completion is bitwise identical.
-        assert degraded.completion_time == plain.completion_time
+        assert degraded.completion_time[0] == plain.completion_time[0]
 
-    def test_repair_request_bytes_delay_repair(self):
-        _closed, free = make_sims(
-            network=NetworkModel(latency=1e-4, bandwidth=1e6),
-            timeout=TimeoutPolicy(slack=0.15),
-        )
-        _closed, paid = make_sims(
-            network=NetworkModel(latency=1e-4, bandwidth=1e6),
-            timeout=TimeoutPolicy(slack=0.15),
-            config=EventConfig(repair_request_bytes=1e5),
-        )
-        plan = GeneralS2C2Scheduler(coverage=4, num_chunks=60).plan(np.ones(6))
-        speeds = np.ones(6)
-        failed = frozenset({5})
-        a = free.run(plan, speeds, failed_workers=failed)
-        b = paid.run(plan, speeds, failed_workers=failed)
-        assert a.repaired and b.repaired
-        assert b.completion_time > a.completion_time
-
-    def test_rack_contention_delays_broadcast_replies(self):
-        # A shared ToR pair serialises what dedicated links do in parallel.
-        flat_closed, flat = make_sims(
-            network=NetworkModel(latency=1e-6, bandwidth=1e7)
-        )
-        _closed, racked = make_sims(
-            network=NetworkModel(latency=1e-6, bandwidth=1e7),
-            config=EventConfig(rack_size=2),
-        )
-        plan = full_plan(4, 60, 4)  # completion waits for every reply
-        speeds = np.ones(4)
-        assert (
-            racked.run(plan, speeds).completion_time
-            > flat.run(plan, speeds).completion_time
-        )
-        # And the flat event topology still matches the closed form.
+    def test_run_is_the_closed_form_without_links(self):
+        # ``run`` is inherited: it has no link factors to take.
+        closed, event = make_sims(network=SLOW_NET)
+        plan = full_plan(4, 60, 2)
+        speeds = np.array([4.0, 2.0, 1.0, 0.5])
+        assert EventDrivenIterationSim.run is CodedIterationSim.run
         assert_outcomes_bitwise_equal(
-            flat_closed.run(plan, speeds), flat.run(plan, speeds)
+            closed.run(plan, speeds), event.run(plan, speeds)
         )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="encode_flops"):
-            EventConfig(encode_flops=-1.0)
-        with pytest.raises(ValueError, match="repair_request_bytes"):
-            EventConfig(repair_request_bytes=-1.0)
-        with pytest.raises(ValueError, match="rack_size"):
-            EventConfig(rack_size=0)
-        with pytest.raises(ValueError, match="rack_factor"):
-            EventConfig(rack_factor=0.0)
+        with pytest.raises(TypeError, match="link_factors"):
+            event.run(plan, speeds, link_factors=np.ones(4))
 
     def test_factor_validation(self):
         _closed, event = make_sims()
         plan = full_plan(4, 60, 2)
-        speeds = np.ones(4)
+        speeds = np.ones((1, 4))
         with pytest.raises(ValueError, match="shape"):
-            event.run(plan, speeds, link_factors=np.ones(3))
-        with pytest.raises(ValueError, match="positive and finite"):
-            event.run(plan, speeds, link_factors=np.array([1, 1, 1, 0.0]))
-        with pytest.raises(ValueError, match="positive and finite"):
-            event.run(plan, speeds, link_factors=np.array([1, 1, 1, np.inf]))
+            event.run_batch(plan, speeds, link_factors=np.ones((1, 3)))
+        for bad in (0.0, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                event.run_batch(
+                    plan, speeds, link_factors=np.array([[1, 1, 1, bad]])
+                )
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="speeds must be positive"):
                 event.run(plan, np.array([1.0, 1.0, 1.0, bad]))
@@ -442,9 +395,10 @@ class TestFuzzedScenarioInvariants:
     """Seeded property tests over random draws from the scenario fuzzer.
 
     Each case resolves a fuzzer-generated (possibly composed, possibly
-    network-degraded) scenario, runs one event-driven iteration, and
-    audits the trace: pop order, exactly-once task termination, and
-    per-link byte conservation — with shared rack links every third case.
+    network-degraded) scenario, runs one iteration through the event loop,
+    and audits the trace: pop order, exactly-once task termination, and
+    per-link byte conservation.  The batched event kernel must reproduce
+    the loop's outcome on every case.
     """
 
     POPULATION_SEED = 17
@@ -463,19 +417,19 @@ class TestFuzzedScenarioInvariants:
             np.exp(rng.normal(0.0, 0.4, n))
         )
         timeout = TimeoutPolicy(slack=0.05) if case % 2 else None
-        config = EventConfig(
-            rack_size=3 if case % 3 == 0 else None,
-            repair_request_bytes=256.0 if case % 2 else 0.0,
-        )
         sim = EventDrivenIterationSim(
             grid=ChunkGrid(chunks * 2, chunks),
             width=8,
             network=SLOW_NET,
             cost=COST,
             timeout=timeout,
-            config=config,
         )
-        outcome, trace = sim.run_detailed(plan, speeds, link_factors=factors)
+        outcome, trace = run_event_loop(sim, plan, speeds, link_factors=factors)
+        batch = sim.run_batch(
+            plan, speeds[None],
+            link_factors=None if factors is None else factors[None],
+        )
+        assert_batch_row_equal(batch, 0, outcome)
         return sim, plan, outcome, trace
 
     @pytest.mark.parametrize("case", range(24))
@@ -521,31 +475,15 @@ class TestFuzzedScenarioInvariants:
             repair = f"repair:{w}" in trace.tasks
             dispatched = f"natural:{w}" in trace.tasks
             down, up = topo.down[w], topo.up[w]
+            # Repair requests are zero-byte messages.
             assert down.message_count == 1 + int(repair)
-            assert down.bytes_carried == bw_bytes + (
-                sim.config.repair_request_bytes if repair else 0.0
-            )
+            assert down.bytes_carried == bw_bytes
             assert up.message_count == int(dispatched) + int(repair)
             if dispatched:
                 rows = sim.grid.rows_of_chunks(
                     plan.assignments[w].chunk_indices()
                 ).size
                 assert up.log[0][1] == rows * reply_bytes
-        # Shared ToR links carry exactly their members' traffic.
-        for rack, (rd, ru) in enumerate(zip(topo.rack_down, topo.rack_up)):
-            members = [w for w in range(n) if topo.rack_of(w) == rack]
-            assert rd.message_count == sum(
-                topo.down[w].message_count for w in members
-            )
-            assert ru.message_count == sum(
-                topo.up[w].message_count for w in members
-            )
-            assert rd.bytes_carried == pytest.approx(
-                sum(topo.down[w].bytes_carried for w in members)
-            )
-            assert ru.bytes_carried == pytest.approx(
-                sum(topo.up[w].bytes_carried for w in members)
-            )
         assert np.isfinite(outcome.completion_time)
         assert outcome.completion_time > 0.0
 

@@ -1,32 +1,30 @@
 """The batched event kernel: bitwise-equal to the per-trial event loop.
 
-:meth:`EventDrivenIterationSim.run_batch` precomputes the event
-timeline's schedules as ``(trials, workers)`` arrays and replays only
-provably-diverging trials through the scalar event loop.  The suite pins
-the repo's standard contract — batched output bitwise-equal to looping
-:meth:`EventDrivenIterationSim.run` — over fuzzed composed scenarios
-with per-trial failures, degraded link factors, and repair-armed trials
-at trials ∈ {1, 7, 64}, and checks the divergence detector's routing:
-contention-heavy scenarios (``rackcongest`` under an armed timeout,
-shared-rack topologies) must take the scalar fallback and still match,
-while queue-free batches must never touch it.
+:meth:`EventDrivenIterationSim.run_batch` evaluates the event timeline as
+``(trials, workers)`` arrays for ``CodedIterationSim``'s batched kernel,
+with no per-trial replay.  The suite pins it against the discrete-event
+loop kept as the oracle (``event_oracle.py``) — batched output bitwise-equal
+to looping the loop — over fuzzed composed scenarios with per-trial
+failures, degraded link factors, and repair-armed trials at trials ∈ {1, 7,
+64}, and on links so degraded that a worker's broadcast copy is still in
+flight when the §4.3 timeout fires.  No trial may leave the kernel, and a
+general plan is a typed error.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster.events import (
-    EventConfig,
-    EventDrivenIterationSim,
-    link_factors_batch,
-)
+from repro.cluster.events import EventDrivenIterationSim, link_factors_batch
 from repro.cluster.fuzz import generate_scenario
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.scenarios import scenario_batch
+from repro.cluster.simulator import CodedIterationSim
 from repro.coding.partition import ChunkGrid
 from repro.scheduling.base import full_plan
-from repro.scheduling.s2c2 import GeneralS2C2Scheduler
+from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
 from repro.scheduling.timeout import TimeoutPolicy
+
+from event_oracle import event_loop_outcome
 
 # Controlled-cluster network (the experiment harness default).
 SLOW_NET = NetworkModel(latency=5e-6, bandwidth=2.5e8)
@@ -38,22 +36,19 @@ COST = CostModel(worker_flops=1e6)
 POPULATION_SEED = 23
 
 
-def make_event_sim(network=SLOW_NET, timeout=None, config=None, rows=120,
-                   chunks=60, width=10, cost=COST):
-    kwargs = dict(
+def make_event_sim(network=SLOW_NET, timeout=None, rows=120, chunks=60,
+                   width=10, cost=COST, cls=EventDrivenIterationSim):
+    return cls(
         grid=ChunkGrid(rows, chunks),
         width=width,
         network=network,
         cost=cost,
         timeout=timeout,
     )
-    if config is not None:
-        kwargs["config"] = config
-    return EventDrivenIterationSim(**kwargs)
 
 
 def assert_batch_equals_loop(sim, plans, speeds, failed_list, factors):
-    """The pinned contract: run_batch == looping run, field for field."""
+    """The pinned contract: run_batch == looping the event loop, bitwise."""
     trials = speeds.shape[0]
     plan_list = plans if isinstance(plans, list) else [plans] * trials
     factor_rows = (
@@ -63,7 +58,9 @@ def assert_batch_equals_loop(sim, plans, speeds, failed_list, factors):
     for t in range(trials):
         try:
             loop.append(
-                sim.run(plan_list[t], speeds[t], failed_list[t], factor_rows[t])
+                event_loop_outcome(
+                    sim, plan_list[t], speeds[t], failed_list[t], factor_rows[t]
+                )
             )
         except RuntimeError:
             # An unsatisfiable trial poisons the whole batch the same way.
@@ -138,7 +135,7 @@ class TestBatchedKernelEquivalence:
     @pytest.mark.parametrize("trials", [1, 7, 64])
     def test_degraded_links_with_armed_repair(self, trials):
         # netslow degrades a persistent subset of links; an armed trial
-        # with non-unit factors must take the fallback and still match.
+        # with non-unit factors prices its repair reply on the link.
         n, k, chunks = 8, 5, 40
         sim = make_event_sim(timeout=TimeoutPolicy(slack=0.05), chunks=chunks,
                              network=HEAVY_NET, width=16)
@@ -168,27 +165,71 @@ class TestBatchedKernelEquivalence:
         assert_batch_equals_loop(sim, plans, speeds, failed_list, None)
 
 
-class TestDivergenceDetector:
-    """The conservative routing: fallback exactly where ordering can diverge."""
+class TestExtremeLinkFactors:
+    """Links so degraded that a broadcast copy outlives the §4.3 timeout.
+
+    Two orderings follow that unit links never reach: a worker whose task
+    has not started when the timeout fires has no arrival the master can
+    foresee, so it stays a laggard of the repair; and an idle helper's
+    repair request queues behind its broadcast copy.  The kernel must
+    still reproduce the event loop bitwise (fuzzed in
+    ``test_repair_batch.py``; one case of each here).
+    """
+
+    def test_late_broadcast_leaves_a_worker_out_of_the_search(self):
+        # Workers 4 and 5 receive their broadcast copies long after the
+        # first response armed (k = 1, slack 0) and fired the timeout: the
+        # repair search cannot foresee their arrivals, so no cutoff reaches
+        # the 5 helpers coverage needs and the master waits instead.
+        sim = make_event_sim(
+            timeout=TimeoutPolicy(slack=0.0, min_responses=1),
+            rows=24, chunks=2, width=16, cost=CostModel(worker_flops=5e7),
+        )
+        plan = wraparound_plan(np.array([2, 2, 2, 2, 1, 1]), 5, 2)
+        factors = np.array([[1.0, 1.0, 1.0, 1.0, 1e-3, 1e-4]])
+        batch = assert_batch_equals_loop(
+            sim, plan, np.ones((1, 6)), [frozenset()], factors
+        )
+        assert not batch.repaired[0]
+
+    def test_idle_helper_request_queues_behind_its_broadcast(self):
+        # Worker 3 computes nothing and sits on a slow link; recruited as
+        # a repair helper, it receives the request only after its
+        # broadcast copy, and the repair is timed from there.
+        sim = make_event_sim(
+            timeout=TimeoutPolicy(slack=0.1, min_responses=1),
+            rows=40, chunks=4, width=16, cost=CostModel(worker_flops=5e7),
+        )
+        plan = wraparound_plan(np.array([4, 4, 4, 0]), 3, 4)
+        speeds = np.array([[4.0, 8.0, 0.1, 8.0]])
+        factors = np.array([[1.0, 1.0, 1.0, 0.01]])
+        batch = assert_batch_equals_loop(
+            sim, plan, speeds, [frozenset()], factors
+        )
+        assert batch.repaired[0]
+        assert batch.computed_rows[0, 3] > 0
+
+
+class TestOneRoute:
+    """Every event trial resolves in the kernel; general plans are refused."""
 
     def _count_scalar_runs(self, monkeypatch, sim, *args, **kwargs):
         calls = []
-        original = EventDrivenIterationSim.run
+        original = CodedIterationSim.run
 
         def counting(self, *a, **k):
             calls.append(1)
             return original(self, *a, **k)
 
-        monkeypatch.setattr(EventDrivenIterationSim, "run", counting)
+        monkeypatch.setattr(CodedIterationSim, "run", counting)
         batch = sim.run_batch(*args, **kwargs)
         monkeypatch.undo()
         return batch, len(calls)
 
-    def test_rackcongest_contention_routes_to_fallback(self, monkeypatch):
-        # Rack-wide congestion slows whole racks' links; under an armed
-        # timeout those trials are not provably queue-free, so the
-        # detector must replay at least one through the scalar loop —
-        # and the batch must still match it bitwise.
+    def test_rackcongest_contention_resolves_natively(self, monkeypatch):
+        # Rack-wide congestion slows whole racks' links, and an armed
+        # timeout repairs over them: the kernel prices each repair reply
+        # on its link, matches the loop bitwise, and replays nothing.
         n, k, chunks, trials = 8, 5, 40, 32
         sim = make_event_sim(timeout=TimeoutPolicy(slack=0.05), chunks=chunks,
                              network=HEAVY_NET, width=16)
@@ -207,12 +248,11 @@ class TestDivergenceDetector:
             monkeypatch, sim, plan, speeds,
             failed_workers=failed_list, link_factors=factors,
         )
-        assert calls >= 1  # the contention-heavy trials took the fallback
-        assert calls < trials  # ...but the queue-free ones stayed batched
+        assert calls == 0
 
     def test_armed_unit_link_trials_resolve_natively(self, monkeypatch):
-        # bursty speeds + flat links: the repair round is queue-free, so
-        # even repaired trials must never touch the scalar loop.
+        # bursty speeds + flat links: even repaired trials must never
+        # touch the scalar path.
         n, k, chunks, trials = 8, 5, 40, 32
         sim = make_event_sim(timeout=TimeoutPolicy(slack=0.05), chunks=chunks)
         # A mis-predicted S2C2 plan under bursty actual speeds: the
@@ -237,52 +277,39 @@ class TestDivergenceDetector:
             batch.completion_time, expected.completion_time
         )
 
-    def test_rack_topology_replays_every_trial(self, monkeypatch):
-        # Shared ToR links can queue: nothing is provably safe, so the
-        # config-level detector must replay the whole batch.
-        n, k, chunks, trials = 8, 5, 40, 5
-        sim = make_event_sim(chunks=chunks, config=EventConfig(rack_size=4))
-        plan = full_plan(n, chunks, k)
-        speeds = np.exp(np.random.default_rng(3).normal(0.0, 0.5, (trials, n)))
-        failed_list = [frozenset()] * trials
-        assert_batch_equals_loop(sim, plan, speeds, failed_list, None)
-        _batch, calls = self._count_scalar_runs(
-            monkeypatch, sim, plan, speeds, failed_workers=failed_list
-        )
-        assert calls == trials
-
     @pytest.mark.parametrize("slack", [None, 0.05])
     def test_general_plan_replays_each_trial_once(
         self, monkeypatch, general_plan, slack
     ):
-        # Neither full nor exact coverage: no analytic completion, so
-        # every trial replays through the event loop, armed or not.
+        # Neither full nor exact coverage: no analytic completion, so the
+        # closed backend replays every trial through ``run``, armed or
+        # not, and the event backend refuses the plan before running.
         timeout = None if slack is None else TimeoutPolicy(slack=slack)
-        sim = make_event_sim(timeout=timeout, chunks=4)
+        closed = make_event_sim(timeout=timeout, chunks=4,
+                                cls=CodedIterationSim)
         trials = 64
         speeds = np.exp(np.random.default_rng(5).normal(0.0, 0.6, (trials, 4)))
         failed_list = [frozenset()] * trials
-        expected = assert_batch_equals_loop(
-            sim, general_plan, speeds, failed_list, None
+        looped = [closed.run(general_plan, row) for row in speeds]
+        batch, calls = self._count_scalar_runs(
+            monkeypatch, closed, general_plan, speeds,
+            failed_workers=failed_list,
+        )
+        assert calls == trials
+        np.testing.assert_array_equal(
+            batch.completion_time, [o.completion_time for o in looped]
+        )
+        np.testing.assert_array_equal(
+            batch.repaired, [o.repaired for o in looped]
         )
         if timeout is not None:
-            assert expected.repaired.any() and not expected.repaired.all()
-        _batch, calls = self._count_scalar_runs(
-            monkeypatch, sim, general_plan, speeds, failed_workers=failed_list
-        )
-        assert calls == trials
-
-    def test_shuffle_output_replays_every_trial(self, monkeypatch):
-        n, k, chunks, trials = 6, 4, 30, 3
-        sim = make_event_sim(chunks=chunks,
-                             config=EventConfig(shuffle_output=True))
-        plan = full_plan(n, chunks, k)
-        speeds = np.ones((trials, n))
-        _batch, calls = self._count_scalar_runs(
-            monkeypatch, sim, plan, speeds,
-            failed_workers=[frozenset()] * trials,
-        )
-        assert calls == trials
+            assert batch.repaired.any() and not batch.repaired.all()
+        event = make_event_sim(timeout=timeout, chunks=4)
+        with pytest.raises(ValueError, match="plans"):
+            event.run_batch(general_plan, speeds, failed_workers=failed_list)
+        mixed = [full_plan(4, 4, 2), general_plan]
+        with pytest.raises(ValueError, match=r"plans .* trials \[1\]"):
+            event.run_batch(mixed, speeds[:2])
 
 
 class TestBatchValidation:

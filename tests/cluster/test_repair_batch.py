@@ -2,14 +2,14 @@
 
 ``run_batch`` repairs every armed trial of a call in one array pass (the
 closed-form cutoff plus one batched ``repair_assignments`` fill); looping
-``run`` walks the cutoffs per trial.  Each trial must come out bitwise
-equal.  The cases fuzz what the fixed suites hold still: grids whose rows
-are not a multiple of the chunk count (uneven chunk sizes, so the
-reassigned rows differ per chunk), full and exact plans, idle workers,
-failures, tied speeds, ``min_responses`` and ``fixed_task_flops``.  On the
-event backend the default :class:`EventConfig` (unit links, free encode
-and repair requests) keeps armed trials on the batched kernel, so neither
-backend may replay a single trial.
+``run`` walks the cutoffs per trial, and on the event backend the
+discrete-event loop (``event_oracle.py``) does.  Each trial must come out
+bitwise equal.  The cases fuzz what the fixed suites hold still: grids
+whose rows are not a multiple of the chunk count (uneven chunk sizes, so
+the reassigned rows differ per chunk), full and exact plans, idle workers,
+failures, tied speeds, ``min_responses`` and ``fixed_task_flops`` — and,
+on the event backend, links so degraded that a worker's broadcast copy
+can outlive the §4.3 timeout.  Neither backend may replay a single trial.
 """
 
 import numpy as np
@@ -25,6 +25,8 @@ from repro.scheduling.base import full_plan
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
 from repro.scheduling.timeout import TimeoutPolicy
 
+from event_oracle import event_loop_outcome
+
 BACKENDS = {"closed": CodedIterationSim, "event": EventDrivenIterationSim}
 
 
@@ -39,7 +41,7 @@ def _exact_plan_with_idle(rng, n, coverage, num_chunks):
 
 
 def _random_case(rng, backend):
-    """A simulator, per-trial plans, speeds and failure sets."""
+    """A simulator, per-trial plans, speeds, failure sets and link factors."""
     n = int(rng.integers(3, 11))
     coverage = int(rng.integers(1, n))
     num_chunks = int(rng.integers(2, 31))
@@ -78,15 +80,33 @@ def _random_case(rng, backend):
         frozenset(np.flatnonzero(rng.random(n) < 0.1).tolist())
         for _ in range(trials)
     ]
-    return sim, plans, speeds, failed
+    factors = None
+    if backend == "event" and rng.random() < 0.5:
+        factors = np.where(
+            rng.random((trials, n)) < 0.4,
+            rng.choice([1e-3, 0.01, 0.05, 0.25], size=(trials, n)),
+            1.0,
+        )
+    return sim, plans, speeds, failed, factors
 
 
-def _assert_batch_equals_loop(sim, plans, speeds, failed):
-    """``run_batch`` == looping ``run`` bitwise, with no trial replayed."""
+def _assert_batch_equals_loop(sim, plans, speeds, failed, factors=None):
+    """``run_batch`` == the per-trial reference bitwise, no trial replayed.
+
+    The reference is ``run`` on the closed backend and the event loop over
+    ``factors``-degraded links on the event backend.
+    """
+    kwargs = {}
+    if isinstance(sim, EventDrivenIterationSim):
+        kwargs["link_factors"] = factors
+        rows = [None] * len(plans) if factors is None else list(factors)
+        looped_args = zip(plans, speeds, failed, rows)
+        reference = lambda *args: event_loop_outcome(sim, *args)  # noqa: E731
+    else:
+        looped_args = zip(plans, speeds, failed)
+        reference = sim.run
     try:
-        looped = [
-            sim.run(plan, row, f) for plan, row, f in zip(plans, speeds, failed)
-        ]
+        looped = [reference(*args) for args in looped_args]
     except RuntimeError:
         looped = None  # some trial cannot complete: the batch must raise too
 
@@ -97,9 +117,9 @@ def _assert_batch_equals_loop(sim, plans, speeds, failed):
         mp.setattr(type(sim), "run", no_replay)
         if looped is None:
             with pytest.raises(RuntimeError, match="cannot complete"):
-                sim.run_batch(plans, speeds, failed)
+                sim.run_batch(plans, speeds, failed, **kwargs)
             return None
-        batch = sim.run_batch(plans, speeds, failed)
+        batch = sim.run_batch(plans, speeds, failed, **kwargs)
     for t, scalar in enumerate(looped):
         assert batch.completion_time[t] == scalar.completion_time, f"trial {t}"
         assert batch.decode_time[t] == scalar.decode_time, f"trial {t}"
@@ -130,10 +150,10 @@ def test_fixed_seeds_exercise_uneven_repairs(backend):
     # uneven sizes, so ``extra_rows`` sums unequal chunk sizes.
     repaired = uneven = 0
     for seed in range(40):
-        sim, plans, speeds, failed = _random_case(
+        sim, plans, speeds, failed, factors = _random_case(
             np.random.default_rng(seed), backend
         )
-        batch = _assert_batch_equals_loop(sim, plans, speeds, failed)
+        batch = _assert_batch_equals_loop(sim, plans, speeds, failed, factors)
         if batch is None:
             continue
         repaired += int(batch.repaired.sum())

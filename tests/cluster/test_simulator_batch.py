@@ -416,6 +416,47 @@ def test_empty_trial_batch_is_a_typed_error(simulate):
         simulate(np.empty((0, N)))
 
 
+_SIMULATORS = {
+    "coded": lambda: (_sim(), (_shared_full_plan(),)),
+    "event": lambda: (
+        EventDrivenIterationSim(grid=ChunkGrid(ROWS, CHUNKS), width=64),
+        (_shared_full_plan(),),
+    ),
+    "replication": lambda: (
+        ReplicationIterationSim(
+            placement=ReplicaPlacement(N, 3, seed=0),
+            config=SpeculationConfig(),
+            rows_per_partition=25,
+            width=64,
+        ),
+        (),
+    ),
+    "overdecomposition": lambda: (
+        OverDecompositionIterationSim(rows_per_partition=25, width=64),
+        (_shared_partition_plan(),),
+    ),
+}
+
+
+@pytest.mark.parametrize("index", [-1, N])
+@pytest.mark.parametrize("entry", ["run", "run_batch"])
+@pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+def test_out_of_range_failed_worker_is_a_typed_error(simulator, entry, index):
+    # Every entry checks failure indices alike: a negative index does not
+    # fail a worker through numpy's wrap-around, and one past the end is
+    # neither ignored nor a bare IndexError.
+    sim, plan_args = _SIMULATORS[simulator]()
+    speeds = _speed_batch(2)
+    message = rf"failed_workers must index the {N} workers, got {index}$"
+    if entry == "run":
+        with pytest.raises(ValueError, match=message):
+            sim.run(*plan_args, speeds[0], frozenset({index}))
+        return
+    for failed in (frozenset({index}), [frozenset(), frozenset({index})]):
+        with pytest.raises(ValueError, match=message):
+            sim.run_batch(*plan_args, speeds, failed)
+
+
 class TestBatchSpeedModels:
     def test_stacked_matches_singles(self):
         models = [ControlledSpeeds(5, num_stragglers=1, seed=s) for s in range(4)]

@@ -108,7 +108,7 @@ class TestGradientCode:
         np.testing.assert_allclose(result, expected, atol=1e-10)
 
     def test_storage_tradeoff_vs_s2c2(self):
-        # The comparison DESIGN.md calls out: gradient coding's raw
+        # The contrast repro.coding.gradient draws: gradient coding's raw
         # replication grows linearly with tolerated stragglers, while
         # MDS-coded storage is n/k regardless.
         from repro.coding.mds import MDSCode

@@ -82,7 +82,8 @@ class TestGenerators:
         np.testing.assert_array_equal(g[:7], np.eye(7))
 
     def test_systematic_gaussian_beats_cauchy_at_scale(self):
-        # The conditioning fact that drove the library default (DESIGN.md §5).
+        # The conditioning fact behind the library default (see
+        # systematic_gaussian_generator and the conditioning ablation bench).
         gauss = verify_any_k_property(
             systematic_gaussian_generator(30, 24, np.random.default_rng(0)), 100
         )

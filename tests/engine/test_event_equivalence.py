@@ -132,9 +132,9 @@ class TestEventShardMergeDeterminism:
             assert value == {k: v[:3] for k, v in full.items()}
 
     def test_backends_agree_where_no_link_degrades(self, monolithic):
-        # "bursty" is compute-only, and the default EventConfig keeps
-        # dedicated factor-1 links — so even on the controlled (non-zero)
-        # network the event timeline equals the closed form bitwise.
+        # "bursty" is compute-only, so every link keeps factor 1 — and
+        # even on the controlled (non-zero) network the event timeline
+        # equals the closed form bitwise.
         closed = ExecutionEngine(jobs=1).run(_event_spec(backend="closed"))
         for policy in POLICIES:
             assert monolithic[(policy, "bursty", "event")] == closed.values[

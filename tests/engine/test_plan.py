@@ -6,11 +6,13 @@ from repro.engine import (
     DEFAULT_SHARD_TRIALS,
     SEED_STRIDE,
     ShardMergeError,
+    SweepContext,
     SweepSpec,
     compile_plan,
     default_shard_size,
     merge_shard_values,
 )
+from repro.experiments.matrix import run_cell
 
 
 def _cell(params, ctx):
@@ -129,3 +131,22 @@ class TestMerge:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="values for"):
             merge_shard_values([[1]], [1, 1])
+
+
+class TestSweepContextValidation:
+    """A hand-built context is checked like the ``SweepSpec`` it mirrors."""
+
+    def test_negative_seed_names_base_seed(self):
+        with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+            run_cell(
+                "mds", "constant",
+                SweepContext(quick=True, base_seed=-1, seeds=(-1,)),
+            )
+
+    def test_negative_trial_seed_names_seeds(self):
+        with pytest.raises(ValueError, match="seeds must be >= 0, got -3"):
+            SweepContext(quick=True, base_seed=0, seeds=(0, -3))
+
+    def test_empty_seeds_name_seeds(self):
+        with pytest.raises(ValueError, match="seeds must hold at least one"):
+            SweepContext(quick=True, base_seed=0, seeds=())

@@ -2,6 +2,7 @@
 reference staleness, both in tier-1."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,23 @@ def test_required_docs_exist():
         "docs/tournament.md",
     ):
         assert (REPO_ROOT / path).exists(), path
+
+
+def test_markdown_files_named_in_code_exist():
+    # Docstrings and comments cite documents by repository path
+    # (``docs/architecture.md``) or by root-level name (``README.md``);
+    # each must exist.  Bare lower-case names are relative links inside
+    # the generated docs or test fixtures, and are not checked here.
+    named = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+    missing = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for top in ("src", "tests", "benchmarks", "scripts")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        for name in named.findall(path.read_text())
+        if ("/" in name or name[0].isupper())
+        and not (REPO_ROOT / name).exists()
+    ]
+    assert missing == []
 
 
 def test_api_reference_is_current():
