@@ -712,6 +712,7 @@ class CodedIterationSim:
         arrivals: np.ndarray,
         sorted_arr: np.ndarray,
         deadline: np.ndarray,
+        k: np.ndarray,
         done: np.ndarray,
     ) -> None:
         """§4.3 repair of the ``native`` armed trials in one array pass.
@@ -730,25 +731,24 @@ class CodedIterationSim:
         into ``out``; the others are left to complete naturally.
         """
         rows = out.assigned_rows[native]
-        speeds, failed, recv, bandwidth, arrivals, sorted_arr, deadline, done = (
+        (
+            speeds, failed, recv, bandwidth, arrivals, sorted_arr, deadline,
+            k, done,
+        ) = (
             a[native]
             for a in (
                 speeds, failed, recv, bandwidth, arrivals, sorted_arr,
-                deadline, done,
+                deadline, k, done,
             )
         )
         active = rows > 0
         idle = ~active & ~failed  # still hold their partitions (§4.4)
-        # The timeout fires once the k-th response (k as in
-        # _timeout_deadline) is in, at the deadline at the earliest.  A
-        # worker whose task has not started by then (its broadcast copy
-        # still in flight) has no arrival the master can foresee, so the
-        # search below treats it as a laggard.
+        # The timeout fires once the k-th response (the k that armed the
+        # deadline) is in, at the deadline at the earliest.  A worker
+        # whose task has not started by then (its broadcast copy still in
+        # flight) has no arrival the master can foresee, so the search
+        # below treats it as a laggard.
         index = np.arange(native.size)
-        k = np.minimum(
-            self.timeout.min_responses or batch.coverage,
-            np.isfinite(sorted_arr).sum(axis=1),
-        )
         fires = np.maximum(deadline, sorted_arr[index, k - 1])
         unseen = recv > fires[:, None]
         if unseen.any():
@@ -895,19 +895,25 @@ class CodedIterationSim:
         with span("repair"):
             deadlines = np.full(trials, np.nan)
             if self.timeout is not None:
-                for t in range(trials):
-                    deadline = self._timeout_deadline(
-                        sorted_arr[t][np.isfinite(sorted_arr[t])], coverage
+                # _timeout_deadline per trial, one row-wise mean per
+                # distinct k (the finite arrivals lead each sorted row).
+                # A set, not np.unique, which would import numpy.ma.
+                ks = np.minimum(
+                    self.timeout.min_responses or coverage,
+                    np.isfinite(sorted_arr).sum(axis=1),
+                )
+                for k in set(ks.tolist()) - {0}:
+                    rows = np.flatnonzero(ks == k)
+                    deadlines[rows] = self.timeout.deadline(
+                        sorted_arr[rows, :k].mean(axis=1)
                     )
-                    if deadline is not None:
-                        deadlines[t] = deadline
             general = ~full_rows & ~exact_rows
             armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
             native = np.flatnonzero(armed)
             if native.size:
                 self._repair_batch(
                     out, native, batch, speeds, failed_mask, recv, bandwidth,
-                    arrivals, sorted_arr, deadlines, done,
+                    arrivals, sorted_arr, deadlines, ks, done,
                 )
 
         fast = ~general & ~repaired

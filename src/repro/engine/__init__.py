@@ -46,6 +46,7 @@ from repro.engine.plan import (
     default_shard_size,
     jsonable,
     merge_shard_values,
+    stacks_on,
 )
 from repro.engine.reduce import (
     DEFAULT_REDUCER,
@@ -72,6 +73,7 @@ __all__ = [
     "SweepContext",
     "SweepSpec",
     "Shard",
+    "stacks_on",
     "WorkPlan",
     "ShardMergeError",
     "compile_plan",

@@ -38,6 +38,18 @@ The stride is deliberately the *same* across all cells of a grid, because
 the figures are paired comparisons: every strategy must face the identical
 straggler draws before ratios are taken (and trial 0 reproduces the
 single-trial seeding the original experiment modules used).
+
+Stacked evaluation
+------------------
+A cell whose fixed cost per call dwarfs its per-trial cost can declare,
+once, a *stacked* form over one axis with :func:`stacks_on`:
+``stacked(params, values, ctx)`` evaluates the cell at every value of the
+axis in one call, over the same trial slice, and returns one cell value
+per value.  The engine then groups the pending shards that differ only
+along that axis and share a trial range into one call.  Stacking changes
+how many calls compute the shards, never what they compute: each shard
+keeps its key, store record and checkpoint, and each value must equal
+``cell({**params, axis: value}, ctx)``.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ __all__ = [
     "SweepContext",
     "SweepSpec",
     "Shard",
+    "stacks_on",
     "WorkPlan",
     "ShardMergeError",
     "compile_plan",
@@ -176,6 +189,12 @@ class SweepSpec:
                 f"unknown reducer {self.reducer!r}; available: "
                 f"{', '.join(available_reducers())}"
             )
+        stack = getattr(self.cell, "stack", None)
+        if stack is not None and stack[0] not in self.axis_names:
+            raise ValueError(
+                f"cell stacks on axis {stack[0]!r}, which the spec does not "
+                f"sweep (axes: {', '.join(self.axis_names)})"
+            )
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -210,6 +229,25 @@ class SweepSpec:
     def key_of(self, params: dict) -> tuple:
         """Hashable identity of a grid point (axis order)."""
         return tuple(params[name] for name in self.axis_names)
+
+
+def stacks_on(
+    axis: str, stacked: Callable[[dict, tuple, SweepContext], list]
+) -> Callable[[Callable], Callable]:
+    """Declare a cell's stacked form over ``axis`` (a decorator).
+
+    ``stacked(params, values, ctx)`` receives the grid point without
+    ``axis`` and a tuple of distinct axis values, and returns one cell
+    value per value, each equal to the plain cell's at that point (see
+    "Stacked evaluation" above).  ``stacked`` must be module-level, like
+    the cell, so it pickles for the process executor.
+    """
+
+    def declare(cell: Callable) -> Callable:
+        cell.stack = (axis, stacked)
+        return cell
+
+    return declare
 
 
 @dataclass(frozen=True)

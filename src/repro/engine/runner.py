@@ -17,8 +17,10 @@ experiment surface.  One ``run(spec)`` call:
 3. **restores** cells whose reducer checkpoint is already persisted in
    the run's ``cells.jsonl`` log, **streams** stored shard records into
    the remaining cells' folds, and schedules the rest on the selected
-   :mod:`executor backend <repro.engine.executors>`, appending each
-   finished shard to the run's log as it completes.  A complete stored
+   :mod:`executor backend <repro.engine.executors>` — one cell call per
+   shard, or per group of shards for a cell that stacks an axis
+   (:func:`repro.engine.plan.stacks_on`) — appending each finished
+   shard to the run's log as it completes.  A complete stored
    run whose every cell restores is only read: its manifest is not
    rewritten;
 4. **folds** shard values into cell values *as the executor yields them*
@@ -203,34 +205,74 @@ def run_key(
     return _digest_of(identity)
 
 
-def _run_shard(cell, params: dict, ctx) -> Any:
-    """Executor entry point (module-level so it pickles)."""
-    return jsonable(cell(params, ctx))
+def _run_cell(cell, points: list[dict], ctx) -> list:
+    """Executor entry point (module-level so it pickles): one cell call.
+
+    ``points`` are the grid points of one unit of :func:`_cell_units`; the
+    result holds one JSON-ready value per point.  A stacked cell evaluates
+    every distinct value of its axis once, in one call.
+    """
+    stack = getattr(cell, "stack", None)
+    if stack is None:
+        (params,) = points
+        return [jsonable(cell(params, ctx))]
+    axis, stacked = stack
+    values = tuple(dict.fromkeys(params[axis] for params in points))
+    rest = {name: v for name, v in points[0].items() if name != axis}
+    out = stacked(rest, values, ctx)
+    if len(out) != len(values):
+        raise ValueError(
+            f"stacked cell returned {len(out)} values for {len(values)} "
+            f"{axis} values"
+        )
+    by_value = dict(zip(values, out))
+    return [jsonable(by_value[params[axis]]) for params in points]
+
+
+def _cell_units(spec: SweepSpec, shards, pending: list[int]) -> list[list[int]]:
+    """Group the pending shards into cell calls.
+
+    Each shard is its own call unless the cell declares a stacked axis
+    (:func:`repro.engine.plan.stacks_on`); then one call covers the
+    pending shards that differ only along that axis and share a trial
+    range.  Units keep plan order, by their first shard.
+    """
+    stack = getattr(spec.cell, "stack", None)
+    if stack is None:
+        return [[i] for i in pending]
+    others = [name for name in spec.axis_names if name != stack[0]]
+    units: dict[tuple, list[int]] = {}
+    for i in pending:
+        shard = shards[i]
+        key = (tuple(shard.params[name] for name in others), shard.lo, shard.hi)
+        units.setdefault(key, []).append(i)
+    return list(units.values())
 
 
 class _TaskSequence:
     """Lazy task arguments for the executor: sized, built on demand.
 
-    Materialising every pending shard's argument tuple up front would pin
+    Materialising every pending unit's argument tuple up front would pin
     all their seed slices at once — O(trials) memory before a single cell
     runs.  This sequence knows its length (so pools size themselves) but
-    builds each ``(cell, params, ctx)`` tuple only when the executor
+    builds each ``(cell, points, ctx)`` tuple only when the executor
     actually reaches it; with the executors' windowed submission, at most
-    a pool's in-flight window of contexts exists at any moment.
+    a pool's in-flight window of contexts exists at any moment.  The
+    shards of one unit share a trial range, hence a context.
     """
 
-    def __init__(self, cell, shards: tuple[Shard, ...], pending: list[int]):
+    def __init__(self, cell, shards: tuple[Shard, ...], units: list[list[int]]):
         self._cell = cell
         self._shards = shards
-        self._pending = pending
+        self._units = units
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self._units)
 
     def __iter__(self):
-        for i in self._pending:
-            shard = self._shards[i]
-            yield (self._cell, shard.params, shard.ctx)
+        for unit in self._units:
+            points = [self._shards[i].params for i in unit]
+            yield (self._cell, points, self._shards[unit[0]].ctx)
 
 
 class _PointFold:
@@ -340,6 +382,9 @@ class EngineReport:
     run_key: str | None = None  #: ``None`` when no store was attached
     resumed: bool = False  #: an incomplete stored run was picked up
     reducer: str = "concat"  #: how shard values were folded
+    #: Cell invocations that computed the executed shards: one per shard,
+    #: or fewer when the cell stacks (see :func:`_cell_units`).
+    cell_calls: int = 0
 
     def get(self, **params) -> Any:
         """Value of the cell at the given grid point."""
@@ -527,36 +572,38 @@ class ExecutionEngine:
         pending = [
             i for i in range(len(shards)) if not owner[i][0].has(owner[i][1])
         ]
-        if pending:
-            executor = self._executor(len(pending))
-            tasks = _TaskSequence(spec.cell, shards, pending)
+        units = _cell_units(spec, shards, pending)
+        if units:
+            executor = self._executor(len(units))
+            tasks = _TaskSequence(spec.cell, shards, units)
             # One writer per log for the whole drain: the open/seal/close
             # dance happens once, each record is still one O_APPEND write.
             shard_writer = handle.writer() if handle is not None else None
             cell_writer = handle.cell_writer() if handle is not None else None
             try:
-                for local_index, value in executor.map_unordered(
-                    _run_shard, tasks
+                for local_index, values in executor.map_unordered(
+                    _run_cell, tasks
                 ):
-                    i = pending[local_index]
-                    fold, pos = owner[i]
-                    if shard_writer is not None:
-                        shard_writer.append(
-                            {
-                                "key": keys[i],
-                                "sweep": spec.name,
-                                "point": jsonable(shards[i].params),
-                                "lo": shards[i].lo,
-                                "hi": shards[i].hi,
-                                "value": value,
-                            }
-                        )
-                    fold.offer(pos, value)
-                    if fold.complete and cell_writer is not None:
-                        # The cell's fold just closed: checkpoint its
-                        # reducer state so a resume after a crash folds
-                        # from here instead of replaying the shard log.
-                        cell_writer.append(fold.checkpoint_record())
+                    for i, value in zip(units[local_index], values):
+                        fold, pos = owner[i]
+                        if shard_writer is not None:
+                            shard_writer.append(
+                                {
+                                    "key": keys[i],
+                                    "sweep": spec.name,
+                                    "point": jsonable(shards[i].params),
+                                    "lo": shards[i].lo,
+                                    "hi": shards[i].hi,
+                                    "value": value,
+                                }
+                            )
+                        fold.offer(pos, value)
+                        if fold.complete and cell_writer is not None:
+                            # The cell's fold just closed: checkpoint its
+                            # reducer state so a resume after a crash
+                            # folds from here instead of replaying the
+                            # shard log.
+                            cell_writer.append(fold.checkpoint_record())
             finally:
                 if shard_writer is not None:
                     shard_writer.close()
@@ -578,4 +625,5 @@ class ExecutionEngine:
             run_key=rk,
             resumed=resumed,
             reducer=plan.reducer,
+            cell_calls=len(units),
         )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.scenarios import available_scenarios, get_scenario
-from repro.engine import ExecutionEngine, SweepContext, SweepSpec
+from repro.engine import ExecutionEngine, SweepContext, SweepSpec, stacks_on
 from repro.experiments.harness import ExperimentResult, trial_mean
 from repro.scheduling.policies import available_policies, build_policy, get_policy
 
@@ -45,6 +45,7 @@ __all__ = [
     "run",
     "run_matrix",
     "run_cell",
+    "run_cells",
     "cell_geometry",
     "MatrixResult",
     "N_WORKERS",
@@ -67,6 +68,34 @@ def cell_geometry(quick: bool) -> tuple[int, int, int]:
     return (480, 120, 4) if quick else (2400, 600, 15)
 
 
+def run_cells(
+    policy: str,
+    scenarios: tuple[str, ...],
+    ctx: SweepContext,
+    backend: str = "closed",
+    trace: list | None = None,
+) -> list[dict]:
+    """Per-trial totals and waste of one policy row, one dict per scenario.
+
+    The one definition of a matrix cell: the policy runs once over every
+    stacked ``(scenario, seed)`` trial row (``runner.run_scenarios``), and
+    each scenario's value equals its cell run alone, bit for bit.  The
+    sweeps (``matrix``, the tournament, ``repro stream``) reach it through
+    :func:`_cell`, whose stacked form the engine calls per policy row and
+    trial slice; ``repro tune`` (which passes ``trace`` to collect an
+    adaptive policy's controller trace) and ``repro profile`` call
+    :func:`run_cell` in-process, so their numbers line up with the matrix
+    rows.
+    """
+    rows, cols, iterations = cell_geometry(ctx.quick)
+    runner = build_policy(policy, N_WORKERS, COVERAGE, backend=backend)
+    extra = {} if trace is None else {"trace": trace}
+    return runner.run_scenarios(
+        tuple(scenarios), ctx, rows=rows, cols=cols, iterations=iterations,
+        **extra,
+    )
+
+
 def run_cell(
     policy: str,
     scenario: str,
@@ -74,22 +103,19 @@ def run_cell(
     backend: str = "closed",
     trace: list | None = None,
 ) -> dict:
-    """Per-trial totals and waste of one (policy, scenario) matrix cell.
+    """One (policy, scenario) matrix cell: :func:`run_cells` of one scenario."""
+    (value,) = run_cells(policy, (scenario,), ctx, backend=backend, trace=trace)
+    return value
 
-    The one definition of a matrix cell: the sweeps (``matrix``, the
-    tournament, ``repro stream``) run it through :func:`_cell`, while
-    ``repro tune`` (which passes ``trace`` to collect an adaptive
-    policy's controller trace) and ``repro profile`` call it in-process,
-    so their numbers line up with the matrix rows.
-    """
-    rows, cols, iterations = cell_geometry(ctx.quick)
-    runner = build_policy(policy, N_WORKERS, COVERAGE, backend=backend)
-    extra = {} if trace is None else {"trace": trace}
-    return runner.run_scenario(
-        scenario, ctx, rows=rows, cols=cols, iterations=iterations, **extra
+
+def _row(params: dict, scenarios: tuple, ctx: SweepContext) -> list[dict]:
+    """The stacked form of :func:`_cell`: one policy row over ``scenarios``."""
+    return run_cells(
+        params["policy"], scenarios, ctx, backend=params.get("backend", "closed")
     )
 
 
+@stacks_on("scenario", _row)
 def _cell(params: dict, ctx: SweepContext) -> dict:
     """The sweep cell of one (policy, scenario) grid point."""
     return run_cell(

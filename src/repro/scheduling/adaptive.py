@@ -17,28 +17,29 @@ engines, in three layers:
   cache, and ``--resume`` bitwise under the execution engine.
 
 * :class:`AdaptivePolicyRunner` — the ``adaptive(<base>, knob=v1:v2, …)``
-  wrapper.  The scenario's speed draws (and, on the event backend, its
-  link factors) are materialised once per trial — the identical call
-  sequence a monolithic run makes — then served back through per-trial
-  replay windows, so the run can be split into cadence-sized segments
-  whose knobs differ per trial without perturbing a single draw.  Each
-  segment re-enters the base policy's own ``run_batch`` path for the
-  trials that chose each candidate; fresh per-segment forecasters are
-  warmed with the full replayed measurement history, and the per-round
-  measurements are scattered back into one master
-  :class:`~repro.runtime.batch.BatchRunMetrics`, so totals and waste
-  aggregate exactly as a monolithic run's.  With a single candidate and a
+  wrapper.  The scenarios' speed draws (and, on the event backend, their
+  link factors) are materialised once per ``(scenario, seed)`` trial row
+  — the identical call sequence a monolithic run makes — then served
+  back through per-row replay windows, so the run can be split into
+  cadence-sized segments whose knobs differ per row without perturbing a
+  single draw.  Each segment re-enters the base policy's own
+  ``run_batch`` path for the rows that chose each candidate; fresh
+  per-segment forecasters are warmed with the full replayed measurement
+  history, and the per-round measurements are scattered back into one
+  master :class:`~repro.runtime.batch.BatchRunMetrics`, so totals and
+  waste aggregate exactly as a monolithic run's.  With a single candidate and a
   cadence covering the whole run, the wrapper is bitwise identical to its
   base policy (pinned in ``tests/scheduling/test_adaptive.py``).
 
 * :class:`AutoPolicyRunner` — the ``policy-auto`` meta-policy.  A short
   seeded probe phase (probe seeds are offset from ``base_seed`` exactly
   like the forecaster-training traces, so they can never collide with a
-  trial seed) runs every fixed registry policy on the scenario, scores
+  trial seed) runs every fixed registry policy on the scenarios, scores
   each by the conformal upper bound of its mean total latency, and
   commits to the best *per scenario*; the committed policy then handles
   the real trials untouched.  The commitment is trial-independent shared
-  work — identical in every shard — and memoised per run.
+  work — identical in every shard — and memoised per run.  One stacked
+  call probes each candidate once over all its uncommitted scenarios.
 
 Expressions are resolved on demand by
 :func:`~repro.scheduling.policies.get_policy` — mirroring composed
@@ -66,13 +67,14 @@ like an unknown policy or scenario name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro._util import check_positive_int
 from repro.engine.runner import register_run_scoped_cache
+from repro.scheduling.policies import _ScenarioRunner
 
 __all__ = [
     "AdaptiveController",
@@ -231,18 +233,21 @@ class _ReplaySpeedsWithFactors(_ReplaySpeeds):
         return self.factors[:, self.offset + iteration]
 
 
-def _materialise(scenario, n_workers, seeds, rounds, *, with_factors):
-    """Draw every round of the scenario once; return stacked tensors.
+def _materialise(scenarios, n_workers, seeds, rounds, *, with_factors):
+    """Draw every round of every trial row once; return stacked tensors.
 
-    Returns ``(speeds, factors)`` with shapes ``(trials, workers, rounds)``;
-    ``factors`` is ``None`` when no round degrades any link (or when the
-    closed-form backend never consults them).  The per-round call order —
-    speeds, then factors — matches the live batch loop exactly, so the
-    stored draws are the ones a monolithic run would have consumed.
+    The rows are :func:`~repro.scheduling.policies.trial_rows` of
+    ``scenarios`` × ``seeds``.  Returns ``(speeds, factors)`` with shapes
+    ``(rows, workers, rounds)``; ``factors`` is ``None`` when no round
+    degrades any link (or when the closed-form backend never consults
+    them), and holds unit factors for the rows of compute-only scenarios
+    otherwise.  The per-round call order — speeds, then factors — matches
+    the live batch loop exactly, so the stored draws are the ones a
+    monolithic run would have consumed.
     """
-    from repro.cluster.scenarios import scenario_batch
+    from repro.scheduling.policies import _row_speeds
 
-    batch = scenario_batch(scenario, n_workers, seeds)
+    batch = _row_speeds(scenarios, n_workers, seeds)
     speeds, factor_rounds = [], []
     any_factors = False
     for r in range(rounds):
@@ -256,7 +261,7 @@ def _materialise(scenario, n_workers, seeds, rounds, *, with_factors):
     speed_tensor = np.stack(speeds, axis=-1)
     if not any_factors:
         return speed_tensor, None
-    ones = np.ones((len(seeds), n_workers))
+    ones = np.ones((batch.n_trials, n_workers))
     factor_tensor = np.stack(
         [ones if f is None else np.asarray(f, dtype=np.float64) for f in factor_rounds],
         axis=-1,
@@ -264,16 +269,16 @@ def _materialise(scenario, n_workers, seeds, rounds, *, with_factors):
     return speed_tensor, factor_tensor
 
 
-def _replay_window(speeds, factors, trial_rows, offset):
-    """A :class:`StackedSpeeds` serving ``trial_rows`` from ``offset``."""
+def _replay_window(speeds, factors, selected, offset):
+    """A :class:`StackedSpeeds` serving rows ``selected`` from ``offset``."""
     from repro.cluster.speed_models import StackedSpeeds
 
     if factors is None:
-        models = [_ReplaySpeeds(speeds[t], offset) for t in trial_rows]
+        models = [_ReplaySpeeds(speeds[t], offset) for t in selected]
     else:
         models = [
             _ReplaySpeedsWithFactors(speeds[t], offset, factors[t])
-            for t in trial_rows
+            for t in selected
         ]
     return StackedSpeeds(tuple(models))
 
@@ -284,15 +289,17 @@ def _replay_window(speeds, factors, trial_rows, offset):
 
 
 @dataclass(frozen=True)
-class AdaptivePolicyRunner:
+class AdaptivePolicyRunner(_ScenarioRunner):
     """A tunable base policy driven by per-trial adaptive controllers.
 
-    The run is split into ``cadence``-iteration segments.  Before each
-    segment every trial's controller picks a candidate knob setting; the
-    trials that chose the same candidate are re-batched and played through
-    the base policy's own ``run_batch`` over a replay window of the
-    pre-materialised scenario draws, with a fresh forecaster warmed on the
-    full replayed measurement history.  Per-round measurements are
+    Every ``(scenario, seed)`` trial row of a stacked call gets its own
+    controller, seeded by the row's trial seed.  The run is split into
+    ``cadence``-iteration segments.  Before each segment every row's
+    controller picks a candidate knob setting; the rows that chose the
+    same candidate are re-batched and played through the base policy's
+    own ``run_batch`` over a replay window of the pre-materialised
+    scenario draws, with a fresh forecaster warmed on the full replayed
+    measurement history.  Per-round measurements are
     scattered back into one master metrics object, so the reported totals
     and waste aggregate exactly as a monolithic run's.  Forecaster and
     (for over-decomposition) placement state restart at segment
@@ -331,16 +338,20 @@ class AdaptivePolicyRunner:
             **overrides,
         )
 
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations, trace=None):
+    def run_scenarios(
+        self, scenarios, ctx, *, rows, cols, iterations, trace=None
+    ):
         from repro.runtime.batch import BatchRunMetrics
-        from repro.scheduling.policies import _batch_metrics_dict
+        from repro.scheduling.policies import _split_metrics, trial_rows
 
         check_positive_int(self.cadence, "cadence")
         candidates = self.candidates()
         runners = [self._base_runner(c) for c in candidates]
+        stacked = trial_rows(scenarios, ctx.seeds)
+        n_rows = len(stacked)
         rounds = 2 * iterations  # each LR-like iteration plays A then Aᵀ
         speeds, factors = _materialise(
-            scenario,
+            scenarios,
             self.n_workers,
             ctx.seeds,
             rounds,
@@ -348,30 +359,27 @@ class AdaptivePolicyRunner:
         )
         controllers = [
             AdaptiveController(len(candidates), seed=s, alpha=self.alpha)
-            for s in ctx.seeds
+            for _, s in stacked
         ]
-        master = BatchRunMetrics(n_trials=ctx.trials, n_workers=self.n_workers)
+        master = BatchRunMetrics(n_trials=n_rows, n_workers=self.n_workers)
         for segment, lo in enumerate(range(0, iterations, self.cadence)):
             hi = min(lo + self.cadence, iterations)
             seg_rounds = 2 * (hi - lo)
             choices = [c.choose(segment) for c in controllers]
             full = {
-                "latency": np.zeros((seg_rounds, ctx.trials)),
-                "computed": np.zeros((seg_rounds, ctx.trials, self.n_workers)),
-                "used": np.zeros((seg_rounds, ctx.trials, self.n_workers)),
-                "assigned": np.zeros((seg_rounds, ctx.trials, self.n_workers)),
-                "predicted": np.zeros((seg_rounds, ctx.trials, self.n_workers)),
-                "actual": np.zeros((seg_rounds, ctx.trials, self.n_workers)),
-                "repaired": np.zeros((seg_rounds, ctx.trials), dtype=bool),
+                "latency": np.zeros((seg_rounds, n_rows)),
+                "computed": np.zeros((seg_rounds, n_rows, self.n_workers)),
+                "used": np.zeros((seg_rounds, n_rows, self.n_workers)),
+                "assigned": np.zeros((seg_rounds, n_rows, self.n_workers)),
+                "predicted": np.zeros((seg_rounds, n_rows, self.n_workers)),
+                "actual": np.zeros((seg_rounds, n_rows, self.n_workers)),
+                "repaired": np.zeros((seg_rounds, n_rows), dtype=bool),
             }
             for candidate in sorted(set(choices)):
                 selected = [t for t, ch in enumerate(choices) if ch == candidate]
-                sub_ctx = replace(
-                    ctx, seeds=tuple(ctx.seeds[t] for t in selected)
-                )
                 window = _replay_window(speeds, factors, selected, 2 * lo)
                 predictor = runners[candidate].predictor_factory(
-                    scenario, sub_ctx, self.n_workers
+                    tuple(stacked[t] for t in selected), ctx, self.n_workers
                 )
                 for r in range(2 * lo):  # warm start: replayed history
                     predictor.update(speeds[selected, :, r])
@@ -410,7 +418,7 @@ class AdaptivePolicyRunner:
                         "bands": [c.bands() for c in controllers],
                     }
                 )
-        return _batch_metrics_dict(master)
+        return _split_metrics(master, ctx.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +427,11 @@ class AdaptivePolicyRunner:
 
 
 #: Run-scoped memo of per-scenario probe commitments: identical in every
-#: shard (the probe depends only on ``base_seed`` and the cell geometry),
-#: so memoising it per worker process only avoids repeated shared work —
-#: never changes a decision.  Cleared at every sweep-run boundary exactly
-#: like the trained-forecaster memo in :mod:`repro.scheduling.policies`.
+#: shard (the probe depends only on ``base_seed``, the cell geometry and
+#: the runner's configuration), so memoising it per worker process only
+#: avoids repeated shared work — never changes a decision.  Cleared at
+#: every sweep-run boundary exactly like the trained-forecaster memo in
+#: :mod:`repro.scheduling.policies`.
 _COMMIT_MEMO: dict[tuple, tuple] = {}
 
 
@@ -433,7 +442,7 @@ def clear_memos() -> None:
 
 
 @dataclass(frozen=True)
-class AutoPolicyRunner:
+class AutoPolicyRunner(_ScenarioRunner):
     """``policy-auto``: probe the fixed registry, commit per scenario.
 
     The probe phase runs every fixed (non-adaptive) registry policy on
@@ -442,7 +451,9 @@ class AutoPolicyRunner:
     commits to the smallest — ties toward the alphabetically first name.
     The committed policy then runs the real trials untouched, so trial
     ``t`` of a policy-auto cell is bitwise trial ``t`` of the committed
-    policy's cell.
+    policy's cell.  A stacked call probes each candidate once over every
+    scenario not yet committed, then runs each committed policy once over
+    its group of scenarios.
     """
 
     policy: str
@@ -463,87 +474,103 @@ class AutoPolicyRunner:
             if "adaptive" not in get_policy(name).tags
         )
 
-    def commit(self, scenario, ctx, *, rows, cols, iterations):
-        """Probe every candidate; return ``(committed_name, scores)``."""
-        from repro.engine.plan import SEED_STRIDE, SweepContext
-        from repro.prediction.predictor import conformal_interval
+    def _build(self, name: str):
         from repro.scheduling.policies import build_policy
 
-        check_positive_int(self.probe_trials, "probe_trials")
-        candidates = self.candidates()
-        key = (
-            "policy-auto",
-            scenario,
-            ctx.base_seed,
-            ctx.quick,
-            rows,
-            cols,
-            iterations,
-            self.backend,
-            self.probe_trials,
-            self.alpha,
-            candidates,
-        )
-        cached = _COMMIT_MEMO.get(key)
-        if cached is not None:
-            return cached
-        probe_ctx = SweepContext(
-            quick=ctx.quick,
-            base_seed=ctx.base_seed,
-            seeds=tuple(
-                ctx.base_seed + PROBE_SEED_OFFSET + SEED_STRIDE * j
-                for j in range(self.probe_trials)
-            ),
-        )
-        scores: dict[str, float] = {}
-        for name in candidates:
-            runner = build_policy(
-                name,
-                self.n_workers,
-                self.k,
-                backend=self.backend,
-                network=self.network,
-            )
-            probed = runner.run_scenario(
-                scenario, probe_ctx, rows=rows, cols=cols, iterations=iterations
-            )
-            totals = np.asarray(probed["total"], dtype=np.float64)
-            mean = float(totals.mean())
-            _, upper = conformal_interval(
-                totals - mean, np.array([mean]), alpha=self.alpha
-            )
-            scores[name] = float(upper[0])
-        committed = min(candidates, key=lambda n: (scores[n], n))
-        _COMMIT_MEMO[key] = (committed, scores)
-        return committed, scores
-
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations, trace=None):
-        from repro.scheduling.policies import build_policy
-
-        committed, scores = self.commit(
-            scenario, ctx, rows=rows, cols=cols, iterations=iterations
-        )
-        if trace is not None:
-            trace.append(
-                {
-                    "probe": {
-                        "trials": self.probe_trials,
-                        "alpha": self.alpha,
-                        "scores": {n: scores[n] for n in sorted(scores)},
-                    },
-                    "committed": committed,
-                }
-            )
-        runner = build_policy(
-            committed,
+        return build_policy(
+            name,
             self.n_workers,
             self.k,
             backend=self.backend,
             network=self.network,
         )
-        return runner.run_scenario(
-            scenario, ctx, rows=rows, cols=cols, iterations=iterations
+
+    def commit(self, scenarios, ctx, *, rows, cols, iterations):
+        """Probe the candidates; ``(committed_name, scores)`` per scenario."""
+        from repro.engine.plan import SEED_STRIDE, SweepContext
+        from repro.prediction.predictor import conformal_interval
+
+        check_positive_int(self.probe_trials, "probe_trials")
+        candidates = self.candidates()
+        keys = {
+            scenario: (
+                "policy-auto",
+                scenario,
+                ctx.base_seed,
+                ctx.quick,
+                rows,
+                cols,
+                iterations,
+                self.backend,
+                self.network,
+                self.probe_trials,
+                self.alpha,
+                candidates,
+            )
+            for scenario in scenarios
+        }
+        pending = tuple(s for s, key in keys.items() if key not in _COMMIT_MEMO)
+        if pending:
+            probe_ctx = SweepContext(
+                quick=ctx.quick,
+                base_seed=ctx.base_seed,
+                seeds=tuple(
+                    ctx.base_seed + PROBE_SEED_OFFSET + SEED_STRIDE * j
+                    for j in range(self.probe_trials)
+                ),
+            )
+            probed = {
+                name: self._build(name).run_scenarios(
+                    pending, probe_ctx, rows=rows, cols=cols,
+                    iterations=iterations,
+                )
+                for name in candidates
+            }
+            for i, scenario in enumerate(pending):
+                scores: dict[str, float] = {}
+                for name in candidates:
+                    totals = np.asarray(probed[name][i]["total"], dtype=np.float64)
+                    mean = float(totals.mean())
+                    _, upper = conformal_interval(
+                        totals - mean, np.array([mean]), alpha=self.alpha
+                    )
+                    scores[name] = float(upper[0])
+                committed = min(candidates, key=lambda n: (scores[n], n))
+                _COMMIT_MEMO[keys[scenario]] = (committed, scores)
+        return [_COMMIT_MEMO[keys[s]] for s in scenarios]
+
+    def run_scenarios(
+        self, scenarios, ctx, *, rows, cols, iterations, trace=None
+    ):
+        commitments = self.commit(
+            scenarios, ctx, rows=rows, cols=cols, iterations=iterations
         )
+        groups: dict[str, list[int]] = {}
+        for i, (committed, scores) in enumerate(commitments):
+            groups.setdefault(committed, []).append(i)
+            if trace is not None:
+                trace.append(
+                    {
+                        "probe": {
+                            "trials": self.probe_trials,
+                            "alpha": self.alpha,
+                            "scores": {n: scores[n] for n in sorted(scores)},
+                        },
+                        "committed": committed,
+                    }
+                )
+        out: list[dict] = [None] * len(scenarios)
+        for committed, indices in groups.items():
+            values = self._build(committed).run_scenarios(
+                tuple(scenarios[i] for i in indices),
+                ctx,
+                rows=rows,
+                cols=cols,
+                iterations=iterations,
+            )
+            for i, value in zip(indices, values):
+                out[i] = value
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ registry on the strategy side:
   parameters (knobs outside the declared set are rejected, keeping sweep
   axes typo-safe);
 * :func:`build_policy` is the uniform factory — every runner exposes
-  :meth:`~PolicyRunner.run_scenario` (resolve a named straggler scenario,
-  simulate every trial at once on the batched engine, return per-trial
-  totals and waste) plus a lower-level ``run_batch`` for callers that wire
-  their own speed models and predictors (the cloud suite's trained LSTM,
-  Fig 6's oracle);
+  :meth:`~PolicyRunner.run_scenarios` (resolve named straggler scenarios,
+  simulate every ``(scenario, seed)`` trial row at once on the batched
+  engine, return per-trial totals and waste per scenario) plus a
+  lower-level ``run_batch`` for callers that wire their own speed models
+  and predictors (the cloud suite's trained LSTM, Fig 6's oracle);
 * policy names are plain strings, so a policy is directly usable as a
   :class:`~repro.engine.plan.SweepSpec` axis value (the ``matrix``
   experiment sweeps policy × scenario) and from the CLI
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "CodedPolicyRunner",
     "OverDecompositionPolicyRunner",
     "ReplicationPolicyRunner",
+    "trial_rows",
     "clear_memos",
 ]
 
@@ -266,57 +267,100 @@ def registry_digest() -> str:
 class PolicyRunner(Protocol):
     """What :func:`build_policy` returns: a policy bound to its knobs.
 
-    ``run_scenario`` is the uniform surface the policy × scenario matrix
-    sweeps: resolve the named straggler scenario for every trial seed,
-    simulate the LR-like round pattern, and return JSON-ready per-trial
-    ``{"total": [...], "wasted": [...]}`` lists (total time, and mean
-    wasted fraction of assigned work across workers).
+    ``run_scenarios`` is the uniform surface the policy × scenario matrix
+    sweeps: resolve every named straggler scenario for every trial seed,
+    simulate the LR-like round pattern over all those stacked trial rows
+    at once, and return one JSON-ready ``{"total": [...], "wasted":
+    [...]}`` per scenario (per-trial total time, and mean wasted fraction
+    of assigned work across workers).  Rows are independent, so each
+    scenario's value equals a run of that scenario alone, bit for bit;
+    ``run_scenario`` is that run, the stacked call with one scenario.
     """
 
     policy: str
     n_workers: int
 
-    def run_scenario(
+    def run_scenarios(
         self,
-        scenario: str,
+        scenarios: Sequence[str],
         ctx,
         *,
         rows: int,
         cols: int,
         iterations: int,
+    ) -> list[dict]:
+        """Evaluate the policy against registered scenarios, per trial."""
+        ...
+
+    def run_scenario(
+        self, scenario: str, ctx, *, rows: int, cols: int, iterations: int
     ) -> dict:
-        """Evaluate the policy against a registered scenario, per trial."""
+        """``run_scenarios`` with one scenario."""
         ...
 
 
-def _batch_metrics_dict(metrics) -> dict:
-    """Per-trial totals + mean-over-workers waste from batch metrics."""
+def trial_rows(
+    scenarios: Sequence[str], seeds: Sequence[int]
+) -> tuple[tuple[str, int], ...]:
+    """The stacked ``(scenario, seed)`` trial rows, scenario-major."""
+    return tuple((scenario, seed) for scenario in scenarios for seed in seeds)
+
+
+def _row_speeds(scenarios: Sequence[str], n_workers: int, seeds):
+    """One :class:`StackedSpeeds` over :func:`trial_rows` order."""
+    from repro.cluster.scenarios import scenario_batch
+    from repro.cluster.speed_models import StackedSpeeds
+
+    return StackedSpeeds(
+        tuple(
+            model
+            for scenario in scenarios
+            for model in scenario_batch(scenario, n_workers, seeds).models
+        )
+    )
+
+
+def _split_metrics(metrics, trials: int) -> list[dict]:
+    """Per-scenario ``{"total", "wasted"}`` lists from stacked-row metrics."""
     wasted = np.asarray(metrics.wasted_fraction_of_assigned(), dtype=np.float64)
-    return {
-        "total": [float(v) for v in metrics.total_time],
-        "wasted": [float(v) for v in wasted.mean(axis=1)],
-    }
+    total = [float(v) for v in metrics.total_time]
+    waste = [float(v) for v in wasted.mean(axis=1)]
+    return [
+        {"total": total[lo : lo + trials], "wasted": waste[lo : lo + trials]}
+        for lo in range(0, len(total), trials)
+    ]
 
 
-class _BatchedPolicyRunner:
-    """The shared ``run_scenario`` of every built-in runner.
+class _ScenarioRunner:
+    """``run_scenario``: the stacked ``run_scenarios`` call, one scenario."""
 
-    Resolves the named scenario into the per-trial-seeded batch speed
-    form, wires the runner's own forecaster into its ``run_batch``, and
-    reduces the metrics to the matrix cell contract.
+    def run_scenario(self, scenario, ctx, *, rows, cols, iterations, **extra):
+        (value,) = self.run_scenarios(
+            (scenario,), ctx, rows=rows, cols=cols, iterations=iterations,
+            **extra,
+        )
+        return value
+
+
+class _BatchedPolicyRunner(_ScenarioRunner):
+    """The shared ``run_scenarios`` of every fixed runner.
+
+    Stacks every ``(scenario, seed)`` row into one batch speed form, wires
+    the runner's own forecaster for those rows into one ``run_batch``
+    call, and splits the metrics into the matrix cell contract.
     """
 
-    def run_scenario(self, scenario, ctx, *, rows, cols, iterations):
-        from repro.cluster.scenarios import scenario_batch
-
+    def run_scenarios(self, scenarios, ctx, *, rows, cols, iterations):
         metrics = self.run_batch(
-            scenario_batch(scenario, self.n_workers, ctx.seeds),
-            self.predictor_factory(scenario, ctx, self.n_workers),
+            _row_speeds(scenarios, self.n_workers, ctx.seeds),
+            self.predictor_factory(
+                trial_rows(scenarios, ctx.seeds), ctx, self.n_workers
+            ),
             rows=rows,
             cols=cols,
             iterations=iterations,
         )
-        return _batch_metrics_dict(metrics)
+        return _split_metrics(metrics, ctx.trials)
 
 
 @dataclass(frozen=True)
@@ -325,17 +369,19 @@ class CodedPolicyRunner(_BatchedPolicyRunner):
 
     ``scheduler_factory()`` builds a fresh per-run scheduler (schedulers
     are stateless, but sharing instances across runs is needless coupling);
-    ``predictor_factory(scenario, ctx, n_workers)`` wires the policy's
-    forecaster for a scenario sweep, while :meth:`run_batch` lets callers
-    substitute their own predictor and speed model (the cloud suite's
-    trained LSTM, Fig 6's oracle) without leaving the registry.
+    ``predictor_factory(rows, ctx, n_workers)`` wires the policy's
+    forecaster for the stacked :func:`trial_rows` of a scenario sweep
+    (trained models key on ``ctx.quick`` and ``ctx.base_seed``), while
+    :meth:`run_batch` lets callers substitute their own predictor and
+    speed model (the cloud suite's trained LSTM, Fig 6's oracle) without
+    leaving the registry.
     """
 
     policy: str
     n_workers: int
     k: int
     scheduler_factory: Callable[[], Any]
-    predictor_factory: Callable[[str, Any, int], Any]
+    predictor_factory: Callable[[tuple, Any, int], Any]
     timeout: TimeoutPolicy | None = None
     #: Simulator core ("closed" or "event") and an optional NetworkModel
     #: override — both applied by :func:`build_policy`, never by builders.
@@ -372,7 +418,7 @@ class OverDecompositionPolicyRunner(_BatchedPolicyRunner):
     n_workers: int
     factor: int
     replication: float
-    predictor_factory: Callable[[str, Any, int], Any]
+    predictor_factory: Callable[[tuple, Any, int], Any]
 
     def run_batch(self, speed_model, predictor, *, rows, cols, iterations):
         """All trials at once on the batched over-decomposition engine."""
@@ -404,7 +450,7 @@ class ReplicationPolicyRunner(_BatchedPolicyRunner):
     policy: str
     n_workers: int
     config: SpeculationConfig
-    predictor_factory: Callable[[str, Any, int], Any]
+    predictor_factory: Callable[[tuple, Any, int], Any]
 
     def run_batch(self, speed_model, predictor, *, rows, cols, iterations):
         """All trials at once on the batched replication engine."""
@@ -481,15 +527,15 @@ def _fitted_ar(p: int, quick: bool, seed: int):
     return model
 
 
-def _last_value_predictor(scenario: str, ctx, n_workers: int):
+def _last_value_predictor(rows, ctx, n_workers: int):
     """The §6.2 naive floor, natively batched."""
     from repro.prediction.predictor import BatchLastValuePredictor
 
-    return BatchLastValuePredictor(ctx.trials, n_workers)
+    return BatchLastValuePredictor(len(rows), n_workers)
 
 
-def _oracle_predictor(scenario: str, ctx, n_workers: int):
-    """Per-trial perfect forecasts: a fresh seeded replay of the scenario."""
+def _oracle_predictor(rows, ctx, n_workers: int):
+    """Per-row perfect forecasts: a fresh seeded replay of the row's scenario."""
     from repro.cluster.scenarios import scenario_speed_model
     from repro.prediction.predictor import OraclePredictor, StackedPredictor
 
@@ -498,13 +544,13 @@ def _oracle_predictor(scenario: str, ctx, n_workers: int):
             OraclePredictor(
                 speed_model=scenario_speed_model(scenario, n_workers, seed=s)
             )
-            for s in ctx.seeds
+            for scenario, s in rows
         ]
     )
 
 
-def _stale_predictor(scenario: str, ctx, n_workers: int, miss_rate: float):
-    """Per-trial adversarial oracle (wrong with ``miss_rate`` per node)."""
+def _stale_predictor(rows, ctx, n_workers: int, miss_rate: float):
+    """Per-row adversarial oracle (wrong with ``miss_rate`` per node)."""
     from repro.cluster.scenarios import scenario_speed_model
     from repro.prediction.predictor import StackedPredictor, StalePredictor
 
@@ -515,22 +561,24 @@ def _stale_predictor(scenario: str, ctx, n_workers: int, miss_rate: float):
                 miss_rate=miss_rate,
                 seed=s,
             )
-            for s in ctx.seeds
+            for scenario, s in rows
         ]
     )
 
 
-def _ar_predictor(scenario: str, ctx, n_workers: int, p: int):
+def _ar_predictor(rows, ctx, n_workers: int, p: int):
     from repro.prediction.predictor import BatchARPredictor
 
-    return BatchARPredictor(_fitted_ar(p, ctx.quick, ctx.base_seed), ctx.trials, n_workers)
+    return BatchARPredictor(
+        _fitted_ar(p, ctx.quick, ctx.base_seed), len(rows), n_workers
+    )
 
 
-def _lstm_predictor(scenario: str, ctx, n_workers: int, hidden: int):
+def _lstm_predictor(rows, ctx, n_workers: int, hidden: int):
     from repro.prediction.predictor import BatchLSTMPredictor
 
     return BatchLSTMPredictor(
-        _trained_lstm(hidden, ctx.quick, ctx.base_seed), ctx.trials, n_workers
+        _trained_lstm(hidden, ctx.quick, ctx.base_seed), len(rows), n_workers
     )
 
 
@@ -766,7 +814,7 @@ def _build_s2c2_ar(n_workers: int, k: int, num_chunks: int, slack: float, p: int
         k,
         num_chunks,
         slack,
-        lambda scenario, ctx, n: _ar_predictor(scenario, ctx, n, p),
+        lambda rows, ctx, n: _ar_predictor(rows, ctx, n, p),
     )
 
 
@@ -789,7 +837,7 @@ def _build_s2c2_lstm(
         k,
         num_chunks,
         slack,
-        lambda scenario, ctx, n: _lstm_predictor(scenario, ctx, n, hidden),
+        lambda rows, ctx, n: _lstm_predictor(rows, ctx, n, hidden),
     )
 
 
@@ -826,7 +874,7 @@ def _build_s2c2_stale(
         k,
         num_chunks,
         slack,
-        lambda scenario, ctx, n: _stale_predictor(scenario, ctx, n, miss_rate),
+        lambda rows, ctx, n: _stale_predictor(rows, ctx, n, miss_rate),
     )
 
 

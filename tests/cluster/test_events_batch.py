@@ -122,6 +122,17 @@ def _fuzz_batch_case(case, trials):
     return plan, chunks, timeout, failed_list, speeds, factors
 
 
+def _mispredicted_plan(k, chunks, predicted):
+    """An exact-coverage S2C2 plan built for ``predicted``, not the speeds."""
+    return GeneralS2C2Scheduler(coverage=k, num_chunks=chunks).plan(predicted)
+
+
+def _assert_repairs_ride_degraded_links(batch, factors):
+    """Some repaired trial has a helper on a degraded link that took rows."""
+    extra = batch.used_rows > batch.assigned_rows
+    assert np.any(extra & batch.repaired[:, None] & (factors != 1.0))
+
+
 class TestBatchedKernelEquivalence:
     @pytest.mark.parametrize("trials", [1, 7, 64])
     @pytest.mark.parametrize("case", range(0, 12))
@@ -134,18 +145,21 @@ class TestBatchedKernelEquivalence:
 
     @pytest.mark.parametrize("trials", [1, 7, 64])
     def test_degraded_links_with_armed_repair(self, trials):
-        # netslow degrades a persistent subset of links; an armed trial
-        # with non-unit factors prices its repair reply on the link.
+        # netslow degrades a persistent subset of links under a
+        # mis-predicted exact-coverage plan: armed trials reassign chunks
+        # to helpers, whose repair replies carry rows over their links.
         n, k, chunks = 8, 5, 40
         sim = make_event_sim(timeout=TimeoutPolicy(slack=0.05), chunks=chunks,
                              network=HEAVY_NET, width=16)
-        plan = full_plan(n, chunks, k)
+        # Expects the upper half of the workers to run twice as fast.
+        plan = _mispredicted_plan(k, chunks, np.repeat([1.0, 2.0], n // 2))
         model = scenario_batch("netslow", n, [17 * t for t in range(trials)])
         speeds = model.speeds_batch(1)
         factors = link_factors_batch(model, 1)
         assert factors is not None and np.any(factors != 1.0)
         failed_list = [frozenset()] * trials
-        assert_batch_equals_loop(sim, plan, speeds, failed_list, factors)
+        batch = assert_batch_equals_loop(sim, plan, speeds, failed_list, factors)
+        _assert_repairs_ride_degraded_links(batch, factors)
 
     def test_per_trial_plans_and_failures(self):
         # Distinct plan objects per trial exercise the per-plan profiling.
@@ -228,12 +242,15 @@ class TestOneRoute:
 
     def test_rackcongest_contention_resolves_natively(self, monkeypatch):
         # Rack-wide congestion slows whole racks' links, and an armed
-        # timeout repairs over them: the kernel prices each repair reply
-        # on its link, matches the loop bitwise, and replays nothing.
+        # timeout repairs a mis-predicted exact-coverage plan over them:
+        # the kernel prices each repair reply on its link, matches the
+        # loop bitwise, and replays nothing.
         n, k, chunks, trials = 8, 5, 40, 32
         sim = make_event_sim(timeout=TimeoutPolicy(slack=0.05), chunks=chunks,
                              network=HEAVY_NET, width=16)
-        plan = full_plan(n, chunks, k)
+        plan = _mispredicted_plan(
+            k, chunks, np.exp(np.random.default_rng(45).normal(0.0, 0.5, n))
+        )
         expr = ("rackcongest(congest_prob=0.5,n_racks=2,recover_prob=0.2,"
                 "slowdown=4.0)")
         model = scenario_batch(expr, n, [11 * t for t in range(trials)])
@@ -244,6 +261,7 @@ class TestOneRoute:
             sim, plan, speeds, failed_list, factors
         )
         assert expected is not None
+        _assert_repairs_ride_degraded_links(expected, factors)
         _batch, calls = self._count_scalar_runs(
             monkeypatch, sim, plan, speeds,
             failed_workers=failed_list, link_factors=factors,

@@ -138,6 +138,22 @@ class TestCodedBatchEquivalence:
             sim, plan, speeds, [frozenset({0})] * speeds.shape[0]
         )
 
+    @pytest.mark.parametrize("min_responses", [None, 4])
+    def test_deadline_responses_differ_between_trials(self, min_responses):
+        # Five active workers and three idle ones: per-trial failures
+        # among the active leave 5, 4 or 3 finite responses, so the §4.3
+        # deadline averages a different number of them in each trial.
+        counts = np.array([CHUNKS] * 5 + [0] * 3)
+        plan = wraparound_plan(counts, COVERAGE, CHUNKS)
+        failed = [
+            frozenset(), frozenset({0}), frozenset({1, 2}),
+            frozenset({4}), frozenset(), frozenset({0, 3}),
+        ]
+        speeds = _speed_batch(len(failed), stragglers=2, seed=5)
+        sim = _sim(timeout=TimeoutPolicy(slack=0.1, min_responses=min_responses))
+        batch = _assert_batch_matches_loop(sim, plan, speeds, failed)
+        assert batch.repaired[[1, 2, 3, 5]].all()
+
     def test_repair_recruits_idle_workers(self):
         # Exact-coverage plan that leaves three workers idle: the §4.4
         # rule lets the master recruit them as repair helpers, so the

@@ -465,6 +465,28 @@ class TestTraceAndMetrics:
             n for n in entry["probe"]["scores"]
         )
 
+    def test_auto_commitment_is_keyed_by_network(self):
+        # Under the default network ``constant`` commits to replication,
+        # under the zero network to s2c2-ar: a zero-network runner must not
+        # reuse the commitment a default-network one probed in the same run.
+        from repro.cluster.network import NetworkModel
+
+        zero = NetworkModel(latency=0.0, bandwidth=float("inf"))
+
+        def auto(network=None):
+            trace = []
+            value = build_policy("policy-auto", 12, 8, network=network).run_scenario(
+                "constant", _ctx(), rows=480, cols=120, iterations=4, trace=trace
+            )
+            return value, trace[0]["committed"]
+
+        clear_memos()
+        fresh = auto(zero)
+        clear_memos()
+        assert auto()[1] == "replication"
+        assert auto(zero) == fresh
+        assert fresh[1] == "s2c2-ar"
+
     def test_metrics_shapes_match_fixed_policies(self):
         fixed = _run("timeout-repair", "bursty", _ctx())
         wrapped = _run("adaptive-timeout", "bursty", _ctx())
