@@ -46,6 +46,7 @@ from repro.engine.plan import (
     default_shard_size,
     jsonable,
     merge_shard_values,
+    split_shard_value,
     stacks_on,
 )
 from repro.engine.reduce import (
@@ -79,6 +80,7 @@ __all__ = [
     "compile_plan",
     "default_shard_size",
     "merge_shard_values",
+    "split_shard_value",
     "jsonable",
     "Executor",
     "SerialExecutor",

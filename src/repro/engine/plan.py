@@ -19,10 +19,14 @@ batched simulators' own contract (trial ``t`` of a batch equals a
 single-trial run from the same seed, for any batch composition) is what
 makes the guarantee hold through the batched engines.
 ``tests/engine/test_determinism.py`` pins it for representative policies ×
-scenarios at shard sizes {1, 7, trials}.
+scenarios at shard sizes {1, 7, trials}, with one call per shard and with
+adjacent shards joined into one call.
 
-This is what lets a single 1024-trial cell scale across cores: the shard —
-not the cell — is the unit a pool executor distributes.
+The shard stays the unit of everything the engine keeps: its keys, its
+run-store records, ``--resume`` and pool distribution.  A single 1024-trial
+cell scales across cores because its shards — not the cell — are what a
+pool executor distributes.  :func:`split_shard_value` is the inverse of the
+merge: it cuts one value over adjacent shards back into per-shard values.
 
 Cell contract
 -------------
@@ -46,16 +50,20 @@ once, a *stacked* form over one axis with :func:`stacks_on`:
 ``stacked(params, values, ctx)`` evaluates the cell at every value of the
 axis in one call, over the same trial slice, and returns one cell value
 per value.  The engine then groups the pending shards that differ only
-along that axis and share a trial range into one call.  Stacking changes
-how many calls compute the shards, never what they compute: each shard
-keeps its key, store record and checkpoint, and each value must equal
-``cell({**params, axis: value}, ctx)``.
+along that axis and share a trial range into one call.  A plain cell is a
+one-point stack.  At one job, a call may also span adjacent pending
+trial slices of its points, over the union of their seeds, while it stays
+within :data:`MAX_UNIT_ROWS` rows (points × trials): the engine cuts each
+point's value back into per-shard values with :func:`split_shard_value`.
+Neither changes what the shards compute, only how many calls compute
+them: each shard keeps its key, store record and checkpoint, and each
+value must equal ``cell({**params, axis: value}, ctx)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -74,6 +82,7 @@ __all__ = [
     "compile_plan",
     "default_shard_size",
     "merge_shard_values",
+    "split_shard_value",
     "jsonable",
 ]
 
@@ -85,9 +94,18 @@ SEED_STRIDE = 1_000_003
 #: executor width — so the shard decomposition (and therefore the run
 #: store's shard keys) of a spec never depends on how many jobs happen to
 #: be available: a sweep computed at ``--jobs 4`` is warm at ``--jobs 1``.
-#: Large enough that the batched simulators keep their vectorization win,
-#: small enough that one fat cell spreads over a pool.
+#: Small enough that one fat cell spreads over a pool; at one job the
+#: batched simulators' vectorization win comes from joining adjacent
+#: shards into one call (:data:`MAX_UNIT_ROWS`), which leaves the keys
+#: alone.
 DEFAULT_SHARD_TRIALS = 32
+
+#: Most rows (points × trials) one cell call joins adjacent pending trial
+#: slices up to, at one job; a stack or shard that is already larger runs
+#: alone.  A kill mid-call loses the whole call's work, so a ``--resume``
+#: recomputes at most the larger of this and the largest single stack.  A
+#: pool of several jobs joins nothing: it distributes the shards.
+MAX_UNIT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,8 @@ class SweepSpec:
         contract in the module docstring).
     axes:
         Ordered ``(axis_name, values)`` pairs; the grid is their cartesian
-        product.  A mapping is accepted and normalised.
+        product.  A mapping is accepted and normalised.  A repeated value
+        is kept once, at its first position: a point is its key.
     trials:
         Monte-Carlo trials per cell; seeds are derived deterministically
         from ``base_seed``.
@@ -172,7 +191,9 @@ class SweepSpec:
         axes = self.axes
         if isinstance(axes, Mapping):
             axes = tuple(axes.items())
-        axes = tuple((str(name), tuple(values)) for name, values in axes)
+        axes = tuple(
+            (str(name), tuple(dict.fromkeys(values))) for name, values in axes
+        )
         for name, values in axes:
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
@@ -396,6 +417,52 @@ def merge_shard_values(
         f"{cell}: cannot merge shard values of type(s) {kinds}; shardable "
         "cells must return per-trial lists or dicts of them "
         "(or set SweepSpec(shardable=False))"
+    )
+
+
+def split_shard_value(
+    value: Any, sizes: Sequence[int], cell: str = "cell"
+) -> list:
+    """Cut one cell value over adjacent shards into per-shard values.
+
+    The inverse of :func:`merge_shard_values`: ``value`` covers the trials
+    of consecutive shards of ``sizes`` trials each, and the result holds
+    one value per shard, in trial order.  Lists are cut along the trial
+    axis (their length must be ``sum(sizes)``); dicts split key-wise,
+    recursively.  A single shard passes through untouched, as in the
+    merge.  Any other leaf raises :class:`ShardMergeError`, and a size
+    below one ``ValueError``.
+    """
+    if not sizes:
+        raise ValueError(f"{cell}: no shard sizes to split into")
+    for size in sizes:
+        check_positive_int(size, f"{cell}: shard size")
+    if len(sizes) == 1:
+        return [value]
+    if isinstance(value, list):
+        if len(value) != sum(sizes):
+            raise ShardMergeError(
+                f"{cell}: a value over shards of {list(sizes)} trial(s) "
+                f"holds a list of length {len(value)}, not {sum(sizes)}; "
+                "shardable cells must return per-trial lists (or set "
+                "SweepSpec(shardable=False))"
+            )
+        bounds = [0, *accumulate(sizes)]
+        return [value[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if isinstance(value, dict):
+        parts = {
+            key: split_shard_value(item, sizes, cell=f"{cell}[{key!r}]")
+            for key, item in value.items()
+        }
+        return [
+            {key: parts[key][shard] for key in value}
+            for shard in range(len(sizes))
+        ]
+    raise ShardMergeError(
+        f"{cell}: cannot split a value of type {type(value).__name__} "
+        f"into shards of {list(sizes)} trial(s); shardable cells must "
+        "return per-trial lists or dicts of them (or set "
+        "SweepSpec(shardable=False))"
     )
 
 

@@ -19,8 +19,11 @@ experiment surface.  One ``run(spec)`` call:
    the remaining cells' folds, and schedules the rest on the selected
    :mod:`executor backend <repro.engine.executors>` — one cell call per
    shard, or per group of shards for a cell that stacks an axis
-   (:func:`repro.engine.plan.stacks_on`) — appending each finished
-   shard to the run's log as it completes.  A complete stored
+   (:func:`repro.engine.plan.stacks_on`); at ``jobs=1`` one call also
+   spans adjacent pending trial slices, up to
+   :data:`~repro.engine.plan.MAX_UNIT_ROWS` rows — cutting each call's
+   value back into per-shard values and appending each shard to the
+   run's log as its call completes.  A complete stored
    run whose every cell restores is only read: its manifest is not
    rewritten;
 4. **folds** shard values into cell values *as the executor yields them*
@@ -53,6 +56,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -65,11 +69,13 @@ from repro.engine.executors import (
     make_executor,
 )
 from repro.engine.plan import (
+    MAX_UNIT_ROWS,
     Shard,
     SweepSpec,
     WorkPlan,
     compile_plan,
     jsonable,
+    split_shard_value,
 )
 from repro.engine.reduce import Reducer, get_reducer
 from repro.engine.store import RunStore
@@ -205,48 +211,75 @@ def run_key(
     return _digest_of(identity)
 
 
-def _run_cell(cell, points: list[dict], ctx) -> list:
+def _run_cell(cell, points: list[dict], ctx, sizes: list[int]) -> list[list]:
     """Executor entry point (module-level so it pickles): one cell call.
 
-    ``points`` are the grid points of one unit of :func:`_cell_units`; the
-    result holds one JSON-ready value per point.  A stacked cell evaluates
-    every distinct value of its axis once, in one call.
+    ``points`` are the grid points of one unit of :func:`_cell_units` and
+    ``sizes`` the trial counts of its adjacent shards, whose seeds ``ctx``
+    spans.  The result holds, per point, one JSON-ready value per shard,
+    cut from the call's value by :func:`split_shard_value`.  A stacked
+    cell evaluates all of its points in one call.
     """
     stack = getattr(cell, "stack", None)
     if stack is None:
         (params,) = points
-        return [jsonable(cell(params, ctx))]
-    axis, stacked = stack
-    values = tuple(dict.fromkeys(params[axis] for params in points))
-    rest = {name: v for name, v in points[0].items() if name != axis}
-    out = stacked(rest, values, ctx)
-    if len(out) != len(values):
-        raise ValueError(
-            f"stacked cell returned {len(out)} values for {len(values)} "
-            f"{axis} values"
-        )
-    by_value = dict(zip(values, out))
-    return [jsonable(by_value[params[axis]]) for params in points]
+        out = [cell(params, ctx)]
+    else:
+        axis, stacked = stack
+        rest = {name: v for name, v in points[0].items() if name != axis}
+        out = stacked(rest, tuple(params[axis] for params in points), ctx)
+        if len(out) != len(points):
+            raise ValueError(
+                f"stacked cell returned {len(out)} values for "
+                f"{len(points)} {axis} values"
+            )
+    label = f"{cell.__module__}.{cell.__qualname__}"
+    return [
+        split_shard_value(jsonable(value), sizes, cell=f"{label}{params}")
+        for params, value in zip(points, out)
+    ]
 
 
-def _cell_units(spec: SweepSpec, shards, pending: list[int]) -> list[list[int]]:
+def _cell_units(
+    spec: SweepSpec, shards, pending: list[int], join: bool
+) -> list[list[list[int]]]:
     """Group the pending shards into cell calls.
 
-    Each shard is its own call unless the cell declares a stacked axis
-    (:func:`repro.engine.plan.stacks_on`); then one call covers the
-    pending shards that differ only along that axis and share a trial
-    range.  Units keep plan order, by their first shard.
+    A unit is a list of *stacks* over adjacent trial slices; a stack holds
+    the pending shards of one trial slice that differ only along the
+    cell's stacked axis (:func:`repro.engine.plan.stacks_on`), in point
+    order, and a plain cell's stacks hold one shard each.  With ``join``,
+    adjacent stacks of the same points join while the unit stays within
+    :data:`~repro.engine.plan.MAX_UNIT_ROWS` rows (points × trials), so
+    stored shards and other gaps split a unit; without it each stack is
+    its own call.  Units keep plan order, by their first shard.
     """
     stack = getattr(spec.cell, "stack", None)
-    if stack is None:
-        return [[i] for i in pending]
-    others = [name for name in spec.axis_names if name != stack[0]]
-    units: dict[tuple, list[int]] = {}
+    others = [n for n in spec.axis_names if stack is None or n != stack[0]]
+    stacks: dict[tuple, list[int]] = {}
     for i in pending:
         shard = shards[i]
         key = (tuple(shard.params[name] for name in others), shard.lo, shard.hi)
-        units.setdefault(key, []).append(i)
-    return list(units.values())
+        stacks.setdefault(key, []).append(i)
+    units: list[list[list[int]]] = []
+    unit_rows = 0
+    for group in stacks.values():
+        rows = len(group) * shards[group[0]].trials
+        prev = units[-1][-1] if units else None
+        if (
+            join
+            and prev is not None
+            and unit_rows + rows <= MAX_UNIT_ROWS
+            and shards[prev[0]].hi == shards[group[0]].lo
+            and [shards[i].point_key for i in prev]
+            == [shards[i].point_key for i in group]
+        ):
+            units[-1].append(group)
+            unit_rows += rows
+        else:
+            units.append([group])
+            unit_rows = rows
+    return units
 
 
 class _TaskSequence:
@@ -255,14 +288,16 @@ class _TaskSequence:
     Materialising every pending unit's argument tuple up front would pin
     all their seed slices at once — O(trials) memory before a single cell
     runs.  This sequence knows its length (so pools size themselves) but
-    builds each ``(cell, points, ctx)`` tuple only when the executor
-    actually reaches it; with the executors' windowed submission, at most
-    a pool's in-flight window of contexts exists at any moment.  The
-    shards of one unit share a trial range, hence a context.
+    builds each ``(cell, points, ctx, sizes)`` tuple only when the
+    executor actually reaches it; with the executors' windowed
+    submission, at most a pool's in-flight window of contexts exists at
+    any moment.  A unit's context spans its stacks' trial slices.
     """
 
-    def __init__(self, cell, shards: tuple[Shard, ...], units: list[list[int]]):
-        self._cell = cell
+    def __init__(
+        self, spec: SweepSpec, shards: tuple[Shard, ...], units: list
+    ):
+        self._spec = spec
         self._shards = shards
         self._units = units
 
@@ -270,9 +305,14 @@ class _TaskSequence:
         return len(self._units)
 
     def __iter__(self):
+        shards = self._shards
         for unit in self._units:
-            points = [self._shards[i].params for i in unit]
-            yield (self._cell, points, self._shards[unit[0]].ctx)
+            points = [shards[i].params for i in unit[0]]
+            sizes = [shards[group[0]].trials for group in unit]
+            ctx = self._spec.shard_context(
+                shards[unit[0][0]].lo, shards[unit[-1][0]].hi
+            )
+            yield (self._spec.cell, points, ctx, sizes)
 
 
 class _PointFold:
@@ -382,8 +422,9 @@ class EngineReport:
     run_key: str | None = None  #: ``None`` when no store was attached
     resumed: bool = False  #: an incomplete stored run was picked up
     reducer: str = "concat"  #: how shard values were folded
-    #: Cell invocations that computed the executed shards: one per shard,
-    #: or fewer when the cell stacks (see :func:`_cell_units`).
+    #: Cell invocations that computed the executed shards: one per shard
+    #: or stacked group, and at ``jobs=1`` one per run of adjacent
+    #: pending slices up to ``MAX_UNIT_ROWS`` rows (see :func:`_cell_units`).
     cell_calls: int = 0
 
     def get(self, **params) -> Any:
@@ -572,10 +613,11 @@ class ExecutionEngine:
         pending = [
             i for i in range(len(shards)) if not owner[i][0].has(owner[i][1])
         ]
-        units = _cell_units(spec, shards, pending)
+        # A pool distributes the shards; one worker gains by joining them.
+        units = _cell_units(spec, shards, pending, join=self.jobs == 1)
         if units:
             executor = self._executor(len(units))
-            tasks = _TaskSequence(spec.cell, shards, units)
+            tasks = _TaskSequence(spec, shards, units)
             # One writer per log for the whole drain: the open/seal/close
             # dance happens once, each record is still one O_APPEND write.
             shard_writer = handle.writer() if handle is not None else None
@@ -584,7 +626,11 @@ class ExecutionEngine:
                 for local_index, values in executor.map_unordered(
                     _run_cell, tasks
                 ):
-                    for i, value in zip(units[local_index], values):
+                    # Point-major and trial-ascending, as ``_run_cell``
+                    # returns them: each fold takes its shards in order.
+                    unit = units[local_index]
+                    order = [g[p] for p in range(len(unit[0])) for g in unit]
+                    for i, value in zip(order, chain.from_iterable(values)):
                         fold, pos = owner[i]
                         if shard_writer is not None:
                             shard_writer.append(

@@ -203,6 +203,8 @@ def run_matrix(
         reducer="concat",
     )
     swept = (runner or ExecutionEngine()).run(spec)
+    # The spec keeps a repeated name once, and so do the tables.
+    (_, policies), (_, scenarios) = spec.axes[:2]
 
     tag = "" if backend == "closed" else f", {backend} backend"
     per_scenario: dict[str, ExperimentResult] = {}

@@ -134,6 +134,8 @@ def run_tournament(
         reducer="concat",
     )
     swept = (runner or ExecutionEngine()).run(spec)
+    # The spec keeps a repeated name once, and so do the tables.
+    (_, policies), (_, scenarios) = spec.axes[:2]
 
     # Per (policy, scenario): mean total, mean waste, mean paired ratio.
     totals = np.empty((len(policies), len(scenarios)))

@@ -472,11 +472,11 @@ class ReplicationPolicyRunner(_BatchedPolicyRunner):
 # ---------------------------------------------------------------------------
 
 
-#: In-process memo for trained forecasting models, explicitly keyed and
-#: scoped to one sweep run (cleared whenever a
-#: :class:`~repro.engine.runner.ExecutionEngine` is built) so long-lived
-#: pool workers neither pin stale models nor leak one run's models into an
-#: unrelated later run.
+#: In-process memo for trained forecasting models and the held-out traces
+#: they train on, explicitly keyed and scoped to one sweep run (cleared
+#: whenever a :class:`~repro.engine.runner.ExecutionEngine` is built) so
+#: long-lived pool workers neither pin stale models nor leak one run's
+#: models into an unrelated later run.
 _MODEL_MEMO: dict[tuple, Any] = {}
 
 
@@ -490,12 +490,20 @@ def _training_traces(quick: bool, seed: int) -> np.ndarray:
     """Held-out §6.1-style measured traces, disjoint from every trial seed.
 
     Trial seeds are ``base_seed + SEED_STRIDE·t`` with a ~1e6 stride, so a
-    small fixed offset can never collide with a replayed trial.
+    small fixed offset can never collide with a replayed trial.  Memoised
+    for the run (the AR and LSTM forecasters train on the same traces)
+    and read-only, so no fit can alter what the next one sees.
     """
-    from repro.prediction.traces import MEASURED, generate_speed_traces
+    key = ("traces", quick, seed)
+    traces = _MODEL_MEMO.get(key)
+    if traces is None:
+        from repro.prediction.traces import MEASURED, generate_speed_traces
 
-    length = 200 if quick else 500
-    return generate_speed_traces(30, length, MEASURED, seed=seed + 4000)
+        length = 200 if quick else 500
+        traces = generate_speed_traces(30, length, MEASURED, seed=seed + 4000)
+        traces.setflags(write=False)
+        _MODEL_MEMO[key] = traces
+    return traces
 
 
 def _trained_lstm(hidden: int, quick: bool, seed: int):

@@ -5,7 +5,8 @@ The load-bearing guarantees of the tentpole refactor:
 * for representative mitigation policies × straggler scenarios, sweep
   results at ``jobs=1`` vs ``jobs=N`` and at shard sizes ``{1, 7, trials}``
   are **bitwise-equal** — sharding a cell's trials and merging the pieces
-  reproduces the monolithic evaluation exactly;
+  reproduces the monolithic evaluation exactly, whether each shard is its
+  own cell call or adjacent shards are joined into one;
 * a sweep killed mid-run and then resumed produces results identical to an
   uninterrupted run, computing only the missing shards;
 * the same merge guarantee holds as a **property** over random draws from
@@ -53,10 +54,23 @@ class TestShardMergeDeterminism:
         # shard_size=trials: one unit per cell, the pre-engine behaviour.
         return ExecutionEngine(jobs=1, shard_size=TRIALS).run(_spec()).values
 
+    @pytest.mark.usefixtures("one_shard_units")
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
         sharded = ExecutionEngine(jobs=1, shard_size=shard_size).run(_spec())
         assert sharded.values == monolithic
+
+    @pytest.mark.parametrize("shard_size, calls", [(1, 4), (3, 2)])
+    def test_joined_shards_bitwise_equal(
+        self, monolithic, monkeypatch, shard_size, calls
+    ):
+        # A cap of two slices per call: each policy row runs in `calls`
+        # joined calls, none of them the monolithic one.
+        rows = 2 * shard_size * len(SCENARIOS)
+        monkeypatch.setattr("repro.engine.runner.MAX_UNIT_ROWS", rows)
+        joined = ExecutionEngine(jobs=1, shard_size=shard_size).run(_spec())
+        assert joined.cell_calls == calls * len(POLICIES)
+        assert joined.values == monolithic
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
@@ -148,6 +162,7 @@ def _resume_spec(reducer="concat"):
 
 
 class TestResume:
+    @pytest.mark.usefixtures("one_shard_units")
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         # 2 cells × 3 shards of 2 trials = 6 shard units.
         uninterrupted = ExecutionEngine(
@@ -174,6 +189,35 @@ class TestResume:
         assert _CALLS["count"] == 2  # only the missing shards ran
         assert resumed.values == uninterrupted.values
         assert store.manifest_of(run_key)["complete"] is True
+
+    def test_killed_multi_shard_unit_persists_none_of_its_shards(
+        self, tmp_path
+    ):
+        # Each cell's three shards join into one call (6 rows); the kill
+        # lands in the second call, so its three shards are all lost.
+        store = RunStore(tmp_path)
+        _CALLS.update(count=0, fail_after=1)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            ExecutionEngine(jobs=1, store=store, shard_size=2).run(
+                _resume_spec()
+            )
+        (run_key,) = store.run_keys()
+        stored = store.handle(run_key).records()
+        assert [(r["point"]["policy"], r["lo"]) for r in stored] == [
+            ("mds", 0), ("mds", 2), ("mds", 4),
+        ]
+
+        _CALLS.update(count=0, fail_after=None)
+        resumed = ExecutionEngine(
+            jobs=1, store=store, shard_size=2, resume=True
+        ).run(_resume_spec())
+        assert (resumed.shard_hits, resumed.cell_calls) == (3, 1)
+        assert _CALLS["count"] == 1
+        recomputed = store.handle(run_key).records()[3:]
+        assert [(r["point"]["policy"], r["lo"]) for r in recomputed] == [
+            ("timeout-repair", 0), ("timeout-repair", 2), ("timeout-repair", 4),
+        ]
+        assert resumed.values == ExecutionEngine().run(_resume_spec()).values
 
     def test_resume_with_empty_store_raises(self, tmp_path):
         _CALLS.update(count=0, fail_after=None)
@@ -210,6 +254,7 @@ class TestResume:
         with pytest.raises(ValueError, match="run store"):
             ExecutionEngine(jobs=1, resume=True)
 
+    @pytest.mark.usefixtures("one_shard_units")
     def test_interrupted_run_is_warm_even_without_resume(self, tmp_path):
         # Shard records are content-keyed, so a plain re-run (the default
         # CLI path) also picks the four finished shards up; --resume adds
@@ -242,6 +287,7 @@ class TestReducerCheckpoints:
     directions the result stays byte-identical to an uninterrupted run.
     """
 
+    @pytest.mark.usefixtures("one_shard_units")
     def test_resume_folds_from_checkpoints_not_raw_shards(self, tmp_path):
         _CALLS.update(count=0, fail_after=None)
         uninterrupted = ExecutionEngine(
@@ -313,8 +359,10 @@ class TestReducerCheckpoints:
         driver.write_text(
             "import json, os, signal, sys\n"
             "from pathlib import Path\n"
+            "import repro.engine.runner\n"
             "from repro.engine import ExecutionEngine, RunStore, SweepSpec\n"
             "from repro.experiments.matrix import _cell as matrix_cell\n"
+            "repro.engine.runner.MAX_UNIT_ROWS = 1  # one call per shard\n"
             "KILL_AFTER = int(sys.argv[2])\n"
             "RESUME = sys.argv[3] == 'resume'\n"
             "CALLS = {'n': 0}\n"

@@ -113,10 +113,23 @@ class TestEventShardMergeDeterminism:
     def monolithic(self):
         return ExecutionEngine(jobs=1, shard_size=TRIALS).run(_event_spec()).values
 
+    @pytest.mark.usefixtures("one_shard_units")
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
         sharded = ExecutionEngine(jobs=1, shard_size=shard_size).run(_event_spec())
         assert sharded.values == monolithic
+
+    @pytest.mark.parametrize("shard_size, calls", [(1, 4), (3, 2)])
+    def test_joined_shards_bitwise_equal(
+        self, monolithic, monkeypatch, shard_size, calls
+    ):
+        rows = 2 * shard_size * len(SCENARIOS)
+        monkeypatch.setattr("repro.engine.runner.MAX_UNIT_ROWS", rows)
+        joined = ExecutionEngine(jobs=1, shard_size=shard_size).run(
+            _event_spec()
+        )
+        assert joined.cell_calls == calls * len(POLICIES)
+        assert joined.values == monolithic
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
@@ -237,6 +250,7 @@ def _resume_spec():
 
 
 class TestEventResume:
+    @pytest.mark.usefixtures("one_shard_units")
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         # 1 cell × 3 shards of 2 trials = 3 shard units; kill after 2.
         _CALLS.update(count=0, fail_after=None)

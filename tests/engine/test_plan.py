@@ -1,6 +1,8 @@
 """Work-plan layer: shard compilation, seed stride, merge semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     DEFAULT_SHARD_TRIALS,
@@ -11,6 +13,7 @@ from repro.engine import (
     compile_plan,
     default_shard_size,
     merge_shard_values,
+    split_shard_value,
 )
 from repro.experiments.matrix import run_cell
 
@@ -97,6 +100,13 @@ class TestCompile:
         with pytest.raises(ValueError, match="trial range"):
             _spec(trials=4).shard_context(2, 6)
 
+    def test_repeated_axis_value_is_one_point(self):
+        # A point is its key: the first occurrence of a value keeps its
+        # place, and a repeat adds no second (identical) grid point.
+        spec = _spec(axes=(("a", (2, 1, 2, 3, 1)), ("b", ("x", "x"))))
+        assert spec.axes == (("a", (2, 1, 3)), ("b", ("x",)))
+        assert [p["a"] for p in spec.points()] == [2, 1, 3]
+
 
 class TestMerge:
     def test_lists_concatenate_in_trial_order(self):
@@ -131,6 +141,69 @@ class TestMerge:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="values for"):
             merge_shard_values([[1]], [1, 1])
+
+
+#: The shape of a cell value: ``None`` is a per-trial leaf list, a dict
+#: maps keys to shapes.
+_SHAPES = st.recursive(
+    st.none(),
+    lambda inner: st.dictionaries(
+        st.text("abcxyz", min_size=1, max_size=3), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+_TRIAL_ITEMS = st.one_of(
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_SIZES = st.lists(st.integers(1, 5), min_size=1, max_size=5)
+
+
+def _value(data, shape, trials):
+    """Draw a trial-separable value of ``shape`` over ``trials`` trials."""
+    if shape is None:
+        return data.draw(
+            st.lists(_TRIAL_ITEMS, min_size=trials, max_size=trials)
+        )
+    return {key: _value(data, sub, trials) for key, sub in shape.items()}
+
+
+class TestSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=_SHAPES, sizes=_SIZES, data=st.data())
+    def test_split_undoes_merge(self, shape, sizes, data):
+        parts = [_value(data, shape, size) for size in sizes]
+        merged = merge_shard_values(parts, sizes)
+        assert split_shard_value(merged, sizes) == parts
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=_SHAPES, sizes=_SIZES, data=st.data())
+    def test_merge_undoes_split(self, shape, sizes, data):
+        value = _value(data, shape, sum(sizes))
+        parts = split_shard_value(value, sizes)
+        assert len(parts) == len(sizes)
+        assert merge_shard_values(parts, sizes) == value
+
+    def test_single_shard_passes_through_unvalidated(self):
+        assert split_shard_value("anything", [3]) == ["anything"]
+
+    def test_scalar_leaf_rejected(self):
+        with pytest.raises(
+            ShardMergeError, match=r"demo\['total'\].*type float.*\[1, 2\]"
+        ):
+            split_shard_value({"total": 3.0}, [1, 2], cell="demo")
+
+    def test_leaf_of_wrong_length_rejected(self):
+        with pytest.raises(
+            ShardMergeError, match=r"demo: .*\[1, 2\].*length 2, not 3"
+        ):
+            split_shard_value([1.0, 2.0], [1, 2], cell="demo")
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_size_rejected(self, size):
+        with pytest.raises(ValueError, match=rf"demo: .*got {size}$"):
+            split_shard_value([1.0, 2.0], [2, size], cell="demo")
 
 
 class TestSweepContextValidation:

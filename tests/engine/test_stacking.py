@@ -92,9 +92,17 @@ class TestEngineStacking:
         assert (plain.shards_total, plain.cell_calls) == (6, 6)
         assert report.values == plain.values
 
-    def test_trial_slices_are_separate_calls(self):
+    def test_adjacent_trial_slices_join(self, monkeypatch):
+        # Per policy row: slices [0, 2) and [2, 3) of two scenarios, 6
+        # rows, within the row cap: one call instead of two.
         report = ExecutionEngine(shard_size=2).run(_spec())
-        assert (report.shards_total, report.cell_calls) == (12, 6)
+        assert (report.shards_total, report.cell_calls) == (12, 3)
+        monkeypatch.setattr("repro.engine.runner.MAX_UNIT_ROWS", 1)
+        unjoined = ExecutionEngine(shard_size=2).run(_spec())
+        assert (unjoined.shards_total, unjoined.cell_calls) == (12, 6)
+        assert json.dumps([*report.values.items()]) == json.dumps(
+            [*unjoined.values.items()]
+        )
 
     def _recorded_rows(self, monkeypatch):
         calls = []
@@ -128,6 +136,20 @@ class TestEngineStacking:
         monkeypatch.undo()
         plain = ExecutionEngine().run(_spec(_plain_cell, spec.axes[1][1]))
         assert report.values == plain.values
+
+    def test_repeated_axis_value_is_one_cell(self):
+        spec = SweepSpec(
+            name="x",
+            cell=matrix_cell,
+            axes=(
+                ("policy", ("mds",)),
+                ("scenario", ("bursty", "bursty")),
+                ("backend", ("closed",)),
+            ),
+            trials=2,
+        )
+        (value,) = ExecutionEngine().run(spec).values.values()
+        assert len(value["total"]) == 2
 
     def test_stack_axis_must_be_swept(self):
         with pytest.raises(ValueError, match="stacks on axis 'scenario'"):

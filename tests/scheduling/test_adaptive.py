@@ -164,6 +164,7 @@ class TestShardAndExecutorDeterminism:
         engine = ExecutionEngine(jobs=1, shard_size=TRIALS)
         return engine.run(_spec(ADAPTIVE_ROWS)).values
 
+    @pytest.mark.usefixtures("one_shard_units")
     @pytest.mark.parametrize("shard_size", [1, 7, TRIALS])
     def test_shard_sizes_bitwise_equal(self, monolithic, shard_size):
         clear_memos()  # commitment must be re-derivable per shard
@@ -171,6 +172,19 @@ class TestShardAndExecutorDeterminism:
             _spec(ADAPTIVE_ROWS)
         )
         assert sharded.values == monolithic
+
+    @pytest.mark.parametrize("shard_size, calls", [(1, 4), (3, 2)])
+    def test_joined_shards_bitwise_equal(
+        self, monolithic, monkeypatch, shard_size, calls
+    ):
+        clear_memos()  # commitment must be re-derivable per joined call
+        rows = 2 * shard_size * 2  # two slices of the two scenarios
+        monkeypatch.setattr("repro.engine.runner.MAX_UNIT_ROWS", rows)
+        joined = ExecutionEngine(jobs=1, shard_size=shard_size).run(
+            _spec(ADAPTIVE_ROWS)
+        )
+        assert joined.cell_calls == calls * len(ADAPTIVE_ROWS)
+        assert joined.values == monolithic
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pooled_jobs_bitwise_equal(self, monolithic, executor):
@@ -189,6 +203,7 @@ class TestShardAndExecutorDeterminism:
             full = monolithic[key]
             assert value == {k: v[:3] for k, v in full.items()}
 
+    @pytest.mark.usefixtures("one_shard_units")
     def test_event_backend_shards_bitwise(self):
         spec = SweepSpec(
             name="adaptive-event-determinism",
@@ -265,6 +280,7 @@ def _interruptible_cell(params, ctx):
 
 
 class TestKilledThenResumed:
+    @pytest.mark.usefixtures("one_shard_units")
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         spec = SweepSpec(
             name="adaptive-resume",
@@ -315,8 +331,10 @@ class TestKilledThenResumed:
         driver.write_text(
             "import json, os, signal, sys\n"
             "from pathlib import Path\n"
+            "import repro.engine.runner\n"
             "from repro.engine import ExecutionEngine, RunStore, SweepSpec\n"
             "from repro.experiments.matrix import _cell as matrix_cell\n"
+            "repro.engine.runner.MAX_UNIT_ROWS = 1  # one call per shard\n"
             "KILL_AFTER = int(sys.argv[2])\n"
             "RESUME = sys.argv[3] == 'resume'\n"
             "CALLS = {'n': 0}\n"

@@ -245,3 +245,39 @@ class TestRunners:
         assert pol._MODEL_MEMO  # the fitted AR model is memoised
         ExecutionEngine()  # a new sweep run clears policy-layer model memos
         assert not pol._MODEL_MEMO
+
+    def test_training_traces_are_drawn_once_per_run(self, monkeypatch):
+        # s2c2-ar and s2c2-lstm train on the same held-out traces: one
+        # draw serves both fits, and neither model changes by a bit.
+        from repro.prediction import traces
+        from repro.prediction.arima import ARModel
+        from repro.prediction.lstm import LSTMSpeedModel
+
+        draws = []
+        original = traces.generate_speed_traces
+
+        def counting(*args, **kwargs):
+            draws.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(traces, "generate_speed_traces", counting)
+        pol.clear_memos()
+        ar = pol._fitted_ar(1, True, 0)
+        lstm = pol._trained_lstm(4, True, 0)
+        assert draws == [((30, 200, traces.MEASURED), {"seed": 4000})]
+        monkeypatch.undo()
+
+        def fresh():
+            return original(30, 200, traces.MEASURED, seed=4000)
+
+        ref_ar = ARModel(p=1).fit(fresh())
+        assert (ar.intercept, ar.coef.tobytes()) == (
+            ref_ar.intercept,
+            ref_ar.coef.tobytes(),
+        )
+        ref_lstm = LSTMSpeedModel(hidden=4, seed=0)
+        ref_lstm.fit(fresh(), epochs=80, window=40)
+        assert {k: v.tobytes() for k, v in lstm._params.items()} == {
+            k: v.tobytes() for k, v in ref_lstm._params.items()
+        }
+        assert (lstm._mu, lstm._sigma) == (ref_lstm._mu, ref_lstm._sigma)

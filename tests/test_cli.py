@@ -103,6 +103,48 @@ class TestCli:
         assert "regime" in capsys.readouterr().out
 
 
+def _store_files(root: Path) -> dict:
+    """Every file under ``root`` with its size and mtime."""
+    return {
+        path: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+class TestStreamCli:
+    """A fat cell runs as joined multi-shard calls, pooled and stored."""
+
+    ARGV = [
+        "stream", "--policy", "timeout-repair", "--scenario", "bursty",
+        "--quick", "--trials", "256",
+    ]
+
+    def _stdout(self, capsys, *flags) -> str:
+        assert main([*self.ARGV, *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_thread_pool_prints_the_serial_run(self, capsys, tmp_path):
+        serial = self._stdout(
+            capsys, "--jobs", "1", "--cache-dir", str(tmp_path / "serial")
+        )
+        pooled = self._stdout(
+            capsys, "--jobs", "2", "--executor", "thread",
+            "--cache-dir", str(tmp_path / "pooled"),
+        )
+        assert pooled == serial
+        assert '"total"' in serial
+
+    def test_warm_rerun_prints_the_same_and_writes_nothing(
+        self, capsys, tmp_path
+    ):
+        cold = self._stdout(capsys, "--cache-dir", str(tmp_path))
+        before = _store_files(tmp_path)
+        warm = self._stdout(capsys, "--cache-dir", str(tmp_path))
+        assert warm == cold
+        assert _store_files(tmp_path) == before
+
+
 class TestComposedScenarioCli:
     """Composed scenario expressions through the CLI surfaces.
 
@@ -117,6 +159,14 @@ class TestComposedScenarioCli:
         out = capsys.readouterr().out
         assert "overlay(rack,bursty)" in out
         assert "composed" in out
+
+    def test_matrix_prints_a_repeated_scenario_once(self, capsys):
+        argv = ["matrix", "--quick", "--trials", "2", "--summary-only",
+                "--no-cache", "--scenario", "bursty"]
+        assert main([*argv, "--scenario", "bursty"]) == 0
+        twice = capsys.readouterr().out
+        assert main(argv) == 0
+        assert twice == capsys.readouterr().out
 
     def test_matrix_accepts_composed_scenario(self, capsys):
         argv = [
