@@ -253,13 +253,14 @@ def bench_fig13(quick: bool, trials: int, jobs: int) -> tuple[float, float]:
 def bench_repair_path(
     quick: bool, trials: int, scenario: str
 ) -> tuple[float, float, float]:
-    """High-straggler repair bench: scalar per-trial loop vs native batch.
+    """High-straggler repair bench: per-trial kernel calls vs one batch.
 
-    Returns ``(scalar_seconds, batch_seconds, repaired_fraction)``.  The
+    Returns ``(scalar_seconds, batch_seconds, repaired_fraction)``: the
+    first times ``run`` once per trial (each a one-trial call of the
+    batched kernel), the second one ``run_batch`` over every trial.  The
     plan is built from all-equal predicted speeds and executed against the
-    scenario's straggler-laden actual speeds, so the §4.3 deadline fires —
-    exactly the trials that fell off the fast batch path before the native
-    repair resolution.
+    scenario's straggler-laden actual speeds, so the §4.3 deadline fires
+    and the repair path dominates.
     """
     from repro.cluster.network import CostModel, NetworkModel
     from repro.cluster.scenarios import scenario_batch

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smoke check: tier-1 tests, docs checkers, one tiny parallel
-# sweep exercising --trials / --jobs / the on-disk cache, and one
-# repair-armed batched scenario sweep.
+# sweep exercising --trials / --jobs / the on-disk cache, one
+# repair-armed batched scenario sweep, and every example script.
 #
 # Usage:  sh scripts/smoke.sh [bench|cov]
 #
@@ -67,6 +67,15 @@ python -m repro fuzz --quick --scenarios 8 --trials 2 --jobs 2 --seed 7 \
 
 echo "== phase profile (batched kernels, quick) =="
 python -m repro profile --quick --trials 2 --backend event
+
+echo "== examples (every script must exit 0) =="
+# The examples drive the numeric sessions, whose coded iterations are
+# one-trial views of the batched kernel.  quickstart asserts its decoded
+# products; the others print their decode errors.
+for EXAMPLE in examples/*.py; do
+    python "$EXAMPLE" > /dev/null \
+        || { echo "example $EXAMPLE failed" >&2; exit 1; }
+done
 
 echo "== benchmark output parity (pinned stdout digests, one cycle each) =="
 # Tier-1 runs only an unpinned workload; this checks that every benchmark

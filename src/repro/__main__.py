@@ -76,7 +76,7 @@ Commands
     Run a small policy × scenario grid at the matrix geometry with the
     phase profiler installed (:mod:`repro.profiling`) and print the
     per-phase hot-spot table — wall-clock seconds spent in the batched
-    kernels' plan/broadcast/compute/reply/repair/decode/replay spans —
+    kernel's plan/broadcast/compute/reply/repair/decode spans —
     so optimisation targets are measured, not guessed.  ``--policy`` /
     ``--scenario`` repeat to select cells (defaults: mds +
     timeout-repair over bursty + netslow); ``--backend`` picks the
@@ -109,9 +109,12 @@ class _CommandError(Exception):
 
 
 def _resolve(lookup, names) -> list:
-    """``lookup`` every name; an unknown one exits 2 listing the registry."""
+    """``lookup`` each distinct name once, in first-seen order.
+
+    An unknown name exits 2 listing the registry.
+    """
     try:
-        return [lookup(name) for name in names]
+        return [lookup(name) for name in dict.fromkeys(names)]
     except KeyError as error:
         # The registries' messages already list what is available.
         raise _CommandError(error.args[0]) from None
@@ -219,14 +222,15 @@ def _cmd_version(args: argparse.Namespace) -> None:
 def _cmd_experiments(args: argparse.Namespace) -> None:
     from repro.experiments import ALL_EXPERIMENTS
 
-    unknown = [n for n in args.names if n not in ALL_EXPERIMENTS]
+    names = list(dict.fromkeys(args.names))  # a repeated name runs once
+    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         raise _CommandError(
             f"unknown experiments: {', '.join(unknown)}; "
             f"available: {', '.join(sorted(ALL_EXPERIMENTS))}"
         )
     engine = _engine(args)
-    for name in args.names or sorted(ALL_EXPERIMENTS):
+    for name in names or sorted(ALL_EXPERIMENTS):
         with _timed():
             result = ALL_EXPERIMENTS[name](
                 quick=args.quick, seed=args.seed, trials=args.trials, runner=engine
@@ -353,8 +357,9 @@ def _cmd_profile(args: argparse.Namespace) -> None:
     from repro.experiments.matrix import cell_geometry, run_cell
     from repro.profiling import PhaseProfiler, profiled
 
-    policies = tuple(args.policy or ("mds", "timeout-repair"))
-    scenarios = tuple(args.scenario or ("bursty", "netslow"))
+    # A repeated name is profiled once.
+    policies = tuple(dict.fromkeys(args.policy or ("mds", "timeout-repair")))
+    scenarios = tuple(dict.fromkeys(args.scenario or ("bursty", "netslow")))
     specs = _check_names(policies, scenarios)
     ctx = _context(args)
     profiler = PhaseProfiler()

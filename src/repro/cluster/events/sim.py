@@ -28,18 +28,16 @@ its natural reply having arrived).  A worker whose broadcast copy is still
 in flight when the §4.3 timeout fires has no arrival the master can
 foresee, so the repair treats it as a laggard.  The cluster suites pin
 ``run_batch`` bitwise against a per-trial discrete-event loop over
-explicit links, kept under ``tests/`` as the oracle, on every route:
-degraded links, failures and armed repairs.  With unit factors the
-schedule is the closed form's, so the event backend then equals
+explicit links, kept under ``tests/`` as the oracle, on every route and
+every plan shape the parent accepts: degraded links, failures and armed
+repairs.  With unit factors the schedule is the closed form's, so the
+event backend then equals
 :class:`~repro.cluster.simulator.CodedIterationSim` bitwise — and in the
 zero-network limit (zero latency, infinite bandwidth) it does under any
 factors, for every registered policy × scenario pair.
 
 :meth:`~repro.cluster.simulator.CodedIterationSim.run` is inherited
-unchanged: it has no links to degrade, so it is the event backend at unit
-factors.  Plans must be full or exact-coverage (what every built-in
-scheduler's ``plan_batch`` returns); a *general* plan has no closed-form
-schedule and is a ``ValueError``.
+unchanged: a one-trial view of :meth:`run_batch` at unit link factors.
 """
 
 from __future__ import annotations
@@ -87,18 +85,12 @@ class EventDrivenIterationSim(CodedIterationSim):
         """Simulate a batch of trials over links degraded by ``link_factors``.
 
         ``link_factors`` is a ``(trials, workers)`` matrix (``None``: unit
-        links); the other arguments are the parent's.  Every trial takes
-        the parent's batched kernel.
+        links); the other arguments are the parent's, and every trial
+        takes the parent's batched kernel.
         """
         batch, speeds, failed_list = self._batch_inputs(
             plans, speeds, failed_workers
         )
-        general = np.flatnonzero(~batch.full & ~batch.exact)
-        if general.size:
-            raise ValueError(
-                "plans must be full or exact-coverage on the event backend; "
-                f"trials {general.tolist()} hold general plans"
-            )
         factors = self._check_factors(link_factors, *speeds.shape)
         with span("broadcast"):
             bandwidth = self.network.bandwidth * factors

@@ -26,34 +26,33 @@ Every entry point rejects non-positive and non-finite speeds the same way.
 
 One coded-iteration kernel
 --------------------------
-:class:`CodedIterationSim` is the only home of the coded iteration's rules:
-coverage completion, the §4.3 deadline (mean of the first ``k`` responses),
-the cutoff search that reassigns the laggards' chunks, the opportunistic
-acceptance of a repair, and the computed/used accounting.  The event
-backend (:mod:`repro.cluster.events.sim`) reuses every one of them and only
-supplies when each worker's task starts and how its reply travels.
+:class:`CodedIterationSim` holds the coded iteration's rules once, in its
+batched kernel: coverage completion, the §4.3 deadline (mean of the first
+``k`` responses), the cutoff that reassigns the laggards' chunks, the
+opportunistic acceptance of a repair, and the computed/used accounting.
+:meth:`CodedIterationSim.run_batch` simulates a whole ``(trials,
+workers)`` speed matrix in one call, and :meth:`CodedIterationSim.run` is
+a one-trial view of it.  The event backend
+(:mod:`repro.cluster.events.sim`) feeds the same kernel and only supplies
+when each worker's task starts and how its reply travels.
 
-:meth:`CodedIterationSim.run_batch` simulates a whole ``(trials, workers)``
-speed matrix in one call.  It reads the plans as a
-:class:`~repro.scheduling.base.PlanBatch` — one arc of the chunk circle per
-worker, as ``(trials, workers)`` arrays — so rows per worker, each trial's
-plan shape and the repair's holder mask are array expressions, with no
-per-trial plan object.  The two plan shapes every scheduler here produces
-— *full* plans (conventional coded computation: everyone computes
-everything) and *exact-coverage* plans (S2C2's no-wasted-work wraparound
-layout) — admit closed-form batch timelines, so arrivals, completion times
-and the computed/used accounting are evaluated with stacked numpy arrays
-across all trials at once.  Trials that arm the §4.3 timeout are repaired
-together in one array pass over the same arrival matrix: the cutoff of the
-scalar path's search comes in closed form (a reassignment exists iff at
-least ``k`` helpers are available — the feasibility identity of
-:mod:`repro.scheduling.timeout`), one batched
+The kernel reads the plans as a :class:`~repro.scheduling.base.PlanBatch`
+— one arc of the chunk circle per worker, as ``(trials, workers)`` arrays
+— so rows per worker, each trial's plan shape and the repair's holder mask
+are array expressions, with no per-trial plan object.  The two plan shapes
+every scheduler here produces have closed-form completion: on *full* plans
+(conventional coded computation: everyone computes everything) the
+``k``-th response, on *exact-coverage* plans (S2C2's no-wasted-work
+wraparound layout) the last active one.  Any other plan — over-covered
+arcs, or a plan that is not one arc per worker — completes by the master's
+coverage walk, evaluated as a mask rule over the batch's chunk mask.
+Trials that arm the §4.3 timeout are repaired together in one array pass
+over the same arrival matrix, whatever their plan's shape: the cutoff
+comes in closed form (a reassignment exists iff at least ``k`` helpers
+are available — the feasibility identity of
+:mod:`repro.scheduling.timeout`), and one batched
 :func:`~repro.scheduling.timeout.repair_assignments` call plans every
-trial's reassignment, and the repair finish and accounting mirror the
-scalar helpers term by term, so they stay bitwise-equal to a per-trial
-loop without re-simulating the trial.  Only *general* plans (neither full
-nor exact coverage) replay through :meth:`~CodedIterationSim.run`, and
-only on this closed backend: the event backend rejects them.
+trial's reassignment.
 
 Both uncoded simulators return the same stacked
 :class:`BatchUncodedOutcome`.  :meth:`ReplicationIterationSim.run_batch`
@@ -70,7 +69,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -221,10 +220,11 @@ class CodedIterationOutcome:
 class BatchCodedOutcome:
     """Stacked outcomes of ``trials`` coded iterations (one row per trial).
 
-    Per-trial values equal what :meth:`CodedIterationSim.run` returns for
-    that trial's (plan, speeds) pair; ``contributions`` are not materialised
-    (latency/waste sweeps never read them — use the scalar path when the
-    numeric result is needed).
+    ``arrival`` is when each worker's result reaches the master (``inf``:
+    never — failed or assigned nothing); ``responded`` marks the results
+    the master took.  Which chunks each worker contributed is not
+    materialised (latency/waste sweeps never read it):
+    :meth:`CodedIterationSim.run` derives it for the one trial it views.
     """
 
     completion_time: np.ndarray  # (trials,)
@@ -235,6 +235,7 @@ class BatchCodedOutcome:
     used_rows: np.ndarray  # (trials, workers)
     responded: np.ndarray  # (trials, workers) bool
     repaired: np.ndarray  # (trials,) bool
+    arrival: np.ndarray  # (trials, workers)
 
     @property
     def n_trials(self) -> int:
@@ -245,34 +246,31 @@ class BatchCodedOutcome:
         return np.maximum(0.0, self.computed_rows - self.used_rows)
 
 
-@dataclass(frozen=True)
-class _PlanProfile:
-    """Per-plan constants the scalar path reuses across workers."""
+def _useful_chunks(
+    holds: np.ndarray, arrivals: np.ndarray, coverage: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The master's coverage walk over a batch of plans, as arrays.
 
-    plan: CodedWorkPlan
-    rows: np.ndarray  # (n,) assigned rows per worker
-    active: tuple[int, ...]  # workers assigned at least one row
-    #: Lazily filled worker → sorted chunk-index array cache (the arrays
-    #: are read-only inputs).
-    chunk_cache: dict = field(default_factory=dict)
-
-    def chunks_of(self, worker: int) -> np.ndarray:
-        """Worker's sorted chunk indices (memoised per plan profile)."""
-        cached = self.chunk_cache.get(worker)
-        if cached is None:
-            cached = self.plan.assignments[worker].chunk_indices()
-            self.chunk_cache[worker] = cached
-        return cached
-
-
-class _Repair(NamedTuple):
-    """A feasible §4.3 reassignment (see :meth:`CodedIterationSim._search_repair`)."""
-
-    finished: dict[int, np.ndarray]  # helper → chunks it sent by the cutoff
-    extra: dict[int, np.ndarray]  # helper → chunks reassigned to it
-    extra_rows: dict[int, int]  # helper → rows of its reassigned chunks
-    laggards: frozenset[int]  # workers cancelled at the cutoff
-    cutoff: float  # when the master reassigns
+    ``holds`` is the ``(trials, workers, chunks)`` mask of who computes
+    what and ``arrivals`` when each result reaches the master (``inf``:
+    never).  Workers are taken in stable ``(arrival, worker)`` order, and a
+    chunk is *useful* to a worker while fewer than ``coverage`` earlier
+    arrivals hold it (the master uses the first ``coverage`` results per
+    chunk and ignores the rest, §2).  Returns the useful-chunk mask and
+    each trial's coverage completion: the arrival that covers its last
+    chunk (``inf``: never).
+    """
+    order = np.argsort(arrivals, axis=1, kind="stable")
+    held = np.take_along_axis(
+        holds & np.isfinite(arrivals)[:, :, None], order[:, :, None], axis=1
+    )
+    count = np.cumsum(held, axis=1)  # arrivals so far that hold each chunk
+    useful = np.empty_like(held)
+    np.put_along_axis(useful, order[:, :, None], held & (count <= coverage), 1)
+    covered = count >= coverage
+    last = covered.argmax(axis=1).max(axis=1)  # covers the last chunk
+    done = np.take_along_axis(arrivals, order, 1)[np.arange(last.size), last]
+    return useful, np.where(covered[:, -1].all(axis=1), done, np.inf)
 
 
 @dataclass(frozen=True)
@@ -318,33 +316,13 @@ class CodedIterationSim:
     def _broadcast_cost(self) -> float:
         """Broadcast transfer time, computed once per simulator instance.
 
-        Every path (scalar and batched, closed and event backend) reports
-        the same nominal broadcast cost, and it only depends on frozen
-        fields — so it is cached on the instance instead of being
-        recomputed per trial.  (``functools.cached_property`` writes the
-        instance ``__dict__`` directly, which frozen dataclasses permit.)
+        Every path (closed and event backend) reports the same nominal
+        broadcast cost, and it only depends on frozen fields — so it is
+        cached on the instance instead of being recomputed per trial.
+        (``functools.cached_property`` writes the instance ``__dict__``
+        directly, which frozen dataclasses permit.)
         """
         return self.network.transfer_time(self._broadcast_bytes)
-
-    def _compute_end(self, rows: int, speed: float, start: float) -> float:
-        """When a ``rows``-row task started at ``start`` finishes computing."""
-        fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
-        return (start + fixed) + self.cost.compute_time(rows, self.width, speed)
-
-    def _arrival(self, rows: int, speed: float, start: float) -> float:
-        """Absolute arrival time at the master of a ``rows``-row task."""
-        reply = self.network.transfer_time(
-            rows * self.cost.row_bytes(self.width_out)
-        )
-        return self._compute_end(rows, speed, start) + reply
-
-    def _progress_rows(
-        self, speed: float, start: float, until: float, cap: int
-    ) -> float:
-        """Rows finished by ``until`` for a task started at ``start``."""
-        fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
-        done = self.cost.rows_computable(until - start - fixed, self.width, speed)
-        return float(min(cap, max(0.0, done)))
 
     def _progress_batch(
         self,
@@ -353,10 +331,11 @@ class CodedIterationSim:
         until: float | np.ndarray,
         cap: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`_progress_rows` over arrays, term by term.
+        """Rows finished by ``until`` of tasks started at ``start``, at most ``cap``.
 
         ``denom`` is ``worker_flops × speeds``; the other arguments
-        broadcast against it.
+        broadcast against it.  A task still in its fixed phase has
+        finished no row.
         """
         per_row = (self.width * self.cost.flops_per_element) / denom
         elapsed = (until - start) - self.fixed_task_flops / denom
@@ -372,283 +351,76 @@ class CodedIterationSim:
             groups=max(1, groups),
         )
 
-    def _profile(self, plan: CodedWorkPlan) -> _PlanProfile:
-        """Precompute a plan's per-worker row counts."""
-        rows = PlanBatch.from_plans([plan]).rows(self.grid.chunk_offsets())[0]
-        return _PlanProfile(plan, rows, tuple(np.flatnonzero(rows).tolist()))
-
-    # ------------------------------------------------------------------
-    # The coded iteration's rules, shared by every path and backend
-    # ------------------------------------------------------------------
-
-    def _natural_cover(
-        self, profile: _PlanProfile, arrivals: np.ndarray
-    ) -> tuple[dict[int, np.ndarray], float]:
-        """Walk ``arrivals`` in time order until every chunk is covered.
-
-        Each worker's *useful* chunks are the ones still lacking coverage
-        when it arrives (the master uses the first ``coverage`` results per
-        chunk and ignores the rest, §2).  Returns those contributions and
-        the coverage-completion time (``inf``: never).
-        """
-        plan = profile.plan
-        need = np.full(plan.num_chunks, plan.coverage, dtype=np.int64)
-        natural: dict[int, np.ndarray] = {}
-        for w in sorted(profile.active, key=lambda w: (arrivals[w], w)):
-            if arrivals[w] == np.inf:
-                break
-            chunks = profile.chunks_of(w)
-            useful = chunks[need[chunks] > 0]
-            if useful.size:
-                natural[w] = useful
-                need[useful] -= 1
-                if not need.any():
-                    return natural, arrivals[w]
-        return natural, np.inf
-
-    def _timeout_deadline(
-        self, responses: np.ndarray, coverage: int
-    ) -> float | None:
-        """§4.3: the deadline armed after the first ``k`` responses, or None.
-
-        ``responses`` are every finite response time, ascending.  When
-        fewer than ``k`` workers can ever respond (failures among the
-        assigned set), the deadline arms from every response that does
-        arrive — a real master cannot distinguish "slow" from "dead" and
-        must eventually time out either way.
-        """
-        if self.timeout is None:
-            return None
-        k = min(self.timeout.min_responses or coverage, len(responses))
-        if k == 0:
-            return None
-        return self.timeout.deadline(float(np.mean(responses[:k])))
-
-    def _search_repair(
-        self,
-        profile: _PlanProfile,
-        speeds: np.ndarray,
-        arrivals: np.ndarray,
-        deadline: float,
-        failed: frozenset[int],
-    ) -> _Repair | None:
-        """§4.3: cancel the laggards at ``deadline``, reassign their chunks.
-
-        Workers assigned nothing this iteration but alive still hold their
-        encoded partitions (§4.4), so the master recruits them as helpers
-        alongside the finished workers.  When reassignment among the
-        workers finished by the deadline cannot restore coverage (e.g.
-        several laggards but a dead worker among them), the master keeps
-        collecting responses and retries at each later arrival — so only
-        genuinely unreachable coverage makes repair fail.  ``None`` means
-        the master waits for the stragglers instead (§4.4).  This walk is
-        the semantics of record; :meth:`_repair_batch` takes the same
-        cutoff in closed form.
-        """
-        plan = profile.plan
-        order = sorted(profile.active, key=lambda w: (arrivals[w], w))
-        idle_alive = [
-            w
-            for w in range(plan.n_workers)
-            if profile.rows[w] == 0 and w not in failed
-        ]
-        later = sorted(
-            arrivals[w] for w in order if deadline < arrivals[w] < np.inf
-        )
-        sizes = self.grid.chunk_sizes()
-        for cutoff in [deadline, *later]:
-            finished = {
-                w: profile.chunks_of(w) for w in order if arrivals[w] <= cutoff
-            }
-            for w in idle_alive:
-                finished[w] = np.empty(0, dtype=np.int64)
-            laggards = frozenset(w for w in order if arrivals[w] > cutoff)
-            if not laggards or not finished:
-                return None
-            try:
-                extra = repair_assignments(plan, finished, speeds)
-            except ValueError:
-                continue  # wait for the next response, then reconsider
-            extra_rows = {
-                w: int(sizes[chunks].sum()) for w, chunks in extra.items()
-            }
-            return _Repair(finished, extra, extra_rows, laggards, cutoff)
-        return None
-
-    def _repair_finish(self, speeds: np.ndarray, repair: _Repair) -> float:
-        """When the reassigned work is back at the master (closed form)."""
-        finish = repair.cutoff
-        dispatch = repair.cutoff + self.network.latency  # reassignment message
-        for w, rows in repair.extra_rows.items():
-            finish = max(finish, self._arrival(rows, speeds[w], dispatch))
-        return finish
-
-    def _account(
-        self,
-        profile: _PlanProfile,
-        speeds: np.ndarray,
-        failed: frozenset[int],
-        starts: np.ndarray,
-        arrivals: np.ndarray,
-        done: float,
-        deadline: float | None,
-        repair: _Repair | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows each worker computed, and which results the master took.
-
-        The master finishes at ``done``.  A worker whose result arrived by
-        then computed its whole task; any other was cancelled having
-        computed what it managed since its task started at ``starts[w]``
-        (nothing, if it failed) — until the §4.3 ``deadline`` for the
-        accepted ``repair``'s laggards, until ``done`` for the rest.
-        Repair helpers also computed their reassigned rows.
-        """
-        rows = profile.rows
-        computed = np.zeros(rows.size)
-        responded = np.zeros(rows.size, dtype=bool)
-        laggards = repair.laggards if repair is not None else frozenset()
-        for w in profile.active:
-            if w in laggards:
-                until = deadline
-            elif arrivals[w] <= done:
-                computed[w] = rows[w]
-                responded[w] = True
-                continue
-            else:
-                until = done
-            if w not in failed:
-                computed[w] = self._progress_rows(
-                    speeds[w], starts[w], until, int(rows[w])
-                )
-        if repair is not None:
-            for w, extra in repair.extra_rows.items():
-                computed[w] = rows[w] + extra
-        return computed, responded
-
-    def _settle(
-        self,
-        profile: _PlanProfile,
-        speeds: np.ndarray,
-        failed: frozenset[int],
-        starts: np.ndarray,
-        arrivals: np.ndarray,
-        natural: dict[int, np.ndarray],
-        done: float,
-        deadline: float | None,
-        repair: _Repair | None,
-        finish: float | None,
-    ) -> CodedIterationOutcome:
-        """One iteration's outcome once its timeline has run.
-
-        ``starts`` and ``arrivals`` are when each worker's task started and
-        when its result reached the master (``inf``: never); the
-        ``natural`` coverage of those arrivals completes at ``done``.  A
-        ``repair`` whose reassigned work is back at ``finish`` replaces it
-        only when it finishes first — the master keeps accepting straggler
-        results while the reassigned work is in flight (opportunistic
-        repair).
-        """
-        plan = profile.plan
-        if repair is not None and finish < done:
-            accepted, done = repair, finish
-            contributions = {
-                w: np.concatenate([chunks, repair.extra[w]])
-                if w in repair.extra
-                else chunks.copy()
-                for w, chunks in repair.finished.items()
-            }
-        else:
-            if done == np.inf:
-                raise RuntimeError(
-                    "iteration cannot complete: coverage unsatisfiable with "
-                    "the surviving workers and no repair possible"
-                )
-            accepted, contributions = None, natural
-        computed, responded = self._account(
-            profile, speeds, failed, starts, arrivals, done, deadline, accepted
-        )
-        # A repair the master found stamps its finished workers' responses,
-        # whether or not it then wins.
-        probed = repair.finished if repair is not None else {}
-        sizes = self.grid.chunk_sizes()
-        stats = [
-            WorkerIterationStats(
-                worker=w,
-                assigned_rows=rows,
-                computed_rows=float(computed[w]),
-                used_rows=(
-                    int(sizes[contributions[w]].sum()) if w in contributions else 0
-                ),
-                response_time=(
-                    float(arrivals[w])
-                    if responded[w] or (rows and w in probed)
-                    else None
-                ),
-                cancelled=bool(rows) and not responded[w],
-            )
-            for w, rows in enumerate(profile.rows.tolist())
-        ]
-        decode = self._decode_time(plan.coverage, len(contributions))
-        return CodedIterationOutcome(
-            completion_time=float(done + decode),
-            broadcast_time=self._broadcast_cost,
-            decode_time=decode,
-            workers=stats,
-            contributions=contributions,
-            repaired=accepted is not None,
-            timed_out_workers=accepted.laggards if accepted else frozenset(),
-        )
-
-    # ------------------------------------------------------------------
-    # Scalar path
-    # ------------------------------------------------------------------
-
     def run(
         self,
         plan: CodedWorkPlan,
         speeds: np.ndarray,
         failed_workers: frozenset[int] = frozenset(),
     ) -> CodedIterationOutcome:
-        """Simulate the iteration and return the outcome.
+        """Simulate the iteration: one trial of :meth:`run_batch`.
 
         ``speeds`` are the *actual* speeds (the plan may have been built
         from different, predicted speeds — that gap is what the timeout
         mechanism repairs).  ``failed_workers`` never respond, regardless
-        of speed.
+        of speed.  The outcome adds what the numeric sessions decode, the
+        chunks each worker contributed: on a natural finish the useful
+        chunks of the coverage walk, in arrival order; on an accepted §4.3
+        repair every helper's own chunks plus its share of the reassigned
+        ones — the finished workers in arrival order, then the idle ones.
         """
-        n = plan.n_workers
-        speeds = _checked_speeds(speeds, n, batch=False)
-        _checked_failures([failed_workers], n)
-        profile = self._profile(plan)
-        broadcast = self._broadcast_cost
-        arrivals = np.full(n, np.inf)
-        for w in profile.active:
-            if w not in failed_workers:
-                arrivals[w] = self._arrival(
-                    int(profile.rows[w]), speeds[w], broadcast
-                )
-        natural, done = self._natural_cover(profile, arrivals)
-        deadline = self._timeout_deadline(
-            np.sort(arrivals[np.isfinite(arrivals)]), plan.coverage
-        )
-        repair = finish = None
-        if deadline is not None and done > deadline:
-            repair = self._search_repair(
-                profile, speeds, arrivals, deadline, failed_workers
+        speeds = _checked_speeds(speeds, plan.n_workers, batch=False)
+        out = self.run_batch(plan, speeds[None], failed_workers)
+        arrival, responded = out.arrival[0], out.responded[0]
+        rows = out.assigned_rows[0].tolist()
+        order = np.argsort(arrival, kind="stable").tolist()
+        repaired = bool(out.repaired[0])
+        if repaired:
+            helpers = {
+                w: plan.assignments[w].chunk_indices() for w in order if responded[w]
+            }
+            helpers.update(
+                (w, np.empty(0, dtype=np.int64))
+                for w, r in enumerate(rows)
+                if not r and w not in failed_workers
             )
-            if repair is not None:
-                finish = self._repair_finish(speeds, repair)
-        return self._settle(
-            profile, speeds, failed_workers, np.full(n, broadcast), arrivals,
-            natural, done, deadline, repair, finish,
+            extra = repair_assignments(plan, helpers, speeds)
+            contributions = {
+                w: np.concatenate([chunks, extra[w]]) if w in extra else chunks
+                for w, chunks in helpers.items()
+            }
+        else:
+            useful = _useful_chunks(
+                plan.chunk_mask()[None], out.arrival[:1], plan.coverage
+            )[0][0]
+            contributions = {
+                w: np.flatnonzero(useful[w]) for w in order if useful[w].any()
+            }
+        return CodedIterationOutcome(
+            completion_time=float(out.completion_time[0]),
+            broadcast_time=out.broadcast_time,
+            decode_time=float(out.decode_time[0]),
+            workers=[
+                WorkerIterationStats(
+                    worker=w,
+                    assigned_rows=r,
+                    computed_rows=float(out.computed_rows[0, w]),
+                    used_rows=int(out.used_rows[0, w]),
+                    response_time=float(arrival[w]) if responded[w] else None,
+                    cancelled=bool(r) and not responded[w],
+                )
+                for w, r in enumerate(rows)
+            ],
+            contributions=contributions,
+            repaired=repaired,
+            # An accepted repair cancelled every active worker it did not
+            # wait for.
+            timed_out_workers=frozenset(
+                w for w, r in enumerate(rows) if repaired and r and not responded[w]
+            ),
         )
 
-    # ------------------------------------------------------------------
-    # Batched Monte-Carlo path
-    # ------------------------------------------------------------------
-
-    @staticmethod
     def _batch_inputs(
+        self,
         plans: PlanBatch | CodedWorkPlan | Sequence[CodedWorkPlan],
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]],
@@ -658,6 +430,11 @@ class CodedIterationSim:
         batch = as_plan_batch(plans, trials)
         if batch.n_workers != speeds.shape[1]:
             raise ValueError("every plan must span the batch's worker count")
+        if batch.num_chunks != self.grid.num_chunks:
+            raise ValueError(
+                f"plans have {batch.num_chunks} chunks, the simulator's grid "
+                f"{self.grid.num_chunks}"
+            )
         return batch, speeds, failed_list
 
     def run_batch(
@@ -674,14 +451,13 @@ class CodedIterationSim:
             A :class:`~repro.scheduling.base.PlanBatch` (what every
             built-in scheduler's ``plan_batch`` returns), one plan shared
             by every trial, or one plan per trial (converted to a batch
-            once).
+            once).  Their chunk count must be the grid's.
         speeds:
             ``(trials, workers)`` matrix of actual speeds.
         failed_workers:
             A single frozenset applied to every trial, or one per trial.
 
-        Returns per-trial results exactly equal to looping
-        :meth:`run` — see :meth:`_batch_kernel`.
+        See :meth:`_batch_kernel`.
         """
         batch, speeds, failed_list = self._batch_inputs(
             plans, speeds, failed_workers
@@ -717,18 +493,20 @@ class CodedIterationSim:
     ) -> None:
         """§4.3 repair of the ``native`` armed trials in one array pass.
 
-        The cutoff is :meth:`_search_repair`'s in closed form: a cutoff is
-        feasible iff at least ``k`` helpers (finished plus idle-alive
-        workers) are available (the identity in
-        :mod:`repro.scheduling.timeout`), so the walk stops at
-        ``max(deadline, (k − #idle)-th arrival)`` — and finds nothing when
-        that arrival never comes or no active worker is still pending.
-        One batched :func:`repair_assignments` call plans every trial's
-        reassignment; the finish time and the accounting mirror
-        :meth:`_repair_finish` and :meth:`_account` term by term, the
-        repair reply riding each helper's reply ``bandwidth`` as its
-        natural reply does.  Trials whose repair beats waiting are written
-        into ``out``; the others are left to complete naturally.
+        The master cancels the laggards at the deadline and reassigns their
+        chunks to the finished and the idle-alive workers (§4.4); when that
+        cannot restore coverage it retries at each later arrival.  The
+        first feasible cutoff comes in closed form: a cutoff is feasible
+        iff at least ``k`` helpers are available (the identity in
+        :mod:`repro.scheduling.timeout`, whatever the plan's shape), so it
+        is ``max(deadline, (k − #idle)-th arrival)`` — and there is none
+        when that arrival never comes, no active worker is still pending,
+        or no helper is there at the deadline.  One batched
+        :func:`repair_assignments` call plans every trial's reassignment;
+        a helper's reassigned task is timed like a natural one, its reply
+        riding the helper's reply ``bandwidth``.  Trials whose repair beats
+        waiting (opportunistic repair) are written into ``out``; the
+        others are left to complete naturally.
         """
         rows = out.assigned_rows[native]
         (
@@ -770,11 +548,11 @@ class CodedIterationSim:
         extra = repair_assignments(
             batch.subset(native[found]), helpers, speeds[found]
         )
-        extra_rows = extra @ self.grid.chunk_sizes()[: extra.shape[2]]
+        extra_rows = extra @ self.grid.chunk_sizes()
         reassigned = extra.any(axis=2)
-        # _repair_finish: the zero-byte reassignment message leaves at the
-        # cutoff (behind the broadcast on a helper's downlink), and each
-        # helper's _arrival is ((start + fixed) + compute) + reply.
+        # The zero-byte reassignment message leaves at the cutoff (behind
+        # the broadcast on a helper's downlink), and the reassigned task
+        # arrives at ((start + fixed) + compute) + reply, as a natural one.
         cutoff, denom = cutoff[found], self.cost.worker_flops * speeds[found]
         fixed = self.fixed_task_flops / denom
         compute = (extra_rows * self.width * self.cost.flops_per_element) / denom
@@ -789,9 +567,9 @@ class CodedIterationSim:
         win = finish < done[found]
         accepted = found.copy()
         accepted[found] = win
-        # _account with the master done at ``finish``: the finished workers
-        # responded, laggards computed until the deadline (nothing, if
-        # failed), and helpers also computed their reassigned rows.
+        # Accounting with the master done at ``finish``: the finished
+        # workers responded, laggards computed until the deadline (nothing,
+        # if failed), and helpers also computed their reassigned rows.
         rows, extra_rows, helpers = rows[accepted], extra_rows[win], helpers[win]
         computed = np.where(
             lagging[accepted] & ~failed[accepted],
@@ -821,16 +599,15 @@ class CodedIterationSim:
         recv: float | np.ndarray,
         bandwidth: float | np.ndarray,
     ) -> BatchCodedOutcome:
-        """The batched coded iteration behind both backends' ``run_batch``.
+        """The coded iteration behind both backends' ``run_batch`` and ``run``.
 
         ``recv`` is when each worker starts its task (it has received the
         broadcast) and ``bandwidth`` that of its reply link, for natural
         and repair replies alike: scalars, or ``(trials, workers)`` arrays.
-        Full and exact-coverage plans take closed-form array timelines;
-        the trials whose §4.3 timeout arms are repaired together by
-        :meth:`_repair_batch`, bitwise-equal to what :meth:`run` does.
-        Trials on general plans replay through :meth:`run`, their
-        semantics of record.
+        Natural completion is the ``coverage``-th response on full plans,
+        the last active response on exact-coverage plans and the coverage
+        walk of :func:`_useful_chunks` on general ones; the trials whose
+        §4.3 timeout arms are repaired together by :meth:`_repair_batch`.
         """
         trials, n = speeds.shape
         with span("plan"):
@@ -843,8 +620,7 @@ class CodedIterationSim:
             full_rows, exact_rows = batch.full, batch.exact
             coverage = batch.coverage
 
-        # Arrivals, mirroring _arrival()'s float-op order term by term so
-        # batched values are bit-identical to the scalar timelines.
+        # Arrivals at the master: ((start + fixed) + compute) + reply.
         with span("broadcast"):
             broadcast = self._broadcast_cost
             recv = np.broadcast_to(recv, (trials, n))
@@ -861,7 +637,8 @@ class CodedIterationSim:
             arrivals[failed_mask | ~active] = np.inf
 
             # Natural completion: k-th response for full plans, last active
-            # response for exact-coverage plans.
+            # response for exact-coverage plans, the coverage walk for the
+            # rest.
             done = np.full(trials, np.inf)
             sorted_arr = np.sort(arrivals, axis=1)
             if np.any(full_rows):
@@ -874,6 +651,12 @@ class CodedIterationSim:
                     active[exact_rows], arrivals[exact_rows], -np.inf
                 )
                 done[exact_rows] = masked.max(axis=1)
+            general = np.flatnonzero(~full_rows & ~exact_rows)
+            if general.size:
+                useful, done[general] = _useful_chunks(
+                    batch.subset(general).chunk_mask(), arrivals[general],
+                    coverage,
+                )
 
         out = BatchCodedOutcome(
             completion_time=np.zeros(trials),
@@ -884,6 +667,7 @@ class CodedIterationSim:
             used_rows=np.zeros((trials, n), dtype=np.int64),
             responded=np.zeros((trials, n), dtype=bool),
             repaired=np.zeros(trials, dtype=bool),
+            arrival=arrivals,
         )
         computed, used, responded = (
             out.computed_rows, out.used_rows, out.responded
@@ -895,9 +679,10 @@ class CodedIterationSim:
         with span("repair"):
             deadlines = np.full(trials, np.nan)
             if self.timeout is not None:
-                # _timeout_deadline per trial, one row-wise mean per
-                # distinct k (the finite arrivals lead each sorted row).
-                # A set, not np.unique, which would import numpy.ma.
+                # The §4.3 deadline: (1 + slack) × the mean of the first k
+                # responses, k capped at the finite ones (they lead each
+                # sorted row); one row-wise mean per distinct k.  A set,
+                # not np.unique, which would import numpy.ma.
                 ks = np.minimum(
                     self.timeout.min_responses or coverage,
                     np.isfinite(sorted_arr).sum(axis=1),
@@ -907,8 +692,7 @@ class CodedIterationSim:
                     deadlines[rows] = self.timeout.deadline(
                         sorted_arr[rows, :k].mean(axis=1)
                     )
-            general = ~full_rows & ~exact_rows
-            armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
+            armed = ~np.isnan(deadlines) & (done > deadlines)
             native = np.flatnonzero(armed)
             if native.size:
                 self._repair_batch(
@@ -916,69 +700,55 @@ class CodedIterationSim:
                     arrivals, sorted_arr, deadlines, ks, done,
                 )
 
-        fast = ~general & ~repaired
-        if np.any(np.isinf(done) & fast):
+        natural = ~repaired
+        if np.any(np.isinf(done) & natural):
             raise RuntimeError(
                 "iteration cannot complete: coverage unsatisfiable with "
                 "the surviving workers and no repair possible"
             )
-        if np.any(fast):
+        if np.any(natural):
             with span("decode"):
-                resp = active & (arrivals <= done[:, None]) & fast[:, None]
+                resp = active & (arrivals <= done[:, None]) & natural[:, None]
                 # Partial progress of cancelled stragglers since their task
                 # started.
                 progress = self._progress_batch(
                     denom, recv, done[:, None], rows_mat
                 )
-                computed_fast = np.where(
+                computed_natural = np.where(
                     resp,
                     rows_mat.astype(np.float64),
                     np.where(failed_mask, 0.0, progress),
                 )
-                computed_fast[~active] = 0.0
-                computed[fast] = computed_fast[fast]
-                responded[fast] = resp[fast]
+                computed_natural[~active] = 0.0
+                computed[natural] = computed_natural[natural]
+                responded[natural] = resp[natural]
                 # Used rows: every active worker on exact plans; the first
                 # ``coverage`` responses (stable arrival order) on full
-                # plans.
-                exact_fast = exact_rows & fast
-                if np.any(exact_fast):
-                    used[exact_fast] = np.where(
-                        active[exact_fast], rows_mat[exact_fast], 0
+                # plans; the useful chunks on general ones.  Decode groups:
+                # the workers those rows come from.
+                exact_natural = exact_rows & natural
+                if np.any(exact_natural):
+                    used[exact_natural] = np.where(
+                        active[exact_natural], rows_mat[exact_natural], 0
                     )
-                full_fast = full_rows & fast
-                if np.any(full_fast):
+                full_natural = full_rows & natural
+                if np.any(full_natural):
                     first = np.argsort(
-                        arrivals[full_fast], axis=1, kind="stable"
+                        arrivals[full_natural], axis=1, kind="stable"
                     )[:, :coverage]
-                    sub = np.zeros((int(full_fast.sum()), n), dtype=np.int64)
+                    sub = np.zeros((int(full_natural.sum()), n), dtype=np.int64)
                     np.put_along_axis(
-                        sub, first, np.take_along_axis(rows_mat[full_fast], first, 1), 1
+                        sub, first,
+                        np.take_along_axis(rows_mat[full_natural], first, 1), 1,
                     )
-                    used[full_fast] = sub
-                # Decode groups: the first k responses on full plans, every
-                # active worker on exact plans.
+                    used[full_natural] = sub
                 groups = np.where(full_rows, coverage, active.sum(axis=1))
-                decode[fast] = self._decode_times(coverage, groups[fast])
-                completion[fast] = done[fast] + decode[fast]
-
-        if np.any(general):
-            with span("replay"):
-                for t in np.flatnonzero(general):
-                    outcome = self.run(batch[t], speeds[t], failed_list[t])
-                    completion[t] = outcome.completion_time
-                    decode[t] = outcome.decode_time
-                    repaired[t] = outcome.repaired
-                    stats = outcome.workers
-                    computed[t] = [s.computed_rows for s in stats]
-                    used[t] = [s.used_rows for s in stats]
-                    # A response counts only when the master took it (a
-                    # late response stamped by a rejected repair probe
-                    # stays a cancellation).
-                    responded[t] = [
-                        s.response_time is not None and not s.cancelled
-                        for s in stats
-                    ]
+                if general.size:
+                    kept = natural[general]
+                    used[general[kept]] = useful[kept] @ self.grid.chunk_sizes()
+                    groups[general] = useful.any(axis=2).sum(axis=1)
+                decode[natural] = self._decode_times(coverage, groups[natural])
+                completion[natural] = done[natural] + decode[natural]
 
         return out
 

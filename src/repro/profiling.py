@@ -1,16 +1,15 @@
 """Phase-level profiling spans for the simulation hot paths.
 
-The batched simulator kernels (closed form and event backend) bracket
-their phases — plan classification, broadcast, compute, reply, repair,
-decode, and the closed backend's general-plan replay — with :func:`span`
-context managers.  When no profiler is installed a span is a shared no-op
-object, so the instrumented kernels pay two attribute lookups per phase
-and nothing else; under :func:`profiled` every span accumulates wall-clock
+The batched coded kernel (shared by the closed form and the event
+backend) brackets its phases — plan classification, broadcast, compute,
+reply, repair and decode — with :func:`span` context managers.  When no
+profiler is installed a span is a shared no-op object, so the
+instrumented kernel pays two attribute lookups per phase and nothing else; under :func:`profiled` every span accumulates wall-clock
 seconds into a :class:`PhaseProfiler`, which renders a hot-spot table
 (``repro profile``) or a machine-readable dict
 (``scripts/bench_sweep.py --profile``).
 
-Spans are strictly disjoint (the kernels never nest them), so the phase
+Spans are strictly disjoint (the kernel never nests them), so the phase
 totals partition the instrumented time and the table's share column sums
 to at most 100% of the profiled wall clock.
 """
@@ -32,7 +31,6 @@ PHASES = (
     "reply",
     "repair",
     "decode",
-    "replay",
 )
 
 

@@ -13,10 +13,10 @@ and the repair traffic — with no encode cost, zero-byte repair requests
 and no result shuffle.
 
 The coded iteration's rules (coverage completion, the cutoff search, the
-opportunistic acceptance and the accounting) are ``CodedIterationSim``'s;
-the loop only decides *when* each event happens.  It arms the §4.3 deadline
-itself, from the first ``k`` responses of the workers that can respond at
-all, as a master watching arrivals would.
+opportunistic acceptance and the accounting) are the frozen scalar walk's
+(``coded_reference.py``); the loop only decides *when* each event happens.
+It arms the §4.3 deadline itself, from the first ``k`` responses of the
+workers that can respond at all, as a master watching arrivals would.
 
 Three properties of the loop carry the suites' invariants:
 
@@ -41,6 +41,8 @@ import numpy as np
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.simulator import CodedIterationOutcome, _checked_speeds
+
+import coded_reference as walk
 
 #: Deterministic pop priorities for simultaneous events.  Result arrivals
 #: precede the timeout at the same instant (a response at exactly the
@@ -213,16 +215,16 @@ def run_event_loop(
 ) -> tuple[CodedIterationOutcome, EventTrace]:
     """Simulate one iteration of ``sim`` through the event loop.
 
-    Returns the outcome ``CodedIterationSim.run`` would report for the same
-    timeline, plus the audit trace.  ``link_factors`` scale each worker's
-    link bandwidth (``None``: all ones).
+    Returns the outcome the frozen walk (``coded_reference.py``) reports for
+    the same timeline, plus the audit trace.  ``link_factors`` scale each
+    worker's link bandwidth (``None``: all ones).
     """
     n = plan.n_workers
     speeds = _checked_speeds(speeds, n, batch=False)
     factors = np.ones(n) if link_factors is None else np.asarray(
         link_factors, dtype=np.float64
     )
-    profile = sim._profile(plan)
+    profile = walk.profile(sim, plan)
     loop = EventLoop()
     topology = Topology(n, sim.network)
 
@@ -252,7 +254,7 @@ def run_event_loop(
             if not profile.rows[w] or w in failed_workers:
                 continue
             rows = int(profile.rows[w])
-            compute_end = sim._compute_end(rows, float(speeds[w]), event.time)
+            compute_end = walk.compute_end(sim, rows, float(speeds[w]), event.time)
             nbytes = rows * reply_bytes
             projected[w] = compute_end + (
                 sim.network.latency
@@ -285,13 +287,13 @@ def run_event_loop(
                         Event(time=deadline, kind="timeout"), PRIORITY["timeout"]
                     )
         elif event.kind == "timeout":
-            if sim._natural_cover(profile, arrivals)[1] <= event.time:
+            if walk.natural_cover(sim, profile, arrivals)[1] <= event.time:
                 continue  # coverage met by the deadline: no repair
             # Realised pop times where available, the link projection
             # otherwise (identical on dedicated links).
             estimates = np.where(np.isfinite(arrivals), arrivals, projected)
-            repair = sim._search_repair(
-                profile, speeds, estimates, event.time, failed_workers
+            repair = walk.search_repair(
+                sim, profile, speeds, estimates, event.time, failed_workers
             )
             if repair is None:
                 continue
@@ -305,7 +307,7 @@ def run_event_loop(
                 )
         elif event.kind == "repair-recv":
             rows = int(event.payload)
-            compute_end = sim._compute_end(rows, float(speeds[w]), event.time)
+            compute_end = walk.compute_end(sim, rows, float(speeds[w]), event.time)
             loop.schedule(
                 Event(time=compute_end, kind="repair-compute", worker=w,
                       payload=rows * reply_bytes),
@@ -322,12 +324,12 @@ def run_event_loop(
         elif event.kind == "repair-arrival":
             repair_arrivals[w] = event.time
 
-    natural, done = sim._natural_cover(profile, arrivals)
+    natural, done = walk.natural_cover(sim, profile, arrivals)
     finish = None
     if repair is not None:
         finish = max([repair.cutoff, *(repair_arrivals[v] for v in repair.extra)])
-    outcome = sim._settle(
-        profile, speeds, failed_workers, starts, arrivals, natural, done,
+    outcome = walk.settle(
+        sim, profile, speeds, failed_workers, starts, arrivals, natural, done,
         deadline, repair, finish,
     )
 

@@ -6,9 +6,9 @@ with no per-trial replay.  The suite pins it against the discrete-event
 loop kept as the oracle (``event_oracle.py``) — batched output bitwise-equal
 to looping the loop — over fuzzed composed scenarios with per-trial
 failures, degraded link factors, and repair-armed trials at trials ∈ {1, 7,
-64}, and on links so degraded that a worker's broadcast copy is still in
-flight when the §4.3 timeout fires.  No trial may leave the kernel, and a
-general plan is a typed error.
+64}, on links so degraded that a worker's broadcast copy is still in
+flight when the §4.3 timeout fires, and on general (over-covered) plans.
+No trial may leave the kernel.
 """
 
 import numpy as np
@@ -225,7 +225,7 @@ class TestExtremeLinkFactors:
 
 
 class TestOneRoute:
-    """Every event trial resolves in the kernel; general plans are refused."""
+    """Every event trial resolves in the kernel, whatever its plan."""
 
     def _count_scalar_runs(self, monkeypatch, sim, *args, **kwargs):
         calls = []
@@ -296,38 +296,43 @@ class TestOneRoute:
         )
 
     @pytest.mark.parametrize("slack", [None, 0.05])
-    def test_general_plan_replays_each_trial_once(
+    def test_general_plan_takes_the_kernel(
         self, monkeypatch, general_plan, slack
     ):
-        # Neither full nor exact coverage: no analytic completion, so the
-        # closed backend replays every trial through ``run``, armed or
-        # not, and the event backend refuses the plan before running.
+        # Neither full nor exact coverage: the kernel's coverage walk
+        # completes it, armed or not, over degraded links and with
+        # failures, bitwise-equal to the event loop and with no call to
+        # ``run``; a batch mixing plan shapes takes the same kernel.
         timeout = None if slack is None else TimeoutPolicy(slack=slack)
-        closed = make_event_sim(timeout=timeout, chunks=4,
-                                cls=CodedIterationSim)
+        sim = make_event_sim(timeout=timeout, chunks=4, network=HEAVY_NET,
+                             width=16)
         trials = 64
-        speeds = np.exp(np.random.default_rng(5).normal(0.0, 0.6, (trials, 4)))
-        failed_list = [frozenset()] * trials
-        looped = [closed.run(general_plan, row) for row in speeds]
-        batch, calls = self._count_scalar_runs(
-            monkeypatch, closed, general_plan, speeds,
-            failed_workers=failed_list,
+        rng = np.random.default_rng(5)
+        speeds = np.exp(rng.normal(0.0, 0.6, (trials, 4)))
+        factors = np.where(
+            rng.random((trials, 4)) < 0.3, rng.uniform(0.02, 0.5, (trials, 4)),
+            1.0,
         )
-        assert calls == trials
-        np.testing.assert_array_equal(
-            batch.completion_time, [o.completion_time for o in looped]
-        )
-        np.testing.assert_array_equal(
-            batch.repaired, [o.repaired for o in looped]
+        failed_list = [
+            frozenset({t % 4}) if t % 5 == 0 else frozenset()
+            for t in range(trials)
+        ]
+        mixed = [general_plan if t % 2 else full_plan(4, 4, 2)
+                 for t in range(trials)]
+        expected = assert_batch_equals_loop(
+            sim, mixed, speeds, failed_list, factors
         )
         if timeout is not None:
-            assert batch.repaired.any() and not batch.repaired.all()
-        event = make_event_sim(timeout=timeout, chunks=4)
-        with pytest.raises(ValueError, match="plans"):
-            event.run_batch(general_plan, speeds, failed_workers=failed_list)
-        mixed = [full_plan(4, 4, 2), general_plan]
-        with pytest.raises(ValueError, match=r"plans .* trials \[1\]"):
-            event.run_batch(mixed, speeds[:2])
+            assert expected.repaired[1::2].any()
+            assert not expected.repaired[1::2].all()
+        batch, calls = self._count_scalar_runs(
+            monkeypatch, sim, mixed, speeds,
+            failed_workers=failed_list, link_factors=factors,
+        )
+        assert calls == 0
+        np.testing.assert_array_equal(
+            batch.completion_time, expected.completion_time
+        )
 
 
 class TestBatchValidation:

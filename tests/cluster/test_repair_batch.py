@@ -1,10 +1,10 @@
 """Fuzzed batched-vs-loop equivalence of the §4.3 repair path, both backends.
 
 ``run_batch`` repairs every armed trial of a call in one array pass (the
-closed-form cutoff plus one batched ``repair_assignments`` fill); looping
-``run`` walks the cutoffs per trial, and on the event backend the
-discrete-event loop (``event_oracle.py``) does.  Each trial must come out
-bitwise equal.  The cases fuzz what the fixed suites hold still: grids
+closed-form cutoff plus one batched ``repair_assignments`` fill); the
+frozen scalar walk (``coded_reference.py``) walks the cutoffs per trial,
+and on the event backend the discrete-event loop (``event_oracle.py``)
+does.  Each trial must come out bitwise equal.  The cases fuzz what the fixed suites hold still: grids
 whose rows are not a multiple of the chunk count (uneven chunk sizes, so
 the reassigned rows differ per chunk), full and exact plans, idle workers,
 failures, tied speeds, ``min_responses`` and ``fixed_task_flops`` — and,
@@ -25,6 +25,7 @@ from repro.scheduling.base import full_plan
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
 from repro.scheduling.timeout import TimeoutPolicy
 
+from coded_reference import reference_run
 from event_oracle import event_loop_outcome
 
 BACKENDS = {"closed": CodedIterationSim, "event": EventDrivenIterationSim}
@@ -93,8 +94,8 @@ def _random_case(rng, backend):
 def _assert_batch_equals_loop(sim, plans, speeds, failed, factors=None):
     """``run_batch`` == the per-trial reference bitwise, no trial replayed.
 
-    The reference is ``run`` on the closed backend and the event loop over
-    ``factors``-degraded links on the event backend.
+    The reference is the frozen walk on the closed backend and the event
+    loop over ``factors``-degraded links on the event backend.
     """
     kwargs = {}
     if isinstance(sim, EventDrivenIterationSim):
@@ -104,7 +105,7 @@ def _assert_batch_equals_loop(sim, plans, speeds, failed, factors=None):
         reference = lambda *args: event_loop_outcome(sim, *args)  # noqa: E731
     else:
         looped_args = zip(plans, speeds, failed)
-        reference = sim.run
+        reference = lambda *args: reference_run(sim, *args)  # noqa: E731
     try:
         looped = [reference(*args) for args in looped_args]
     except RuntimeError:

@@ -1,14 +1,18 @@
 """Batched-vs-loop equivalence for the Monte-Carlo simulator paths.
 
 The contract of every ``run_batch``: per-trial results are *exactly* equal
-(bitwise, not approximately) to looping the scalar ``run`` over the same
-speed rows.  These tests sweep the plan shapes the schedulers produce
+(bitwise, not approximately) to looping a per-trial reference over the
+same speed rows.  For the coded simulator the reference is the frozen
+scalar walk (``coded_reference.py``), since its ``run`` is a one-trial view
+of the batch.  These tests sweep the plan shapes the schedulers produce
 (full, exact-coverage wraparound, repair-armed — including idle-helper
-recruitment, multi-cutoff repair, and opportunistic rejection) plus
-failures, and both uncoded baselines' stacked outcomes.  Over-decomposition's
-``run`` is itself one row of the stacked timeline, so both of its entries
-are pinned against a frozen per-worker loop (``tests/cluster/conftest.py``).
-Every ``run_batch`` rejects an empty trial batch the same way.
+recruitment, multi-cutoff repair, and opportunistic rejection), general
+plans, failures, and both uncoded baselines' stacked outcomes.
+Over-decomposition's ``run`` is itself one row of the stacked timeline, so
+both of its entries are pinned against a frozen per-worker loop
+(``tests/cluster/conftest.py``).  Every ``run_batch`` rejects an empty
+trial batch the same way, and the coded entries a plan whose chunk count
+is not the grid's.
 """
 
 import dataclasses
@@ -30,6 +34,7 @@ from repro.cluster.speed_models import (
     StackedSpeeds,
 )
 from repro.coding.partition import ChunkGrid
+from repro.scheduling.base import full_plan
 from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
     plan_assignment,
@@ -38,6 +43,8 @@ from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
 from repro.scheduling.static import StaticCodedScheduler
 from repro.scheduling.timeout import TimeoutPolicy
+
+from coded_reference import reference_run
 
 
 N = 8
@@ -74,7 +81,7 @@ def _assert_batch_matches_loop(sim, plans, speeds, failed=frozenset()):
     if isinstance(failed, frozenset):
         failed = [failed] * speeds.shape[0]
     for t in range(speeds.shape[0]):
-        scalar = sim.run(plans[t], speeds[t], failed[t])
+        scalar = reference_run(sim, plans[t], speeds[t], failed[t])
         assert batch.completion_time[t] == scalar.completion_time, f"trial {t}"
         assert batch.decode_time[t] == scalar.decode_time
         assert batch.broadcast_time == scalar.broadcast_time
@@ -226,11 +233,13 @@ class TestCodedBatchEquivalence:
         assert batch.repaired.any() and not batch.repaired.all()
 
     @pytest.mark.parametrize("slack", [None, 0.05])
-    def test_general_plan_replays_each_trial_once(
+    def test_general_plan_takes_the_kernel(
         self, monkeypatch, general_plan, slack
     ):
-        # General plans have no closed-form batch timeline: every trial
-        # replays through the scalar run, with and without an armed timeout.
+        # Over-covered plans complete by the coverage walk inside the
+        # kernel, armed or not, and repair there too: no trial calls
+        # ``run``, and every trial equals the frozen walk, failures and
+        # tied arrivals (broken by worker index) included.
         timeout = None if slack is None else TimeoutPolicy(slack=slack)
         sim = CodedIterationSim(
             grid=ChunkGrid(ROWS, 4),
@@ -239,20 +248,21 @@ class TestCodedBatchEquivalence:
             network=NetworkModel(latency=5e-6, bandwidth=2.5e8),
             cost=CostModel(worker_flops=5e7),
         )
-        speeds = np.exp(np.random.default_rng(5).normal(0.0, 0.6, (64, 4)))
-        expected = _assert_batch_matches_loop(sim, general_plan, speeds)
+        rng = np.random.default_rng(5)
+        speeds = np.exp(rng.normal(0.0, 0.6, (64, 4)))
+        speeds[::2] = rng.choice([0.5, 1.0, 2.0], (32, 4))
+        failed = [frozenset({t % 4}) if t % 3 == 0 else frozenset()
+                  for t in range(64)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_batch called run")
+
+        monkeypatch.setattr(CodedIterationSim, "run", forbidden)
+        batch = _assert_batch_matches_loop(sim, general_plan, speeds, failed)
         if timeout is not None:
-            assert expected.repaired.any() and not expected.repaired.all()
-        calls = []
-        original = CodedIterationSim.run
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CodedIterationSim, "run", counting)
-        sim.run_batch(general_plan, speeds)
-        assert len(calls) == speeds.shape[0]
+            assert batch.repaired.any() and not batch.repaired.all()
+            # Some repaired trial had a failed worker among its laggards.
+            assert any(batch.repaired[t] and failed[t] for t in range(64))
 
     def test_unsatisfiable_raises_like_scalar(self):
         plan = StaticCodedScheduler(coverage=N, num_chunks=CHUNKS).plan(np.ones(N))
@@ -471,6 +481,52 @@ def test_out_of_range_failed_worker_is_a_typed_error(simulator, entry, index):
     for failed in (frozenset({index}), [frozenset(), frozenset({index})]):
         with pytest.raises(ValueError, match=message):
             sim.run_batch(*plan_args, speeds, failed)
+
+
+_CODED_BACKENDS = {
+    "closed": CodedIterationSim, "event": EventDrivenIterationSim,
+}
+_GRID_CHUNKS = r"plans have \d chunks, the simulator's grid 4$"
+#: Degenerate inputs to the coded entries on a 12-row, 4-chunk grid:
+#: ``(plan, failed_workers, expected error or None for a defined result)``.
+DEGENERATE_CODED = {
+    "fewer-chunks": (full_plan(3, 3, 2), frozenset(), (ValueError, _GRID_CHUNKS)),
+    "more-chunks": (full_plan(3, 5, 2), frozenset(), (ValueError, _GRID_CHUNKS)),
+    "many-more-chunks": (
+        full_plan(3, 9, 2), frozenset(), (ValueError, _GRID_CHUNKS)
+    ),
+    "one-worker": (full_plan(1, 4, 1), frozenset(), None),
+    "k-equals-n": (full_plan(3, 4, 3), frozenset(), None),
+    "failures-beyond-n-minus-k": (
+        full_plan(3, 4, 2), frozenset({0, 1}), (RuntimeError, "cannot complete")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CODED))
+@pytest.mark.parametrize("entry", ["run", "run_batch"])
+@pytest.mark.parametrize("backend", sorted(_CODED_BACKENDS))
+def test_degenerate_coded_inputs(backend, entry, case):
+    # A plan over another chunk count used to simulate part of the matrix
+    # or fail with a bare IndexError; it now names ``plans`` and both
+    # counts.  One worker and k = n run to the frozen walk's result, and
+    # more failures than n − k cannot complete even with repair armed.
+    plan, failed, error = DEGENERATE_CODED[case]
+    sim = _CODED_BACKENDS[backend](
+        grid=ChunkGrid(12, 4), width=16, timeout=TimeoutPolicy()
+    )
+    speeds = np.tile(np.linspace(1.0, 2.0, plan.n_workers), (2, 1))
+    if entry == "run":
+        call = lambda: sim.run(plan, speeds[0], failed)  # noqa: E731
+    else:
+        call = lambda: sim.run_batch(plan, speeds, failed)  # noqa: E731
+    if error is not None:
+        with pytest.raises(error[0], match=error[1]):
+            call()
+        return
+    completion = np.atleast_1d(call().completion_time)
+    want = reference_run(sim, plan, speeds[0], failed).completion_time
+    np.testing.assert_array_equal(completion, want)
 
 
 class TestBatchSpeedModels:

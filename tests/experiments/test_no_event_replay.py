@@ -2,10 +2,10 @@
 
 ``EventDrivenIterationSim.run_batch`` prices every transfer on the worker's
 own link and resolves each trial — degraded links and armed §4.3 repairs
-included — in ``CodedIterationSim``'s batched kernel.  The scalar ``run`` is
-patched to raise on both classes, then a matrix slice whose repair-armed
-policies meet every link-degrading scenario runs on the event backend: a
-trial that quietly fell back to a per-trial replay fails here.
+included — in ``CodedIterationSim``'s batched kernel.  The one-trial
+``run`` view is patched to raise on both classes, then a matrix slice whose
+repair-armed policies meet every link-degrading scenario runs on the event
+backend: a sweep that quietly went trial by trial fails here.
 """
 
 import pytest

@@ -1,18 +1,17 @@
 """CI guard: closed-backend sweeps build no per-trial plan objects.
 
 Every built-in scheduler plans a round as one
-:class:`~repro.scheduling.base.PlanBatch`, and the closed-form kernel reads
+:class:`~repro.scheduling.base.PlanBatch`, and the batched kernel reads
 its arrays directly: rows per worker, each trial's plan shape and the
 §4.3 repair's holder mask.  A :class:`~repro.scheduling.base.CodedWorkPlan`
-is built only for a general plan or an event-backend replay.  Plan
-construction and the scalar path's per-plan profile are patched to raise,
-then a matrix slice over the coded policies runs — a cell that fell back
-to per-trial plan objects fails here.
+is built only when a caller asks for one (``batch[t]``, or a one-trial
+``run``).  Plan construction is patched to raise, then a matrix slice over
+the coded policies runs — a cell that fell back to per-trial plan objects
+fails here.
 """
 
 import pytest
 
-from repro.cluster.simulator import CodedIterationSim
 from repro.experiments.matrix import run_matrix
 from repro.scheduling.base import CodedWorkPlan
 
@@ -23,7 +22,6 @@ def plan_objects_forbidden(monkeypatch):
         raise AssertionError(f"a sweep built a per-trial {type(self).__name__}")
 
     monkeypatch.setattr(CodedWorkPlan, "__post_init__", forbidden)
-    monkeypatch.setattr(CodedIterationSim, "_profile", forbidden)
 
 
 def test_matrix_coded_cells_build_no_plan_objects():

@@ -3,9 +3,10 @@
 Every built-in scheduler plans a whole ``(trials, workers)`` speed matrix
 in one array pass and returns a :class:`PlanBatch`.  The per-row planner
 they replaced is frozen below as the oracle: each trial's plan must equal
-it range for range, the batch's holder mask must equal the plan's, and
-both simulator backends must give the same outcome for the batch as for
-its trials one by one.
+it range for range, and the batch's holder mask must equal the plan's.
+That both simulator backends give the same outcome for a scheduler's
+batch as the frozen per-trial walk does for its trials one by one is
+pinned in ``tests/cluster/test_run_view.py``.
 """
 
 import signal
@@ -15,9 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.events import EventDrivenIterationSim
-from repro.cluster.network import CostModel, NetworkModel
-from repro.cluster.simulator import CodedIterationSim
 from repro.coding.partition import ChunkGrid
 from repro.scheduling.base import (
     ChunkAssignment,
@@ -34,7 +32,6 @@ from repro.scheduling.s2c2 import (
     wraparound_plan,
 )
 from repro.scheduling.static import StaticCodedScheduler
-from repro.scheduling.timeout import TimeoutPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -312,71 +309,6 @@ class TestPlanBatchValue:
             PlanBatch(np.zeros((1, 2)), np.full((1, 2), 4), 3, 4)
         with pytest.raises(ValueError, match="share num_chunks"):
             PlanBatch.from_plans([full_plan(3, 6, 1), full_plan(3, 7, 1)])
-
-
-def _sim(backend, rng, num_chunks, timeout):
-    rows = num_chunks * int(rng.integers(1, 4)) + int(rng.integers(0, num_chunks))
-    cls = CodedIterationSim if backend == "closed" else EventDrivenIterationSim
-    return cls(
-        grid=ChunkGrid(rows, num_chunks),
-        width=int(rng.integers(8, 65)),
-        network=NetworkModel(latency=5e-6, bandwidth=2.5e8),
-        cost=CostModel(worker_flops=5e7),
-        timeout=timeout,
-    )
-
-
-class TestKernelReadsTheBatch:
-    @pytest.mark.parametrize("backend", ["closed", "event"])
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 12),
-        coverage=st.integers(1, 12),
-        num_chunks=st.integers(1, 120),
-        trials=st.integers(1, 8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_run_batch_equals_looped_run(
-        self, backend, seed, n, coverage, num_chunks, trials
-    ):
-        rng = np.random.default_rng(seed)
-        coverage = min(coverage, n)
-        scheduler = [
-            GeneralS2C2Scheduler(coverage, num_chunks),
-            BasicS2C2Scheduler(coverage, num_chunks),
-            StaticCodedScheduler(coverage, num_chunks),
-        ][int(rng.integers(3))]
-        batch = plan_batch(scheduler, _speed_rows(rng, trials, n, coverage))
-        slack = float(rng.choice([0.0, 0.15]))
-        timeout = None if rng.random() < 0.3 else TimeoutPolicy(slack=slack)
-        sim = _sim(backend, rng, num_chunks, timeout)
-        speeds = np.exp(rng.normal(0.0, 0.5, (trials, n)))
-        speeds = np.where(rng.random((trials, n)) < 0.3, speeds / 8.0, speeds)
-        failed = [
-            frozenset(np.flatnonzero(rng.random(n) < 0.1).tolist())
-            for _ in range(trials)
-        ]
-        try:
-            looped = [
-                sim.run(batch[t], speeds[t], failed[t]) for t in range(trials)
-            ]
-        except RuntimeError:
-            with pytest.raises(RuntimeError, match="cannot complete"):
-                sim.run_batch(batch, speeds, failed)
-            return
-        out = sim.run_batch(batch, speeds, failed)
-        for t, scalar in enumerate(looped):
-            assert out.completion_time[t] == scalar.completion_time, t
-            assert out.decode_time[t] == scalar.decode_time, t
-            assert out.broadcast_time == scalar.broadcast_time
-            assert bool(out.repaired[t]) == scalar.repaired, t
-            for w, stat in enumerate(scalar.workers):
-                assert out.assigned_rows[t, w] == stat.assigned_rows, (t, w)
-                assert out.computed_rows[t, w] == stat.computed_rows, (t, w)
-                assert out.used_rows[t, w] == stat.used_rows, (t, w)
-                assert bool(out.responded[t, w]) == (
-                    stat.response_time is not None and not stat.cancelled
-                ), (t, w)
 
 
 class TestPlanBatch:

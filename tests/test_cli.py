@@ -653,3 +653,48 @@ class TestProfileCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+class TestRepeatedNames:
+    """A name given twice is run and printed once, as if given once."""
+
+    @pytest.mark.parametrize(
+        "command, name, flags",
+        [
+            ("experiments", "fig02", ["--quick", "--trials", "1", "--no-cache"]),
+            ("scenarios", "bursty", []),
+            ("policies", "mds", []),
+        ],
+    )
+    def test_stdout_equals_the_name_given_once(
+        self, capsys, command, name, flags
+    ):
+        assert main([command, name, name, *flags]) == 0
+        twice = capsys.readouterr().out
+        assert main([command, name, *flags]) == 0
+        assert twice == capsys.readouterr().out
+
+    def test_profile_runs_a_repeated_cell_once(self, capsys, monkeypatch):
+        import json
+
+        import repro.experiments.matrix as matrix
+
+        calls = []
+        run_cell = matrix.run_cell
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return run_cell(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "run_cell", counting)
+        argv = ["profile", "--quick", "--trials", "1", "--json",
+                "--policy", "mds", "--scenario", "bursty"]
+        assert main([*argv, "--policy", "mds", "--scenario", "bursty"]) == 0
+        twice = json.loads(capsys.readouterr().out)
+        assert calls == [("mds", "bursty")]
+        assert main(argv) == 0
+        once = json.loads(capsys.readouterr().out)
+        # Phase seconds are wall clock; every other field must match.
+        for report in (twice, once):
+            report["phases"] = sorted(report["phases"])
+        assert twice == once

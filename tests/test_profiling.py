@@ -94,7 +94,6 @@ class TestSpans:
     def test_canonical_phases_cover_the_kernel_spans(self):
         assert PHASES == (
             "plan", "broadcast", "compute", "reply", "repair", "decode",
-            "replay",
         )
 
 
