@@ -66,9 +66,10 @@ def main() -> None:
     train_traces = generate_speed_traces(30, 400, MEASURED, seed=100)
     lstm = LSTMSpeedModel(hidden=4, seed=0)
     lstm.fit(train_traces, epochs=300, window=40)
-    print(f"held-out one-step MAPE: "
-          f"{lstm.evaluate_mape(generate_speed_traces(10, 200, MEASURED, seed=5)):.1%} "
-          f"(paper: 16.7%)")
+    held_out = lstm.evaluate_mape(generate_speed_traces(10, 200, MEASURED, seed=5))
+    print(f"held-out one-step MAPE: {held_out:.1%} (paper: 16.7%)")
+    if not held_out < 0.3:  # NaN fails too
+        raise SystemExit(f"held-out LSTM MAPE {held_out}")
 
     traces = generate_speed_traces(N_WORKERS, 3 * ITERATIONS, MEASURED, seed=0)
     features, labels = make_classification(1200, 120, separation=3.0, seed=0)
@@ -86,11 +87,18 @@ def main() -> None:
     print(f"mis-prediction rate (15%) : {s2c2.metrics.misprediction_rate():.1%}")
     print(f"timeout repairs triggered : {s2c2.metrics.repair_count} "
           f"(includes the injected worker failure)")
-    print(f"S2C2 wasted computation   : {s2c2.metrics.total_wasted_fraction():.1%}")
-    print(f"MDS  wasted computation   : {mds.metrics.total_wasted_fraction():.1%}")
+    waste = s2c2.metrics.total_wasted_fraction()
+    mds_waste = mds.metrics.total_wasted_fraction()
+    print(f"S2C2 wasted computation   : {waste:.1%}")
+    print(f"MDS  wasted computation   : {mds_waste:.1%}")
     speedup = mds.metrics.total_time / s2c2.metrics.total_time
     print(f"S2C2 vs conventional MDS  : {speedup:.2f}x faster "
           f"({100 * (1 - 1 / speedup):.1f}% reduction; paper: 17-39%)")
+    if not (speedup > 1.0 and waste < mds_waste):
+        raise SystemExit(
+            f"S2C2 does not beat MDS: {speedup:.2f}x, "
+            f"waste {waste:.1%} vs {mds_waste:.1%}"
+        )
 
 
 if __name__ == "__main__":

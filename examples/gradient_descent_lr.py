@@ -71,6 +71,8 @@ def main() -> None:
     )
 
     drift = np.max(np.abs(s2c2_model.weights - direct.weights))
+    if not drift < 1e-9:
+        raise SystemExit(f"coded weights drifted from direct by {drift:.2e}")
     print(f"cluster: {N_WORKERS} workers, {STRAGGLERS} persistent 5x stragglers, "
           f"({N_WORKERS},{K})-MDS code")
     print(f"final training loss      : {s2c2_model.losses[-1]:.4f} "

@@ -54,6 +54,8 @@ def main() -> None:
     for step in range(5):
         print(f"{step:>4}  {coded.step():>12.6f}  {direct.step():>12.6f}")
     drift = np.max(np.abs(coded.weights - direct.weights))
+    if not drift < 1e-9:
+        raise SystemExit(f"coded weights drifted from direct by {drift:.2e}")
     print(f"\nmax |coded - direct| weights after 5 Newton steps: {drift:.2e}")
     print(f"simulated Hessian time: {session.metrics.total_time * 1e3:.1f} ms "
           f"over {len(session.metrics)} coded bilinear rounds")

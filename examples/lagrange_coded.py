@@ -49,6 +49,8 @@ def main() -> None:
     )
     print(f"full-share decode from workers {sorted(int(w) for w in fastest)}: "
           f"max error {worst:.2e}")
+    if not worst < 1e-8:
+        raise SystemExit(f"full-share decode error {worst:.2e}")
 
     # --- S2C2 path: speed-proportional partial shares, coverage exact. ----
     speeds = rng.uniform(0.5, 2.0, size=N_WORKERS)
@@ -74,6 +76,8 @@ def main() -> None:
     print(f"total row-computations: {shares.sum()} "
           f"(exact-coverage minimum = {code.coverage} x {encoded.rows} rows)")
     print(f"S2C2 partial-share decode: max error {worst:.2e}")
+    if not worst < 1e-8:
+        raise SystemExit(f"partial-share decode error {worst:.2e}")
 
 
 if __name__ == "__main__":

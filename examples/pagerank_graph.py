@@ -47,6 +47,8 @@ def main() -> None:
     reference = nx.pagerank(graph, alpha=0.85, max_iter=500, tol=1e-12)
     reference = np.array([reference[i] for i in range(N_PAGES)])
     error = np.max(np.abs(ranks - reference))
+    if not error < 1e-8:
+        raise SystemExit(f"coded ranks differ from networkx by {error:.2e}")
 
     print(f"graph: {N_PAGES} pages, {graph.number_of_edges()} links")
     print(f"power iterations to 1e-10: {pagerank.iterations_run}")

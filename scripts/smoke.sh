@@ -70,8 +70,9 @@ python -m repro profile --quick --trials 2 --backend event
 
 echo "== examples (every script must exit 0) =="
 # The examples drive the numeric sessions, whose coded iterations are
-# one-trial views of the batched kernel.  quickstart asserts its decoded
-# products; the others print their decode errors.
+# one-trial views of the batched kernel.  Each asserts its numbers: the
+# decoded products, coded-vs-direct drift and decode errors, and
+# cloud_adaptive the LSTM's held-out MAPE and S2C2's win over MDS.
 for EXAMPLE in examples/*.py; do
     python "$EXAMPLE" > /dev/null \
         || { echo "example $EXAMPLE failed" >&2; exit 1; }

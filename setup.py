@@ -29,8 +29,8 @@ setup(
     else "",
     long_description_content_type="text/markdown",
     python_requires=">=3.10",
-    # SciPy serves only the §6.1 ARIMA(1,1,1) fit of the sec61 experiment.
-    install_requires=["numpy>=1.22", "scipy"],
+    # networkx builds the apps' graphs; SciPy is needed only by the tests.
+    install_requires=["numpy>=1.22", "networkx"],
     package_dir={"": "src"},
     packages=find_packages("src"),
     entry_points={"console_scripts": ["repro = repro.__main__:main"]},

@@ -19,6 +19,7 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_fraction",
+    "check_series",
     "ranges_to_indices",
     "indices_to_ranges",
     "largest_remainder_round",
@@ -61,6 +62,22 @@ def check_fraction(value: float, name: str) -> float:
     if not np.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
+
+
+def check_series(series) -> np.ndarray:
+    """Validate a ``(rows, length)`` training series; return it as float64.
+
+    It must be 2-D with at least one row and hold only finite values:
+    a fit would otherwise train on nothing or on NaN without saying so.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim != 2:
+        raise ValueError("series must be 2-D (nodes, length)")
+    if series.shape[0] == 0:
+        raise ValueError("series must have at least one row")
+    if not np.isfinite(series).all():
+        raise ValueError("series must be finite (no NaN or inf)")
+    return series
 
 
 def ranges_to_indices(ranges: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -93,5 +93,10 @@ def make_graph_laplacian(
     isolated = list(nx.isolates(graph))
     for node in isolated:
         graph.add_edge(node, (node + 1) % n_nodes)
-    laplacian = nx.normalized_laplacian_matrix(graph).toarray()
-    return np.asarray(laplacian, dtype=np.float64), graph
+    # networkx's normalized_laplacian_matrix, D^-1/2 (D - A) D^-1/2, in its
+    # product order but dense: it builds SciPy sparse arrays.
+    adjacency = nx.to_numpy_array(graph)
+    degrees = adjacency.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    laplacian = np.diag(degrees) - adjacency
+    return inv_sqrt[:, None] * (laplacian * inv_sqrt[None, :]), graph

@@ -6,7 +6,8 @@ LSTM and found ARIMA(1,0,0) the best of the three.  We implement:
 * :class:`ARModel` — AR(p) fitted by pooled ordinary least squares across
   all training traces (exact, no iterative optimisation needed);
 * :class:`ARIMA111Model` — ARIMA(1,1,1) fitted by conditional least squares
-  on first differences via Nelder–Mead (SciPy's, imported by the fit).
+  on first differences via Nelder–Mead (:func:`_nelder_mead`, SciPy's
+  algorithm transcribed float op for float op).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_positive_int
+from repro._util import check_positive_int, check_series
 from repro.prediction.lstm import mape
 
 __all__ = ["ARModel", "ARIMA111Model"]
@@ -68,9 +69,7 @@ class ARModel:
 
     def fit(self, series: np.ndarray) -> "ARModel":
         """Pooled OLS over all rows of ``series`` (``(N, L)``)."""
-        series = np.asarray(series, dtype=np.float64)
-        if series.ndim != 2:
-            raise ValueError("series must be 2-D (nodes, length)")
+        series = check_series(series)
         if self.center:
             series = series - series.mean(axis=1, keepdims=True)
         design, target = _stack_windows(series, self.p)
@@ -135,6 +134,63 @@ class ARModel:
         return mape(preds[:, :-1], series[:, 1:])
 
 
+def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """Minimise ``func`` from ``x0``; return the best vertex.
+
+    SciPy's ``minimize(method="Nelder-Mead")`` without bounds or adaptive
+    coefficients, transcribed float op for float op: the same initial
+    simplex, reflection, expansion, contraction and shrink arithmetic,
+    ``argsort``/``take`` reorder and ``xatol``/``fatol`` test, so it walks
+    the same vertices to the same result.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(vertex) for vertex in sim])
+    for _ in range(2):  # twice, as SciPy does: argsort need not be stable
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    for _ in range(1, maxiter):
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0]
+
+
 @dataclass
 class ARIMA111Model:
     """ARIMA(1,1,1) on speeds: ARMA(1,1) fitted to first differences.
@@ -155,30 +211,31 @@ class ARIMA111Model:
         """Squared innovations ``((d_t − c) − φ·d_{t−1}) − θ·e_{t−1}`` of every
         row of ``diffs``, summed one by one in series-major order."""
         c, phi, theta = params
-        errs = np.zeros((diffs.shape[0], max(diffs.shape[1] - 1, 0)))
-        err = np.zeros(diffs.shape[0])
-        for t in range(1, diffs.shape[1]):
-            err = ((diffs[:, t] - c) - phi * diffs[:, t - 1]) - theta * err
-            errs[:, t - 1] = err
+        # Only − θ·e_{t−1} recurs; the rest is computed for all steps at once.
+        errs = (diffs[:, 1:] - c) - phi * diffs[:, :-1]
+        lag = np.empty(diffs.shape[0])
+        for t in range(1, errs.shape[1]):
+            np.multiply(theta, errs[:, t - 1], out=lag)
+            np.subtract(errs[:, t], lag, out=errs[:, t])
         squares = (errs * errs).ravel()
         return float(np.cumsum(squares)[-1]) if squares.size else 0.0
 
     def fit(self, series: np.ndarray) -> "ARIMA111Model":
         """Fit on the pooled first differences of ``series`` (``(N, L)``)."""
-        # Imported on first fit, SciPy's only use: no other command loads it.
-        from scipy import optimize
-
-        series = np.asarray(series, dtype=np.float64)
-        if series.ndim != 2 or series.shape[1] < 3:
+        series = check_series(series)
+        if series.shape[1] < 3:
             raise ValueError("series must be 2-D with length >= 3")
-        result = optimize.minimize(
-            self._css,
-            x0=np.array([0.0, 0.2, 0.1]),
-            args=(np.diff(series, axis=1),),
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-9},
+        diffs = np.diff(series, axis=1)
+        self.intercept, self.phi, self.theta = (
+            float(v)
+            for v in _nelder_mead(
+                lambda params: self._css(params, diffs),
+                x0=np.array([0.0, 0.2, 0.1]),
+                maxiter=2000,
+                xatol=1e-6,
+                fatol=1e-9,
+            )
         )
-        self.intercept, self.phi, self.theta = (float(v) for v in result.x)
         self._fitted = True
         return self
 
@@ -189,6 +246,8 @@ class ARIMA111Model:
         series = np.atleast_2d(np.asarray(series, dtype=np.float64))
         n, length = series.shape
         out = np.empty((n, length))
+        if length == 0:
+            return out
         for i in range(n):
             row = series[i]
             diffs = np.diff(row)

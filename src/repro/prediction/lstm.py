@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int
+from repro._util import as_rng, check_positive_int, check_series
 
 __all__ = ["LSTMSpeedModel", "LSTMState", "MAPE_EPS", "mape"]
 
@@ -33,6 +33,16 @@ MAPE_EPS = 1e-8
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Clipped for numerical robustness under exploratory learning rates.
     return 1.0 / (1.0 + np.exp(-np.clip(x, -50.0, 50.0)))
+
+
+def _sum_in_loop_order(products: np.ndarray) -> np.ndarray:
+    """``((0 + p[T−1]) + p[T−2]) + … + p[0]`` over a ``(T, ...)`` stack.
+
+    The order of the backward loop's per-step accumulation; a reduce over
+    a stack with one element per step would sum it pairwise instead.
+    """
+    zero = np.zeros((1,) + products.shape[1:])
+    return np.cumsum(np.concatenate([zero, products[::-1]]), axis=0)[-1]
 
 
 def mape(
@@ -104,69 +114,106 @@ class LSTMSpeedModel:
 
     # ------------------------------------------------------------------ core
     def _forward(self, x: np.ndarray):
-        """Run the LSTM over a ``(B, T)`` batch; return preds and caches."""
-        p = self._params
-        h_dim = self.hidden
-        batch, steps = x.shape
-        h = np.zeros((batch, h_dim))
-        c = np.zeros((batch, h_dim))
-        caches = []
-        preds = np.empty((batch, steps))
-        for t in range(steps):
-            z = np.concatenate([x[:, t : t + 1], h], axis=1)
-            a = z @ p["W"].T + p["b"]
-            i = _sigmoid(a[:, :h_dim])
-            f = _sigmoid(a[:, h_dim : 2 * h_dim])
-            g = np.tanh(a[:, 2 * h_dim : 3 * h_dim])
-            o = _sigmoid(a[:, 3 * h_dim :])
-            c_prev = c
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            preds[:, t] = (h @ p["Wy"].T + p["by"])[:, 0]
-            caches.append((z, i, f, g, o, c_prev, c, tanh_c, h))
-        return preds, caches
+        """Run the LSTM over a ``(B, T)`` batch; return preds and the stacks.
 
-    def _backward(self, x: np.ndarray, preds: np.ndarray, caches):
-        """BPTT for the one-step-ahead MSE loss; returns loss and grads."""
+        Step ``t`` reads its input ``[x_t, h_{t-1}]`` from ``z[t]`` and
+        writes ``h_t`` into ``z[t + 1]``.  Past the row-major matmul a step
+        works gate-major, on ``(4·hidden, B)`` slices: ``gates[t]`` holds
+        the sigmoid of the four pre-activations (rows ``[i, f, ·, o]``) and
+        ``cells[t]`` rows ``[g, c_{t-1}, ·, tanh c_t]``.  Every element sees
+        the float operations of one unstacked step.
+        """
         p = self._params
-        h_dim = self.hidden
+        hd = self.hidden
         batch, steps = x.shape
-        targets = x[:, 1:]
-        errors = preds[:, :-1] - targets
+        z = np.zeros((steps + 1, batch, 1 + hd))
+        z[:steps, :, 0] = x.T
+        gates = np.empty((steps, 4 * hd, batch))
+        cells = np.zeros((steps + 1, 4 * hd, batch))
+        w_t = p["W"].T
+        bias = np.repeat(p["b"][:, None], batch, axis=1)
+        pre = np.empty((batch, 4 * hd))
+        ig = np.empty((hd, batch))
+        for t in range(steps):
+            a, cell = gates[t], cells[t]
+            np.matmul(z[t], w_t, out=pre)
+            np.add(pre.T, bias, out=a)
+            np.tanh(a[2 * hd : 3 * hd], out=cell[:hd])
+            # The sigmoid of all four gates at once (the g rows go unused).
+            a.clip(-50.0, 50.0, out=a)
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            c = cells[t + 1, hd : 2 * hd]
+            np.multiply(a[hd : 2 * hd], cell[hd : 2 * hd], out=c)
+            np.multiply(a[:hd], cell[:hd], out=ig)
+            c += ig
+            np.tanh(c, out=cell[3 * hd :])
+            np.multiply(a[3 * hd :], cell[3 * hd :], out=z[t + 1, :, 1:].T)
+        # h as its own row-major stack: BLAS rounds a matrix-vector
+        # product by the matrix's row stride.
+        h = np.ascontiguousarray(z[1:, :, 1:])
+        preds = np.ascontiguousarray((np.matmul(h, p["Wy"].T) + p["by"])[..., 0].T)
+        return preds, (z, gates, cells, h)
+
+    def _backward(self, x: np.ndarray, preds: np.ndarray, stacks):
+        """BPTT for the one-step-ahead MSE loss; returns loss and grads.
+
+        Uses up the forward's ``stacks``.  The time loop keeps only the
+        recurrence: ``da_t`` is laid out row-major, as the matmuls take it,
+        over ``gates[t]``'s memory once that is read, and the readout and
+        weight gradients are stacked products summed afterwards in the
+        loop's order (``t = T−1, …, 0``).
+        """
+        p = self._params
+        hd = self.hidden
+        z, gates, cells, h = stacks
+        batch, steps = x.shape
+        errors = preds[:, :-1] - x[:, 1:]
         count = errors.size
         loss = float(np.mean(errors**2))
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        dh_next = np.zeros((batch, h_dim))
-        dc_next = np.zeros((batch, h_dim))
+        dy = np.zeros((steps, 1, batch))
+        dy[:-1, 0] = (2.0 / count) * errors.T
+        # da = ((D·F1)·F2)·F3 row block by row block, with D = [dc, dc, dc,
+        # dh], F1 = cells = [g, c_prev, i, tanh c], F2 = gates = [i, f,
+        # 1 − g², o] and F3 = [1 − i, 1 − f, 1, 1 − o]: one step's products,
+        # each factor computed once per epoch.
+        cells[:steps, 2 * hd : 3 * hd] = gates[:, :hd]
+        one_minus = np.subtract(1.0, gates)
+        one_minus[:, 2 * hd : 3 * hd] = 1.0
+        g, gate_g = cells[:steps, :hd], gates[:, 2 * hd : 3 * hd]
+        np.multiply(g, g, out=gate_g)
+        np.subtract(1.0, gate_g, out=gate_g)
+        dtanh = 1.0 - cells[:steps, 3 * hd :] ** 2
+        dh_y = dy * p["Wy"].T
+        da_rows = gates.reshape(steps, batch, 4 * hd)
+        w = p["W"]
+        dh, dc, dc_next = (np.zeros((hd, batch)) for _ in range(3))
+        dz = np.zeros((batch, 1 + hd))
+        dh_next = dz[:, 1:].T
+        da = np.empty((4 * hd, batch))
+        da_dc = da[: 3 * hd].reshape(3, hd, batch)
         for t in range(steps - 1, -1, -1):
-            z, i, f, g, o, c_prev, c, tanh_c, h = caches[t]
-            if t < steps - 1:
-                dy = (2.0 / count) * errors[:, t : t + 1]
-            else:
-                dy = np.zeros((batch, 1))
-            grads["Wy"] += dy.T @ h
-            grads["by"] += dy.sum(axis=0)
-            dh = dy @ p["Wy"] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_next
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            grads["W"] += da.T @ z
-            grads["b"] += da.sum(axis=0)
-            dz = da @ p["W"]
-            dh_next = dz[:, 1:]
-            dc_next = dc * f
+            a, cell = gates[t], cells[t]
+            np.add(dh_y[t], dh_next, out=dh)
+            np.multiply(dh, a[3 * hd :], out=dc)
+            dc *= dtanh[t]
+            dc += dc_next
+            np.multiply(dc, cell[: 3 * hd].reshape(3, hd, batch), out=da_dc)
+            np.multiply(dh, cell[3 * hd :], out=da[3 * hd :])
+            da *= a
+            np.multiply(dc, a[hd : 2 * hd], out=dc_next)
+            da *= one_minus[t]
+            np.copyto(da_rows[t], da.T)
+            np.matmul(da_rows[t], w, out=dz)
+        products = {
+            "W": np.matmul(da_rows.transpose(0, 2, 1), z[:steps]),
+            "b": da_rows.sum(axis=1),
+            "Wy": np.matmul(dy, h),
+            "by": dy.sum(axis=2),
+        }
+        grads = {k: _sum_in_loop_order(v) for k, v in products.items()}
         return loss, grads
 
     def _adam_step(self, grads: dict[str, np.ndarray], lr: float) -> None:
@@ -202,13 +249,16 @@ class LSTMSpeedModel:
         Returns the per-epoch training losses (decreasing loss is the
         training sanity check used by the tests).
         """
-        series = np.asarray(series, dtype=np.float64)
-        if series.ndim != 2:
-            raise ValueError("series must be 2-D (nodes, length)")
-        n_nodes, length = series.shape
-        window = min(window, length)
+        series = check_series(series)
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
         if window < 2:
+            raise ValueError(f"window must be >= 2, got {window}")
+        check_positive_int(batch_size, "batch_size")
+        n_nodes, length = series.shape
+        if length < 2:
             raise ValueError("series too short: need at least 2 samples")
+        window = min(window, length)
         rng = as_rng(self.seed)
         self._mu = float(series.mean())
         self._sigma = float(series.std()) or 1.0
@@ -220,11 +270,9 @@ class LSTMSpeedModel:
                 starts = np.zeros(batch_size, dtype=np.int64)
             else:
                 starts = rng.integers(0, length - window, size=batch_size)
-            batch = np.stack(
-                [normed[r, s : s + window] for r, s in zip(rows, starts)]
-            )
-            preds, caches = self._forward(batch)
-            loss, grads = self._backward(batch, preds, caches)
+            batch = normed[rows[:, None], starts[:, None] + np.arange(window)]
+            # One epoch's stacks at a time: they die with the backward call.
+            loss, grads = self._backward(batch, *self._forward(batch))
             self._adam_step(grads, lr)
             losses.append(loss)
         return losses
@@ -268,17 +316,22 @@ class LSTMSpeedModel:
             raise ValueError(
                 f"x must have shape ({state.h.shape[0]},), got {x.shape}"
             )
-        z = np.concatenate(
-            [((x - self._mu) / self._sigma)[:, None], state.h], axis=1
-        )
-        a = z @ p["W"].T + p["b"]
+        rows = x.shape[0]
+        x, h, c = ((x - self._mu) / self._sigma)[:, None], state.h, state.c
+        if rows == 1:
+            # A one-row matmul takes BLAS's matrix-vector kernel, which
+            # rounds unlike the matrix-matrix kernel of a stacked step:
+            # step two copies of the row and keep the first.
+            x, h, c = (np.repeat(v, 2, axis=0) for v in (x, h, c))
+        a = np.concatenate([x, h], axis=1) @ p["W"].T + p["b"]
         i = _sigmoid(a[:, :h_dim])
         f = _sigmoid(a[:, h_dim : 2 * h_dim])
         g = np.tanh(a[:, 2 * h_dim : 3 * h_dim])
         o = _sigmoid(a[:, 3 * h_dim :])
-        state.c = f * state.c + i * g
-        state.h = o * np.tanh(state.c)
-        return (state.h @ p["Wy"].T + p["by"])[:, 0] * self._sigma + self._mu
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        state.c, state.h = c[:rows], h[:rows]
+        return (h @ p["Wy"].T + p["by"])[:rows, 0] * self._sigma + self._mu
 
     def step_stacked(self, state: LSTMState, x: np.ndarray) -> np.ndarray:
         """Advance one step for a stacked ``(trials, nodes)`` observation.
@@ -286,9 +339,7 @@ class LSTMSpeedModel:
         The recurrent math is row-independent, so a whole Monte-Carlo
         batch shares one ``initial_state(trials * nodes)`` and advances in
         a single :meth:`step` call per round; row ``(t, n)`` evolves bit
-        for bit as node ``n`` of an independent trial-``t`` state would,
-        unless that state has one row (a one-row step takes BLAS's
-        matrix-vector kernel, which rounds differently).
+        for bit as node ``n`` of an independent trial-``t`` state would.
         This is the kernel behind
         :class:`~repro.prediction.predictor.BatchLSTMPredictor`.
         """

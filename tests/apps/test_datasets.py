@@ -81,3 +81,24 @@ class TestMakeGraphLaplacian:
     def test_no_isolated_nodes(self):
         _, graph = make_graph_laplacian(30, communities=3, p_in=0.05, p_out=0.0, seed=3)
         assert not list(nx.isolates(graph))
+
+    @pytest.mark.parametrize(
+        "n_nodes, communities, p_in, p_out, seed",
+        [
+            (40, 4, 0.2, 0.01, 0),
+            (64, 4, 0.2, 0.01, 5),
+            (30, 3, 0.05, 0.0, 3),  # isolated nodes joined to a neighbour
+            (17, 2, 0.5, 0.1, 9),
+            (1, 1, 0.2, 0.01, 0),  # one node: its join is a self-loop
+        ],
+    )
+    def test_equals_networkx_laplacian(self, n_nodes, communities, p_in, p_out, seed):
+        # The dense product keeps networkx's D^-1/2 (D - A) D^-1/2 order,
+        # so the bytes match its sparse result.
+        pytest.importorskip("scipy")
+        lap, graph = make_graph_laplacian(
+            n_nodes, communities=communities, p_in=p_in, p_out=p_out, seed=seed
+        )
+        want = nx.normalized_laplacian_matrix(graph).toarray()
+        assert lap.dtype == want.dtype and lap.shape == want.shape
+        assert lap.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prediction.arima import ARIMA111Model, ARModel
+from repro.prediction.arima import ARIMA111Model, ARModel, _nelder_mead
 from repro.prediction.traces import MEASURED, STABLE, generate_speed_traces
 
 
@@ -127,6 +127,25 @@ class TestARIMA111Model:
             float.fromhex(v) for v in expected
         )
 
+    def test_css_on_every_point_of_the_sec61_fit(self, monkeypatch):
+        # Every (c, φ, θ) the fit evaluates on the §6.1 quick input: the
+        # two-op recurrence equals the per-series scalar loop there.
+        train = generate_speed_traces(40, 250, MEASURED, seed=0)[:32]
+        diffs = np.diff(train, axis=1)
+        points = []
+        css = ARIMA111Model._css
+
+        def recording(params, d):
+            points.append(np.array(params, copy=True))
+            return css(params, d)
+
+        monkeypatch.setattr(ARIMA111Model, "_css", staticmethod(recording))
+        ARIMA111Model().fit(train)
+        assert len(points) > 200
+        rows = list(diffs)
+        for params in points:
+            assert css(params, diffs) == reference_css(params, rows)
+
     def test_fit_and_predict_shapes(self):
         traces = generate_speed_traces(10, 150, STABLE, seed=1)
         model = ARIMA111Model().fit(traces[:8])
@@ -153,3 +172,55 @@ class TestARIMA111Model:
         ar1 = ARModel(p=1).fit(train).evaluate_mape(test)
         arima = ARIMA111Model().fit(train).evaluate_mape(test)
         assert ar1 <= arima * 1.1  # allow a small margin
+
+
+class TestNelderMead:
+    """The in-repo Nelder–Mead walks SciPy's vertices to SciPy's result."""
+
+    @staticmethod
+    def _rosenbrock(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+    @staticmethod
+    def _terraced(x):
+        # Piecewise constant: ties between vertices, contractions that tie
+        # the reflection, and shrink steps.
+        return float(np.floor(np.sum(np.abs(x - [0.75, -0.9])) * 4.0))
+
+    def _cases(self):
+        quick = generate_speed_traces(40, 250, MEASURED, seed=0)[:32]
+        cases = [
+            (lambda p, d=np.diff(quick, axis=1): ARIMA111Model._css(p, d),
+             [0.0, 0.2, 0.1], 2000),
+            (self._rosenbrock, [0.0, 0.2, 0.1], 2000),
+            (self._rosenbrock, [-1.2, 1.0], 2000),
+            (self._rosenbrock, [-1.2, 1.0], 7),  # stopped by maxiter
+            (self._terraced, [-0.1, -1.3], 2000),
+            (self._terraced, [2.0, 0.0], 2000),
+            (lambda x: float(np.abs(x).sum()), [3.0, 0.0], 2000),
+        ]
+        for seed in range(6):
+            rows = generate_speed_traces(5 + seed, 40 + 30 * seed, STABLE, seed=seed)
+            cases.append(
+                (lambda p, d=np.diff(rows, axis=1): ARIMA111Model._css(p, d),
+                 [0.0, 0.2, 0.1], 2000)
+            )
+        return cases
+
+    def test_equals_scipy_minimize(self):
+        # Same evaluated points in the same order, and the same result.
+        optimize = pytest.importorskip("scipy.optimize")
+        for func, x0, maxiter in self._cases():
+            options = {"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-9}
+            walks = ([], [])
+
+            def recorded(walk):
+                return lambda x: walk.append(x.tobytes()) or func(x)
+
+            want = optimize.minimize(
+                recorded(walks[0]), x0=np.array(x0), method="Nelder-Mead",
+                options=options,
+            ).x
+            got = _nelder_mead(recorded(walks[1]), np.array(x0), **options)
+            assert walks[1] == walks[0], (x0, maxiter)
+            assert got.tobytes() == want.tobytes(), (x0, maxiter)

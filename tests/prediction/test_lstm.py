@@ -101,12 +101,18 @@ class TestLSTMSpeedModel:
         with pytest.raises(ValueError):
             model.step(state, np.ones(4))
 
-    def test_step_stacked_matches_independent_states(self):
+    @pytest.mark.parametrize(
+        "nodes, hidden, rounds", [(3, 4, 6), (1, 4, 40), (1, 1, 40)]
+    )
+    def test_step_stacked_matches_independent_states(self, nodes, hidden, rounds):
         # One (trials * nodes) stacked state must evolve row (t, n) exactly
-        # as node n of an independent per-trial state would.
-        trials, nodes, rounds = 4, 3, 6
+        # as node n of an independent per-trial state would.  One node
+        # included: its one-row step must not take BLAS's matrix-vector
+        # kernel, which rounds unlike the stack's matrix-matrix one.
+        trials = 4
         traces = generate_speed_traces(trials * nodes, rounds, STABLE, seed=5)
-        model = LSTMSpeedModel(hidden=4, seed=1)
+        model = LSTMSpeedModel(hidden=hidden, seed=1)
+        model.fit(traces, epochs=3, window=20)
         stacked_state = model.initial_state(trials * nodes)
         states = [model.initial_state(nodes) for _ in range(trials)]
         for r in range(rounds):
@@ -115,8 +121,13 @@ class TestLSTMSpeedModel:
             scalar = np.stack(
                 [model.step(states[t], x[t]) for t in range(trials)]
             )
-            np.testing.assert_array_equal(stacked, scalar)
+            assert stacked.tobytes() == scalar.tobytes(), r
             assert stacked.shape == (trials, nodes)
+        for t, state in enumerate(states):
+            rows = slice(t * nodes, (t + 1) * nodes)
+            assert state.h.shape == state.c.shape == (nodes, hidden)
+            assert state.h.tobytes() == stacked_state.h[rows].tobytes()
+            assert state.c.tobytes() == stacked_state.c[rows].tobytes()
 
     def test_step_stacked_requires_2d(self):
         model = LSTMSpeedModel(hidden=4)

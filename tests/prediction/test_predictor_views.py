@@ -205,23 +205,13 @@ class TestOneTrialViews:
         stream = rng.uniform(0.02, 1.5, size=(rounds, trials, nodes))
         stream[rng.random(stream.shape) < nan_rate] = np.nan
 
-        # A one-node LSTM step is a one-row matmul, which numpy hands to
-        # BLAS's matrix-vector kernel; T >= 2 one-node trials make a T-row
-        # matmul through the matrix-matrix kernel, which rounds differently
-        # (the gap compounds through the recurrence, to ~1e-11 relative in
-        # 40 rounds).  The views stay bitwise; only that batch does not.
-        batch_bitwise = not (kind == "lstm" and nodes == 1 and trials > 1)
-
         def check():
             forecasts = batch.predict()
             assert forecasts.shape == (trials, nodes)
             for t in range(trials):
                 want = references[t].predict()
                 _assert_same_bytes(views[t].predict(), want)
-                if batch_bitwise:
-                    _assert_same_bytes(forecasts[t], want)
-                else:
-                    np.testing.assert_allclose(forecasts[t], want, rtol=1e-9)
+                _assert_same_bytes(forecasts[t], want)
 
         for observed in stream:
             check()
