@@ -366,7 +366,6 @@ def bench_event_kernel(
     given the event kernel runs once more with it installed, so the
     record carries per-phase hot-spot totals.
     """
-    from repro.cluster.events.factors import link_factors_batch
     from repro.cluster.events.sim import EventDrivenIterationSim
     from repro.cluster.network import CostModel, NetworkModel
     from repro.cluster.scenarios import scenario_batch
@@ -392,7 +391,7 @@ def bench_event_kernel(
     seeds = [SEED_STRIDE * t for t in range(trials)]
     model = scenario_batch("netslow", n, seeds)
     speeds = model.speeds_batch(3)
-    factors = link_factors_batch(model, 3)
+    factors = model.link_factors_batch(3)
 
     start = time.perf_counter()
     closed_sim.run_batch(plan, speeds)

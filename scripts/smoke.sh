@@ -56,9 +56,12 @@ echo "== policy x scenario matrix (every policy, every scenario) =="
 python -m repro matrix --quick --trials 2 --jobs 2 --summary-only --cache-dir "$CACHE"
 
 echo "== event-backend matrix (discrete-event core, network scenarios) =="
+# The composed pair routes link factors through overlay and mix.
 python -m repro matrix --quick --trials 2 --jobs 2 --backend event \
     --policy mds --policy timeout-repair \
     --scenario netslow --scenario rackcongest \
+    --scenario 'overlay(netslow,linkbursty)' \
+    --scenario 'mix(rackcongest,bursty,weight=0.5)' \
     --summary-only --cache-dir "$CACHE"
 
 echo "== fixed-seed fuzz tournament (generated scenarios, composed names) =="

@@ -124,13 +124,25 @@ def _check_names(policies, scenarios) -> list:
     """Resolve ``--policy`` / ``--scenario`` names; return the policy specs.
 
     Checked before anything runs, so the ``KeyError`` catch is scoped to
-    the CLI contract and never masks a failure inside a sweep cell.
+    the CLI contract and never masks a failure inside a sweep cell.  Each
+    scenario is also built once at the sweep's worker count, which checks
+    its parameter values (building draws nothing).
     """
-    from repro.cluster.scenarios import get_scenario
+    from repro.cluster.scenarios import scenario_speed_model
+    from repro.experiments.matrix import N_WORKERS
     from repro.scheduling.policies import get_policy
 
     specs = _resolve(get_policy, policies)
-    _resolve(get_scenario, scenarios)
+    for name in _resolve(str, scenarios):
+        try:
+            scenario_speed_model(name, N_WORKERS)
+        except KeyError as error:
+            raise _CommandError(error.args[0]) from None
+        except ValueError as error:
+            detail = str(error)
+            if repr(name) not in detail:
+                detail = f"scenario {name!r}: {detail}"
+            raise _CommandError(detail) from None
     return specs
 
 

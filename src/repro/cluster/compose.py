@@ -65,7 +65,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.cluster.speed_models import SpeedModel
+from repro.cluster.scenarios import _check_override
+from repro.cluster.speed_models import SpeedDraws, joined
 
 __all__ = [
     "CombinatorSpec",
@@ -81,11 +82,11 @@ __all__ = [
     "is_composed_name",
     "composed_spec",
     "scenario_digest",
-    "ConcatSpeeds",
-    "MixSpeeds",
-    "OverlaySpeeds",
-    "TimeShiftSpeeds",
-    "ScaleSpeeds",
+    "ConcatDraws",
+    "MixDraws",
+    "OverlayDraws",
+    "TimeShiftDraws",
+    "ScaleDraws",
     "OPERAND_SEED_STRIDE",
 ]
 
@@ -97,131 +98,130 @@ OPERAND_SEED_STRIDE = 9_973
 
 
 # ---------------------------------------------------------------------------
-# Composed speed models
+# Composed draws
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConcatSpeeds:
-    """Play each operand model for ``segment`` iterations, in order.
+def _links(models) -> bool:
+    return any(model.links for model in models)
 
-    Operand ``i`` is queried with *local* iteration indices (it starts
-    from its own iteration 0 when its segment begins); the last operand's
-    segment extends indefinitely.  Local indexing keeps each segment a
-    faithful replay of its scenario and preserves the ``concat(a) ≡ a``
-    identity for a single operand.
+
+class ConcatDraws(SpeedDraws):
+    """Play each operand for ``segment`` rounds, in order.
+
+    Operand ``i`` is read at *local* rounds (it starts from its own round
+    0 when its segment begins); the last operand's segment extends
+    indefinitely.  Local indexing keeps each segment a faithful replay of
+    its scenario and preserves the ``concat(a) ≡ a`` identity for a
+    single operand.
     """
 
-    models: tuple[SpeedModel, ...]
-    segment: int
-
-    def __post_init__(self) -> None:
-        self.models = tuple(self.models)
+    def __init__(self, models: Sequence[SpeedDraws], segment: int):
+        self.models = tuple(models)
         if not self.models:
             raise ValueError("concat needs at least one operand model")
-        check_positive_int(self.segment, "segment")
+        check_positive_int(segment, "segment")
+        self.segment = segment
+        first = self.models[0]
+        super().__init__(first.n_trials, first.n_workers, _links(self.models))
 
-    @property
-    def n_workers(self) -> int:
-        return self.models[0].n_workers
+    def _block(self, start: int, stop: int):
+        rounds = np.arange(start, stop)
+        index = np.minimum(rounds // self.segment, len(self.models) - 1)
+        return joined(
+            [
+                model._take(rounds[index == i] - i * self.segment, self.links)
+                for i, model in enumerate(self.models)
+            ],
+            axis=0,
+        )
 
-    def speeds(self, iteration: int) -> np.ndarray:
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        index = min(iteration // self.segment, len(self.models) - 1)
-        return self.models[index].speeds(iteration - index * self.segment)
 
-
-@dataclass
-class MixSpeeds:
-    """Per-iteration convex combination ``w·a + (1−w)·b``.
+class MixDraws(SpeedDraws):
+    """Per-round convex combination ``w·a + (1−w)·b`` of speeds and factors.
 
     ``weight=1.0`` reproduces ``a`` bitwise (``1·x + 0·y == x`` exactly
     for the positive finite speeds the models guarantee) — the algebra's
-    mix identity law.
+    mix identity law.  Factors blend where either operand degrades its
+    links (a healthy side contributes unit factors).
     """
 
-    a: SpeedModel
-    b: SpeedModel
-    weight: float
+    def __init__(self, a: SpeedDraws, b: SpeedDraws, weight: float):
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"weight must be in [0, 1], got {weight}")
+        self.a, self.b, self.weight = a, b, weight
+        super().__init__(a.n_trials, a.n_workers, _links((a, b)))
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
+    def _block(self, start: int, stop: int):
+        rounds = np.arange(start, stop)
+        sa, fa, pa = self.a._take(rounds, self.links)
+        sb, fb, pb = self.b._take(rounds, self.links)
+        w = self.weight
+        speeds = w * sa + (1.0 - w) * sb
+        if not self.links:
+            return speeds, None, None
+        present = pa | pb
+        factors = np.where(present[:, :, None], w * fa + (1.0 - w) * fb, 1.0)
+        return speeds, factors, present
 
-    @property
-    def n_workers(self) -> int:
-        return self.a.n_workers
 
-    def speeds(self, iteration: int) -> np.ndarray:
-        return self.weight * self.a.speeds(iteration) + (
-            1.0 - self.weight
-        ) * self.b.speeds(iteration)
-
-
-@dataclass
-class OverlaySpeeds:
-    """Element-wise minimum of the operands' speeds.
+class OverlayDraws(SpeedDraws):
+    """Element-wise minimum of the operands' speeds (and link factors).
 
     Models independent interference sources acting on the same workers:
     each worker runs at the speed its *worst* affliction allows.
     """
 
-    models: tuple[SpeedModel, ...]
-
-    def __post_init__(self) -> None:
-        self.models = tuple(self.models)
+    def __init__(self, models: Sequence[SpeedDraws]):
+        self.models = tuple(models)
         if not self.models:
             raise ValueError("overlay needs at least one operand model")
+        first = self.models[0]
+        super().__init__(first.n_trials, first.n_workers, _links(self.models))
 
-    @property
-    def n_workers(self) -> int:
-        return self.models[0].n_workers
-
-    def speeds(self, iteration: int) -> np.ndarray:
-        return np.minimum.reduce([m.speeds(iteration) for m in self.models])
-
-
-@dataclass
-class TimeShiftSpeeds:
-    """Query the operand ``shift`` iterations ahead (phase shift)."""
-
-    model: SpeedModel
-    shift: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shift, (int, np.integer)) or self.shift < 0:
-            raise ValueError(f"shift must be an int >= 0, got {self.shift!r}")
-
-    @property
-    def n_workers(self) -> int:
-        return self.model.n_workers
-
-    def speeds(self, iteration: int) -> np.ndarray:
-        return self.model.speeds(iteration + self.shift)
+    def _block(self, start: int, stop: int):
+        rounds = np.arange(start, stop)
+        parts = [model._take(rounds, self.links) for model in self.models]
+        speeds = np.minimum.reduce([p[0] for p in parts])
+        if not self.links:
+            return speeds, None, None
+        return (
+            speeds,
+            np.minimum.reduce([p[1] for p in parts]),
+            np.logical_or.reduce([p[2] for p in parts]),
+        )
 
 
-@dataclass
-class ScaleSpeeds:
-    """Multiply the operand's speeds by a positive ``factor``.
+class TimeShiftDraws(SpeedDraws):
+    """Read the operand ``shift`` rounds ahead (phase shift)."""
+
+    def __init__(self, model: SpeedDraws, shift: int):
+        if not isinstance(shift, (int, np.integer)) or shift < 0:
+            raise ValueError(f"shift must be an int >= 0, got {shift!r}")
+        self.model, self.shift = model, shift
+        super().__init__(model.n_trials, model.n_workers, model.links)
+
+    def _block(self, start: int, stop: int):
+        return self.model._take(np.arange(start, stop) + self.shift, self.links)
+
+
+class ScaleDraws(SpeedDraws):
+    """Multiply the operand's speeds by a positive finite ``factor``.
 
     ``factor <= 1`` keeps the registry's unit-speed convention; larger
     factors are allowed for callers that model over-provisioned nodes.
+    Link factors pass through unscaled.
     """
 
-    model: SpeedModel
-    factor: float
+    def __init__(self, model: SpeedDraws, factor: float):
+        if not 0 < factor < np.inf:
+            raise ValueError(f"factor must be > 0 and finite, got {factor}")
+        self.model, self.factor = model, factor
+        super().__init__(model.n_trials, model.n_workers, model.links)
 
-    def __post_init__(self) -> None:
-        if not self.factor > 0:
-            raise ValueError(f"factor must be > 0, got {self.factor}")
-
-    @property
-    def n_workers(self) -> int:
-        return self.model.n_workers
-
-    def speeds(self, iteration: int) -> np.ndarray:
-        return self.factor * self.model.speeds(iteration)
+    def _block(self, start: int, stop: int):
+        speeds, factors, present = self.model._take(np.arange(start, stop), self.links)
+        return self.factor * speeds, factors, present
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,10 @@ class ScaleSpeeds:
 
 @dataclass(frozen=True)
 class CombinatorSpec:
-    """One registered combinator: arity, parameters, and the model factory.
+    """One registered combinator: arity, parameters, and the draws factory.
 
-    ``build(models, **params)`` assembles the composed speed model from
-    the already-built operand models.
+    ``build(models, **params)`` assembles the composed draw surface from
+    the already-built operand surfaces (same rows, operand seeds).
     """
 
     name: str
@@ -242,7 +242,7 @@ class CombinatorSpec:
     min_operands: int
     max_operands: int | None  #: ``None`` = unbounded
     defaults: tuple[tuple[str, Any], ...]
-    build: Callable[..., SpeedModel]
+    build: Callable[..., SpeedDraws]
 
 
 _COMBINATORS: dict[str, CombinatorSpec] = {}
@@ -276,7 +276,7 @@ _register_combinator(
         min_operands=1,
         max_operands=None,
         defaults=(("segment", 8),),
-        build=lambda models, segment: ConcatSpeeds(models, segment=segment),
+        build=lambda models, segment: ConcatDraws(models, segment=segment),
     )
 )
 _register_combinator(
@@ -286,7 +286,7 @@ _register_combinator(
         min_operands=2,
         max_operands=2,
         defaults=(("weight", 0.5),),
-        build=lambda models, weight: MixSpeeds(models[0], models[1], weight=weight),
+        build=lambda models, weight: MixDraws(models[0], models[1], weight=weight),
     )
 )
 _register_combinator(
@@ -296,7 +296,7 @@ _register_combinator(
         min_operands=1,
         max_operands=None,
         defaults=(),
-        build=lambda models: OverlaySpeeds(models),
+        build=lambda models: OverlayDraws(models),
     )
 )
 _register_combinator(
@@ -306,7 +306,7 @@ _register_combinator(
         min_operands=1,
         max_operands=1,
         defaults=(("shift", 0),),
-        build=lambda models, shift: TimeShiftSpeeds(models[0], shift=shift),
+        build=lambda models, shift: TimeShiftDraws(models[0], shift=shift),
     )
 )
 _register_combinator(
@@ -316,7 +316,7 @@ _register_combinator(
         min_operands=1,
         max_operands=1,
         defaults=(("factor", 0.5),),
-        build=lambda models, factor: ScaleSpeeds(models[0], factor=factor),
+        build=lambda models, factor: ScaleDraws(models[0], factor=factor),
     )
 )
 
@@ -460,6 +460,7 @@ def _resolve_params(
         seen.add(key)
         # Ints are acceptable where floats are declared (3 == 3.0, and the
         # canonical name keeps whichever spelling round-trips).
+        _check_override(expr, name, key, value, params[key])
         params[key] = value
     return params
 
@@ -562,16 +563,14 @@ def _operand_seed(seed: int | None, index: int) -> int | None:
     return None if seed is None else seed + OPERAND_SEED_STRIDE * index
 
 
-def _build_node(node: ComposedNode, n_workers: int, seed: int | None) -> SpeedModel:
-    from repro.cluster.scenarios import scenario_speed_model
+def _build_node(node: ComposedNode, n_workers: int, seeds: tuple) -> SpeedDraws:
+    from repro.cluster.scenarios import scenario_batch
 
     if node.kind == "leaf":
-        return scenario_speed_model(
-            node.name, n_workers, seed=seed, **dict(node.params)
-        )
+        return scenario_batch(node.name, n_workers, seeds, **dict(node.params))
     comb = get_combinator(node.name)
     models = tuple(
-        _build_node(op, n_workers, _operand_seed(seed, i))
+        _build_node(op, n_workers, tuple(_operand_seed(s, i) for s in seeds))
         for i, op in enumerate(node.operands)
     )
     return comb.build(models, **dict(node.params))
@@ -615,7 +614,7 @@ def _spec_of(node: ComposedNode):
         summary = f"composed: {node.name} with overrides — {base_summary}"
         defaults = node.params
 
-    def builder(n_workers: int, seed: int | None, **params):
+    def builder(n_workers: int, seeds: tuple, **params):
         bound = (
             node
             if not params
@@ -626,7 +625,7 @@ def _spec_of(node: ComposedNode):
                 params=tuple(sorted(params.items())),
             )
         )
-        return _build_node(bound, n_workers, seed)
+        return _build_node(bound, n_workers, seeds)
 
     return ScenarioSpec(
         name=node.canonical,
@@ -635,6 +634,7 @@ def _spec_of(node: ComposedNode):
         builder=builder,
         defaults=defaults,
         compose=node,
+        batched=True,
     )
 
 

@@ -3,19 +3,17 @@
 :class:`EventDrivenIterationSim` prices every transfer on the worker's own
 link, whose bandwidth a network scenario may degrade, and runs the closed
 form's batched kernel on that schedule — see :mod:`repro.cluster.events.sim`
-for the equivalence contract and :mod:`repro.cluster.events.factors` for
-how link factors are read off (possibly composed) speed models.
+for the equivalence contract.  The link factors come from the draw
+surface (:meth:`repro.cluster.speed_models.SpeedDraws.link_factors_batch`),
+which routes them through composed scenarios.
 """
 
-from repro.cluster.events.factors import link_factors_batch, link_factors_of
 from repro.cluster.events.sim import EventDrivenIterationSim
 
 __all__ = [
     "EventDrivenIterationSim",
     "available_backends",
     "check_backend",
-    "link_factors_batch",
-    "link_factors_of",
 ]
 
 

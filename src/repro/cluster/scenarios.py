@@ -6,17 +6,33 @@ many more shapes — transient co-tenant bursts, correlated rack-level
 slowdowns, spot-instance preemption.  This module turns "which straggler
 environment" into a *named scenario* that experiments can sweep over:
 
-* a **registry** maps a scenario name to a builder producing a
-  :class:`~repro.cluster.speed_models.SpeedModel` for ``(n_workers, seed)``
-  plus declared default parameters;
-* :func:`scenario_speed_model` builds the single-trial model,
-  :func:`scenario_batch` stacks per-trial-seeded models into the
-  ``(trials, workers)`` batch form the batched simulators consume —
-  the same scenario therefore drives the scalar *and* the batched paths;
+* a **registry** maps a scenario name to a builder plus declared default
+  parameters;
+* :func:`scenario_batch` draws a scenario's ``(seed)`` rows through one
+  :class:`~repro.cluster.speed_models.SpeedDraws` surface — the
+  ``(rows, workers, rounds)`` tensors the batched simulators read — and
+  :func:`scenario_speed_model` is its one-row view, the single-trial
+  :class:`~repro.cluster.speed_models.SpeedModel`; row ``t`` of a batch
+  is bit for bit the single-trial model seeded ``seeds[t]``;
 * scenario names are plain strings, so a scenario is directly usable as a
   :class:`~repro.engine.plan.SweepSpec` axis value (JSON-serialisable,
   picklable across the process pool) and from the CLI
   (``python -m repro scenarios`` lists the registry).
+
+The built-ins draw lazily, only the rounds that are read: each row's
+per-round uniforms or normals come from one bulk call on the row's own
+generator per extension — the same bits, in the same order, as stepping
+a per-trial model round by round — and the arithmetic runs across all
+rows at once.  ``traces`` steps each row (a regime switch draws a
+data-dependent number of levels) but generates only the steps a run
+reads, wrapping at ``horizon``.  Building a scenario validates its
+parameters and draws nothing.
+
+A scenario registered with :func:`register_scenario` builds one
+per-trial model per seed — typically a :class:`GeneratedSpeeds`
+subclass, which only defines ``_step`` — and goes through the same
+surface, one ``speeds(i)`` per row and round
+(:class:`~repro.cluster.speed_models.StackedSpeeds`).
 
 Because the built-in generators are part of the ``repro`` package, editing
 one already invalidates the sweep cache via the package source digest;
@@ -24,15 +40,6 @@ one already invalidates the sweep cache via the package source digest;
 (scenarios defined in user code) so
 :class:`~repro.engine.runner.ExecutionEngine` never serves a cached cell
 computed under a different registry.
-
-Scenario processes built on :class:`GeneratedSpeeds` (or trace replay)
-support **random access**: ``speeds(iteration)`` memoises the generated
-draws, so earlier iterations can be re-queried (predictors and sweep
-cells interleave reads) and a given ``(scenario, seed)`` pair always
-replays the identical trajectory.  The one exception is ``controlled``,
-which wraps the strictly sequential
-:class:`~repro.cluster.speed_models.ControlledSpeeds` — create a fresh
-model to replay it.
 
 See ``docs/scenarios.md`` for the authoring guide and the paper phenomenon
 each built-in models.
@@ -53,11 +60,11 @@ from repro._util import (
     check_probability,
 )
 from repro.cluster.speed_models import (
-    ConstantSpeeds,
-    ControlledSpeeds,
+    ControlledDraws,
+    SeededDraws,
+    SpeedDraws,
     SpeedModel,
     StackedSpeeds,
-    TraceSpeeds,
 )
 from repro.prediction.traces import (
     BURSTY,
@@ -65,7 +72,8 @@ from repro.prediction.traces import (
     STABLE,
     VOLATILE,
     TraceConfig,
-    generate_speed_traces,
+    advance_traces,
+    initial_levels,
 )
 
 __all__ = [
@@ -77,14 +85,11 @@ __all__ = [
     "scenario_batch",
     "registry_digest",
     "GeneratedSpeeds",
-    "BurstySpeeds",
-    "MarkovOnOffSpeeds",
-    "RackSlowdownSpeeds",
-    "SpotPreemptionSpeeds",
-    "LinkDegradedSpeeds",
-    "NetworkSlowSpeeds",
-    "RackCongestSpeeds",
-    "LinkBurstySpeeds",
+    "ConstantDraws",
+    "DipDraws",
+    "MarkovDraws",
+    "NetSlowDraws",
+    "TracesDraws",
     "TRACE_PRESETS",
 ]
 
@@ -108,7 +113,9 @@ class ScenarioSpec:
         The phenomenon (and paper section, where applicable) the scenario
         reproduces.
     builder:
-        ``builder(n_workers=..., seed=..., **params) -> SpeedModel``.
+        ``builder(n_workers=..., seed=..., **params) -> SpeedModel``, or
+        with ``batched``, ``builder(n_workers=..., seeds=..., **params)
+        -> SpeedDraws``.
     defaults:
         Declared ``(param, value)`` defaults; overrides outside this set
         are rejected, keeping sweep axes typo-safe.
@@ -117,17 +124,38 @@ class ScenarioSpec:
         the resolved composition tree; ``None`` for base scenarios.  The
         digest of a composed spec hashes this structure plus the digests
         of every scenario it is built from, recursively.
+    batched:
+        Whether ``builder`` draws all rows of a batch at once (the
+        built-in and composed scenarios).
     """
 
     name: str
     summary: str
     models: str
-    builder: Callable[..., SpeedModel]
+    builder: Callable[..., Any]
     defaults: tuple[tuple[str, Any], ...] = ()
     compose: Any = None
+    batched: bool = False
 
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
+
+
+def _registrar(name: str, summary: str, models: str, batched: bool, defaults):
+    def decorator(builder: Callable[..., Any]):
+        if name in _REGISTRY:
+            raise ValueError(f"scenario {name!r} already registered")
+        _REGISTRY[name] = ScenarioSpec(
+            name=name,
+            summary=summary,
+            models=models,
+            builder=builder,
+            defaults=tuple(sorted(defaults.items())),
+            batched=batched,
+        )
+        return builder
+
+    return decorator
 
 
 def register_scenario(
@@ -139,20 +167,12 @@ def register_scenario(
     default values — the only keyword overrides
     :func:`scenario_speed_model` will accept.
     """
+    return _registrar(name, summary, models, False, defaults)
 
-    def decorator(builder: Callable[..., SpeedModel]):
-        if name in _REGISTRY:
-            raise ValueError(f"scenario {name!r} already registered")
-        _REGISTRY[name] = ScenarioSpec(
-            name=name,
-            summary=summary,
-            models=models,
-            builder=builder,
-            defaults=tuple(sorted(defaults.items())),
-        )
-        return builder
 
-    return decorator
+def _builtin(name: str, summary: str, models: str, **defaults: Any):
+    """Register a built-in ``builder(n_workers, seeds, **params) -> SpeedDraws``."""
+    return _registrar(name, summary, models, True, defaults)
 
 
 def available_scenarios() -> tuple[str, ...]:
@@ -169,7 +189,9 @@ def get_scenario(name: str) -> ScenarioSpec:
     registration, so composed names work anywhere a base name does — CLI
     flags, sweep axes, and pool worker processes, which never see runtime
     registrations.  Malformed or unknown expressions raise the same
-    registry-listing ``KeyError`` shape as a plain miss.
+    registry-listing ``KeyError`` shape as a plain miss; a parameter value
+    of the wrong type (``controlled(slowdown=nan)`` parses ``nan`` as a
+    name) raises ``ValueError``.
     """
     try:
         return _REGISTRY[name]
@@ -185,10 +207,47 @@ def get_scenario(name: str) -> ScenarioSpec:
     )
 
 
-def scenario_speed_model(
-    name: str, n_workers: int, seed: int | None = 0, **overrides: Any
-) -> SpeedModel:
-    """Build the named scenario's single-trial speed model."""
+def _check_override(scenario: str, owner: str, key: str, value: Any, default: Any):
+    """Reject a parameter value whose type does not match its default's.
+
+    Ints are acceptable where floats are declared (3 == 3.0); a string
+    is acceptable only where a string is declared.
+    """
+    if isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    elif isinstance(default, (int, float)) and not isinstance(default, bool):
+        whole = isinstance(default, int)
+        kind = "an int" if whole else "a number"
+        allowed = (int, np.integer) if whole else (int, float, np.integer, np.floating)
+        ok = isinstance(value, allowed) and not isinstance(value, bool)
+    else:
+        return
+    if not ok:
+        where = "" if owner == scenario else f"{owner!r} "
+        raise ValueError(
+            f"scenario {scenario!r}: {where}parameter {key!r} expects {kind}, "
+            f"got {value!r}"
+        )
+
+
+def _declared(spec: ScenarioSpec) -> dict[str, Any]:
+    """The defaults a spec's parameters were declared with.
+
+    A composed spec's defaults are the values its expression spells
+    (``controlled(slowdown=5)`` holds an int), so its overrides are
+    checked against the combinator's or base scenario's declaration.
+    """
+    node = spec.compose
+    if node is None:
+        return dict(spec.defaults)
+    if node.kind == "combinator":
+        from repro.cluster.compose import get_combinator
+
+        return dict(get_combinator(node.name).defaults)
+    return _declared(get_scenario(node.name))
+
+
+def _resolved(name: str, overrides: dict[str, Any]):
     spec = get_scenario(name)
     params = dict(spec.defaults)
     unknown = set(overrides) - set(params)
@@ -197,24 +256,39 @@ def scenario_speed_model(
             f"scenario {name!r} has no parameter(s) {sorted(unknown)}; "
             f"tunable: {sorted(params)}"
         )
+    declared = _declared(spec) if overrides else {}
+    for key, value in overrides.items():
+        _check_override(name, name, key, value, declared[key])
     params.update(overrides)
+    return spec, params
+
+
+def scenario_speed_model(
+    name: str, n_workers: int, seed: int | None = 0, **overrides: Any
+) -> SpeedModel:
+    """Build the named scenario's single-trial speed model (a one-row view)."""
+    spec, params = _resolved(name, overrides)
+    if spec.batched:
+        return spec.builder(n_workers=n_workers, seeds=(seed,), **params).row(0)
     return spec.builder(n_workers=n_workers, seed=seed, **params)
 
 
 def scenario_batch(
     name: str, n_workers: int, seeds: Sequence[int], **overrides: Any
-) -> StackedSpeeds:
-    """Stack one per-seed model per trial into the batch speed form.
+) -> SpeedDraws:
+    """The named scenario's draw surface, one row per entry of ``seeds``.
 
-    Trial ``t`` replays exactly what ``scenario_speed_model(name,
-    n_workers, seeds[t])`` would produce — the property the batched-vs-loop
-    equivalence tests rely on.
+    Row ``t`` replays exactly what ``scenario_speed_model(name,
+    n_workers, seeds[t])`` would produce — the property the
+    batched-vs-loop equivalence tests rely on.  Nothing is drawn until a
+    round is read.
     """
+    spec, params = _resolved(name, overrides)
+    seeds = tuple(seeds)
+    if spec.batched:
+        return spec.builder(n_workers=n_workers, seeds=seeds, **params)
     return StackedSpeeds(
-        tuple(
-            scenario_speed_model(name, n_workers, seed=s, **overrides)
-            for s in seeds
-        )
+        [spec.builder(n_workers=n_workers, seed=s, **params) for s in seeds]
     )
 
 
@@ -267,12 +341,12 @@ def registry_digest() -> str:
 
 @dataclass
 class GeneratedSpeeds:
-    """Base class: seeded iteration-by-iteration generation with replay.
+    """Base class of user scenarios: seeded round-by-round generation with replay.
 
     Subclasses implement :meth:`_step` drawing one ``(n_workers,)`` speed
     vector from ``self._rng``; draws are memoised so any iteration can be
-    re-queried (unlike :class:`~repro.cluster.speed_models.ControlledSpeeds`,
-    which is strictly sequential).
+    re-queried.  A batch of such models is read one ``_step`` per row and
+    round; the built-in scenarios draw whole blocks of rounds instead.
     """
 
     n_workers: int
@@ -301,274 +375,173 @@ class GeneratedSpeeds:
         raise NotImplementedError
 
 
-@dataclass
-class BurstySpeeds(GeneratedSpeeds):
-    """Transient, memoryless co-tenant bursts (deep one-iteration dips).
-
-    Every worker independently dips to ``dip_depth`` of its speed with
-    probability ``dip_prob`` per iteration; undipped speeds carry a uniform
-    ``[1 - jitter, 1]`` wobble.  Models the short interference bursts of
-    shared cloud instances (the ``dip_prob`` / ``dip_depth`` knobs of the
-    paper's trace generator, isolated from regime drift).
-    """
-
-    dip_prob: float = 0.08
-    dip_depth: float = 0.25
-    jitter: float = 0.1
-
-    def _validate(self) -> None:
-        check_probability(self.dip_prob, "dip_prob")
-        if not 0 < self.dip_depth <= 1:
-            raise ValueError("dip_depth must be in (0, 1]")
-        if not 0 <= self.jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
-
-    def _step(self, iteration: int) -> np.ndarray:
-        level = 1.0 - self.jitter * self._rng.random(self.n_workers)
-        dips = self._rng.random(self.n_workers) < self.dip_prob
-        return np.where(dips, level * self.dip_depth, level)
+def _unit_factors(factors: np.ndarray):
+    """A network scenario's ``_block``: unit speeds, ``factors`` on every link."""
+    return np.ones_like(factors), factors, np.ones(factors.shape[:2], dtype=bool)
 
 
-@dataclass
-class MarkovOnOffSpeeds(GeneratedSpeeds):
-    """Per-worker two-state (fast/slow) Markov chain.
+class ConstantDraws(SeededDraws):
+    """``constant``: each row's speeds ``1 - spread·U[0, 1)``, drawn once."""
 
-    A fast worker enters the slow state with probability ``slow_prob`` per
-    iteration and recovers with probability ``recover_prob``; slow workers
-    run at ``slow_speed``.  Geometric sojourn times make this the minimal
-    model of *persistent-but-finite* stragglers (the paper's §7.1
-    stragglers are the ``recover_prob → 0`` limit), with stationary slow
-    fraction ``slow_prob / (slow_prob + recover_prob)``.
-    """
+    def __init__(self, n_workers: int, seeds: Sequence, spread: float):
+        if not 0 <= spread < 1:
+            raise ValueError("spread must be in [0, 1)")
+        super().__init__(n_workers, seeds)
+        self.spread = spread
+        self._values: np.ndarray | None = None
 
-    slow_prob: float = 0.05
-    recover_prob: float = 0.3
-    slow_speed: float = 0.2
-    _slow: np.ndarray = field(init=False, repr=False)
-
-    def _validate(self) -> None:
-        check_probability(self.slow_prob, "slow_prob")
-        check_probability(self.recover_prob, "recover_prob")
-        if not 0 < self.slow_speed <= 1:
-            raise ValueError("slow_speed must be in (0, 1]")
-        self._slow = np.zeros(self.n_workers, dtype=bool)
-
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_workers)
-        self._slow = np.where(
-            self._slow, u >= self.recover_prob, u < self.slow_prob
-        )
-        return np.where(self._slow, self.slow_speed, 1.0)
-
-
-@dataclass
-class RackSlowdownSpeeds(GeneratedSpeeds):
-    """Correlated rack-level slowdowns (shared ToR switch / power event).
-
-    Workers are split into ``n_racks`` contiguous racks; each *rack* runs
-    the two-state Markov chain of :class:`MarkovOnOffSpeeds`, so all
-    workers of an affected rack slow to ``slow_speed`` together.
-    Correlated straggling is the adversarial case for coded computation —
-    a whole rack can exceed ``n - k`` — and is invisible to per-worker
-    scenario models.
-    """
-
-    n_racks: int = 3
-    slow_prob: float = 0.05
-    recover_prob: float = 0.25
-    slow_speed: float = 0.25
-    _slow: np.ndarray = field(init=False, repr=False)
-    _rack_of: np.ndarray = field(init=False, repr=False)
-
-    def _validate(self) -> None:
-        check_positive_int(self.n_racks, "n_racks")
-        if self.n_racks > self.n_workers:
-            raise ValueError("n_racks must be <= n_workers")
-        check_probability(self.slow_prob, "slow_prob")
-        check_probability(self.recover_prob, "recover_prob")
-        if not 0 < self.slow_speed <= 1:
-            raise ValueError("slow_speed must be in (0, 1]")
-        self._slow = np.zeros(self.n_racks, dtype=bool)
-        self._rack_of = (
-            np.arange(self.n_workers) * self.n_racks // self.n_workers
-        )
-
-    @property
-    def rack_of(self) -> np.ndarray:
-        """Worker → rack index map (contiguous, near-even racks)."""
-        return self._rack_of.copy()
-
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_racks)
-        self._slow = np.where(
-            self._slow, u >= self.recover_prob, u < self.slow_prob
-        )
-        return np.where(self._slow[self._rack_of], self.slow_speed, 1.0)
-
-
-@dataclass
-class SpotPreemptionSpeeds(GeneratedSpeeds):
-    """Spot/preemptible instances: near-total loss, later replacement.
-
-    A worker is preempted with probability ``preempt_prob`` per iteration;
-    a preempted slot crawls at ``floor`` speed (the simulators require
-    positive speeds — ``floor`` makes the worker *effectively* dead, which
-    is exactly what the §4.3 timeout repair and the conventional-code
-    n−k slack are there to absorb) until a replacement arrives with
-    probability ``restore_prob`` per iteration at full speed.
-    """
-
-    preempt_prob: float = 0.03
-    restore_prob: float = 0.2
-    floor: float = 0.02
-    _down: np.ndarray = field(init=False, repr=False)
-
-    def _validate(self) -> None:
-        check_probability(self.preempt_prob, "preempt_prob")
-        check_probability(self.restore_prob, "restore_prob")
-        if not 0 < self.floor < 1:
-            raise ValueError("floor must be in (0, 1)")
-        self._down = np.zeros(self.n_workers, dtype=bool)
-
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_workers)
-        self._down = np.where(
-            self._down, u >= self.restore_prob, u < self.preempt_prob
-        )
-        return np.where(self._down, self.floor, 1.0)
-
-
-@dataclass
-class LinkDegradedSpeeds(GeneratedSpeeds):
-    """Base class for *network* scenarios: healthy compute, degraded links.
-
-    Compute speeds are exactly ``1.0`` every iteration — the closed-form
-    simulator sees a no-straggler environment — while
-    :meth:`link_factors` exposes a seeded per-worker process of effective
-    link-bandwidth multipliers (``1.0`` healthy, ``< 1`` congested) that
-    only the event backend (:mod:`repro.cluster.events`) consumes.  Factor
-    draws are memoised independently of speed draws, so interleaved
-    ``speeds``/``link_factors`` queries replay identically and the RNG is
-    consumed by the factor process alone.
-    """
-
-    _factor_history: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._factor_history = []
-
-    def _step(self, iteration: int) -> np.ndarray:
-        return np.ones(self.n_workers)
-
-    def link_factors(self, iteration: int) -> np.ndarray:
-        """Per-worker link factors for ``iteration`` (memoised replay)."""
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        while len(self._factor_history) <= iteration:
-            self._factor_history.append(
-                self._factor_step(len(self._factor_history))
+    def _block(self, start: int, stop: int):
+        if self._values is None:
+            # 1 - 0·u is exactly 1.0, so no spread needs no generator.
+            self._values = (
+                np.ones((self.n_trials, self.n_workers))
+                if self.spread == 0
+                else 1.0 - self.spread * self._uniform(self.n_workers)
             )
-        return self._factor_history[iteration].copy()
-
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        raise NotImplementedError
+        shape = (stop - start, *self._values.shape)
+        return np.broadcast_to(self._values, shape).copy(), None, None
 
 
-@dataclass
-class NetworkSlowSpeeds(LinkDegradedSpeeds):
-    """Persistent per-worker link degradation (``netslow``).
+class DipDraws(SeededDraws):
+    """Memoryless one-round dips: ``bursty`` speeds, or ``linkbursty`` links.
 
-    ``num_slow`` workers — drawn once per seed — run their links at
-    ``1/slowdown`` for the whole run: the network twin of the paper's
-    persistent compute stragglers (an oversubscribed NIC or a flaky cable
-    instead of a slow core).
+    Every worker independently dips to ``dip_depth`` with probability
+    ``dip_prob`` per round.  Speeds (``links`` unset) carry a uniform
+    ``[1 - jitter, 1]`` wobble, drawn before the dips; link factors
+    (``links`` set) are ``1.0`` when undipped.
     """
 
-    num_slow: int = 2
-    slowdown: float = 4.0
-    _slow_links: np.ndarray | None = field(
-        init=False, repr=False, default=None
-    )
-
-    def _validate(self) -> None:
-        if not isinstance(self.num_slow, (int, np.integer)) or self.num_slow < 0:
-            raise ValueError(f"num_slow must be an int >= 0, got {self.num_slow!r}")
-        if self.num_slow > self.n_workers:
-            raise ValueError("num_slow must be <= n_workers")
-        if self.slowdown < 1:
-            raise ValueError("slowdown must be >= 1")
-
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        if self._slow_links is None:
-            slow = self._rng.permutation(self.n_workers)[: self.num_slow]
-            mask = np.zeros(self.n_workers, dtype=bool)
-            mask[slow] = True
-            self._slow_links = mask
-        return np.where(self._slow_links, 1.0 / self.slowdown, 1.0)
-
-
-@dataclass
-class RackCongestSpeeds(LinkDegradedSpeeds):
-    """Rack-correlated Markov link congestion (``rackcongest``).
-
-    Each of ``n_racks`` contiguous racks enters a congested state with
-    probability ``congest_prob`` per iteration and recovers with
-    ``recover_prob``; every worker of a congested rack sees its link run
-    at ``1/slowdown``.  The network twin of :class:`RackSlowdownSpeeds` —
-    a saturated ToR uplink slows a whole rack's transfers together.
-    """
-
-    n_racks: int = 3
-    congest_prob: float = 0.08
-    recover_prob: float = 0.3
-    slowdown: float = 4.0
-    _congested: np.ndarray = field(init=False, repr=False)
-    _rack_of: np.ndarray = field(init=False, repr=False)
-
-    def _validate(self) -> None:
-        check_positive_int(self.n_racks, "n_racks")
-        if self.n_racks > self.n_workers:
-            raise ValueError("n_racks must be <= n_workers")
-        check_probability(self.congest_prob, "congest_prob")
-        check_probability(self.recover_prob, "recover_prob")
-        if self.slowdown < 1:
-            raise ValueError("slowdown must be >= 1")
-        self._congested = np.zeros(self.n_racks, dtype=bool)
-        self._rack_of = (
-            np.arange(self.n_workers) * self.n_racks // self.n_workers
-        )
-
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_racks)
-        self._congested = np.where(
-            self._congested, u >= self.recover_prob, u < self.congest_prob
-        )
-        return np.where(
-            self._congested[self._rack_of], 1.0 / self.slowdown, 1.0
-        )
-
-
-@dataclass
-class LinkBurstySpeeds(LinkDegradedSpeeds):
-    """Memoryless per-worker link dips (``linkbursty``).
-
-    Every worker's link independently dips to ``dip_depth`` of its
-    bandwidth with probability ``dip_prob`` per iteration — transient
-    cross-traffic bursts, the network twin of :class:`BurstySpeeds`.
-    """
-
-    dip_prob: float = 0.1
-    dip_depth: float = 0.2
-
-    def _validate(self) -> None:
-        check_probability(self.dip_prob, "dip_prob")
-        if not 0 < self.dip_depth <= 1:
+    def __init__(
+        self,
+        n_workers: int,
+        seeds: Sequence,
+        dip_prob: float,
+        dip_depth: float,
+        jitter: float = 0.0,
+        links: bool = False,
+    ):
+        check_probability(dip_prob, "dip_prob")
+        if not 0 < dip_depth <= 1:
             raise ValueError("dip_depth must be in (0, 1]")
+        if not 0 <= jitter < 1:
+            raise ValueError("jitter must be in [0, 1)")
+        super().__init__(n_workers, seeds, links)
+        self.dip_prob, self.dip_depth, self.jitter = dip_prob, dip_depth, jitter
 
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        dips = self._rng.random(self.n_workers) < self.dip_prob
-        return np.where(dips, self.dip_depth, 1.0)
+    def _block(self, start: int, stop: int):
+        if self.links:
+            dipped = self._uniform(stop - start, self.n_workers) < self.dip_prob
+            return _unit_factors(
+                np.where(dipped.transpose(1, 0, 2), self.dip_depth, 1.0)
+            )
+        u = self._uniform(stop - start, 2, self.n_workers).transpose(1, 2, 0, 3)
+        level = 1.0 - self.jitter * u[:, 0]
+        dipped = u[:, 1] < self.dip_prob
+        return np.where(dipped, level * self.dip_depth, level), None, None
+
+
+class MarkovDraws(SeededDraws):
+    """Two-state Markov chains: ``markov``/``rack``/``spot``/``rackcongest``.
+
+    One chain per worker — or per rack, when ``n_racks`` splits the
+    workers into contiguous near-even racks that slow together.  A chain
+    enters its slow state with probability ``enter_prob`` per round and
+    leaves it with ``leave_prob``; the workers of a slow chain run at
+    ``slow`` (their speed, or with ``links`` their link factor).
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        seeds: Sequence,
+        enter_prob: float,
+        leave_prob: float,
+        slow: float,
+        n_racks: int | None = None,
+        links: bool = False,
+    ):
+        super().__init__(n_workers, seeds, links)
+        units = n_workers if n_racks is None else n_racks
+        self.enter_prob, self.leave_prob, self.slow = enter_prob, leave_prob, slow
+        self._unit_of = np.arange(n_workers) * units // n_workers
+        self._state = np.zeros((self.n_trials, units), dtype=bool)
+
+    def _block(self, start: int, stop: int):
+        u = self._uniform(stop - start, self._state.shape[1])
+        chains = np.empty((stop - start, *self._state.shape), dtype=bool)
+        state = self._state
+        for j in range(stop - start):
+            stays, enters = u[:, j] >= self.leave_prob, u[:, j] < self.enter_prob
+            state = np.where(state, stays, enters)
+            chains[j] = state
+        self._state = state
+        values = np.where(chains[:, :, self._unit_of], self.slow, 1.0)
+        return _unit_factors(values) if self.links else (values, None, None)
+
+
+class NetSlowDraws(SeededDraws):
+    """``netslow``: ``num_slow`` links per row run at ``1/slowdown`` all run.
+
+    Each row picks its slow links once, by one ``permutation`` of its
+    workers — the network twin of the persistent compute stragglers.
+    """
+
+    def __init__(self, n_workers: int, seeds: Sequence, num_slow: int, slowdown: float):
+        if not isinstance(num_slow, (int, np.integer)) or num_slow < 0:
+            raise ValueError(f"num_slow must be an int >= 0, got {num_slow!r}")
+        if num_slow > n_workers:
+            raise ValueError("num_slow must be <= n_workers")
+        super().__init__(n_workers, seeds, links=True)
+        self.num_slow, self.slowdown = num_slow, _checked_slowdown(slowdown)
+        self._row_factors: np.ndarray | None = None
+
+    def _block(self, start: int, stop: int):
+        if self._row_factors is None:
+            mask = np.zeros((self.n_trials, self.n_workers), dtype=bool)
+            for rng, row in zip(self.rngs, mask):
+                row[rng.permutation(self.n_workers)[: self.num_slow]] = True
+            self._row_factors = np.where(mask, 1.0 / self.slowdown, 1.0)
+        shape = (stop - start, *self._row_factors.shape)
+        return _unit_factors(np.broadcast_to(self._row_factors, shape).copy())
+
+
+class TracesDraws(SeededDraws):
+    """``traces``: regime-switching cloud traces, generated as far as read.
+
+    Round ``i`` replays trace step ``i % horizon``; steps are generated
+    on demand (:func:`~repro.prediction.traces.advance_traces`), so a run
+    that reads 8 rounds generates 8 steps, bit for bit the first 8
+    columns of the ``(n_workers, horizon)`` trace.
+    """
+
+    def __init__(
+        self, n_workers: int, seeds: Sequence, config: TraceConfig, horizon: int
+    ):
+        check_positive_int(horizon, "horizon")
+        super().__init__(n_workers, seeds)
+        self.config, self.horizon = config, horizon
+        self._levels: np.ndarray | None = None
+        self._noise = np.zeros((self.n_trials, n_workers))
+
+    def _block(self, start: int, stop: int):
+        fresh = max(min(stop, self.horizon) - start, 0)
+        if fresh and self._levels is None:
+            self._levels = initial_levels(self.rngs, self.n_workers, self.config)
+        steps = np.concatenate(
+            [
+                self._speeds[: self.horizon],
+                advance_traces(
+                    self.rngs, self.config, self._levels, self._noise, fresh
+                ),
+            ]
+        )
+        return steps[np.arange(start, stop) % self.horizon], None, None
+
+
+def _checked_slowdown(slowdown: float) -> float:
+    if not 1 <= slowdown < np.inf:
+        raise ValueError(f"slowdown must be finite and >= 1, got {slowdown}")
+    return slowdown
 
 
 #: Named presets for the ``traces`` scenario, mapping to the calibrated
@@ -586,20 +559,17 @@ TRACE_PRESETS: dict[str, TraceConfig] = {
 # ---------------------------------------------------------------------------
 
 
-@register_scenario(
+@_builtin(
     "constant",
     "fixed (optionally heterogeneous) speeds every iteration",
     models="no-straggler control; spread>0 adds static heterogeneity",
     spread=0.0,
 )
-def _build_constant(n_workers: int, seed: int | None, spread: float):
-    if not 0 <= spread < 1:
-        raise ValueError("spread must be in [0, 1)")
-    rng = as_rng(seed)
-    return ConstantSpeeds(1.0 - spread * rng.random(n_workers))
+def _build_constant(n_workers: int, seeds, spread: float):
+    return ConstantDraws(n_workers, seeds, spread)
 
 
-@register_scenario(
+@_builtin(
     "controlled",
     "persistent >=5x stragglers plus +/-20% AR(1) jitter",
     models="the paper's controlled cluster (paper section 7.1)",
@@ -608,22 +578,18 @@ def _build_constant(n_workers: int, seed: int | None, spread: float):
     jitter=0.2,
 )
 def _build_controlled(
-    n_workers: int,
-    seed: int | None,
-    num_stragglers: int,
-    slowdown: float,
-    jitter: float,
+    n_workers: int, seeds, num_stragglers: int, slowdown: float, jitter: float
 ):
-    return ControlledSpeeds(
+    return ControlledDraws(
         n_workers,
+        seeds,
         num_stragglers=num_stragglers,
         slowdown=slowdown,
         jitter=jitter,
-        seed=seed,
     )
 
 
-@register_scenario(
+@_builtin(
     "bursty",
     "memoryless one-iteration co-tenant dips",
     models="transient interference bursts (paper section 3.2 dips)",
@@ -632,18 +598,12 @@ def _build_controlled(
     jitter=0.1,
 )
 def _build_bursty(
-    n_workers: int,
-    seed: int | None,
-    dip_prob: float,
-    dip_depth: float,
-    jitter: float,
+    n_workers: int, seeds, dip_prob: float, dip_depth: float, jitter: float
 ):
-    return BurstySpeeds(
-        n_workers, seed=seed, dip_prob=dip_prob, dip_depth=dip_depth, jitter=jitter
-    )
+    return DipDraws(n_workers, seeds, dip_prob, dip_depth, jitter)
 
 
-@register_scenario(
+@_builtin(
     "markov",
     "per-worker fast/slow Markov chain (geometric straggle spells)",
     models="persistent-but-finite stragglers (paper section 7.1 generalised)",
@@ -652,24 +612,15 @@ def _build_bursty(
     slowdown=5.0,
 )
 def _build_markov(
-    n_workers: int,
-    seed: int | None,
-    slow_prob: float,
-    recover_prob: float,
-    slowdown: float,
+    n_workers: int, seeds, slow_prob: float, recover_prob: float, slowdown: float
 ):
-    if slowdown < 1:
-        raise ValueError("slowdown must be >= 1")
-    return MarkovOnOffSpeeds(
-        n_workers,
-        seed=seed,
-        slow_prob=slow_prob,
-        recover_prob=recover_prob,
-        slow_speed=1.0 / slowdown,
-    )
+    check_probability(slow_prob, "slow_prob")
+    check_probability(recover_prob, "recover_prob")
+    slow = 1.0 / _checked_slowdown(slowdown)
+    return MarkovDraws(n_workers, seeds, slow_prob, recover_prob, slow)
 
 
-@register_scenario(
+@_builtin(
     "rack",
     "correlated rack-level slowdown (whole racks straggle together)",
     models="shared ToR-switch / power events; adversarial for n-k slack",
@@ -680,25 +631,26 @@ def _build_markov(
 )
 def _build_rack(
     n_workers: int,
-    seed: int | None,
+    seeds,
     n_racks: int,
     slow_prob: float,
     recover_prob: float,
     slowdown: float,
 ):
-    if slowdown < 1:
-        raise ValueError("slowdown must be >= 1")
-    return RackSlowdownSpeeds(
-        n_workers,
-        seed=seed,
-        n_racks=n_racks,
-        slow_prob=slow_prob,
-        recover_prob=recover_prob,
-        slow_speed=1.0 / slowdown,
-    )
+    _check_racks(n_racks, n_workers)
+    check_probability(slow_prob, "slow_prob")
+    check_probability(recover_prob, "recover_prob")
+    slow = 1.0 / _checked_slowdown(slowdown)
+    return MarkovDraws(n_workers, seeds, slow_prob, recover_prob, slow, n_racks)
 
 
-@register_scenario(
+def _check_racks(n_racks: int, n_workers: int) -> None:
+    check_positive_int(n_racks, "n_racks")
+    if n_racks > n_workers:
+        raise ValueError("n_racks must be <= n_workers")
+
+
+@_builtin(
     "spot",
     "spot-instance preemption with delayed replacement",
     models="preemptible VMs: near-dead slots until a replacement arrives",
@@ -707,31 +659,23 @@ def _build_rack(
     floor=0.02,
 )
 def _build_spot(
-    n_workers: int,
-    seed: int | None,
-    preempt_prob: float,
-    restore_prob: float,
-    floor: float,
+    n_workers: int, seeds, preempt_prob: float, restore_prob: float, floor: float
 ):
-    return SpotPreemptionSpeeds(
-        n_workers,
-        seed=seed,
-        preempt_prob=preempt_prob,
-        restore_prob=restore_prob,
-        floor=floor,
-    )
+    check_probability(preempt_prob, "preempt_prob")
+    check_probability(restore_prob, "restore_prob")
+    if not 0 < floor < 1:
+        raise ValueError("floor must be in (0, 1)")
+    return MarkovDraws(n_workers, seeds, preempt_prob, restore_prob, floor)
 
 
-@register_scenario(
+@_builtin(
     "traces",
     "regime-switching cloud trace replay (stable/volatile/bursty/measured)",
     models="the paper's measured cloud environments (paper section 3.2, 7.2)",
     preset="volatile",
     horizon=64,
 )
-def _build_traces(
-    n_workers: int, seed: int | None, preset: str, horizon: int
-):
+def _build_traces(n_workers: int, seeds, preset: str, horizon: int):
     try:
         config = TRACE_PRESETS[preset]
     except KeyError:
@@ -739,11 +683,10 @@ def _build_traces(
             f"unknown trace preset {preset!r}; available: "
             f"{', '.join(sorted(TRACE_PRESETS))}"
         ) from None
-    check_positive_int(horizon, "horizon")
-    return TraceSpeeds(generate_speed_traces(n_workers, horizon, config, seed=seed))
+    return TracesDraws(n_workers, seeds, config, horizon)
 
 
-@register_scenario(
+@_builtin(
     "netslow",
     "persistent per-worker link slowdown; compute stays healthy",
     models="oversubscribed NICs / flaky cables — event backend only "
@@ -751,15 +694,11 @@ def _build_traces(
     num_slow=2,
     slowdown=4.0,
 )
-def _build_netslow(
-    n_workers: int, seed: int | None, num_slow: int, slowdown: float
-):
-    return NetworkSlowSpeeds(
-        n_workers, seed=seed, num_slow=num_slow, slowdown=slowdown
-    )
+def _build_netslow(n_workers: int, seeds, num_slow: int, slowdown: float):
+    return NetSlowDraws(n_workers, seeds, num_slow, slowdown)
 
 
-@register_scenario(
+@_builtin(
     "rackcongest",
     "rack-correlated Markov link congestion (whole racks' transfers stall)",
     models="saturated ToR uplinks — event backend only (closed form sees "
@@ -771,23 +710,22 @@ def _build_netslow(
 )
 def _build_rackcongest(
     n_workers: int,
-    seed: int | None,
+    seeds,
     n_racks: int,
     congest_prob: float,
     recover_prob: float,
     slowdown: float,
 ):
-    return RackCongestSpeeds(
-        n_workers,
-        seed=seed,
-        n_racks=n_racks,
-        congest_prob=congest_prob,
-        recover_prob=recover_prob,
-        slowdown=slowdown,
+    _check_racks(n_racks, n_workers)
+    check_probability(congest_prob, "congest_prob")
+    check_probability(recover_prob, "recover_prob")
+    factor = 1.0 / _checked_slowdown(slowdown)
+    return MarkovDraws(
+        n_workers, seeds, congest_prob, recover_prob, factor, n_racks, links=True
     )
 
 
-@register_scenario(
+@_builtin(
     "linkbursty",
     "memoryless one-iteration link-bandwidth dips",
     models="transient cross-traffic bursts — event backend only (closed "
@@ -795,9 +733,5 @@ def _build_rackcongest(
     dip_prob=0.1,
     dip_depth=0.2,
 )
-def _build_linkbursty(
-    n_workers: int, seed: int | None, dip_prob: float, dip_depth: float
-):
-    return LinkBurstySpeeds(
-        n_workers, seed=seed, dip_prob=dip_prob, dip_depth=dip_depth
-    )
+def _build_linkbursty(n_workers: int, seeds, dip_prob: float, dip_depth: float):
+    return DipDraws(n_workers, seeds, dip_prob, dip_depth, links=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import StackedSpeeds, TraceSpeeds
+from repro.cluster.speed_models import ReplaySpeeds
 from repro.engine import (
     ExecutionEngine,
     SweepContext,
@@ -197,7 +197,7 @@ def _compute_cloud_cell(environment: str, ctx: SweepContext) -> dict:
     # policy × scenario matrix sweeps too; the suite keeps its own trace
     # replay and trained-LSTM forecaster via the runners' `run_batch`.
     over = build_policy("overdecomp", N_WORKERS, MDS_K).run_batch(
-        StackedSpeeds([TraceSpeeds(tr) for tr in traces]),
+        ReplaySpeeds(np.stack(traces)),
         _warmed_batch_predictor(lstm, histories, N_WORKERS),
         rows=rows,
         cols=cols,
@@ -213,7 +213,7 @@ def _compute_cloud_cell(environment: str, ctx: SweepContext) -> dict:
             (f"s2c2-{n}-{MDS_K}", "timeout-repair"),
         ):
             metrics = build_policy(policy_name, n, MDS_K).run_batch(
-                StackedSpeeds([TraceSpeeds(tr[:n]) for tr in traces]),
+                ReplaySpeeds(np.stack([tr[:n] for tr in traces])),
                 _warmed_batch_predictor(lstm, histories, n),
                 rows=rows,
                 cols=cols,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
+from repro.cluster.speed_models import ControlledDraws
 from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
 from repro.prediction.predictor import BatchLastValuePredictor
@@ -33,14 +33,14 @@ STRATEGIES = ("uncoded-3rep", "mds-12-10", "mds-12-9")
 
 
 def _speeds(
-    stragglers: int, seed: int, ids: tuple[int, ...] | None = None
-) -> ControlledSpeeds:
-    return ControlledSpeeds(
+    stragglers: int, seeds, ids: tuple[int, ...] | None = None
+) -> ControlledDraws:
+    return ControlledDraws(
         N_WORKERS,
+        seeds,
         num_stragglers=stragglers,
         slowdown=5.0,
         jitter=0.2,
-        seed=seed,
         straggler_ids=ids,
     )
 
@@ -67,7 +67,7 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
         k = {"mds-12-10": 10, "mds-12-9": 9}[strategy]
         policy = build_policy("mds", N_WORKERS, k)
     metrics = policy.run_batch(
-        StackedSpeeds([_speeds(s, seed, ids) for seed in ctx.seeds]),
+        _speeds(s, ctx.seeds, ids),
         BatchLastValuePredictor(ctx.trials, N_WORKERS),
         rows=rows,
         cols=cols,

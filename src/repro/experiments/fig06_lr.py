@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
+from repro.cluster.speed_models import ControlledDraws
 from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
 from repro.prediction.predictor import OraclePredictor, StackedPredictor
@@ -52,9 +52,17 @@ _POLICY_OF = {
 }
 
 
-def _speeds(stragglers: int, seed: int) -> ControlledSpeeds:
-    return ControlledSpeeds(
-        N_WORKERS, num_stragglers=stragglers, slowdown=5.0, jitter=0.2, seed=seed
+def _speeds(stragglers: int, seeds) -> ControlledDraws:
+    return ControlledDraws(
+        N_WORKERS, seeds, num_stragglers=stragglers, slowdown=5.0, jitter=0.2
+    )
+
+
+def _oracle(stragglers: int, ctx: SweepContext) -> StackedPredictor:
+    """Per-trial perfect forecasts from a fresh replay of the trials' draws."""
+    replay = _speeds(stragglers, ctx.seeds)
+    return StackedPredictor(
+        [OraclePredictor(speed_model=replay.row(t)) for t in range(ctx.trials)]
     )
 
 
@@ -97,10 +105,8 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
         else _coded_policy(strategy)
     )
     metrics = policy.run_batch(
-        StackedSpeeds([_speeds(s, seed) for seed in ctx.seeds]),
-        StackedPredictor(
-            [OraclePredictor(speed_model=_speeds(s, seed)) for seed in ctx.seeds]
-        ),
+        _speeds(s, ctx.seeds),
+        _oracle(s, ctx),
         rows=rows,
         cols=cols,
         iterations=iterations,

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
 from repro.engine import ExecutionEngine, SweepContext, SweepSpec
-from repro.experiments.fig06_lr import _coded_policy
+from repro.experiments.fig06_lr import _coded_policy, _oracle, _speeds
 from repro.experiments.harness import (
     ExperimentResult,
     controlled_cost,
     controlled_network,
 )
-from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.runtime.batch import build_batch_runner
 from repro.scheduling.policies import build_policy
 
@@ -38,12 +36,6 @@ STRATEGIES = (
     "s2c2-basic-12-6",
     "s2c2-general-12-6",
 )
-
-
-def _speeds(stragglers: int, seed: int) -> ControlledSpeeds:
-    return ControlledSpeeds(
-        N_WORKERS, num_stragglers=stragglers, slowdown=5.0, jitter=0.2, seed=seed
-    )
 
 
 def _cell(params: dict, ctx: SweepContext) -> list[float]:
@@ -62,10 +54,8 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
         operator = (policy.k, policy.make_scheduler())
     batch = build_batch_runner(
         family,
-        StackedSpeeds([_speeds(s, seed) for seed in ctx.seeds]),
-        StackedPredictor(
-            [OraclePredictor(speed_model=_speeds(s, seed)) for seed in ctx.seeds]
-        ),
+        _speeds(s, ctx.seeds),
+        _oracle(s, ctx),
         network=controlled_network(),
         cost=controlled_cost(),
         **knobs,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import BatchTraceSpeeds, TraceSpeeds
+from repro.cluster.speed_models import ReplaySpeeds, TraceSpeeds
 from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import (
     ExperimentResult,
@@ -59,7 +59,7 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
     ]
     runner = build_batch_runner(
         "coded",
-        BatchTraceSpeeds.from_traces(traces),
+        ReplaySpeeds(np.stack(traces)),
         StackedPredictor(
             [
                 StalePredictor(

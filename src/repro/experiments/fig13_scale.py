@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.speed_models import BatchTraceSpeeds, TraceSpeeds
+from repro.cluster.speed_models import ReplaySpeeds, TraceSpeeds
 from repro.engine import ExecutionEngine, SweepContext, SweepSpec
 from repro.experiments.harness import ExperimentResult
 from repro.prediction.predictor import StackedPredictor, StalePredictor
@@ -46,7 +46,7 @@ def _cell(params: dict, ctx: SweepContext) -> list[float]:
     ]
     policy = build_policy(_POLICY_OF[params["strategy"]], N_WORKERS, MDS_K)
     metrics = policy.run_batch(
-        BatchTraceSpeeds.from_traces(traces),
+        ReplaySpeeds(np.stack(traces)),
         StackedPredictor(
             [
                 StalePredictor(

@@ -27,7 +27,9 @@ from repro._util import as_rng, check_positive_int, check_probability
 
 __all__ = [
     "TraceConfig",
+    "advance_traces",
     "generate_speed_traces",
+    "initial_levels",
     "regime_lengths",
     "regime_length_means",
     "BURSTY",
@@ -126,6 +128,51 @@ MEASURED = TraceConfig(
 )
 
 
+def initial_levels(
+    rngs: list[np.random.Generator], n_nodes: int, config: TraceConfig
+) -> np.ndarray:
+    """``(rows, n_nodes)`` starting regime levels, one draw per row's generator."""
+    return np.stack(
+        [rng.uniform(config.level_low, config.level_high, size=n_nodes) for rng in rngs]
+    )
+
+
+def advance_traces(
+    rngs: list[np.random.Generator],
+    config: TraceConfig,
+    levels: np.ndarray,
+    noise_state: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """Advance one trace row per generator by ``steps``; ``(steps, rows, nodes)``.
+
+    ``levels`` and ``noise_state`` are the rows' ``(rows, nodes)`` state,
+    updated in place, so a row generated in several calls equals one
+    generated at once.  The draws stay stepped per row — a regime switch
+    draws a data-dependent number of new levels — while the arithmetic
+    runs across rows.
+    """
+    n_rows, n_nodes = levels.shape
+    scale = np.sqrt(1.0 - config.noise_persistence**2)
+    normal = np.empty((n_rows, n_nodes))
+    dip_u = np.empty((n_rows, n_nodes))
+    out = np.empty((steps, n_rows, n_nodes))
+    for t in range(steps):
+        for r, rng in enumerate(rngs):
+            switches = rng.random(n_nodes) < config.switch_prob
+            if switches.any():
+                levels[r, switches] = rng.uniform(
+                    config.level_low, config.level_high, size=int(switches.sum())
+                )
+            rng.standard_normal(out=normal[r])
+            rng.random(out=dip_u[r])
+        noise_state[...] = config.noise_persistence * noise_state + scale * normal
+        speed = levels * (1.0 + config.noise * noise_state)
+        speed = np.where(dip_u < config.dip_prob, speed * config.dip_depth, speed)
+        out[t] = np.clip(speed, config.floor, 1.0)
+    return out
+
+
 def generate_speed_traces(
     n_nodes: int,
     length: int,
@@ -140,27 +187,10 @@ def generate_speed_traces(
     """
     check_positive_int(n_nodes, "n_nodes")
     check_positive_int(length, "length")
-    rng = as_rng(seed)
-    levels = rng.uniform(config.level_low, config.level_high, size=n_nodes)
-    noise_state = np.zeros(n_nodes)
-    scale = np.sqrt(1.0 - config.noise_persistence**2)
-    out = np.empty((n_nodes, length))
-    for t in range(length):
-        switches = rng.random(n_nodes) < config.switch_prob
-        if switches.any():
-            levels[switches] = rng.uniform(
-                config.level_low, config.level_high, size=int(switches.sum())
-            )
-        noise_state = (
-            config.noise_persistence * noise_state
-            + scale * rng.standard_normal(n_nodes)
-        )
-        speed = levels * (1.0 + config.noise * noise_state)
-        dips = rng.random(n_nodes) < config.dip_prob
-        if dips.any():
-            speed[dips] *= config.dip_depth
-        out[:, t] = np.clip(speed, config.floor, 1.0)
-    return out
+    rngs = [as_rng(seed)]
+    levels = initial_levels(rngs, n_nodes, config)
+    steps = advance_traces(rngs, config, levels, np.zeros((1, n_nodes)), length)
+    return np.ascontiguousarray(steps[:, 0].T)
 
 
 def regime_lengths(trace: np.ndarray, rel_threshold: float = 0.10) -> np.ndarray:

@@ -261,10 +261,9 @@ class _BatchRunnerBase:
         predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
         plans = self._plan_round(op, predicted)
         planned = () if plans is None else (plans,)
-        if getattr(op.sim, "wants_link_factors", False):
-            from repro.cluster.events.factors import link_factors_batch
-
-            factors = link_factors_batch(self.speed_model, self._iteration)
+        factors_of = getattr(self.speed_model, "link_factors_batch", None)
+        if getattr(op.sim, "wants_link_factors", False) and factors_of is not None:
+            factors = factors_of(self._iteration)
             outcome = op.sim.run_batch(*planned, actual, link_factors=factors)
         else:
             outcome = op.sim.run_batch(*planned, actual)

@@ -18,15 +18,16 @@ engines, in three layers:
 
 * :class:`AdaptivePolicyRunner` — the ``adaptive(<base>, knob=v1:v2, …)``
   wrapper.  The scenarios' speed draws (and, on the event backend, their
-  link factors) are materialised once per ``(scenario, seed)`` trial row
-  — the identical call sequence a monolithic run makes — then served
-  back through per-row replay windows, so the run can be split into
-  cadence-sized segments whose knobs differ per row without perturbing a
-  single draw.  Each segment re-enters the base policy's own
-  ``run_batch`` path for the rows that chose each candidate; fresh
-  per-segment forecasters are warmed with the full replayed measurement
-  history, and the per-round measurements are scattered back into one
-  master :class:`~repro.runtime.batch.BatchRunMetrics`, so totals and
+  link factors) are drawn once for every ``(scenario, seed)`` trial row
+  — the draw surface a monolithic run reads, one ``draw`` call — then
+  served back through replay windows (``ReplaySpeeds``), so the run can
+  be split into cadence-sized segments whose knobs differ per row
+  without perturbing a single draw.  Each segment re-enters the base
+  policy's own ``run_batch`` path for the rows that chose each
+  candidate; fresh per-segment forecasters are warmed with the full
+  replayed measurement history, and the per-round measurements are
+  scattered back into one master
+  :class:`~repro.runtime.batch.BatchRunMetrics`, so totals and
   waste aggregate exactly as a monolithic run's.  With a single candidate and a
   cadence covering the whole run, the wrapper is bitwise identical to its
   base policy (pinned in ``tests/scheduling/test_adaptive.py``).
@@ -192,98 +193,6 @@ class AdaptiveController:
 
 
 # ---------------------------------------------------------------------------
-# Scenario replay (pre-materialised draws served over windows)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ReplaySpeeds:
-    """One trial's pre-materialised speeds, served from a round offset.
-
-    The sequential scenario models (AR(1) jitter and friends) cannot be
-    re-queried per segment, so the adaptive runner draws every round once
-    up front and serves windows from the stored ``(workers, rounds)``
-    matrix; the simulators consume values only, so the replay is bitwise
-    faithful.
-    """
-
-    matrix: np.ndarray
-    offset: int = 0
-
-    @property
-    def n_workers(self) -> int:
-        return self.matrix.shape[0]
-
-    def speeds(self, iteration: int) -> np.ndarray:
-        return self.matrix[:, self.offset + iteration]
-
-
-@dataclass(frozen=True)
-class _ReplaySpeedsWithFactors(_ReplaySpeeds):
-    """Replay model that also serves stored per-round link factors.
-
-    Defined as a separate class because the event backend detects link
-    degradation by the *presence* of a callable ``link_factors`` — a
-    compute-only scenario's replay must not grow one.
-    """
-
-    factors: np.ndarray = None  # (workers, rounds), ones where undegraded
-
-    def link_factors(self, iteration: int) -> np.ndarray:
-        return self.factors[:, self.offset + iteration]
-
-
-def _materialise(scenarios, n_workers, seeds, rounds, *, with_factors):
-    """Draw every round of every trial row once; return stacked tensors.
-
-    The rows are :func:`~repro.scheduling.policies.trial_rows` of
-    ``scenarios`` × ``seeds``.  Returns ``(speeds, factors)`` with shapes
-    ``(rows, workers, rounds)``; ``factors`` is ``None`` when no round
-    degrades any link (or when the closed-form backend never consults
-    them), and holds unit factors for the rows of compute-only scenarios
-    otherwise.  The per-round call order — speeds, then factors — matches
-    the live batch loop exactly, so the stored draws are the ones a
-    monolithic run would have consumed.
-    """
-    from repro.scheduling.policies import _row_speeds
-
-    batch = _row_speeds(scenarios, n_workers, seeds)
-    speeds, factor_rounds = [], []
-    any_factors = False
-    for r in range(rounds):
-        speeds.append(np.asarray(batch.speeds_batch(r), dtype=np.float64))
-        if with_factors:
-            from repro.cluster.events.factors import link_factors_batch
-
-            factors = link_factors_batch(batch, r)
-            any_factors = any_factors or factors is not None
-            factor_rounds.append(factors)
-    speed_tensor = np.stack(speeds, axis=-1)
-    if not any_factors:
-        return speed_tensor, None
-    ones = np.ones((batch.n_trials, n_workers))
-    factor_tensor = np.stack(
-        [ones if f is None else np.asarray(f, dtype=np.float64) for f in factor_rounds],
-        axis=-1,
-    )
-    return speed_tensor, factor_tensor
-
-
-def _replay_window(speeds, factors, selected, offset):
-    """A :class:`StackedSpeeds` serving rows ``selected`` from ``offset``."""
-    from repro.cluster.speed_models import StackedSpeeds
-
-    if factors is None:
-        models = [_ReplaySpeeds(speeds[t], offset) for t in selected]
-    else:
-        models = [
-            _ReplaySpeedsWithFactors(speeds[t], offset, factors[t])
-            for t in selected
-        ]
-    return StackedSpeeds(tuple(models))
-
-
-# ---------------------------------------------------------------------------
 # The adaptive(<base>, ...) wrapper
 # ---------------------------------------------------------------------------
 
@@ -341,8 +250,9 @@ class AdaptivePolicyRunner(_ScenarioRunner):
     def run_scenarios(
         self, scenarios, ctx, *, rows, cols, iterations, trace=None
     ):
+        from repro.cluster.speed_models import ReplaySpeeds
         from repro.runtime.batch import BatchRunMetrics
-        from repro.scheduling.policies import _split_metrics, trial_rows
+        from repro.scheduling.policies import _row_draws, _split_metrics, trial_rows
 
         check_positive_int(self.cadence, "cadence")
         candidates = self.candidates()
@@ -350,13 +260,12 @@ class AdaptivePolicyRunner(_ScenarioRunner):
         stacked = trial_rows(scenarios, ctx.seeds)
         n_rows = len(stacked)
         rounds = 2 * iterations  # each LR-like iteration plays A then Aᵀ
-        speeds, factors = _materialise(
-            scenarios,
-            self.n_workers,
-            ctx.seeds,
-            rounds,
-            with_factors=self.backend == "event",
-        )
+        # Every round of every row, drawn once: the sequential scenario
+        # processes cannot be re-read per segment, and the simulators
+        # consume values only, so replaying windows is bitwise faithful.
+        speeds, factors = _row_draws(stacked, self.n_workers).draw(rounds)
+        if self.backend != "event":
+            factors = None  # the closed form never reads them
         controllers = [
             AdaptiveController(len(candidates), seed=s, alpha=self.alpha)
             for _, s in stacked
@@ -377,7 +286,10 @@ class AdaptivePolicyRunner(_ScenarioRunner):
             }
             for candidate in sorted(set(choices)):
                 selected = [t for t, ch in enumerate(choices) if ch == candidate]
-                window = _replay_window(speeds, factors, selected, 2 * lo)
+                window = ReplaySpeeds(
+                    speeds[selected, :, 2 * lo :],
+                    None if factors is None else factors[selected, :, 2 * lo :],
+                )
                 predictor = runners[candidate].predictor_factory(
                     tuple(stacked[t] for t in selected), ctx, self.n_workers
                 )

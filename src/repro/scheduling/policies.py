@@ -45,6 +45,7 @@ scenario registry resolves composition expressions.  See
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
@@ -306,18 +307,22 @@ def trial_rows(
     return tuple((scenario, seed) for scenario in scenarios for seed in seeds)
 
 
-def _row_speeds(scenarios: Sequence[str], n_workers: int, seeds):
-    """One :class:`StackedSpeeds` over :func:`trial_rows` order."""
+def _row_draws(rows: Sequence[tuple[str, int]], n_workers: int):
+    """One draw surface over ``(scenario, seed)`` rows, in order.
+
+    Each run of adjacent rows that share a scenario is one
+    :func:`~repro.cluster.scenarios.scenario_batch`, so a cell call draws
+    each scenario's rows in bulk, and row ``t`` is bit for bit
+    ``scenario_speed_model(*rows[t])``.
+    """
     from repro.cluster.scenarios import scenario_batch
     from repro.cluster.speed_models import StackedSpeeds
 
-    return StackedSpeeds(
-        tuple(
-            model
-            for scenario in scenarios
-            for model in scenario_batch(scenario, n_workers, seeds).models
-        )
-    )
+    parts = [
+        scenario_batch(scenario, n_workers, [seed for _, seed in group])
+        for scenario, group in itertools.groupby(rows, key=lambda row: row[0])
+    ]
+    return parts[0] if len(parts) == 1 else StackedSpeeds(parts)
 
 
 def _split_metrics(metrics, trials: int) -> list[dict]:
@@ -352,7 +357,7 @@ class _BatchedPolicyRunner(_ScenarioRunner):
 
     def run_scenarios(self, scenarios, ctx, *, rows, cols, iterations):
         metrics = self.run_batch(
-            _row_speeds(scenarios, self.n_workers, ctx.seeds),
+            _row_draws(trial_rows(scenarios, ctx.seeds), self.n_workers),
             self.predictor_factory(
                 trial_rows(scenarios, ctx.seeds), ctx, self.n_workers
             ),
@@ -544,32 +549,23 @@ def _last_value_predictor(rows, ctx, n_workers: int):
 
 def _oracle_predictor(rows, ctx, n_workers: int):
     """Per-row perfect forecasts: a fresh seeded replay of the row's scenario."""
-    from repro.cluster.scenarios import scenario_speed_model
     from repro.prediction.predictor import OraclePredictor, StackedPredictor
 
+    replay = _row_draws(rows, n_workers)
     return StackedPredictor(
-        [
-            OraclePredictor(
-                speed_model=scenario_speed_model(scenario, n_workers, seed=s)
-            )
-            for scenario, s in rows
-        ]
+        [OraclePredictor(speed_model=replay.row(t)) for t in range(len(rows))]
     )
 
 
 def _stale_predictor(rows, ctx, n_workers: int, miss_rate: float):
     """Per-row adversarial oracle (wrong with ``miss_rate`` per node)."""
-    from repro.cluster.scenarios import scenario_speed_model
     from repro.prediction.predictor import StackedPredictor, StalePredictor
 
+    replay = _row_draws(rows, n_workers)
     return StackedPredictor(
         [
-            StalePredictor(
-                speed_model=scenario_speed_model(scenario, n_workers, seed=s),
-                miss_rate=miss_rate,
-                seed=s,
-            )
-            for scenario, s in rows
+            StalePredictor(speed_model=replay.row(t), miss_rate=miss_rate, seed=s)
+            for t, (_, s) in enumerate(rows)
         ]
     )
 

@@ -182,12 +182,12 @@ class TestGrammar:
         with pytest.raises(KeyError, match="unknown combinator"):
             scenario_batch("nope(bursty)", N, seeds=[0, 1])
 
-    def test_batch_of_composed_name_stacks_per_seed_models(self):
+    def test_batch_rows_of_composed_name_equal_per_seed_models(self):
         name = "mix(bursty,spot,weight=0.5)"
         batch = scenario_batch(name, N, seeds=[1, 2])
         for t, seed in enumerate([1, 2]):
             np.testing.assert_array_equal(
-                _stack(batch.models[t], 6),
+                _stack(batch.row(t), 6),
                 _stack(scenario_speed_model(name, N, seed=seed), 6),
             )
 

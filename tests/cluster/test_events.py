@@ -22,12 +22,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.compose import OPERAND_SEED_STRIDE
 from repro.cluster.events import (
     EventDrivenIterationSim,
     available_backends,
     check_backend,
-    link_factors_batch,
-    link_factors_of,
 )
 from repro.cluster.fuzz import generate_scenario
 from repro.cluster.network import CostModel, NetworkModel
@@ -410,7 +409,7 @@ class TestFuzzedScenarioInvariants:
         model = scenario_speed_model(scenario, n, seed=int(rng.integers(10_000)))
         iteration = int(rng.integers(0, 4))
         speeds = np.asarray(model.speeds(iteration), dtype=np.float64)
-        factors = link_factors_of(model, iteration)
+        factors = model.link_factors(iteration)
         k = int(rng.integers(2, n))
         chunks = int(rng.integers(2 * n, 5 * n))
         plan = GeneralS2C2Scheduler(coverage=k, num_chunks=chunks).plan(
@@ -489,7 +488,7 @@ class TestFuzzedScenarioInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Link-factor extraction from speed models
+# Link factors of scenario rows
 # ---------------------------------------------------------------------------
 
 
@@ -500,20 +499,20 @@ class TestLinkFactors:
         return scenario_speed_model(name, self.N, seed=seed)
 
     def test_compute_scenarios_have_no_factors(self):
-        assert link_factors_of(self._model("constant"), 0) is None
-        assert link_factors_of(self._model("bursty"), 2) is None
+        assert self._model("constant").link_factors(0) is None
+        assert self._model("bursty").link_factors(2) is None
 
     def test_netslow_degrades_a_persistent_subset(self):
         model = self._model("netslow(num_slow=2,slowdown=4.0)", seed=3)
-        first = link_factors_of(model, 0)
+        first = model.link_factors(0)
         assert first.shape == (self.N,)
         assert np.sum(first == 0.25) == 2
         assert np.sum(first == 1.0) == self.N - 2
         # Persistent: the same links stay slow across iterations.
-        np.testing.assert_array_equal(link_factors_of(model, 5), first)
+        np.testing.assert_array_equal(model.link_factors(5), first)
         # Memoised defensively: mutating a result does not poison the memo.
         first[0] = 99.0
-        assert link_factors_of(model, 0)[0] != 99.0
+        assert model.link_factors(0)[0] != 99.0
 
     def test_network_scenarios_present_unit_speeds_to_the_closed_form(self):
         for name in ("netslow", "rackcongest", "linkbursty"):
@@ -526,52 +525,39 @@ class TestLinkFactors:
             "slowdown=4.0)",
             seed=2,
         )
-        factors = link_factors_of(model, 3)
+        factors = model.link_factors(3)
         half = self.N // 2
         assert len(set(factors[:half])) == 1  # one value per rack
         assert len(set(factors[half:])) == 1
 
     def test_combinator_routing(self):
         slow = "netslow(num_slow=2,slowdown=4.0)"
-        base = link_factors_of(self._model(slow, seed=7), 0)
+        base = self._model(slow, seed=7).link_factors(0)
 
         scaled = self._model(f"scale({slow},factor=0.5)", seed=7)
-        np.testing.assert_array_equal(link_factors_of(scaled, 0), base)
+        np.testing.assert_array_equal(scaled.link_factors(0), base)
 
         shifted = self._model(f"time_shift({slow},shift=3)", seed=7)
-        np.testing.assert_array_equal(link_factors_of(shifted, 0), base)
+        np.testing.assert_array_equal(shifted.link_factors(0), base)
 
+        # Operand 1 of a composition is seeded one operand stride on.
+        inner = self._model(slow, seed=7 + OPERAND_SEED_STRIDE).link_factors(0)
         mixed = self._model(f"mix(constant,{slow},weight=0.25)", seed=7)
-        inner = self._inner_factors(mixed, slow)
         np.testing.assert_array_equal(
-            link_factors_of(mixed, 0),
+            mixed.link_factors(0),
             0.25 * np.ones(self.N) + 0.75 * inner,
         )
 
         overlaid = self._model(f"overlay(constant,{slow})", seed=7)
         np.testing.assert_array_equal(
-            link_factors_of(overlaid, 0),
-            np.minimum(np.ones(self.N), self._inner_factors(overlaid, slow)),
+            overlaid.link_factors(0), np.minimum(np.ones(self.N), inner)
         )
-
-    def _inner_factors(self, composed, slow_expr):
-        # The composed model seeds its operands itself, so recover the
-        # operand's factors from the composed tree rather than re-deriving.
-        for attr in ("a", "b"):
-            inner = getattr(composed, attr, None)
-            if inner is not None and link_factors_of(inner, 0) is not None:
-                return link_factors_of(inner, 0)
-        for inner in getattr(composed, "models", ()):
-            factors = link_factors_of(inner, 0)
-            if factors is not None:
-                return factors
-        raise AssertionError("no degraded operand found")
 
     def test_concat_routes_by_segment(self):
         slow = "netslow(num_slow=1,slowdown=2.0)"
         model = self._model(f"concat(constant,{slow},segment=4)", seed=5)
-        assert link_factors_of(model, 0) is None  # first regime: constant
-        late = link_factors_of(model, 4)  # second regime, local iteration 0
+        assert model.link_factors(0) is None  # first regime: constant
+        late = model.link_factors(4)  # second regime, local iteration 0
         assert late is not None
         assert np.sum(late == 0.5) == 1
 
@@ -579,10 +565,10 @@ class TestLinkFactors:
         batch = scenario_batch(
             "netslow(num_slow=1,slowdown=4.0)", self.N, seeds=(1, 2, 3)
         )
-        factors = link_factors_batch(batch, 0)
+        factors = batch.link_factors_batch(0)
         assert factors.shape == (3, self.N)
         assert np.all((factors == 1.0) | (factors == 0.25))
 
     def test_batch_factors_none_for_compute_scenarios(self):
         batch = scenario_batch("bursty", self.N, seeds=(1, 2))
-        assert link_factors_batch(batch, 0) is None
+        assert batch.link_factors_batch(0) is None

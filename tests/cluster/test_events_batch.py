@@ -14,7 +14,7 @@ No trial may leave the kernel.
 import numpy as np
 import pytest
 
-from repro.cluster.events import EventDrivenIterationSim, link_factors_batch
+from repro.cluster.events import EventDrivenIterationSim
 from repro.cluster.fuzz import generate_scenario
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.scenarios import scenario_batch
@@ -118,7 +118,7 @@ def _fuzz_batch_case(case, trials):
     seeds = [1000 * case + t for t in range(trials)]
     model = scenario_batch(scenario, n, seeds)
     speeds = model.speeds_batch(2)
-    factors = link_factors_batch(model, 2)
+    factors = model.link_factors_batch(2)
     return plan, chunks, timeout, failed_list, speeds, factors
 
 
@@ -155,7 +155,7 @@ class TestBatchedKernelEquivalence:
         plan = _mispredicted_plan(k, chunks, np.repeat([1.0, 2.0], n // 2))
         model = scenario_batch("netslow", n, [17 * t for t in range(trials)])
         speeds = model.speeds_batch(1)
-        factors = link_factors_batch(model, 1)
+        factors = model.link_factors_batch(1)
         assert factors is not None and np.any(factors != 1.0)
         failed_list = [frozenset()] * trials
         batch = assert_batch_equals_loop(sim, plan, speeds, failed_list, factors)
@@ -255,7 +255,7 @@ class TestOneRoute:
                 "slowdown=4.0)")
         model = scenario_batch(expr, n, [11 * t for t in range(trials)])
         speeds = model.speeds_batch(1)
-        factors = link_factors_batch(model, 1)
+        factors = model.link_factors_batch(1)
         failed_list = [frozenset()] * trials
         expected = assert_batch_equals_loop(
             sim, plan, speeds, failed_list, factors
@@ -280,7 +280,7 @@ class TestOneRoute:
         )
         model = scenario_batch("bursty", n, [13 * t for t in range(trials)])
         speeds = model.speeds_batch(1)
-        assert link_factors_batch(model, 1) is None
+        assert model.link_factors_batch(1) is None
         failed_list = [frozenset()] * trials
         expected = assert_batch_equals_loop(
             sim, plan, speeds, failed_list, None

@@ -8,16 +8,14 @@ the shared contracts (positivity, seeded determinism, random-access
 replay, batch trial-for-trial equivalence with single-trial models).
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cluster import scenarios as scn
 from repro.cluster.scenarios import (
-    BurstySpeeds,
-    MarkovOnOffSpeeds,
-    RackSlowdownSpeeds,
     ScenarioSpec,
-    SpotPreemptionSpeeds,
     available_scenarios,
     get_scenario,
     register_scenario,
@@ -153,8 +151,9 @@ class TestControlled:
 class TestBursty:
     def test_dip_frequency_and_depth(self):
         dip_prob, dip_depth, jitter = 0.15, 0.3, 0.1
-        model = BurstySpeeds(
-            50, seed=7, dip_prob=dip_prob, dip_depth=dip_depth, jitter=jitter
+        model = scenario_speed_model(
+            "bursty", 50, seed=7, dip_prob=dip_prob, dip_depth=dip_depth,
+            jitter=jitter,
         )
         draws = _stack(model, 400)
         # dipped speeds sit in [(1-jitter)*depth, depth]; undipped ones in
@@ -169,7 +168,9 @@ class TestBursty:
 
     def test_memoryless(self):
         # Dips are i.i.d.: dipping today does not predict dipping tomorrow.
-        model = BurstySpeeds(40, seed=3, dip_prob=0.2, dip_depth=0.2, jitter=0.0)
+        model = scenario_speed_model(
+            "bursty", 40, seed=3, dip_prob=0.2, dip_depth=0.2, jitter=0.0
+        )
         draws = _stack(model, 500) < 0.5
         given_dip = draws[1:][draws[:-1]].mean()
         assert abs(given_dip - 0.2) < 0.03
@@ -178,9 +179,9 @@ class TestBursty:
 class TestMarkov:
     def test_stationary_slow_fraction(self):
         slow_prob, recover_prob = 0.1, 0.3
-        model = MarkovOnOffSpeeds(
-            40, seed=11, slow_prob=slow_prob, recover_prob=recover_prob,
-            slow_speed=0.2,
+        model = scenario_speed_model(
+            "markov", 40, seed=11, slow_prob=slow_prob,
+            recover_prob=recover_prob, slowdown=5.0,
         )
         draws = _stack(model, 600)
         assert set(np.unique(draws)) <= {0.2, 1.0}
@@ -190,8 +191,8 @@ class TestMarkov:
     def test_spell_persistence(self):
         # Slow spells are geometric with mean 1/recover_prob: a slow worker
         # stays slow with probability 1 - recover_prob.
-        model = MarkovOnOffSpeeds(
-            40, seed=2, slow_prob=0.1, recover_prob=0.25, slow_speed=0.1
+        model = scenario_speed_model(
+            "markov", 40, seed=2, slow_prob=0.1, recover_prob=0.25, slowdown=10.0
         )
         slow = _stack(model, 600) < 0.5
         stay = slow[1:][slow[:-1]].mean()
@@ -200,11 +201,11 @@ class TestMarkov:
 
 class TestRack:
     def test_within_rack_correlation(self):
-        model = RackSlowdownSpeeds(
-            11, seed=4, n_racks=3, slow_prob=0.2, recover_prob=0.3,
-            slow_speed=0.25,
+        model = scenario_speed_model(
+            "rack", 11, seed=4, n_racks=3, slow_prob=0.2, recover_prob=0.3,
+            slowdown=4.0,
         )
-        racks = model.rack_of
+        racks = np.arange(11) * 3 // 11  # contiguous, near-even racks
         assert racks.shape == (11,) and set(racks) == {0, 1, 2}
         for it in range(60):
             speeds = model.speeds(it)
@@ -212,9 +213,9 @@ class TestRack:
                 assert len(set(speeds[racks == r])) == 1, (it, r)
 
     def test_racks_move_independently(self):
-        model = RackSlowdownSpeeds(
-            12, seed=0, n_racks=4, slow_prob=0.3, recover_prob=0.3,
-            slow_speed=0.25,
+        model = scenario_speed_model(
+            "rack", 12, seed=0, n_racks=4, slow_prob=0.3, recover_prob=0.3,
+            slowdown=4.0,
         )
         draws = _stack(model, 200)
         rack_state = draws[:, ::3] < 0.5  # one worker per rack
@@ -223,13 +224,13 @@ class TestRack:
 
     def test_n_racks_validated(self):
         with pytest.raises(ValueError, match="n_racks"):
-            RackSlowdownSpeeds(4, n_racks=5)
+            scenario_speed_model("rack", 4, n_racks=5)
 
 
 class TestSpot:
     def test_floor_and_recovery(self):
-        model = SpotPreemptionSpeeds(
-            40, seed=6, preempt_prob=0.1, restore_prob=0.25, floor=0.02
+        model = scenario_speed_model(
+            "spot", 40, seed=6, preempt_prob=0.1, restore_prob=0.25, floor=0.02
         )
         draws = _stack(model, 500)
         assert set(np.unique(draws)) <= {0.02, 1.0}
@@ -257,3 +258,40 @@ class TestTraces:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             scenario_speed_model("traces", N, seed=0, preset="nope")
+
+
+class TestParameterValues:
+    """A bad value is a ``ValueError`` naming the parameter at build."""
+
+    @pytest.mark.parametrize(
+        "name, parameter",
+        [
+            ("controlled(slowdown=nan)", "slowdown"),
+            ("scale(bursty,factor=abc)", "factor"),
+            ("traces(horizon=8.5)", "horizon"),
+            ("traces(preset=3)", "preset"),
+        ],
+    )
+    def test_wrong_type_names_scenario_and_parameter(self, name, parameter):
+        with pytest.raises(ValueError, match=f"{re.escape(repr(name))}.*'{parameter}'"):
+            scenario_speed_model(name, N)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e999])
+    @pytest.mark.parametrize("name", ["controlled", "netslow", "rackcongest"])
+    def test_non_finite_slowdown_rejected(self, name, value):
+        with pytest.raises(ValueError, match="slowdown"):
+            scenario_batch(name, N, [0], slowdown=value)
+
+    def test_spelled_defaults_do_not_narrow_overrides(self):
+        # An int spelled in an expression still takes a float override.
+        model = scenario_speed_model("controlled(slowdown=5)", N, slowdown=5.5)
+        assert np.sort(model.speeds(0))[0] < 1.0 / 5.5 * 1.2
+        assert scenario_speed_model("traces(preset=stable)", N).speeds(0).shape == (N,)
+
+    def test_scale_above_one_stays_legal(self):
+        scaled = scenario_speed_model("scale(bursty,factor=3.0)", N, seed=2)
+        np.testing.assert_array_equal(
+            scaled.speeds(1), 3.0 * scenario_speed_model("bursty", N, seed=2).speeds(1)
+        )
+        with pytest.raises(ValueError, match="factor"):
+            scenario_speed_model("scale(bursty,factor=1e999)", N)

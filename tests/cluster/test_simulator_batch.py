@@ -29,8 +29,8 @@ from repro.cluster.simulator import (
     ReplicationIterationSim,
 )
 from repro.cluster.speed_models import (
-    BatchTraceSpeeds,
     ControlledSpeeds,
+    ReplaySpeeds,
     StackedSpeeds,
 )
 from repro.coding.partition import ChunkGrid
@@ -545,18 +545,19 @@ class TestBatchSpeedModels:
         with pytest.raises(ValueError, match="n_workers"):
             StackedSpeeds([ControlledSpeeds(4), ControlledSpeeds(5)])
 
-    def test_batch_traces_trial_view(self):
+    def test_replay_row_view(self):
         rng = np.random.default_rng(0)
         traces = rng.uniform(0.5, 1.5, size=(3, 6, 9))
-        batch = BatchTraceSpeeds(traces)
+        batch = ReplaySpeeds(traces)
         assert (batch.n_trials, batch.n_workers, batch.length) == (3, 6, 9)
         for it in (0, 4, 9, 13):  # includes wrap-around
             got = batch.speeds_batch(it)
             for t in range(3):
-                np.testing.assert_array_equal(got[t], batch.trial(t).speeds(it))
+                np.testing.assert_array_equal(got[t], batch.row(t).speeds(it))
+                np.testing.assert_array_equal(got[t], traces[t][:, it % 9])
 
-    def test_batch_traces_from_traces(self):
+    def test_replay_of_stacked_traces(self):
         rng = np.random.default_rng(1)
         per_trial = [rng.uniform(0.5, 1.5, size=(4, 7)) for _ in range(5)]
-        batch = BatchTraceSpeeds.from_traces(per_trial)
+        batch = ReplaySpeeds(np.stack(per_trial))
         np.testing.assert_array_equal(batch.speeds_batch(2)[3], per_trial[3][:, 2])

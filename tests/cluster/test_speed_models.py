@@ -27,6 +27,9 @@ class TestConstantSpeeds:
             ConstantSpeeds(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             ConstantSpeeds(np.empty(0))
+        for bad in ([np.nan, 1.0], [np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ConstantSpeeds(np.array(bad))
 
     def test_protocol_conformance(self):
         assert isinstance(ConstantSpeeds(np.ones(3)), SpeedModel)
@@ -74,6 +77,9 @@ class TestControlledSpeeds:
             ControlledSpeeds(4, num_stragglers=5)
         with pytest.raises(ValueError):
             ControlledSpeeds(4, slowdown=0.5)
+        for slowdown in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="slowdown"):
+                ControlledSpeeds(4, slowdown=slowdown)
         with pytest.raises(ValueError):
             ControlledSpeeds(4, jitter=1.0)
         with pytest.raises(ValueError):
@@ -104,6 +110,8 @@ class TestTraceSpeeds:
             TraceSpeeds(np.array([[1.0, -1.0]]))
         with pytest.raises(ValueError):
             TraceSpeeds(np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            TraceSpeeds(np.array([[np.nan, 1.0]]))
 
     def test_properties(self):
         model = TraceSpeeds(np.ones((4, 7)))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.speed_models import (
-    BatchTraceSpeeds,
     ControlledSpeeds,
+    ReplaySpeeds,
     StackedSpeeds,
     TraceSpeeds,
 )
@@ -124,7 +124,7 @@ def test_batch_matches_sessions_traces_stale_predictor():
         "coded",
         ROWS,
         COLS,
-        BatchTraceSpeeds.from_traces(traces),
+        ReplaySpeeds(np.stack(traces)),
         StackedPredictor(
             [
                 StalePredictor(
@@ -188,7 +188,7 @@ def test_overdecomposition_batch_matches_sessions():
         "overdecomposition",
         ROWS,
         COLS,
-        BatchTraceSpeeds.from_traces(traces),
+        ReplaySpeeds(np.stack(traces)),
         StackedPredictor([LastValuePredictor(N) for _ in seeds]),
         iterations=ITERATIONS,
     )

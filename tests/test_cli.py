@@ -433,6 +433,30 @@ class TestCliValidation:
         assert f"unknown {kind} 'no-such-name'" in captured.err
         assert listed in captured.err
 
+    @pytest.mark.parametrize(
+        "command, scenario, parameter",
+        [
+            ("matrix", "bursty(dip_prob=2)", "dip_prob"),
+            ("fuzz", "netslow(slowdown=1e999)", "slowdown"),
+            ("stream", "controlled(slowdown=nan)", "slowdown"),
+            ("tune", "scale(bursty,factor=abc)", "factor"),
+            ("profile", "rackcongest(n_racks=20)", "n_racks"),
+        ],
+    )
+    def test_bad_scenario_value_exits_2_naming_parameter(
+        self, capsys, command, scenario, parameter
+    ):
+        # Each scenario is built once at the sweep's worker count before
+        # any cell runs, so a bad value never reaches a cell.
+        argv = [command, "--quick", "--scenario", scenario]
+        if command in ("matrix", "fuzz", "stream"):
+            argv += ["--no-cache", "--trials", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert scenario in captured.err and parameter in captured.err
+
     @pytest.mark.parametrize("command", ["experiments", "matrix", "fuzz", "stream"])
     def test_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "store-file"
