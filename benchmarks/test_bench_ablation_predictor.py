@@ -13,7 +13,7 @@ import numpy as np
 from repro.apps.datasets import make_classification
 from repro.cluster.speed_models import TraceSpeeds
 from repro.coding.mds import MDSCode
-from repro.experiments.harness import run_coded_lr_like
+from repro.experiments.harness import controlled_cost, controlled_network
 from repro.prediction.lstm import LSTMSpeedModel
 from repro.prediction.predictor import (
     LastValuePredictor,
@@ -22,6 +22,7 @@ from repro.prediction.predictor import (
     StalePredictor,
 )
 from repro.prediction.traces import MEASURED, generate_speed_traces
+from repro.runtime import CodedSession
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler
 from repro.scheduling.timeout import TimeoutPolicy
 
@@ -56,16 +57,23 @@ def _sweep() -> dict[str, float]:
     }
     times = {}
     for name, factory in predictors.items():
-        session = run_coded_lr_like(
-            matrix,
-            lambda: MDSCode(N, K),
-            GeneralS2C2Scheduler(coverage=K, num_chunks=10_000),
-            TraceSpeeds(traces),
-            factory(),
-            iterations=ITERATIONS,
+        session = CodedSession(
+            speed_model=TraceSpeeds(traces),
+            predictor=factory(),
+            network=controlled_network(),
+            cost=controlled_cost(),
             timeout=TimeoutPolicy(),
         )
-        times[name] = session.metrics.total_time
+        scheduler = GeneralS2C2Scheduler(coverage=K, num_chunks=10_000)
+        session.register_matvec("A", matrix, MDSCode(N, K), scheduler)
+        session.register_matvec("At", matrix.T, MDSCode(N, K), scheduler)
+        # The LR-like 'A then Aᵀ' rounds on a normalised random start.
+        x = np.random.default_rng(0).normal(size=matrix.shape[1])
+        for _ in range(ITERATIONS):
+            y = session.matvec("A", x)
+            x = session.matvec("At", y / max(1.0, np.abs(y).max()))
+            x = x / max(1.0, np.abs(x).max())
+        times[name] = session.metrics.total_time[0]
     return times
 
 

@@ -84,14 +84,14 @@ def main() -> None:
     )
 
     print(f"\nSVM training accuracy     : {svm.accuracy(features, labels):.1%}")
-    print(f"mis-prediction rate (15%) : {s2c2.metrics.misprediction_rate():.1%}")
-    print(f"timeout repairs triggered : {s2c2.metrics.repair_count} "
+    print(f"mis-prediction rate (15%) : {s2c2.metrics.misprediction_rate()[0]:.1%}")
+    print(f"timeout repairs triggered : {s2c2.metrics.repair_count[0]} "
           f"(includes the injected worker failure)")
-    waste = s2c2.metrics.total_wasted_fraction()
-    mds_waste = mds.metrics.total_wasted_fraction()
+    waste = s2c2.metrics.total_wasted_fraction()[0]
+    mds_waste = mds.metrics.total_wasted_fraction()[0]
     print(f"S2C2 wasted computation   : {waste:.1%}")
     print(f"MDS  wasted computation   : {mds_waste:.1%}")
-    speedup = mds.metrics.total_time / s2c2.metrics.total_time
+    speedup = mds.metrics.total_time[0] / s2c2.metrics.total_time[0]
     print(f"S2C2 vs conventional MDS  : {speedup:.2f}x faster "
           f"({100 * (1 - 1 / speedup):.1f}% reduction; paper: 17-39%)")
     if not (speedup > 1.0 and waste < mds_waste):

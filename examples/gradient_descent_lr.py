@@ -80,8 +80,8 @@ def main() -> None:
     print(f"coded vs direct weights  : max |Δ| = {drift:.2e}")
     print(f"training accuracy        : {s2c2_model.accuracy(features, labels):.1%}")
     print()
-    t_mds = mds_session.metrics.total_time
-    t_s2c2 = s2c2_session.metrics.total_time
+    t_mds = mds_session.metrics.total_time[0]
+    t_s2c2 = s2c2_session.metrics.total_time[0]
     print(f"conventional MDS latency : {t_mds * 1e3:8.1f} ms "
           f"({2 * ITERATIONS} coded mat-vecs)")
     print(f"S2C2 latency             : {t_s2c2 * 1e3:8.1f} ms")

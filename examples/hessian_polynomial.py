@@ -57,7 +57,7 @@ def main() -> None:
     if not drift < 1e-9:
         raise SystemExit(f"coded weights drifted from direct by {drift:.2e}")
     print(f"\nmax |coded - direct| weights after 5 Newton steps: {drift:.2e}")
-    print(f"simulated Hessian time: {session.metrics.total_time * 1e3:.1f} ms "
+    print(f"simulated Hessian time: {session.metrics.total_time[0] * 1e3:.1f} ms "
           f"over {len(session.metrics)} coded bilinear rounds")
 
 

@@ -54,9 +54,9 @@ def main() -> None:
     print(f"power iterations to 1e-10: {pagerank.iterations_run}")
     print(f"max |coded - networkx|   : {error:.2e}")
     print(f"top 5 pages              : {pagerank.top_pages(5).tolist()}")
-    print(f"simulated cluster time   : {session.metrics.total_time * 1e3:.1f} ms "
+    print(f"simulated cluster time   : {session.metrics.total_time[0] * 1e3:.1f} ms "
           f"({len(session.metrics)} coded mat-vecs, "
-          f"waste {session.metrics.total_wasted_fraction():.1%})")
+          f"waste {session.metrics.total_wasted_fraction()[0]:.1%})")
 
 
 if __name__ == "__main__":

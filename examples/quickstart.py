@@ -79,12 +79,12 @@ def part2_simulated_s2c2() -> None:
         np.testing.assert_allclose(static.matvec("A", x), expected, atol=1e-7)
         np.testing.assert_allclose(s2c2.matvec("A", x), expected, atol=1e-7)
 
-    t_static = static.metrics.total_time
-    t_s2c2 = s2c2.metrics.total_time
+    t_static = static.metrics.total_time[0]
+    t_s2c2 = s2c2.metrics.total_time[0]
     print(f"conventional (12,6)-MDS : {t_static * 1e3:8.2f} ms "
-          f"(waste {static.metrics.total_wasted_fraction():.0%})")
+          f"(waste {static.metrics.total_wasted_fraction()[0]:.0%})")
     print(f"S2C2 on the same code   : {t_s2c2 * 1e3:8.2f} ms "
-          f"(waste {s2c2.metrics.total_wasted_fraction():.0%})")
+          f"(waste {s2c2.metrics.total_wasted_fraction()[0]:.0%})")
     print(f"S2C2 speedup            : {t_static / t_s2c2:.2f}x "
           f"(bound n/k = {12 / 6:.2f}x with zero stragglers)")
 

@@ -91,6 +91,28 @@ SCENARIO_BENCH_OVERRIDES = {
 }
 
 
+def _lr_like_session(session_cls, matrix, iterations: int, *operator, **kwargs):
+    """A ``session_cls`` session that played the LR-like 'A then Aᵀ' rounds.
+
+    ``operator`` follows the matrix in ``register_matvec`` (a code and a
+    scheduler for coded sessions); ``kwargs`` build the session on the
+    controlled cluster's network and cost models.
+    """
+    from repro.experiments.harness import controlled_cost, controlled_network
+
+    session = session_cls(
+        network=controlled_network(), cost=controlled_cost(), **kwargs
+    )
+    session.register_matvec("A", matrix, *operator)
+    session.register_matvec("At", matrix.T, *operator)
+    x = np.random.default_rng(0).normal(size=matrix.shape[1])
+    for _ in range(iterations):
+        y = session.matvec("A", x)
+        x = session.matvec("At", y / max(1.0, np.abs(y).max()))
+        x = x / max(1.0, np.abs(x).max())
+    return session
+
+
 def bench_serial_sessions(quick: bool, trials: int) -> float:
     """The seed-style path: sessions with full numerics, looped."""
     from repro.apps.datasets import make_classification
@@ -101,12 +123,9 @@ def bench_serial_sessions(quick: bool, trials: int) -> float:
         STRATEGIES,
         _coded_scheduler,
     )
-    from repro.experiments.harness import (
-        run_coded_lr_like,
-        run_replicated_lr_like,
-    )
     from repro.engine import SEED_STRIDE
     from repro.prediction.predictor import LastValuePredictor, OraclePredictor
+    from repro.runtime import CodedSession, ReplicationSession
     from repro.scheduling.timeout import TimeoutPolicy
 
     rows, cols = (480, 120) if quick else (2400, 600)
@@ -127,22 +146,21 @@ def bench_serial_sessions(quick: bool, trials: int) -> float:
             for t in range(trials):
                 seed = SEED_STRIDE * t
                 if strategy == "uncoded-3rep":
-                    session = run_replicated_lr_like(
-                        matrix, speeds(s, seed), LastValuePredictor(N_WORKERS),
-                        iterations=iterations,
+                    session = _lr_like_session(
+                        ReplicationSession, matrix, iterations,
+                        speed_model=speeds(s, seed),
+                        predictor=LastValuePredictor(N_WORKERS),
                     )
                 else:
                     scheduler, k = _coded_scheduler(strategy)
-                    session = run_coded_lr_like(
-                        matrix,
-                        lambda k=k: MDSCode(N_WORKERS, k),
-                        scheduler,
-                        speeds(s, seed),
-                        OraclePredictor(speed_model=speeds(s, seed)),
-                        iterations=iterations,
+                    session = _lr_like_session(
+                        CodedSession, matrix, iterations,
+                        MDSCode(N_WORKERS, k), scheduler,
+                        speed_model=speeds(s, seed),
+                        predictor=OraclePredictor(speed_model=speeds(s, seed)),
                         timeout=TimeoutPolicy(),
                     )
-                per_trial.append(session.metrics.total_time)
+                per_trial.append(session.metrics.total_time[0])
             raw[(strategy, s)] = np.mean(per_trial)
     return time.perf_counter() - start
 
@@ -205,10 +223,10 @@ def bench_fig13(quick: bool, trials: int, jobs: int) -> tuple[float, float]:
     from repro.cluster.speed_models import TraceSpeeds
     from repro.coding.mds import MDSCode
     from repro.experiments.fig13_scale import MDS_K, N_WORKERS, run
-    from repro.experiments.harness import run_coded_lr_like
     from repro.engine import SEED_STRIDE, ExecutionEngine
     from repro.prediction.predictor import StalePredictor
     from repro.prediction.traces import BURSTY, STABLE, generate_speed_traces
+    from repro.runtime import CodedSession
     from repro.scheduling.s2c2 import GeneralS2C2Scheduler
     from repro.scheduling.static import StaticCodedScheduler
     from repro.scheduling.timeout import TimeoutPolicy
@@ -232,15 +250,13 @@ def bench_fig13(quick: bool, trials: int, jobs: int) -> tuple[float, float]:
                 else:
                     scheduler = StaticCodedScheduler(coverage=MDS_K, num_chunks=10_000)
                     timeout = None
-                run_coded_lr_like(
-                    matrix,
-                    lambda: MDSCode(N_WORKERS, MDS_K),
-                    scheduler,
-                    TraceSpeeds(traces),
-                    StalePredictor(
+                _lr_like_session(
+                    CodedSession, matrix, iterations,
+                    MDSCode(N_WORKERS, MDS_K), scheduler,
+                    speed_model=TraceSpeeds(traces),
+                    predictor=StalePredictor(
                         speed_model=TraceSpeeds(traces), miss_rate=miss, seed=seed
                     ),
-                    iterations=iterations,
                     timeout=timeout,
                 )
     serial = time.perf_counter() - start

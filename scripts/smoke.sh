@@ -72,8 +72,8 @@ echo "== phase profile (batched kernels, quick) =="
 python -m repro profile --quick --trials 2 --backend event
 
 echo "== examples (every script must exit 0) =="
-# The examples drive the numeric sessions, whose coded iterations are
-# one-trial views of the batched kernel.  Each asserts its numbers: the
+# The examples drive the numeric sessions, one-trial views of the batched
+# runners that add encode, compute and decode.  Each asserts its numbers: the
 # decoded products, coded-vs-direct drift and decode errors, and
 # cloud_adaptive the LSTM's held-out MAPE and S2C2's win over MDS.
 for EXAMPLE in examples/*.py; do

@@ -40,9 +40,9 @@ from repro.cluster.compose import ComposedNode, parse_scenario_name
 __all__ = ["generate_scenario", "generate_scenarios", "LEAF_NAMES"]
 
 
-#: Base scenarios the fuzzer draws leaves from.  ``controlled`` is excluded:
-#: its model is strictly sequential (no random access), which the sweep
-#: cells require for interleaved reads.
+#: Base scenarios the fuzzer draws leaves from.  ``controlled`` is not one
+#: of them: the list is part of what a fuzz seed means, and adding a leaf
+#: would change every generated population.
 LEAF_NAMES: tuple[str, ...] = (
     "constant",
     "bursty",

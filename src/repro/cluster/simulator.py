@@ -363,38 +363,13 @@ class CodedIterationSim:
         from different, predicted speeds — that gap is what the timeout
         mechanism repairs).  ``failed_workers`` never respond, regardless
         of speed.  The outcome adds what the numeric sessions decode, the
-        chunks each worker contributed: on a natural finish the useful
-        chunks of the coverage walk, in arrival order; on an accepted §4.3
-        repair every helper's own chunks plus its share of the reassigned
-        ones — the finished workers in arrival order, then the idle ones.
+        chunks each worker contributed (see :meth:`contributions`).
         """
         speeds = _checked_speeds(speeds, plan.n_workers, batch=False)
         out = self.run_batch(plan, speeds[None], failed_workers)
         arrival, responded = out.arrival[0], out.responded[0]
         rows = out.assigned_rows[0].tolist()
-        order = np.argsort(arrival, kind="stable").tolist()
         repaired = bool(out.repaired[0])
-        if repaired:
-            helpers = {
-                w: plan.assignments[w].chunk_indices() for w in order if responded[w]
-            }
-            helpers.update(
-                (w, np.empty(0, dtype=np.int64))
-                for w, r in enumerate(rows)
-                if not r and w not in failed_workers
-            )
-            extra = repair_assignments(plan, helpers, speeds)
-            contributions = {
-                w: np.concatenate([chunks, extra[w]]) if w in extra else chunks
-                for w, chunks in helpers.items()
-            }
-        else:
-            useful = _useful_chunks(
-                plan.chunk_mask()[None], out.arrival[:1], plan.coverage
-            )[0][0]
-            contributions = {
-                w: np.flatnonzero(useful[w]) for w in order if useful[w].any()
-            }
         return CodedIterationOutcome(
             completion_time=float(out.completion_time[0]),
             broadcast_time=out.broadcast_time,
@@ -410,7 +385,7 @@ class CodedIterationSim:
                 )
                 for w, r in enumerate(rows)
             ],
-            contributions=contributions,
+            contributions=self.contributions(plan, speeds, failed_workers, out),
             repaired=repaired,
             # An accepted repair cancelled every active worker it did not
             # wait for.
@@ -418,6 +393,43 @@ class CodedIterationSim:
                 w for w, r in enumerate(rows) if repaired and r and not responded[w]
             ),
         )
+
+    def contributions(
+        self,
+        plan: CodedWorkPlan,
+        speeds: np.ndarray,
+        failed_workers: frozenset[int],
+        out: BatchCodedOutcome,
+    ) -> dict[int, np.ndarray]:
+        """The chunks each worker contributed in trial 0 of ``out``.
+
+        ``plan``, ``speeds`` and ``failed_workers`` are that trial's
+        inputs to :meth:`run_batch`.  On a natural finish these are the
+        useful chunks of the coverage walk, in arrival order; on an
+        accepted §4.3 repair every helper's own chunks plus its share of
+        the reassigned ones — the finished workers in arrival order, then
+        the idle ones.
+        """
+        arrival, responded = out.arrival[0], out.responded[0]
+        order = np.argsort(arrival, kind="stable").tolist()
+        if not out.repaired[0]:
+            useful = _useful_chunks(
+                plan.chunk_mask()[None], out.arrival[:1], plan.coverage
+            )[0][0]
+            return {w: np.flatnonzero(useful[w]) for w in order if useful[w].any()}
+        helpers = {
+            w: plan.assignments[w].chunk_indices() for w in order if responded[w]
+        }
+        helpers.update(
+            (w, np.empty(0, dtype=np.int64))
+            for w, r in enumerate(out.assigned_rows[0].tolist())
+            if not r and w not in failed_workers
+        )
+        extra = repair_assignments(plan, helpers, speeds)
+        return {
+            w: np.concatenate([chunks, extra[w]]) if w in extra else chunks
+            for w, chunks in helpers.items()
+        }
 
     def _batch_inputs(
         self,

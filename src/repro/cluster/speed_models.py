@@ -449,9 +449,9 @@ class ControlledDraws(SeededDraws):
 class ControlledSpeeds(RowSpeeds):
     """One trial of :class:`ControlledDraws` (same parameters, one ``seed``).
 
-    ``speeds`` must be called with non-decreasing iterations: querying an
-    earlier iteration than the last one asked for raises ``ValueError``
-    (replay from a fresh instance instead).
+    Like every row view, any iteration can be (re-)queried in any order:
+    a replay returns the memoised draw, so a session and an oracle
+    predictor can share one instance.
     """
 
     def __init__(
@@ -475,21 +475,11 @@ class ControlledSpeeds(RowSpeeds):
                 straggler_ids=straggler_ids,
             )
         )
-        self._last = -1
 
     @property
     def straggler_set(self) -> frozenset[int]:
         """Indices of the persistent stragglers."""
         return self.draws.straggler_set
-
-    def speeds(self, iteration: int) -> np.ndarray:
-        """Speeds for ``iteration``; must be called with non-decreasing indices."""
-        if iteration < self._last:
-            raise ValueError(
-                "ControlledSpeeds is sequential; create a new instance to replay"
-            )
-        self._last = iteration
-        return super().speeds(iteration)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Shared experiment plumbing: result tables and strategy runners.
+"""Shared experiment plumbing: result tables and the LR-like round pattern.
 
 Every ``figNN_*.py`` module exposes ``run(quick=True) -> ExperimentResult``
 returning the same rows/series the paper's figure reports (normalised the
 same way); ``python -m repro experiments <name>`` prints the table.
 ``quick=True`` shrinks matrix sizes and iteration counts for CI; the
-shapes being validated are scale-free.
+shapes being validated are scale-free.  :func:`run_lr_like_batch` plays
+the figures' 'A then Aᵀ' mat-vec rounds on a batched runner.
 """
 
 from __future__ import annotations
@@ -14,16 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.network import CostModel, NetworkModel
-from repro.cluster.speed_models import BatchSpeedModel, SpeedModel
-from repro.prediction.predictor import BatchPredictor, OnlinePredictor
+from repro.cluster.speed_models import BatchSpeedModel
+from repro.prediction.predictor import BatchPredictor
 from repro.runtime.batch import BatchRunMetrics, build_batch_runner
-from repro.runtime.session import (
-    CodedSession,
-    OverDecompositionSession,
-    ReplicationSession,
-)
-from repro.scheduling.base import Scheduler
-from repro.scheduling.timeout import TimeoutPolicy
 
 __all__ = [
     "ExperimentResult",
@@ -33,10 +27,7 @@ __all__ = [
     "trial_max",
     "controlled_network",
     "controlled_cost",
-    "run_coded_lr_like",
     "run_lr_like_batch",
-    "run_replicated_lr_like",
-    "run_overdecomposition_lr_like",
 ]
 
 
@@ -172,44 +163,6 @@ def controlled_cost() -> CostModel:
     return CostModel(worker_flops=5e7, master_flops=2e10)
 
 
-def _lr_like_loop(session, width: int, iterations: int, rng: np.random.Generator):
-    """Drive ``iterations`` rounds of the 'A then Aᵀ' two-mat-vec pattern.
-
-    All the latency figures depend only on the mat-vec shapes, so the
-    runners share this loop; the actual LR/SVM/PageRank apps are exercised
-    (and checked numerically) in the application tests and examples.
-    """
-    x = rng.normal(size=width)
-    for _ in range(iterations):
-        y = session.matvec("A", x)
-        x = session.matvec("At", y / max(1.0, np.abs(y).max()))
-        x = x / max(1.0, np.abs(x).max())
-
-
-def run_coded_lr_like(
-    matrix: np.ndarray,
-    code_factory,
-    scheduler: Scheduler,
-    speed_model: SpeedModel,
-    predictor: OnlinePredictor,
-    iterations: int = 15,
-    timeout: TimeoutPolicy | None = None,
-    seed: int = 0,
-) -> CodedSession:
-    """Run the LR-like loop on a coded session; returns it with metrics."""
-    session = CodedSession(
-        speed_model=speed_model,
-        predictor=predictor,
-        network=controlled_network(),
-        cost=controlled_cost(),
-        timeout=timeout,
-    )
-    session.register_matvec("A", matrix, code_factory(), scheduler)
-    session.register_matvec("At", matrix.T, code_factory(), scheduler)
-    _lr_like_loop(session, matrix.shape[1], iterations, np.random.default_rng(seed))
-    return session
-
-
 def run_lr_like_batch(
     family: str,
     n_rows: int,
@@ -222,18 +175,18 @@ def run_lr_like_batch(
     network: NetworkModel | None = None,
     **knobs,
 ) -> BatchRunMetrics:
-    """Latency-only twin of the ``run_*_lr_like`` sessions for a trial batch.
+    """The LR-like loop's latency for a trial batch: 'A then Aᵀ' per iteration.
 
     Builds the ``family`` batch runner (``"coded"``, ``"overdecomposition"``
     or ``"replication"``, configured by ``knobs`` — see
-    :func:`~repro.runtime.batch.build_batch_runner`) and plays the same
-    'A then Aᵀ' round pattern on an ``(n_rows, n_cols)`` matrix geometry.
+    :func:`~repro.runtime.batch.build_batch_runner`) and plays the rounds
+    on an ``(n_rows, n_cols)`` matrix geometry.
     ``operator`` holds the family's registration arguments after the
     geometry — ``(k, scheduler)`` for the coded family, nothing for the
     uncoded ones.  No matrices are built or encoded, because the
     latency/waste metrics the figures report depend only on plans and
-    speeds.  Trial ``t`` reproduces a single-trial session seeded the same
-    way, bit for bit.
+    speeds.  Trial ``t`` reproduces a one-trial session driven through the
+    same rounds, bit for bit.
 
     ``network`` overrides :func:`controlled_network` (the equivalence
     suite injects the zero-network limit here).
@@ -252,50 +205,3 @@ def run_lr_like_batch(
         runner.matvec("A")
         runner.matvec("At")
     return runner.metrics
-
-
-def run_replicated_lr_like(
-    matrix: np.ndarray,
-    speed_model: SpeedModel,
-    predictor: OnlinePredictor,
-    iterations: int = 15,
-    seed: int = 0,
-    config=None,
-) -> ReplicationSession:
-    """Run the LR-like loop on the replication baseline."""
-    kwargs = {} if config is None else {"config": config}
-    session = ReplicationSession(
-        speed_model=speed_model,
-        predictor=predictor,
-        network=controlled_network(),
-        cost=controlled_cost(),
-        **kwargs,
-    )
-    session.register_matvec("A", matrix)
-    session.register_matvec("At", matrix.T)
-    _lr_like_loop(session, matrix.shape[1], iterations, np.random.default_rng(seed))
-    return session
-
-
-def run_overdecomposition_lr_like(
-    matrix: np.ndarray,
-    speed_model: SpeedModel,
-    predictor: OnlinePredictor,
-    iterations: int = 15,
-    factor: int = 4,
-    replication: float = 1.42,
-    seed: int = 0,
-) -> OverDecompositionSession:
-    """Run the LR-like loop on the over-decomposition baseline."""
-    session = OverDecompositionSession(
-        speed_model=speed_model,
-        predictor=predictor,
-        network=controlled_network(),
-        cost=controlled_cost(),
-        factor=factor,
-        replication=replication,
-    )
-    session.register_matvec("A", matrix)
-    session.register_matvec("At", matrix.T)
-    _lr_like_loop(session, matrix.shape[1], iterations, np.random.default_rng(seed))
-    return session

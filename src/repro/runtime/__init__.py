@@ -1,6 +1,6 @@
-"""Runtime layer: compute sessions, metrics, and storage accounting."""
+"""Runtime layer: the master's control loop, compute sessions, storage accounting."""
 
-from repro.runtime.metrics import IterationRecord, RunMetrics, StorageTracker
+from repro.runtime.metrics import StorageTracker
 from repro.runtime.session import (
     CodedSession,
     OverDecompositionSession,
@@ -9,9 +9,7 @@ from repro.runtime.session import (
 
 __all__ = [
     "CodedSession",
-    "IterationRecord",
     "OverDecompositionSession",
     "ReplicationSession",
-    "RunMetrics",
     "StorageTracker",
 ]

@@ -1,16 +1,17 @@
-"""Trial-batched, latency-only replay of the master control loop.
+"""The master control loop (§6.2), played for a batch of trials per call.
 
-The per-iteration timeline of a session depends only on the work plans and
-the speed draws — never on the numeric payload — so Monte-Carlo sweeps that
-report latency and wasted-computation statistics can skip the encode /
-compute / decode arithmetic entirely.  :class:`BatchCodedRunner` replays
-the exact control loop of :class:`~repro.runtime.session.CodedSession`
-(forecast → plan → simulate → measured-speed feedback) for a whole batch of
-trials per call, feeding ``(trials, workers)`` speed matrices straight into
-:meth:`~repro.cluster.simulator.CodedIterationSim.run_batch`.
+The per-iteration timeline of a round depends only on the work plans and
+the speed draws — never on the numeric payload — so the loop itself is
+latency-only: :class:`BatchCodedRunner` forecasts the speeds, plans,
+simulates and feeds the measured speeds back for a whole batch of trials
+per call, feeding ``(trials, workers)`` speed matrices straight into
+:meth:`~repro.cluster.simulator.CodedIterationSim.run_batch`.  This is
+the only copy of the loop: Monte-Carlo sweeps run it at any trial count,
+and the numeric sessions of :mod:`repro.runtime.session` are one-trial
+views of it that add the encode / compute / decode arithmetic.
 
-Trial ``t`` of a batch run is numerically identical to a single-trial
-session built from the same seed: the simulators guarantee bitwise-equal
+Trial ``t`` of a batch run is numerically identical to a one-trial run
+built from the same seed: the simulators guarantee bitwise-equal
 timelines, and the forecasting side holds the same contract — any
 :class:`~repro.prediction.predictor.BatchPredictor` sized for the speed
 model's trial count works: a batched kernel such as
@@ -19,17 +20,15 @@ one stacked ``(trials, workers)`` recurrent state per round (the scalar
 last-value, AR and LSTM predictors are one-trial views of such kernels), or a
 :class:`~repro.prediction.predictor.StackedPredictor` looping per-trial
 oracle, stale or user-defined predictors.
-``tests/runtime/test_batch.py`` pins this equality against real
-:class:`CodedSession` runs.
+``tests/runtime/test_batch.py`` pins this equality against the per-trial
+sessions frozen in ``tests/runtime/session_reference.py``.
 
 :class:`BatchOverDecompositionRunner` does the same for the Charm++-like
 over-decomposition baseline: per-trial partition plans (the holder tables
-evolve independently per trial, exactly as
-:class:`~repro.runtime.session.OverDecompositionSession` evolves them) feed
+evolve independently per trial as migrated copies become resident) feed
 :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`'s
-stacked timeline.  :class:`BatchReplicationRunner` replays
-:class:`~repro.runtime.session.ReplicationSession` the same way: the
-replication baseline plans nothing, so every round is one
+stacked timeline.  :class:`BatchReplicationRunner` covers the replication
+baseline, which plans nothing, so every round is one
 :meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch` call.
 
 All three runners share one chassis: a single :class:`_BatchOperator`
@@ -37,15 +36,16 @@ record (name + simulator + per-family state) and the
 :class:`_BatchRunnerBase` round loop — speeds, forecast, family-specific
 planning, stacked simulation, forecaster feedback, metrics.
 :func:`build_batch_runner` is the one construction surface the experiment
-harness and the execution engine go through.
+harness, the execution engine and the sessions go through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro._util import check_positive_int
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.simulator import (
     CodedIterationSim,
@@ -55,7 +55,6 @@ from repro.cluster.simulator import (
 from repro.cluster.speed_models import BatchSpeedModel
 from repro.coding.partition import ChunkGrid, RowPartition
 from repro.prediction.predictor import BatchPredictor, misprediction_rate
-from repro.runtime.session import _harmonise_granularity
 from repro.scheduling.base import Scheduler, plan_batch
 from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
@@ -73,13 +72,36 @@ __all__ = [
 ]
 
 
+def _harmonise_granularity(
+    scheduler: Scheduler, num_chunks: int | None, block_rows: int
+) -> tuple[Scheduler, int]:
+    """Make the scheduler's chunk granularity match the operator's grid.
+
+    Plans index chunks ``0 … C-1`` and the grid maps them to rows, so both
+    must use the same ``C``; ``C`` is additionally capped at ``block_rows``
+    (a chunk holds at least one row).  A given ``num_chunks`` must be a
+    positive int.  Schedulers carrying a ``num_chunks`` field are rebound
+    via ``dataclasses.replace``.
+    """
+    if num_chunks is not None:
+        check_positive_int(num_chunks, "num_chunks")
+    chunks = num_chunks or getattr(scheduler, "num_chunks", None)
+    if chunks is None:
+        raise ValueError(
+            "num_chunks must be given for schedulers without a num_chunks field"
+        )
+    chunks = min(int(chunks), block_rows)
+    if getattr(scheduler, "num_chunks", chunks) != chunks:
+        scheduler = replace(scheduler, num_chunks=chunks)
+    return scheduler, chunks
+
+
 @dataclass
 class BatchRunMetrics:
     """Per-trial aggregates over a batched run (one entry per round).
 
-    The aggregation formulas mirror :class:`~repro.runtime.metrics.RunMetrics`
-    per trial, so trial ``t``'s numbers equal what a single-trial session
-    would have recorded.
+    Every aggregate holds one value per trial; a session's metrics are
+    the one-trial case (length-1 arrays).
     """
 
     n_trials: int
@@ -175,6 +197,22 @@ class BatchRunMetrics:
             ]
         )
 
+    def total_wasted_fraction(self) -> np.ndarray:
+        """Per-trial cluster-wide wasted / computed rows, shape ``(trials,)``.
+
+        A trial that computed nothing reads 0.
+        """
+        self._require_rounds()
+        computed = np.zeros(self.n_trials)
+        wasted = np.zeros(self.n_trials)
+        for c, u in zip(self._computed, self._used):  # round by round
+            computed = computed + c.sum(axis=1)
+            wasted = wasted + np.maximum(0.0, c - u).sum(axis=1)
+        out = np.zeros(self.n_trials)
+        mask = computed != 0
+        out[mask] = wasted[mask] / computed[mask]
+        return out
+
     @property
     def repair_count(self) -> np.ndarray:
         """Per-trial number of rounds that triggered §4.3 repair."""
@@ -203,11 +241,12 @@ class _BatchOperator:
 class _BatchRunnerBase:
     """Shared chassis of the batched runners: one round loop, two hooks.
 
-    :meth:`matvec` replays one session round for every trial — measured
-    speeds, forecast, family-specific planning (``_plan_round``), the
-    stacked simulator, family-specific post-processing
-    (``_finish_round``), forecaster feedback, metrics — exactly in the
-    order the scalar sessions interleave those steps.
+    :meth:`matvec` plays one round for every trial — measured speeds,
+    forecast, family-specific planning (``_plan_round``), the stacked
+    simulator, family-specific post-processing (``_finish_round``),
+    forecaster feedback, metrics.  A round the simulator rejects (say,
+    failures no repair can cover) raises before the feedback, so it
+    leaves the forecaster, the metrics and the round counter untouched.
     """
 
     speed_model: BatchSpeedModel
@@ -250,8 +289,13 @@ class _BatchRunnerBase:
         """Post-simulation family hook; returns the per-trial repair flags."""
         return np.zeros(self.n_trials, dtype=bool)
 
-    def matvec(self, name: str) -> None:
-        """Play one round for every trial (mat-vec or bilinear)."""
+    def matvec(self, name: str, failed_workers: frozenset[int] = frozenset()):
+        """Play one round for every trial (mat-vec or bilinear).
+
+        ``failed_workers`` never respond this round, in every trial.
+        Returns the round's plans (``None`` where the family plans
+        nothing) and the simulator's stacked outcome.
+        """
         op = self._operators.get(name)
         if op is None:
             raise KeyError(f"no matvec operator named {name!r}")
@@ -264,9 +308,11 @@ class _BatchRunnerBase:
         factors_of = getattr(self.speed_model, "link_factors_batch", None)
         if getattr(op.sim, "wants_link_factors", False) and factors_of is not None:
             factors = factors_of(self._iteration)
-            outcome = op.sim.run_batch(*planned, actual, link_factors=factors)
+            outcome = op.sim.run_batch(
+                *planned, actual, failed_workers=failed_workers, link_factors=factors
+            )
         else:
-            outcome = op.sim.run_batch(*planned, actual)
+            outcome = op.sim.run_batch(*planned, actual, failed_workers=failed_workers)
         repaired = self._finish_round(op, plans, outcome)
         self.predictor.update(np.where(outcome.responded, actual, np.nan))
         self.metrics.add_round(
@@ -279,17 +325,17 @@ class _BatchRunnerBase:
             repaired=repaired,
         )
         self._iteration += 1
+        return plans, outcome
 
 
 @dataclass
 class BatchCodedRunner(_BatchRunnerBase):
-    """Latency twin of :class:`~repro.runtime.session.CodedSession`.
+    """The coded strategies' loop (conventional MDS, S2C2, polynomial).
 
     Operators are registered by *geometry* (row/column counts and the
-    code's recovery threshold) instead of by encoded matrices; everything
-    else — granularity harmonisation, plan construction, the simulated
-    timeline, predictor feedback — follows the session's control loop
-    round for round, for all trials at once.
+    code's recovery threshold) instead of by encoded matrices;
+    :class:`~repro.runtime.session.CodedSession` is its one-trial view
+    that encodes the matrices and decodes each round.
 
     ``backend`` selects the simulator core: ``"closed"`` (the analytic
     default) or ``"event"`` (the link-aware backend of
@@ -325,10 +371,13 @@ class BatchCodedRunner(_BatchRunnerBase):
     ) -> None:
         """Register the latency geometry of an (n, k)-coded mat-vec.
 
-        Mirrors ``CodedSession.register_matvec`` for a ``total_rows × width``
-        matrix encoded at recovery threshold ``k`` — the encoded partition
-        height and chunk grid come out identical, without encoding anything.
+        A ``total_rows × width`` matrix encoded at recovery threshold ``k``
+        gets the encoded partition height and chunk grid of
+        :meth:`~repro.coding.mds.MDSCode.encode`, without encoding anything.
+        ``k`` must be in ``[1, n_workers]`` and at most the scheduler's
+        ``coverage`` (when it declares one), so every round can decode.
         """
+        self._check_threshold(k, scheduler)
         block_rows = RowPartition(total_rows, k).block_rows
         scheduler, chunks = _harmonise_granularity(scheduler, num_chunks, block_rows)
         sim = self._make_sim(
@@ -355,12 +404,13 @@ class BatchCodedRunner(_BatchRunnerBase):
     ) -> None:
         """Register the latency geometry of a polynomial-coded bilinear op.
 
-        Mirrors ``CodedSession.register_bilinear`` for
         ``left (left_rows × inner) @ diag(x) @ right (inner × right_cols)``
-        split ``a × b`` — same chunk grid, effective row width, fixed
-        per-task ``diag(x)`` cost, and broadcast width as the session
-        derives from the encoded matrices.
+        split ``a × b`` gets the chunk grid, effective row width, fixed
+        per-task ``diag(x)`` cost and broadcast width of the encoded
+        matrices; the recovery threshold ``a·b`` is checked as ``k`` is in
+        :meth:`register_matvec`.
         """
+        self._check_threshold(a * b, scheduler)
         block_rows = RowPartition(left_rows, a).block_rows
         block_cols = RowPartition(right_cols, b).block_rows
         scheduler, chunks = _harmonise_granularity(scheduler, num_chunks, block_rows)
@@ -376,6 +426,15 @@ class BatchCodedRunner(_BatchRunnerBase):
         )
         self._add_operator(_BatchOperator(name=name, sim=sim, scheduler=scheduler))
 
+    def _check_threshold(self, k: int, scheduler: Scheduler) -> None:
+        coverage = getattr(scheduler, "coverage", k)
+        if not 1 <= k <= self.n_workers or coverage < k:
+            raise ValueError(
+                f"recovery threshold k={k} cannot decode: it needs "
+                f"1 <= k <= {self.n_workers} workers and a scheduler "
+                f"coverage >= k, got coverage={coverage}"
+            )
+
     def _plan_round(self, op: _BatchOperator, predicted: np.ndarray):
         return plan_batch(op.scheduler, predicted)
 
@@ -385,15 +444,16 @@ class BatchCodedRunner(_BatchRunnerBase):
 
 @dataclass
 class BatchOverDecompositionRunner(_BatchRunnerBase):
-    """Latency twin of :class:`~repro.runtime.session.OverDecompositionSession`.
+    """The Charm++-like over-decomposition baseline's loop (§7.2).
 
     Plans are still built per trial — each trial's holder table evolves
-    independently as migrated copies become resident — but the simulated
-    chunk timelines (migration fetches, compute, reply) run through the
-    stacked :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`
-    path, and the numeric mat-vec payload is skipped entirely.  Trial ``t``
-    is bitwise-identical to a single-trial session built from the same
-    seed.
+    independently as migrated copies become resident (as in Charm++: a
+    persistent speed skew pays its migrations once, while churning speeds
+    keep paying) — but the simulated chunk timelines (migration fetches,
+    compute, reply) run through the stacked
+    :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`
+    path.  :class:`~repro.runtime.session.OverDecompositionSession` is its
+    one-trial view.
     """
 
     factor: int = 4
@@ -402,9 +462,10 @@ class BatchOverDecompositionRunner(_BatchRunnerBase):
     def register_matvec(self, name: str, total_rows: int, width: int) -> None:
         """Register the latency geometry of an over-decomposed mat-vec.
 
-        Mirrors ``OverDecompositionSession.register_matvec`` for a
-        ``total_rows × width`` matrix split into ``factor × n`` partitions —
-        same placement, same per-partition row count, no matrix built.
+        A ``total_rows × width`` matrix split into ``factor × n``
+        partitions, placed by
+        :class:`~repro.scheduling.overdecomposition.OverDecompositionPlacement`;
+        no matrix is built.
         """
         placement = OverDecompositionPlacement(
             self.n_workers, factor=self.factor, replication=self.replication
@@ -447,14 +508,14 @@ class BatchOverDecompositionRunner(_BatchRunnerBase):
 
 @dataclass
 class BatchReplicationRunner(_BatchRunnerBase):
-    """Latency twin of :class:`~repro.runtime.session.ReplicationSession`.
+    """The uncoded r-replication + speculation baseline's loop (§7.1).
 
     The replication baseline plans nothing: each round simulates every
     trial's primaries and speculative copies through
-    :meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch`,
+    :meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch` and
     feeds the measured speeds back to the forecaster (whose predictions
-    are only recorded), and skips the numeric mat-vec.  Trial ``t`` is
-    bitwise-identical to a single-trial session built from the same seed.
+    are only recorded).  :class:`~repro.runtime.session.ReplicationSession`
+    is its one-trial view.
     """
 
     config: SpeculationConfig = field(default_factory=SpeculationConfig)
@@ -462,10 +523,8 @@ class BatchReplicationRunner(_BatchRunnerBase):
     def register_matvec(self, name: str, total_rows: int, width: int) -> None:
         """Register the latency geometry of a replicated uncoded mat-vec.
 
-        Mirrors ``ReplicationSession.register_matvec`` for a
-        ``total_rows × width`` matrix split into ``n`` partitions — same
-        seed-0 replica placement, same per-partition row count, no matrix
-        built.
+        A ``total_rows × width`` matrix split into ``n`` partitions with a
+        seed-0 replica placement; no matrix is built.
         """
         sim = ReplicationIterationSim(
             placement=ReplicaPlacement(
@@ -502,9 +561,9 @@ def build_batch_runner(
     ``family`` is ``"coded"`` (knobs: ``timeout``, ``backend``),
     ``"overdecomposition"`` (knobs: ``factor``, ``replication``) or
     ``"replication"`` (knob: ``config``); unknown families and knobs raise
-    ``ValueError`` listing what is available.  The experiment harness and
-    the execution engine build every batched runner through here, so the
-    families cannot drift apart.
+    ``ValueError`` listing what is available.  The experiment harness, the
+    execution engine and the sessions build every runner through here, so
+    the families cannot drift apart.
     """
     try:
         runner_cls = _RUNNER_FAMILIES[family]

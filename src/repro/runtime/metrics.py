@@ -1,15 +1,9 @@
-"""Run-level metrics: latency, wasted computation, storage, mis-prediction.
+"""Effective storage accounting for uncoded strategies (Fig 3).
 
-The paper reports four quantities across its figures; this module owns all
-of them so every experiment aggregates identically:
-
-* **relative execution time** — sum of per-iteration completion times,
-  normalised against a baseline run (Figs 1, 6–8, 10, 12, 13);
-* **wasted computation fraction per worker** — rows computed but never used
-  (Figs 9, 11);
-* **effective storage fraction per node** — the cumulative share of the
-  data a node must hold to avoid repeated transfers (Fig 3);
-* **mis-prediction rate** — forecasts off by more than the timeout slack.
+The paper's other run-level quantities — relative execution time, wasted
+computation per worker, mis-prediction rate — are per-trial aggregates of
+:class:`~repro.runtime.batch.BatchRunMetrics`, which every runner and
+session records into.
 """
 
 from __future__ import annotations
@@ -19,128 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.prediction.predictor import misprediction_rate
 
-__all__ = ["IterationRecord", "RunMetrics", "StorageTracker"]
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Everything measured in one simulated iteration."""
-
-    iteration: int
-    operator: str
-    latency: float
-    decode_time: float
-    broadcast_time: float
-    computed_rows: np.ndarray
-    used_rows: np.ndarray
-    predicted_speeds: np.ndarray
-    actual_speeds: np.ndarray
-    repaired: bool = False
-    data_moved_bytes: float = 0.0
-    speculative_launches: int = 0
-    migrations: int = 0
-    assigned_rows: np.ndarray | None = None
-
-    @property
-    def wasted_rows(self) -> np.ndarray:
-        """Per-worker rows computed but not used this iteration."""
-        return np.maximum(0.0, self.computed_rows - self.used_rows)
-
-
-@dataclass
-class RunMetrics:
-    """Accumulates :class:`IterationRecord` objects over a run."""
-
-    records: list[IterationRecord] = field(default_factory=list)
-
-    def add(self, record: IterationRecord) -> None:
-        """Append one iteration's record."""
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def _require_records(self) -> None:
-        if not self.records:
-            raise RuntimeError("no iterations recorded yet")
-
-    @property
-    def total_time(self) -> float:
-        """Sum of iteration completion times (the paper's execution time)."""
-        self._require_records()
-        return float(sum(r.latency for r in self.records))
-
-    @property
-    def mean_latency(self) -> float:
-        """Average per-iteration latency."""
-        self._require_records()
-        return self.total_time / len(self.records)
-
-    def wasted_fraction_per_worker(self) -> np.ndarray:
-        """Per-worker wasted / computed rows, aggregated over the run."""
-        self._require_records()
-        computed = np.sum([r.computed_rows for r in self.records], axis=0)
-        wasted = np.sum([r.wasted_rows for r in self.records], axis=0)
-        out = np.zeros_like(computed, dtype=np.float64)
-        mask = computed > 0
-        out[mask] = wasted[mask] / computed[mask]
-        return out
-
-    def wasted_fraction_of_assigned(self) -> np.ndarray:
-        """Per-worker wasted rows relative to *assigned* rows (Figs 9/11).
-
-        This is the paper's per-worker metric: a worker cancelled when it
-        was 90% through its partition shows 90% here (and 100% under the
-        wasted-of-computed metric).  Records missing ``assigned_rows``
-        (older producers) fall back to ``max(computed, used)``.
-        """
-        self._require_records()
-        computed = np.sum([r.computed_rows for r in self.records], axis=0)
-        used = np.sum([r.used_rows for r in self.records], axis=0)
-        assigned = np.sum(
-            [
-                r.assigned_rows
-                if r.assigned_rows is not None
-                else np.maximum(r.computed_rows, r.used_rows)
-                for r in self.records
-            ],
-            axis=0,
-        )
-        # Repair rounds can push computed above the original assignment.
-        assigned = np.maximum(assigned, np.maximum(computed, used))
-        wasted = np.sum([r.wasted_rows for r in self.records], axis=0)
-        out = np.zeros_like(assigned, dtype=np.float64)
-        mask = assigned > 0
-        out[mask] = wasted[mask] / assigned[mask]
-        return out
-
-    def total_wasted_fraction(self) -> float:
-        """Cluster-wide wasted / computed rows over the whole run."""
-        self._require_records()
-        computed = float(sum(r.computed_rows.sum() for r in self.records))
-        wasted = float(sum(r.wasted_rows.sum() for r in self.records))
-        return 0.0 if computed == 0 else wasted / computed
-
-    def misprediction_rate(self, tolerance: float = 0.15) -> float:
-        """Fraction of (node, iteration) forecasts off by > ``tolerance``."""
-        self._require_records()
-        predicted = np.concatenate([r.predicted_speeds for r in self.records])
-        actual = np.concatenate([r.actual_speeds for r in self.records])
-        return misprediction_rate(predicted, actual, tolerance)
-
-    @property
-    def repair_count(self) -> int:
-        """Iterations that triggered the §4.3 timeout repair."""
-        self._require_records()
-        return sum(1 for r in self.records if r.repaired)
-
-    @property
-    def total_data_moved_bytes(self) -> float:
-        """Bytes migrated for load balancing (0 for coded strategies)."""
-        self._require_records()
-        return float(sum(r.data_moved_bytes for r in self.records))
+__all__ = ["StorageTracker"]
 
 
 @dataclass

@@ -1,18 +1,15 @@
-"""Compute sessions: the master-node control loop of the paper (§6.2).
+"""Compute sessions: the numeric face of the master's control loop (§6.2).
 
 A session owns a cluster (speed model + cost models), an online speed
 predictor, and one or more registered *operators* (encoded matrices or
-uncoded partitioned matrices).  Each call to :meth:`matvec` /
-:meth:`bilinear` plays one compute round exactly as the paper's master
-does:
-
-1. forecast per-worker speeds with the predictor;
-2. build a work plan (strategy-specific);
-3. simulate the iteration timeline against the *actual* speeds;
-4. numerically execute the contributions the master would use and decode
-   the true result;
-5. feed the measured speeds back to the predictor;
-6. record an :class:`~repro.runtime.metrics.IterationRecord`.
+uncoded partitioned matrices).  It is a one-trial view of its family's
+runner in :mod:`repro.runtime.batch`, which plays every round as the
+paper's master does: forecast per-worker speeds, build a work plan,
+simulate the iteration against the *actual* speeds, feed the measured
+speeds back to the predictor, and record the round.  The session adds
+only the numeric payload: it encodes each operator at registration, and
+after a round computes the contributions the master used and decodes the
+true result (an uncoded session computes the product directly).
 
 The numeric result is exact (tested against direct computation), so
 applications built on a session double as end-to-end correctness tests of
@@ -26,67 +23,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.network import CostModel, NetworkModel
-from repro.cluster.simulator import (
-    CodedIterationSim,
-    OverDecompositionIterationSim,
-    ReplicationIterationSim,
-)
-from repro.cluster.speed_models import SpeedModel
+from repro.cluster.speed_models import SpeedModel, StackedSpeeds
 from repro.coding.mds import MDSCode
-from repro.coding.partition import ChunkGrid, RowPartition
 from repro.coding.polynomial import PolynomialCode
-from repro.prediction.predictor import OnlinePredictor
-from repro.runtime.metrics import IterationRecord, RunMetrics
+from repro.prediction.predictor import OnlinePredictor, StackedPredictor
+from repro.runtime.batch import BatchRunMetrics, build_batch_runner
 from repro.scheduling.base import Scheduler
-from repro.scheduling.overdecomposition import (
-    OverDecompositionPlacement,
-    plan_assignment,
-)
-from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
+from repro.scheduling.replication import SpeculationConfig
 from repro.scheduling.timeout import TimeoutPolicy
 
 __all__ = ["CodedSession", "ReplicationSession", "OverDecompositionSession"]
 
 
-def _harmonise_granularity(
-    scheduler: Scheduler, num_chunks: int | None, block_rows: int
-) -> tuple[Scheduler, int]:
-    """Make the scheduler's chunk granularity match the operator's grid.
-
-    Plans index chunks ``0 … C-1`` and the grid maps them to rows, so both
-    must use the same ``C``; ``C`` is additionally capped at ``block_rows``
-    (a chunk holds at least one row).  Schedulers carrying a ``num_chunks``
-    field are rebound via ``dataclasses.replace``.
-    """
-    import dataclasses
-
-    chunks = num_chunks or getattr(scheduler, "num_chunks", None)
-    if chunks is None:
-        raise ValueError(
-            "num_chunks must be given for schedulers without a num_chunks field"
-        )
-    chunks = min(int(chunks), block_rows)
-    if getattr(scheduler, "num_chunks", chunks) != chunks:
-        scheduler = dataclasses.replace(scheduler, num_chunks=chunks)
-    return scheduler, chunks
+def _checked_operand(value, length: int, name: str) -> np.ndarray:
+    """``value`` as a float vector of ``length``; a ``ValueError`` names it."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != (length,):
+        raise ValueError(f"{name} must have shape ({length},), got {value.shape}")
+    return value
 
 
 @dataclass
-class _BaseSession:
-    """State shared by all session flavours."""
+class _Session:
+    """State shared by all session flavours: a one-trial runner."""
 
     speed_model: SpeedModel
     predictor: OnlinePredictor
     network: NetworkModel = field(default_factory=NetworkModel)
     cost: CostModel = field(default_factory=CostModel)
-    metrics: RunMetrics = field(default_factory=RunMetrics)
-    _iteration: int = field(init=False, default=0)
     _fail_next: frozenset[int] = field(init=False, default=frozenset())
+
+    def _start(self, family: str, **knobs) -> None:
+        self._runner = build_batch_runner(
+            family,
+            StackedSpeeds([self.speed_model]),
+            StackedPredictor([self.predictor]),
+            network=self.network,
+            cost=self.cost,
+            **knobs,
+        )
+        self._operators: dict = {}
+
+    @property
+    def metrics(self) -> BatchRunMetrics:
+        """The runner's metrics: each aggregate holds one value (trial 0)."""
+        return self._runner.metrics
 
     @property
     def iteration(self) -> int:
         """Number of compute rounds played so far."""
-        return self._iteration
+        return self._runner._iteration
 
     @property
     def n_workers(self) -> int:
@@ -100,27 +86,14 @@ class _BaseSession:
             raise IndexError("failed worker index out of range")
         self._fail_next = bad
 
-    def _take_failures(self) -> frozenset[int]:
+    def _round(self, name: str):
+        """Play ``name``'s round; returns its failures, plans and outcome."""
         failures, self._fail_next = self._fail_next, frozenset()
-        return failures
-
-    def _feedback(self, actual: np.ndarray, responded: np.ndarray) -> None:
-        """Feed measured speeds to the predictor (NaN where unmeasured)."""
-        observed = np.where(responded, actual, np.nan)
-        self.predictor.update(observed)
+        return (failures, *self._runner.matvec(name, failed_workers=failures))
 
 
 @dataclass
-class _CodedOperator:
-    name: str
-    encoded: object  # EncodedMatrix | EncodedBilinear
-    scheduler: Scheduler
-    sim: CodedIterationSim
-    kind: str  # "matvec" | "bilinear"
-
-
-@dataclass
-class CodedSession(_BaseSession):
+class CodedSession(_Session):
     """Session for coded strategies (conventional MDS, S2C2, polynomial).
 
     The choice of :class:`~repro.scheduling.base.Scheduler` at registration
@@ -129,7 +102,15 @@ class CodedSession(_BaseSession):
     """
 
     timeout: TimeoutPolicy | None = None
-    _operators: dict[str, _CodedOperator] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._start("coded", timeout=self.timeout)
+
+    def _check_code(self, code) -> None:
+        if code.n != self.n_workers:
+            raise ValueError(
+                f"code has n={code.n} but the cluster has {self.n_workers} workers"
+            )
 
     def register_matvec(
         self,
@@ -144,27 +125,12 @@ class CodedSession(_BaseSession):
         ``num_chunks`` defaults to the scheduler's granularity when it has
         one (S2C2 schedulers do) so plans and grids always agree.
         """
-        if name in self._operators:
-            raise ValueError(f"operator {name!r} already registered")
-        if code.n != self.n_workers:
-            raise ValueError(
-                f"code has n={code.n} but the cluster has {self.n_workers} workers"
-            )
+        self._check_code(code)
         encoded = code.encode(matrix)
-        scheduler, chunks = _harmonise_granularity(
-            scheduler, num_chunks, encoded.block_rows
+        self._runner.register_matvec(
+            name, encoded.part.total_rows, encoded.width, code.k, scheduler, num_chunks
         )
-        sim = CodedIterationSim(
-            grid=ChunkGrid(encoded.block_rows, chunks),
-            width=encoded.width,
-            width_out=1,
-            network=self.network,
-            cost=self.cost,
-            timeout=self.timeout,
-        )
-        self._operators[name] = _CodedOperator(
-            name=name, encoded=encoded, scheduler=scheduler, sim=sim, kind="matvec"
-        )
+        self._operators[name] = ("matvec", encoded)
 
     def register_bilinear(
         self,
@@ -184,170 +150,93 @@ class CodedSession(_BaseSession):
         elements that S2C2 cannot shrink (§7.2.3); the default treats it
         as ~20 flop-equivalents per element (bandwidth-bound).
         """
-        if name in self._operators:
-            raise ValueError(f"operator {name!r} already registered")
-        if code.n != self.n_workers:
-            raise ValueError(
-                f"code has n={code.n} but the cluster has {self.n_workers} workers"
-            )
+        self._check_code(code)
         encoded = code.encode(left, right)
-        scheduler, chunks = _harmonise_granularity(
-            scheduler, num_chunks, encoded.block_rows
+        self._runner.register_bilinear(
+            name,
+            encoded.row_part.total_rows,
+            encoded.left.shape[2],
+            encoded.col_part.total_rows,
+            code.a,
+            code.b,
+            scheduler,
+            num_chunks,
+            diag_pass_factor,
         )
-        inner = encoded.left.shape[2]
-        sim = CodedIterationSim(
-            grid=ChunkGrid(encoded.block_rows, chunks),
-            # Effective per-row flop width of Ã_i[r] @ diag(x) @ B̃_i.
-            width=inner * encoded.block_cols,
-            width_out=encoded.block_cols,
-            broadcast_width=inner,
-            fixed_task_flops=diag_pass_factor * inner * encoded.block_cols,
-            network=self.network,
-            cost=self.cost,
-            timeout=self.timeout,
-        )
-        self._operators[name] = _CodedOperator(
-            name=name, encoded=encoded, scheduler=scheduler, sim=sim, kind="bilinear"
-        )
+        self._operators[name] = ("bilinear", encoded)
 
-    def _play_round(self, op: _CodedOperator, compute_fn, width_out: int):
-        actual = np.asarray(self.speed_model.speeds(self._iteration), dtype=np.float64)
-        predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
-        plan = op.scheduler.plan(predicted)
-        outcome = op.sim.run(plan, actual, failed_workers=self._take_failures())
-        # EncodedMatrix.decoder takes a width; EncodedBilinear's is fixed.
-        decoder = (
-            op.encoded.decoder()
-            if op.kind == "bilinear"
-            else op.encoded.decoder(width_out)
-        )
-        for worker, chunks in outcome.contributions.items():
-            rows = op.sim.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
-            decoder.add(worker, rows, compute_fn(worker, rows))
-        result = op.encoded.assemble(decoder.solve())
-        responded = np.array(
-            [s.response_time is not None for s in outcome.workers], dtype=bool
-        )
-        self._feedback(actual, responded)
-        self.metrics.add(
-            IterationRecord(
-                iteration=self._iteration,
-                operator=op.name,
-                latency=outcome.completion_time,
-                decode_time=outcome.decode_time,
-                broadcast_time=outcome.broadcast_time,
-                computed_rows=np.array([s.computed_rows for s in outcome.workers]),
-                used_rows=np.array(
-                    [float(s.used_rows) for s in outcome.workers]
-                ),
-                assigned_rows=np.array(
-                    [float(s.assigned_rows) for s in outcome.workers]
-                ),
-                predicted_speeds=predicted,
-                actual_speeds=actual,
-                repaired=outcome.repaired,
-                data_moved_bytes=outcome.data_moved_bytes,
-            )
-        )
-        self._iteration += 1
-        return result
+    def _operator(self, name: str, kind: str):
+        entry = self._operators.get(name)
+        if entry is None or entry[0] != kind:
+            raise KeyError(f"no {kind} operator named {name!r}")
+        return entry[1]
+
+    def _decode(self, name: str, encoded, decoder, compute) -> np.ndarray:
+        failures, plans, outcome = self._round(name)
+        sim = self._runner._operators[name].sim
+        speeds = self._runner.speed_model.speeds_batch(self.iteration - 1)[0]
+        used = sim.contributions(plans[0], speeds, failures, outcome)
+        for worker, chunks in used.items():
+            rows = sim.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
+            decoder.add(worker, rows, compute(worker, rows))
+        return encoded.assemble(decoder.solve())
 
     def matvec(self, name: str, x: np.ndarray) -> np.ndarray:
         """One coded mat-vec round: returns the exact ``A @ x``."""
-        op = self._operators.get(name)
-        if op is None or op.kind != "matvec":
-            raise KeyError(f"no matvec operator named {name!r}")
-        x = np.asarray(x, dtype=np.float64)
-        return self._play_round(
-            op, lambda w, rows: op.encoded.compute(w, rows, x), width_out=1
+        encoded = self._operator(name, "matvec")
+        x = _checked_operand(x, encoded.width, "x")
+        return self._decode(
+            name, encoded, encoded.decoder(1), lambda w, rows: encoded.compute(w, rows, x)
         )
 
     def bilinear(self, name: str, diag: np.ndarray | None = None) -> np.ndarray:
         """One coded bilinear round: returns ``left @ diag(x) @ right``."""
-        op = self._operators.get(name)
-        if op is None or op.kind != "bilinear":
-            raise KeyError(f"no bilinear operator named {name!r}")
-        return self._play_round(
-            op,
-            lambda w, rows: op.encoded.compute(w, rows, diag=diag),
-            width_out=op.encoded.block_cols,
+        encoded = self._operator(name, "bilinear")
+        if diag is not None:
+            diag = _checked_operand(diag, encoded.left.shape[2], "diag")
+        return self._decode(
+            name,
+            encoded,
+            encoded.decoder(),
+            lambda w, rows: encoded.compute(w, rows, diag=diag),
         )
 
 
 @dataclass
-class _UncodedOperator:
-    name: str
-    matrix: np.ndarray
-    part: RowPartition
+class _UncodedSession(_Session):
+    """An uncoded baseline: the master keeps the matrix and multiplies."""
+
+    def register_matvec(self, name: str, matrix: np.ndarray) -> None:
+        """Partition ``matrix`` as the baseline does and register it."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        self._runner.register_matvec(name, *matrix.shape)
+        self._operators[name] = matrix
+
+    def _product(self, name: str, x: np.ndarray) -> np.ndarray:
+        matrix = self._operators.get(name)
+        if matrix is None:
+            raise KeyError(f"no operator named {name!r}")
+        x = _checked_operand(x, matrix.shape[1], "x")
+        self._round(name)
+        return matrix @ x
 
 
 @dataclass
-class ReplicationSession(_BaseSession):
+class ReplicationSession(_UncodedSession):
     """Session for the uncoded r-replication + speculation baseline."""
 
     config: SpeculationConfig = field(default_factory=SpeculationConfig)
-    _operators: dict[str, tuple[_UncodedOperator, ReplicationIterationSim]] = field(
-        init=False, default_factory=dict
-    )
 
-    def register_matvec(self, name: str, matrix: np.ndarray) -> None:
-        """Partition ``matrix`` into ``n`` replicated uncoded partitions."""
-        if name in self._operators:
-            raise ValueError(f"operator {name!r} already registered")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        part = RowPartition(matrix.shape[0], self.n_workers)
-        placement = ReplicaPlacement(self.n_workers, self.config.replication, seed=0)
-        sim = ReplicationIterationSim(
-            placement=placement,
-            config=self.config,
-            rows_per_partition=part.block_rows,
-            width=matrix.shape[1],
-            network=self.network,
-            cost=self.cost,
-        )
-        self._operators[name] = (
-            _UncodedOperator(name=name, matrix=matrix, part=part),
-            sim,
-        )
+    def __post_init__(self) -> None:
+        self._start("replication", config=self.config)
 
     def matvec(self, name: str, x: np.ndarray) -> np.ndarray:
         """One replicated uncoded round: returns the exact ``A @ x``."""
-        entry = self._operators.get(name)
-        if entry is None:
-            raise KeyError(f"no operator named {name!r}")
-        op, sim = entry
-        actual = np.asarray(self.speed_model.speeds(self._iteration), dtype=np.float64)
-        predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
-        outcome = sim.run(actual, failed_workers=self._take_failures())
-        result = op.matrix @ np.asarray(x, dtype=np.float64)
-        responded = np.array(
-            [s.response_time is not None for s in outcome.workers], dtype=bool
-        )
-        self._feedback(actual, responded)
-        self.metrics.add(
-            IterationRecord(
-                iteration=self._iteration,
-                operator=name,
-                latency=outcome.completion_time,
-                decode_time=0.0,
-                broadcast_time=outcome.broadcast_time,
-                computed_rows=np.array([s.computed_rows for s in outcome.workers]),
-                used_rows=np.array([float(s.used_rows) for s in outcome.workers]),
-                assigned_rows=np.array(
-                    [float(s.assigned_rows) for s in outcome.workers]
-                ),
-                predicted_speeds=predicted,
-                actual_speeds=actual,
-                data_moved_bytes=outcome.data_moved_bytes,
-                speculative_launches=outcome.speculative_launches,
-            )
-        )
-        self._iteration += 1
-        return result
+        return self._product(name, x)
 
 
 @dataclass
-class OverDecompositionSession(_BaseSession):
+class OverDecompositionSession(_UncodedSession):
     """Session for the Charm++-like over-decomposition baseline (§7.2).
 
     Migrated partition copies stay resident on their new workers (as in
@@ -358,80 +247,20 @@ class OverDecompositionSession(_BaseSession):
 
     factor: int = 4
     replication: float = 1.42
-    _operators: dict[
-        str,
-        tuple[_UncodedOperator, list[tuple[int, ...]], OverDecompositionIterationSim],
-    ] = field(init=False, default_factory=dict)
 
-    def register_matvec(self, name: str, matrix: np.ndarray) -> None:
-        """Partition ``matrix`` into ``factor × n`` uncoded partitions."""
-        if name in self._operators:
-            raise ValueError(f"operator {name!r} already registered")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        placement = OverDecompositionPlacement(
-            self.n_workers, factor=self.factor, replication=self.replication
-        )
-        part = RowPartition(matrix.shape[0], placement.num_partitions)
-        sim = OverDecompositionIterationSim(
-            rows_per_partition=part.block_rows,
-            width=matrix.shape[1],
-            network=self.network,
-            cost=self.cost,
-        )
-        self._operators[name] = (
-            _UncodedOperator(name=name, matrix=matrix, part=part),
-            list(placement.holders),
-            sim,
+    def __post_init__(self) -> None:
+        self._start(
+            "overdecomposition", factor=self.factor, replication=self.replication
         )
 
     def storage_fraction(self, name: str) -> float:
         """Current mean fraction of the data resident per worker."""
-        entry = self._operators.get(name)
-        if entry is None:
+        if name not in self._operators:
             raise KeyError(f"no operator named {name!r}")
-        _op, holders, _sim = entry
+        holders = self._runner._operators[name].holders[0]
         copies = sum(len(h) for h in holders)
         return copies / len(holders) / self.n_workers
 
     def matvec(self, name: str, x: np.ndarray) -> np.ndarray:
         """One over-decomposition round: returns the exact ``A @ x``."""
-        entry = self._operators.get(name)
-        if entry is None:
-            raise KeyError(f"no operator named {name!r}")
-        op, holders, sim = entry
-        actual = np.asarray(self.speed_model.speeds(self._iteration), dtype=np.float64)
-        predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
-        plan = plan_assignment(
-            holders, np.clip(predicted, 1e-9, None), self.n_workers
-        )
-        outcome = sim.run(plan, actual, failed_workers=self._take_failures())
-        # Migrated copies become resident on their new worker.
-        for partition in np.flatnonzero(plan.migrated):
-            worker = int(plan.owner[partition])
-            if worker not in holders[partition]:
-                holders[partition] = holders[partition] + (worker,)
-        result = op.matrix @ np.asarray(x, dtype=np.float64)
-        responded = np.array(
-            [s.response_time is not None for s in outcome.workers], dtype=bool
-        )
-        self._feedback(actual, responded)
-        self.metrics.add(
-            IterationRecord(
-                iteration=self._iteration,
-                operator=name,
-                latency=outcome.completion_time,
-                decode_time=0.0,
-                broadcast_time=outcome.broadcast_time,
-                computed_rows=np.array([s.computed_rows for s in outcome.workers]),
-                used_rows=np.array([float(s.used_rows) for s in outcome.workers]),
-                assigned_rows=np.array(
-                    [float(s.assigned_rows) for s in outcome.workers]
-                ),
-                predicted_speeds=predicted,
-                actual_speeds=actual,
-                data_moved_bytes=outcome.data_moved_bytes,
-                migrations=outcome.migrations,
-            )
-        )
-        self._iteration += 1
-        return result
+        return self._product(name, x)

@@ -123,6 +123,11 @@ class OverDecompositionPlacement:
             raise ValueError("replication must be >= 1")
         num_partitions = self.n_workers * self.factor
         extra_copies = int(round((self.replication - 1.0) * num_partitions))
+        if extra_copies > (self.n_workers - 1) * num_partitions:
+            raise ValueError(
+                f"replication {self.replication} needs more copies of a "
+                f"partition than n_workers {self.n_workers} can hold"
+            )
         table: list[list[int]] = []
         for partition in range(num_partitions):
             table.append([partition // self.factor])  # home worker
@@ -154,10 +159,10 @@ class OverDecompositionPlacement:
     def plan(self, speeds: np.ndarray) -> OverDecompositionPlan:
         """Plan from the *static* placement (see :func:`plan_assignment`).
 
-        Long-running sessions should instead track the holders as copies
-        migrate (see
-        :class:`~repro.runtime.session.OverDecompositionSession`) —
-        migrated partitions stay resident on their new worker, so a stable
-        skew only pays the migration once.
+        Long-running runs should instead track the holders as copies
+        migrate (as
+        :class:`~repro.runtime.batch.BatchOverDecompositionRunner` does per
+        trial) — migrated partitions stay resident on their new worker, so
+        a stable skew only pays the migration once.
         """
         return plan_assignment(self.holders, speeds, self.n_workers)

@@ -61,11 +61,16 @@ class TestControlledSpeeds:
         corr = np.corrcoef(a, b)[0, 1]
         assert corr > 0.8
 
-    def test_sequential_enforced(self):
-        model = ControlledSpeeds(4, seed=0)
-        model.speeds(5)
-        with pytest.raises(ValueError, match="sequential"):
-            model.speeds(2)
+    def test_replay_returns_memoised_draw(self):
+        # Any order of reads returns the draws of an in-order walk.
+        model = ControlledSpeeds(4, num_stragglers=1, seed=0)
+        later = model.speeds(5)
+        earlier = model.speeds(2)
+        walk = ControlledSpeeds(4, num_stragglers=1, seed=0)
+        expected = [walk.speeds(i) for i in range(6)]
+        np.testing.assert_array_equal(earlier, expected[2])
+        np.testing.assert_array_equal(later, expected[5])
+        np.testing.assert_array_equal(model.speeds(5), expected[5])
 
     def test_deterministic_given_seed(self):
         a = ControlledSpeeds(6, num_stragglers=1, seed=42).speeds(3)

@@ -2,8 +2,8 @@
 
 Every built-in policy family runs on the batched latency engine
 (``repro.runtime.batch``); the numeric sessions of ``repro.runtime.session``
-are the API the apps and examples use and the references the equality
-suites compare against, never a sweep's code path.  Each session round
+are one-trial views of it for the apps and examples, never a sweep's code
+path.  Each session round
 entry is patched to raise, then the figures that compare S2C2 with
 uncoded replication and a matrix slice over the uncoded baselines run —
 a cell that quietly fell back to per-trial sessions fails here.

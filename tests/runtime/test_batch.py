@@ -1,9 +1,10 @@
-"""Batched latency runner vs real sessions: metrics must match exactly.
+"""Batched runners vs the frozen per-trial sessions: metrics must match exactly.
 
 The batch engine's whole claim is that trial ``t`` of a batched run equals
 a single-trial session run built from the same seed — same plans, same
 timeline, same predictor feedback — with the numeric payload skipped.
-These tests pin that equality for every runner family (coded,
+These tests pin that equality against the per-trial session loop frozen
+in ``session_reference.py``, for every runner family (coded,
 over-decomposition, replication) on the controlled-cluster and
 cloud-trace experiment shapes.
 """
@@ -18,12 +19,7 @@ from repro.cluster.speed_models import (
     TraceSpeeds,
 )
 from repro.coding.mds import MDSCode
-from repro.experiments.harness import (
-    run_coded_lr_like,
-    run_lr_like_batch,
-    run_overdecomposition_lr_like,
-    run_replicated_lr_like,
-)
+from repro.experiments.harness import run_lr_like_batch
 from repro.prediction.predictor import (
     LastValuePredictor,
     OraclePredictor,
@@ -35,6 +31,11 @@ from repro.scheduling.replication import SpeculationConfig
 from repro.scheduling.s2c2 import BasicS2C2Scheduler, GeneralS2C2Scheduler
 from repro.scheduling.static import StaticCodedScheduler
 from repro.scheduling.timeout import TimeoutPolicy
+from session_reference import (
+    run_coded_lr_like,
+    run_overdecomposition_lr_like,
+    run_replicated_lr_like,
+)
 
 N = 12
 ROWS, COLS = 240, 60
@@ -262,3 +263,27 @@ def test_metrics_require_rounds():
     metrics = BatchRunMetrics(n_trials=2, n_workers=3)
     with pytest.raises(RuntimeError):
         _ = metrics.total_time
+
+
+@pytest.mark.parametrize(
+    "k, coverage",
+    [(4, 3), (N + 1, N + 1), (0, 4)],
+    ids=["coverage-below-k", "k-above-workers", "k-zero"],
+)
+def test_coded_registration_rejects_undecodable_thresholds(k, coverage):
+    # No round of such an operator could decode: rejected at registration.
+    from repro.runtime.batch import build_batch_runner
+
+    runner = build_batch_runner(
+        "coded",
+        StackedSpeeds([_controlled(0)]),
+        StackedPredictor([LastValuePredictor(N)]),
+    )
+    scheduler = GeneralS2C2Scheduler(coverage=coverage, num_chunks=10)
+    with pytest.raises(ValueError, match=rf"k={k} .*coverage={coverage}"):
+        runner.register_matvec("A", ROWS, COLS, k, scheduler)
+    with pytest.raises(ValueError, match=rf"k={k} .*coverage={coverage}"):
+        runner.register_bilinear("H", ROWS, COLS, ROWS, k, 1, scheduler)
+    # Coverage above k still decodes.
+    runner.register_matvec("B", ROWS, COLS, 4, GeneralS2C2Scheduler(coverage=5))
+    runner.matvec("B")

@@ -3,82 +3,74 @@
 import numpy as np
 import pytest
 
-from repro.runtime.metrics import IterationRecord, RunMetrics, StorageTracker
+from repro.runtime.batch import BatchRunMetrics
+from repro.runtime.metrics import StorageTracker
 
 
-def make_record(it=0, latency=1.0, computed=(10.0, 10.0), used=(10.0, 5.0),
-                predicted=(1.0, 1.0), actual=(1.0, 1.0), **kwargs):
-    return IterationRecord(
-        iteration=it,
-        operator="A",
-        latency=latency,
-        decode_time=0.1,
-        broadcast_time=0.01,
-        computed_rows=np.array(computed, dtype=float),
-        used_rows=np.array(used, dtype=float),
-        predicted_speeds=np.array(predicted, dtype=float),
-        actual_speeds=np.array(actual, dtype=float),
-        **kwargs,
+def add_round(metrics, latency=1.0, computed=(10.0, 10.0), used=(10.0, 5.0),
+              predicted=(1.0, 1.0), actual=(1.0, 1.0), repaired=False):
+    """Record one round of a one-trial run."""
+    metrics.add_round(
+        latency=np.array([latency]),
+        computed=np.array([computed], dtype=float),
+        used=np.array([used], dtype=float),
+        assigned=np.array([computed], dtype=float),
+        predicted=np.array([predicted], dtype=float),
+        actual=np.array([actual], dtype=float),
+        repaired=np.array([repaired]),
     )
 
 
-class TestIterationRecord:
-    def test_wasted_rows(self):
-        rec = make_record(computed=(10.0, 10.0), used=(10.0, 4.0))
-        np.testing.assert_array_equal(rec.wasted_rows, [0.0, 6.0])
-
-    def test_wasted_never_negative(self):
-        rec = make_record(computed=(3.0,), used=(5.0,), predicted=(1.0,), actual=(1.0,))
-        np.testing.assert_array_equal(rec.wasted_rows, [0.0])
+def one_trial(workers=2):
+    return BatchRunMetrics(n_trials=1, n_workers=workers)
 
 
-class TestRunMetrics:
+class TestBatchRunMetrics:
     def test_empty_raises(self):
-        with pytest.raises(RuntimeError, match="no iterations"):
-            _ = RunMetrics().total_time
+        metrics = one_trial()
+        for read in (
+            lambda: metrics.total_time,
+            metrics.total_wasted_fraction,
+            lambda: metrics.repair_count,
+        ):
+            with pytest.raises(RuntimeError, match="no rounds"):
+                read()
 
     def test_totals(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(latency=2.0))
-        metrics.add(make_record(it=1, latency=3.0))
-        assert metrics.total_time == pytest.approx(5.0)
-        assert metrics.mean_latency == pytest.approx(2.5)
+        metrics = one_trial()
+        add_round(metrics, latency=2.0)
+        add_round(metrics, latency=3.0)
+        np.testing.assert_allclose(metrics.total_time, [5.0])
         assert len(metrics) == 2
 
-    def test_wasted_fraction_per_worker(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(computed=(10.0, 10.0), used=(10.0, 5.0)))
-        metrics.add(make_record(it=1, computed=(10.0, 10.0), used=(10.0, 5.0)))
-        np.testing.assert_allclose(
-            metrics.wasted_fraction_per_worker(), [0.0, 0.5]
-        )
-
-    def test_wasted_fraction_handles_idle_worker(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(computed=(0.0, 10.0), used=(0.0, 10.0)))
-        np.testing.assert_allclose(metrics.wasted_fraction_per_worker(), [0.0, 0.0])
-
     def test_total_wasted_fraction(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(computed=(10.0, 10.0), used=(10.0, 0.0)))
-        assert metrics.total_wasted_fraction() == pytest.approx(0.5)
+        metrics = one_trial()
+        add_round(metrics, computed=(10.0, 10.0), used=(10.0, 0.0))
+        np.testing.assert_allclose(metrics.total_wasted_fraction(), [0.5])
+
+    def test_total_wasted_fraction_with_idle_worker(self):
+        # A worker that computed nothing adds nothing; used rows above
+        # computed ones never count as negative waste.
+        metrics = one_trial(3)
+        add_round(metrics, computed=(0.0, 10.0, 4.0), used=(0.0, 10.0, 5.0),
+                  predicted=(1.0,) * 3, actual=(1.0,) * 3)
+        np.testing.assert_array_equal(metrics.total_wasted_fraction(), [0.0])
+
+    def test_total_wasted_fraction_when_nothing_computed(self):
+        metrics = one_trial()
+        add_round(metrics, computed=(0.0, 0.0), used=(0.0, 0.0))
+        np.testing.assert_array_equal(metrics.total_wasted_fraction(), [0.0])
 
     def test_misprediction_rate(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(predicted=(1.0, 1.0), actual=(1.0, 2.0)))
-        assert metrics.misprediction_rate() == pytest.approx(0.5)
+        metrics = one_trial()
+        add_round(metrics, predicted=(1.0, 1.0), actual=(1.0, 2.0))
+        np.testing.assert_allclose(metrics.misprediction_rate(), [0.5])
 
     def test_repair_count(self):
-        metrics = RunMetrics()
-        metrics.add(make_record())
-        metrics.add(make_record(it=1, repaired=True))
-        assert metrics.repair_count == 1
-
-    def test_data_moved(self):
-        metrics = RunMetrics()
-        metrics.add(make_record(data_moved_bytes=100.0))
-        metrics.add(make_record(it=1, data_moved_bytes=50.0))
-        assert metrics.total_data_moved_bytes == pytest.approx(150.0)
+        metrics = one_trial()
+        add_round(metrics)
+        add_round(metrics, repaired=True)
+        np.testing.assert_array_equal(metrics.repair_count, [1])
 
 
 class TestStorageTracker:

@@ -169,9 +169,19 @@ class TestRunners:
 
     def test_replication_runner_matches_fig06_baseline(self):
         # The registry's replication policy must reproduce, bit for bit,
-        # one seeded scalar session per trial (the Fig 6 baseline).
-        from repro.experiments.harness import run_replicated_lr_like
+        # one seeded scalar session per trial (the Fig 6 baseline), as
+        # frozen in tests/runtime/session_reference.py.
+        import importlib.util
+        from pathlib import Path
+
         from repro.cluster.scenarios import scenario_speed_model
+
+        spec = importlib.util.spec_from_file_location(
+            "session_reference",
+            Path(__file__).resolve().parents[1] / "runtime" / "session_reference.py",
+        )
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
         from repro.prediction.predictor import LastValuePredictor
 
         ctx = _ctx(trials=2)
@@ -179,7 +189,7 @@ class TestRunners:
             "controlled", ctx, rows=240, cols=60, iterations=2
         )
         sessions = [
-            run_replicated_lr_like(
+            reference.run_replicated_lr_like(
                 np.zeros((240, 60)),
                 scenario_speed_model("controlled", 12, seed=seed),
                 LastValuePredictor(12),

@@ -1,5 +1,7 @@
 """Tests for the uncoded replication and over-decomposition baselines."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,35 @@ class TestReplicaPlacement:
             assert all(0 <= w < n for w in holders)
 
 
+@pytest.fixture
+def alarm():
+    """Fail a call that hangs instead of hanging the suite."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the placement did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestOverDecompositionPlacement:
+    @pytest.mark.parametrize(
+        "n_workers, replication", [(1, 1.42), (2, 2.2), (3, 3.5)]
+    )
+    def test_more_copies_than_workers_rejected(self, alarm, n_workers, replication):
+        # A partition cannot have more copies than there are workers; the
+        # round-robin used to search for a free worker forever.
+        with pytest.raises(ValueError, match=r"replication .* n_workers"):
+            OverDecompositionPlacement(n_workers, replication=replication)
+
+    @pytest.mark.parametrize("n_workers, replication", [(1, 1.0), (2, 2.0), (3, 3.0)])
+    def test_a_copy_on_every_worker_is_allowed(self, alarm, n_workers, replication):
+        placement = OverDecompositionPlacement(n_workers, replication=replication)
+        assert all(len(h) == n_workers for h in placement.holders)
+
     def test_partition_count(self):
         placement = OverDecompositionPlacement(10, factor=4)
         assert placement.num_partitions == 40
