@@ -116,27 +116,27 @@ def largest_remainder_round(weights: np.ndarray, total: int) -> np.ndarray:
     Uses the largest-remainder (Hamilton) method so that the result sums to
     exactly ``total`` and is within one unit of the exact proportional share.
     Zero-weight entries receive zero units.  Ties are broken by index for
-    determinism.
+    determinism.  Apportions along the last axis: each row of a 2-D
+    ``weights`` independently, exactly as the 1-D call on that row.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValueError("weights must be 1-D")
+    if weights.ndim == 0:
+        raise ValueError("weights must have at least one axis")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    wsum = weights.sum()
     if total == 0:
         return np.zeros(weights.shape, dtype=np.int64)
-    if wsum <= 0:
+    wsum = weights.sum(axis=-1, keepdims=True)
+    if np.any(wsum <= 0):
         raise ValueError("at least one weight must be positive when total > 0")
     exact = weights * (total / wsum)
     base = np.floor(exact).astype(np.int64)
-    short = total - int(base.sum())
-    if short > 0:
-        remainders = exact - base
-        # Stable argsort descending by remainder, then ascending index.
-        order = np.lexsort((np.arange(weights.size), -remainders))
-        base[order[:short]] += 1
-    return base
+    short = total - base.sum(axis=-1, keepdims=True)
+    # The ``short`` largest remainders get one more unit; stable order:
+    # descending remainder, then ascending index.
+    index = np.broadcast_to(np.arange(weights.shape[-1]), weights.shape)
+    order = np.lexsort((index, base - exact), axis=-1)
+    return base + (order.argsort(axis=-1) < short)
 
 
 def _source_stamp(builder: Callable) -> tuple | None:

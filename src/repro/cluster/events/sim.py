@@ -88,7 +88,7 @@ class EventDrivenIterationSim(CodedIterationSim):
         links); the other arguments are the parent's, and every trial
         takes the parent's batched kernel.
         """
-        batch, speeds, failed_list = self._batch_inputs(
+        batch, speeds, failed_mask = self._batch_inputs(
             plans, speeds, failed_workers
         )
         factors = self._check_factors(link_factors, *speeds.shape)
@@ -96,5 +96,5 @@ class EventDrivenIterationSim(CodedIterationSim):
             bandwidth = self.network.bandwidth * factors
             recv = self.network.latency + self._broadcast_bytes / bandwidth
         return self._batch_kernel(
-            batch, speeds, failed_list, recv=recv, bandwidth=bandwidth
+            batch, speeds, failed_mask, recv=recv, bandwidth=bandwidth
         )

@@ -55,14 +55,14 @@ are available — the feasibility identity of
 trial's reassignment.
 
 Both uncoded simulators return the same stacked
-:class:`BatchUncodedOutcome`.  :meth:`ReplicationIterationSim.run_batch`
-batches the primary arrivals and resolves each trial's speculation — a
-bounded sequence of relaunches on whichever workers are idle — with the
-scalar path's own :meth:`~ReplicationIterationSim._complete`;
+:class:`BatchUncodedOutcome`, and each ``run`` is one row of its batch.
+:meth:`ReplicationIterationSim.run_batch` resolves every trial's
+speculation — a bounded sequence of relaunches on whichever workers are
+idle — in one array pass over the ``(trials, workers)`` arrival matrix,
+looping only over laggard rank with trial masks;
 :meth:`OverDecompositionIterationSim.run_batch` stacks the per-worker chunk
-timelines — migration fetches, compute, reply — across all trials at once,
-and its :meth:`~OverDecompositionIterationSim.run` is one row of that
-timeline.
+timelines — migration fetches, compute, reply — across all trials at once
+from one stacked plan.
 """
 
 from __future__ import annotations
@@ -136,11 +136,11 @@ def _normalise_batch(
     speeds: np.ndarray,
     failed_workers: frozenset[int] | Sequence[frozenset[int]],
     n_workers: int | None = None,
-) -> tuple[np.ndarray, int, list[frozenset[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Validate batch inputs shared by every ``run_batch``.
 
-    Returns the ``(trials, workers)`` speed matrix, the trial count, and
-    one failure set per trial (a single set is broadcast to all trials).
+    Returns the ``(trials, workers)`` speed matrix and the mask of each
+    trial's failed workers (a single set fails in every trial).
     """
     speeds = _checked_speeds(speeds, n_workers, batch=True)
     trials = speeds.shape[0]
@@ -157,7 +157,20 @@ def _normalise_batch(
                 f"got {len(failed_list)} failure sets for {trials} trials"
             )
     _checked_failures(set(failed_list), speeds.shape[1])
-    return speeds, trials, failed_list
+    failed = np.zeros(speeds.shape, dtype=bool)
+    for t, workers in enumerate(failed_list):
+        if workers:
+            failed[t, list(workers)] = True
+    return speeds, failed
+
+
+def _row_counts(
+    values: np.ndarray, n: int, where: np.ndarray | None = None
+) -> np.ndarray:
+    """``(trials, n)`` counts of ``0 … n-1`` per row (of its ``where`` entries)."""
+    flat = values + n * np.arange(len(values))[:, None]
+    flat = flat.ravel() if where is None else flat[where]
+    return np.bincount(flat, minlength=len(values) * n).reshape(-1, n)
 
 
 @dataclass
@@ -436,10 +449,10 @@ class CodedIterationSim:
         plans: PlanBatch | CodedWorkPlan | Sequence[CodedWorkPlan],
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]],
-    ) -> tuple[PlanBatch, np.ndarray, list[frozenset[int]]]:
-        """Validated plan batch, speed matrix and per-trial failure sets."""
-        speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        batch = as_plan_batch(plans, trials)
+    ) -> tuple[PlanBatch, np.ndarray, np.ndarray]:
+        """Validated plan batch, speed matrix and failed-worker mask."""
+        speeds, failed_mask = _normalise_batch(speeds, failed_workers)
+        batch = as_plan_batch(plans, len(speeds))
         if batch.n_workers != speeds.shape[1]:
             raise ValueError("every plan must span the batch's worker count")
         if batch.num_chunks != self.grid.num_chunks:
@@ -447,7 +460,7 @@ class CodedIterationSim:
                 f"plans have {batch.num_chunks} chunks, the simulator's grid "
                 f"{self.grid.num_chunks}"
             )
-        return batch, speeds, failed_list
+        return batch, speeds, failed_mask
 
     def run_batch(
         self,
@@ -471,13 +484,13 @@ class CodedIterationSim:
 
         See :meth:`_batch_kernel`.
         """
-        batch, speeds, failed_list = self._batch_inputs(
+        batch, speeds, failed_mask = self._batch_inputs(
             plans, speeds, failed_workers
         )
         return self._batch_kernel(
             batch,
             speeds,
-            failed_list,
+            failed_mask,
             recv=self._broadcast_cost,
             bandwidth=self.network.bandwidth,
         )
@@ -607,7 +620,7 @@ class CodedIterationSim:
         self,
         batch: PlanBatch,
         speeds: np.ndarray,
-        failed_list: list[frozenset[int]],
+        failed_mask: np.ndarray,
         recv: float | np.ndarray,
         bandwidth: float | np.ndarray,
     ) -> BatchCodedOutcome:
@@ -623,10 +636,6 @@ class CodedIterationSim:
         """
         trials, n = speeds.shape
         with span("plan"):
-            failed_mask = np.zeros((trials, n), dtype=bool)
-            for t, failed in enumerate(failed_list):
-                if failed:
-                    failed_mask[t, list(failed)] = True
             rows_mat = batch.rows(self.grid.chunk_offsets())
             active = batch.count > 0
             full_rows, exact_rows = batch.full, batch.exact
@@ -786,11 +795,11 @@ class UncodedIterationOutcome:
 class BatchUncodedOutcome:
     """Stacked outcomes of ``trials`` uncoded iterations (one row per trial).
 
-    Per-trial values equal what the scalar ``run`` returns for that trial's
-    (plan, speeds) pair; the ``partition_owner`` map and the speculative
-    launch count are not materialised (latency/waste sweeps never read
-    them — use the scalar path when that detail is needed).  Replication
-    never migrates, so its ``migrations`` are zero.
+    Row ``t`` is what ``run`` returns for that trial's (plan, speeds)
+    pair; the partition → owner map and the speculative launch count stay
+    internal to the pass (latency/waste sweeps never read them), and
+    ``run`` reads them for its one trial.  Replication never migrates, so
+    its ``migrations`` are zero.
     """
 
     completion_time: np.ndarray  # (trials,)
@@ -805,6 +814,30 @@ class BatchUncodedOutcome:
     @property
     def n_trials(self) -> int:
         return self.completion_time.size
+
+
+def _one_trial_outcome(
+    out: BatchUncodedOutcome,
+    arrival: np.ndarray,
+    owner: np.ndarray,
+    cancelled: np.ndarray,
+    **counts: int,
+) -> UncodedIterationOutcome:
+    """Trial 0 of a stacked uncoded outcome, with its per-worker stats."""
+    columns = (out.assigned_rows, out.computed_rows, out.used_rows, arrival)
+    return UncodedIterationOutcome(
+        completion_time=float(out.completion_time[0]),
+        broadcast_time=out.broadcast_time,
+        workers=[
+            WorkerIterationStats(w, assigned, computed, used, at if ok else None, stop)
+            for w, (assigned, computed, used, at, ok, stop) in enumerate(
+                zip(*(c[0].tolist() for c in (*columns, out.responded, cancelled)))
+            )
+        ],
+        partition_owner=dict(enumerate(owner[0].tolist())),
+        data_moved_bytes=float(out.data_moved_bytes[0]),
+        **counts,
+    )
 
 
 @dataclass(frozen=True)
@@ -827,194 +860,168 @@ class ReplicationIterationSim:
     network: NetworkModel = field(default_factory=NetworkModel)
     cost: CostModel = field(default_factory=CostModel)
 
-    def _arrival(self, rows: int, speed: float, start: float) -> float:
-        compute = self.cost.compute_time(rows, self.width, speed)
-        reply = self.network.transfer_time(rows * self.cost.row_bytes(self.width_out))
-        return start + compute + reply
-
-    def _primary_arrivals(
-        self, speeds: np.ndarray, failed: Sequence[frozenset[int]]
-    ) -> np.ndarray:
-        """Vectorized primary-task arrivals for a ``(trials, n)`` batch.
-
-        Term-by-term mirror of :meth:`_arrival`, so per-trial rows are
-        bit-identical to the scalar computation.
-        """
-        rows = self.rows_per_partition
-        broadcast = self.network.transfer_time(self.width * self.cost.bytes_per_element)
-        compute = (rows * self.width * self.cost.flops_per_element) / (
-            self.cost.worker_flops * speeds
-        )
-        reply = self.network.transfer_time(rows * self.cost.row_bytes(self.width_out))
-        arrivals = (broadcast + compute) + reply
-        for t, failed_set in enumerate(failed):
-            if failed_set:
-                arrivals[t, list(failed_set)] = np.inf
-        return arrivals
+    @functools.cached_property
+    def _copies(self) -> np.ndarray:
+        """``(partitions, workers)`` mask: which workers hold each partition."""
+        copies = np.zeros((self.placement.n_workers,) * 2, dtype=bool)
+        for partition, holders in enumerate(self.placement.replicas):
+            copies[partition, list(holders)] = True
+        return copies
 
     def run(
         self,
         speeds: np.ndarray,
         failed_workers: frozenset[int] = frozenset(),
     ) -> UncodedIterationOutcome:
-        """Simulate one iteration; every partition must produce one result."""
+        """Simulate one iteration: one trial of :meth:`run_batch`'s pass."""
         speeds = _checked_speeds(speeds, self.placement.n_workers, batch=False)
-        _checked_failures([failed_workers], speeds.size)
-        primary = self._primary_arrivals(speeds[None, :], [failed_workers])[0]
-        return self._complete(speeds, primary, failed_workers)
+        out, arrival, owner, launches = self._speculate(
+            *_normalise_batch(speeds[None, :], frozenset(failed_workers))
+        )
+        return _one_trial_outcome(
+            out, arrival, owner, ~out.responded, speculative_launches=int(launches[0])
+        )
 
     def run_batch(
         self,
         speeds: np.ndarray,
         failed_workers: frozenset[int] | Sequence[frozenset[int]] = frozenset(),
     ) -> BatchUncodedOutcome:
-        """Simulate a ``(trials, n)`` batch; one stacked row per trial.
-
-        Arrivals are computed for the whole batch at once; the speculation
-        decisions (inherently sequential: a bounded number of relaunches on
-        whichever workers happen to be idle) are resolved per trial by
-        :meth:`_complete`, the code the scalar path uses, so row ``t``
-        equals :meth:`run` on ``speeds[t]`` exactly.
-        """
-        speeds, trials, failed_list = _normalise_batch(
+        """Simulate a ``(trials, n)`` batch in one array pass (:meth:`_speculate`)."""
+        speeds, failed = _normalise_batch(
             speeds, failed_workers, n_workers=self.placement.n_workers
         )
-        arrivals = self._primary_arrivals(speeds, failed_list)
-        outcomes = [
-            self._complete(speeds[t], arrivals[t], failed_list[t])
-            for t in range(trials)
-        ]
-        stats = [o.workers for o in outcomes]
-        return BatchUncodedOutcome(
-            completion_time=np.array([o.completion_time for o in outcomes]),
-            broadcast_time=outcomes[0].broadcast_time,
-            assigned_rows=np.array([[s.assigned_rows for s in r] for r in stats]),
-            computed_rows=np.array([[s.computed_rows for s in r] for r in stats]),
-            used_rows=np.array([[s.used_rows for s in r] for r in stats]),
-            responded=np.array(
-                [[s.response_time is not None for s in r] for r in stats]
-            ),
-            data_moved_bytes=np.array([o.data_moved_bytes for o in outcomes]),
-            migrations=np.zeros(trials, dtype=np.int64),
-        )
+        return self._speculate(speeds, failed)[0]
 
-    def _complete(
-        self,
-        speeds: np.ndarray,
-        primary_arrival: np.ndarray,
-        failed_workers: frozenset[int],
-    ) -> UncodedIterationOutcome:
-        """Resolve speculation and accounting for one trial."""
-        n = self.placement.n_workers
-        rows = self.rows_per_partition
-        broadcast = self.network.transfer_time(self.width * self.cost.bytes_per_element)
-        stats = [WorkerIterationStats(worker=w, assigned_rows=rows) for w in range(n)]
-        finite = np.sort(primary_arrival[np.isfinite(primary_arrival)])
-        watch_count = max(1, int(np.ceil(self.config.watch_fraction * n)))
-        if finite.size >= watch_count:
-            watch_time = float(finite[watch_count - 1])
-        else:
-            watch_time = float(finite[-1]) if finite.size else broadcast
+    def _speculate(
+        self, speeds: np.ndarray, failed: np.ndarray
+    ) -> tuple[BatchUncodedOutcome, np.ndarray, np.ndarray, np.ndarray]:
+        """Speculation and accounting for every trial in one array pass.
 
-        # Speculation: relaunch the laggard tasks on idle finished workers.
-        laggards = [
-            p for p in range(n) if primary_arrival[p] > watch_time
-        ]
-        laggards.sort(key=lambda p: -primary_arrival[p])  # slowest first
-        idle = [
-            w
-            for w in range(n)
-            if primary_arrival[w] <= watch_time and w not in failed_workers
-        ]
-        idle.sort(key=lambda w: -speeds[w])  # fastest first
-        spec_tasks: dict[int, tuple[int, float, float]] = {}  # p -> (holder, start, arrival)
-        data_moved = 0.0
-        launches = 0
-        partition_bytes = rows * self.cost.row_bytes(self.width)
-        for p in laggards:
-            if launches >= self.config.max_speculative or not idle:
+        At its watch time (the ``watch_count``-th finite arrival, else the
+        last, else the broadcast) a trial relaunches its laggards, slowest
+        first, on idle workers, fastest first (stable orders: ties go to
+        the lower index).  A copy owns its partition if it arrives first,
+        or at the same time on a lower worker index.  Also returns the
+        primary arrivals, owners and launch counts that :meth:`run` reads.
+        """
+        trials, n = speeds.shape
+        rows, config, cost = self.rows_per_partition, self.config, self.cost
+        tr, workers = np.arange(trials), np.arange(n)
+        broadcast = self.network.transfer_time(self.width * cost.bytes_per_element)
+        # Compute, reply and rows_computable mirror CostModel and
+        # NetworkModel term by term, so every value is bit-identical to
+        # the scalar formulas.
+        denom = cost.worker_flops * speeds
+        compute = (rows * self.width * cost.flops_per_element) / denom
+        per_row = (self.width * cost.flops_per_element) / denom
+        reply = self.network.transfer_time(rows * cost.row_bytes(self.width_out))
+        arrivals = (broadcast + compute) + reply
+        arrivals[failed] = np.inf
+
+        finite = np.isfinite(arrivals).sum(axis=1)
+        watch_count = max(1, int(np.ceil(config.watch_fraction * n)))
+        nth = np.maximum(np.minimum(finite, watch_count) - 1, 0)
+        watch = np.where(finite > 0, np.sort(arrivals, axis=1)[tr, nth], broadcast)
+        # Laggards are a prefix of the slowest-first order (a failed
+        # worker arrives at inf: a laggard, never idle).
+        lag_order = np.argsort(-arrivals, axis=1, kind="stable")
+        n_lag = (arrivals > watch[:, None]).sum(axis=1)
+        idle_order = np.argsort(-speeds, axis=1, kind="stable")
+        idle = np.take_along_axis(arrivals <= watch[:, None], idle_order, axis=1)
+        holder = np.full((trials, n), n)  # by partition; n: no copy
+        start = np.zeros((trials, n))
+        spec = np.full((trials, n), np.inf)
+        launches = np.zeros(trials, dtype=np.int64)
+        data_moved = np.zeros(trials)
+        partition_bytes = rows * cost.row_bytes(self.width)
+        local_start = watch + self.network.latency
+        moved_start = local_start + self.network.transfer_time(partition_bytes)
+        for rank in range(n):
+            # Budget and idle set only shrink: a stopped trial stays so.
+            live = (rank < n_lag) & (launches < config.max_speculative)
+            live &= idle.any(axis=1)
+            if not live.any():
                 break
-            # Prefer an idle replica holder; otherwise move the data (if the
-            # policy allows it — strict-locality Hadoop does not).
-            holder = next(
-                (w for w in idle if self.placement.has_copy(w, p)), None
+            part = lag_order[:, rank]
+            copy = idle & self._copies[part[:, None], idle_order]
+            local = copy.any(axis=1)
+            # Without an idle holder the partition moves to the fastest
+            # idle worker, or (strict locality) the laggard is skipped.
+            launch = live & (local | config.allow_data_movement)
+            moved = launch & ~local
+            slot = np.where(local, copy.argmax(axis=1), idle.argmax(axis=1))[launch]
+            t, p = tr[launch], part[launch]
+            holder[t, p] = h = idle_order[t, slot]
+            start[t, p] = np.where(moved, moved_start, local_start)[launch]
+            spec[t, p] = (start[t, p] + compute[t, h]) + reply
+            idle[t, slot] = False
+            launches += launch
+            data_moved = data_moved + np.where(moved, partition_bytes, 0.0)
+
+        wins = (spec < arrivals) | ((spec == arrivals) & (holder < workers))
+        done = np.where(wins, spec, arrivals)
+        owner = np.where(wins, holder, workers)
+        stuck = np.argwhere(np.isinf(done))
+        if stuck.size:
+            raise RuntimeError(
+                f"partition {stuck[0, 1]} cannot complete: primary failed and "
+                "no speculative copy was launched"
             )
-            start = watch_time + self.network.latency
-            if holder is None:
-                if not self.config.allow_data_movement:
-                    continue
-                holder = idle[0]
-                start += self.network.transfer_time(partition_bytes)
-                data_moved += partition_bytes
-            idle.remove(holder)
-            spec_tasks[p] = (holder, start, self._arrival(rows, speeds[holder], start))
-            launches += 1
+        completion = done.max(axis=1)
 
-        owner: dict[int, int] = {}
-        completion = 0.0
-        for p in range(n):
-            candidates = [(primary_arrival[p], p)]
-            if p in spec_tasks:
-                holder, _start, t = spec_tasks[p]
-                candidates.append((t, holder))
-            t_done, who = min(candidates)
-            if t_done == np.inf:
-                raise RuntimeError(
-                    f"partition {p} cannot complete: primary failed and no "
-                    "speculative copy was launched"
-                )
-            owner[p] = who
-            completion = max(completion, t_done)
+        # Accounting: a primary or copy computed fully if it arrived by the
+        # end, else partially until then (a failed worker computed nothing).
+        def computed_by(elapsed: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+            rows_done = np.where(elapsed <= 0, 0.0, elapsed / per_row)
+            return np.minimum(float(rows), rows_done)
 
-        # Accounting. Primary copies: full if arrived before completion,
-        # partial otherwise (cancelled at iteration end).
-        for w in range(n):
-            if w in failed_workers:
-                stats[w].computed_rows = 0.0
-                stats[w].cancelled = True
-                continue
-            if primary_arrival[w] <= completion:
-                stats[w].computed_rows = float(rows)
-                stats[w].response_time = float(primary_arrival[w])
-            else:
-                elapsed = completion - broadcast
-                stats[w].computed_rows = float(
-                    min(rows, self.cost.rows_computable(elapsed, self.width, speeds[w]))
-                )
-                stats[w].cancelled = True
-        for p, (holder, start, arrival) in spec_tasks.items():
-            # The speculative copy also computed (fully if it beat the end,
-            # partially if it was cancelled when the primary finished first).
-            if arrival <= completion:
-                done = float(rows)
-            else:
-                done = min(
-                    float(rows),
-                    self.cost.rows_computable(
-                        completion - start, self.width, speeds[holder]
-                    ),
-                )
-            stats[holder].computed_rows += max(0.0, done)
-        for p, w in owner.items():
-            stats[w].used_rows += rows
-        return UncodedIterationOutcome(
+        responded = arrivals <= completion[:, None]
+        partial = computed_by(completion[:, None] - broadcast, per_row)
+        computed = np.where(responded, float(rows), np.where(failed, 0.0, partial))
+        t, p = np.nonzero(holder < n)
+        h, end = holder[t, p], completion[t]
+        copied = computed_by(end - start[t, p], per_row[t, h])
+        computed[t, h] += np.where(spec[t, p] <= end, float(rows), copied)
+        out = BatchUncodedOutcome(
             completion_time=completion,
             broadcast_time=broadcast,
-            workers=stats,
-            partition_owner=owner,
+            assigned_rows=np.full((trials, n), rows),
+            computed_rows=computed,
+            used_rows=rows * _row_counts(owner, n),
+            responded=responded,
             data_moved_bytes=data_moved,
-            speculative_launches=launches,
+            migrations=np.zeros(trials, dtype=np.int64),
         )
+        return out, arrivals, owner, launches
 
 
-def _check_owners(plan: OverDecompositionPlan, n_workers: int) -> np.ndarray:
-    """The plan's partition → owner array, every owner one of the workers."""
-    owner = np.asarray(plan.owner)
+def _stacked_plan(
+    plans: OverDecompositionPlan | Sequence[OverDecompositionPlan],
+    trials: int,
+    n_workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``plans`` as ``(trials, partitions)`` owner and migration tables.
+
+    One plan of 1-D arrays is shared by every trial, a stacked plan has a
+    row per trial, and a list of per-trial plans is stacked once.
+    """
+    if not isinstance(plans, OverDecompositionPlan):
+        plans = list(plans)
+        if len(plans) != trials:
+            raise ValueError(f"got {len(plans)} plans for {trials} trials")
+        plans = OverDecompositionPlan(
+            np.stack([p.owner for p in plans]), np.stack([p.migrated for p in plans])
+        )
+    owner, migrated = np.asarray(plans.owner), np.asarray(plans.migrated, dtype=bool)
+    if owner.ndim == 1:
+        owner = np.broadcast_to(owner, (trials, owner.size))
+        migrated = np.broadcast_to(migrated, owner.shape)
+    if len(owner) != trials:
+        raise ValueError(f"got {len(owner)} plans for {trials} trials")
     if owner.size and (owner.min() < 0 or owner.max() >= n_workers):
-        raise ValueError(
-            f"plan owner index out of range for {n_workers} workers"
-        )
-    return owner
+        raise ValueError(f"plan owner index out of range for {n_workers} workers")
+    return owner, migrated
 
 
 @dataclass(frozen=True)
@@ -1042,35 +1049,14 @@ class OverDecompositionIterationSim:
         speeds: np.ndarray,
         failed_workers: frozenset[int] = frozenset(),
     ) -> UncodedIterationOutcome:
-        """Simulate one iteration: one row of :meth:`run_batch`'s timeline.
-
-        Response times and the partition → worker map are read off the
-        same arrival matrix and plan the batch path evaluates.
-        """
+        """Simulate one iteration: one row of :meth:`run_batch`'s timeline."""
         speeds = _checked_speeds(speeds, None, batch=False)
-        _checked_failures([failed_workers], speeds.size)
-        out, arrival = self._timeline(
-            [plan], speeds[None, :], [frozenset(failed_workers)]
-        )
-        stats = [
-            WorkerIterationStats(
-                worker=w,
-                assigned_rows=rows,
-                computed_rows=float(rows),
-                used_rows=rows,
-                response_time=float(arrival[0, w]) if responded else None,
-            )
-            for w, (rows, responded) in enumerate(
-                zip(out.assigned_rows[0].tolist(), out.responded[0].tolist())
-            )
-        ]
-        return UncodedIterationOutcome(
-            completion_time=float(out.completion_time[0]),
-            broadcast_time=out.broadcast_time,
-            workers=stats,
-            partition_owner=dict(enumerate(np.asarray(plan.owner).tolist())),
-            data_moved_bytes=float(out.data_moved_bytes[0]),
-            migrations=int(out.migrations[0]),
+        speeds, failed = _normalise_batch(speeds[None, :], frozenset(failed_workers))
+        owner, migrated = _stacked_plan(plan, 1, speeds.shape[1])
+        out, arrival = self._timeline(owner, migrated, speeds, failed)
+        kept = np.zeros_like(out.responded)  # nothing is cancelled
+        return _one_trial_outcome(
+            out, arrival, owner, kept, migrations=int(out.migrations[0])
         )
 
     def run_batch(
@@ -1081,24 +1067,23 @@ class OverDecompositionIterationSim:
     ) -> BatchUncodedOutcome:
         """Simulate a ``(trials, workers)`` batch of over-decomposition trials.
 
-        ``plans`` is one plan shared by every trial or one per trial
-        (long-running sessions re-plan each iteration as copies migrate,
-        so the per-trial form is the common one).  The per-worker chunk
+        ``plans`` is one plan shared by every trial, a stacked plan with a
+        row per trial (what
+        :func:`~repro.scheduling.overdecomposition.plan_assignment_batch`
+        returns), or a list of per-trial plans.  The per-worker chunk
         timelines — migration fetches, compute, reply — are evaluated with
         stacked arrays across all trials (see :meth:`_timeline`).
         """
-        speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
-        shared = isinstance(plans, OverDecompositionPlan)
-        plan_list = [plans] * trials if shared else list(plans)
-        if len(plan_list) != trials:
-            raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
-        return self._timeline(plan_list, speeds, failed_list)[0]
+        speeds, failed = _normalise_batch(speeds, failed_workers)
+        owner, migrated = _stacked_plan(plans, *speeds.shape)
+        return self._timeline(owner, migrated, speeds, failed)[0]
 
     def _timeline(
         self,
-        plan_list: list[OverDecompositionPlan],
+        owner: np.ndarray,
+        migrated: np.ndarray,
         speeds: np.ndarray,
-        failed_list: list[frozenset[int]],
+        failed: np.ndarray,
     ) -> tuple[BatchUncodedOutcome, np.ndarray]:
         """The stacked outcome and the ``(trials, workers)`` arrival matrix.
 
@@ -1108,28 +1093,13 @@ class OverDecompositionIterationSim:
         that owns partitions has no repair path and raises.
         """
         trials, n = speeds.shape
-
-        # Per-distinct-plan constants (duplicate plan objects profiled once):
-        # partition and migration counts per worker, plus the owner set for
-        # the failure check.
-        profiles: dict[int, tuple[np.ndarray, np.ndarray, frozenset[int]]] = {}
-        for p in plan_list:
-            if id(p) not in profiles:
-                owner = _check_owners(p, n)
-                counts = np.bincount(owner, minlength=n).astype(np.int64)
-                migr = np.bincount(
-                    owner[np.asarray(p.migrated, dtype=bool)], minlength=n
-                ).astype(np.int64)
-                profiles[id(p)] = (counts, migr, frozenset(np.unique(owner).tolist()))
-        for t, failed in enumerate(failed_list):
-            if failed & profiles[id(plan_list[t])][2]:
-                raise RuntimeError(
-                    "a failed worker owns partitions; over-decomposition has "
-                    "no repair path within an iteration"
-                )
-
-        counts_mat = np.stack([profiles[id(p)][0] for p in plan_list])
-        migr_mat = np.stack([profiles[id(p)][1] for p in plan_list])
+        counts_mat = _row_counts(owner, n)
+        if np.any(failed & (counts_mat > 0)):
+            raise RuntimeError(
+                "a failed worker owns partitions; over-decomposition has "
+                "no repair path within an iteration"
+            )
+        migr_mat = _row_counts(owner, n, migrated)
         active = counts_mat > 0
         rows_mat = self.rows_per_partition * counts_mat
 
@@ -1165,9 +1135,7 @@ class OverDecompositionIterationSim:
         data_moved = np.zeros(trials)
         for w in range(n):
             data_moved = data_moved + migr_mat[:, w] * partition_bytes
-        migrations = np.array(
-            [int(np.asarray(p.migrated).sum()) for p in plan_list], dtype=np.int64
-        )
+        migrations = migrated.sum(axis=1)
         out = BatchUncodedOutcome(
             completion_time=completion,
             broadcast_time=broadcast,

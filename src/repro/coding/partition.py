@@ -29,6 +29,14 @@ from repro._util import check_positive_int
 __all__ = ["RowPartition", "ChunkGrid"]
 
 
+def check_block_count(blocks: int, blocks_name: str, rows: int, rows_name: str) -> None:
+    """Reject more row blocks than rows, naming both in the caller's terms."""
+    if blocks > rows:
+        raise ValueError(
+            f"{blocks_name}={blocks} blocks cannot exceed {rows_name}={rows}"
+        )
+
+
 @dataclass(frozen=True)
 class RowPartition:
     """Partition of a ``total_rows``-row matrix into ``k`` equal row blocks.
@@ -49,10 +57,7 @@ class RowPartition:
     def __post_init__(self) -> None:
         check_positive_int(self.total_rows, "total_rows")
         check_positive_int(self.k, "k")
-        if self.k > self.total_rows:
-            raise ValueError(
-                f"k={self.k} blocks cannot exceed total_rows={self.total_rows}"
-            )
+        check_block_count(self.k, "k", self.total_rows, "total_rows")
 
     @property
     def block_rows(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.coding.linear import AnyKRowDecoder, chebyshev_points, vandermonde_generator
-from repro.coding.partition import RowPartition
+from repro.coding.partition import RowPartition, check_block_count
 
 __all__ = ["PolynomialCode", "EncodedBilinear"]
 
@@ -96,6 +96,8 @@ class PolynomialCode:
             raise ValueError(
                 f"inner dimensions disagree: {left.shape} @ {right.shape}"
             )
+        check_block_count(self.a, "a", left.shape[0], "left's rows")
+        check_block_count(self.b, "b", right.shape[1], "right's columns")
         row_part = RowPartition(left.shape[0], self.a)
         col_part = RowPartition(right.shape[1], self.b)
         left_blocks = row_part.blocks(left)  # (a, pr, q)

@@ -24,10 +24,10 @@ oracle, stale or user-defined predictors.
 sessions frozen in ``tests/runtime/session_reference.py``.
 
 :class:`BatchOverDecompositionRunner` does the same for the Charm++-like
-over-decomposition baseline: per-trial partition plans (the holder tables
-evolve independently per trial as migrated copies become resident) feed
+over-decomposition baseline: one planner call per round over a
+``(trials, partitions, slots)`` holder table feeds the stacked plan to
 :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`'s
-stacked timeline.  :class:`BatchReplicationRunner` covers the replication
+timeline.  :class:`BatchReplicationRunner` covers the replication
 baseline, which plans nothing, so every round is one
 :meth:`~repro.cluster.simulator.ReplicationIterationSim.run_batch` call.
 
@@ -53,12 +53,13 @@ from repro.cluster.simulator import (
     ReplicationIterationSim,
 )
 from repro.cluster.speed_models import BatchSpeedModel
-from repro.coding.partition import ChunkGrid, RowPartition
+from repro.coding.partition import ChunkGrid, RowPartition, check_block_count
 from repro.prediction.predictor import BatchPredictor, misprediction_rate
 from repro.scheduling.base import Scheduler, plan_batch
 from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
-    plan_assignment,
+    holder_table,
+    plan_assignment_batch,
 )
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.timeout import TimeoutPolicy
@@ -225,8 +226,8 @@ class _BatchOperator:
     """Shared operator adapter: one registered op of any runner family.
 
     Coded operators carry their scheduler; over-decomposition operators
-    carry the per-trial holder tables (one evolving table per trial);
-    replication operators carry only their simulator.  The round loop in
+    carry the ``(trials, partitions, slots)`` holder table; replication
+    operators carry only their simulator.  The round loop in
     :class:`_BatchRunnerBase` only sees the simulator; the family-specific
     state is consulted by the subclass planning hooks.
     """
@@ -234,7 +235,7 @@ class _BatchOperator:
     name: str
     sim: CodedIterationSim | OverDecompositionIterationSim | ReplicationIterationSim
     scheduler: Scheduler | None = None
-    holders: list[list[tuple[int, ...]]] | None = None
+    holders: np.ndarray | None = None
 
 
 @dataclass
@@ -411,6 +412,8 @@ class BatchCodedRunner(_BatchRunnerBase):
         :meth:`register_matvec`.
         """
         self._check_threshold(a * b, scheduler)
+        check_block_count(a, "a", left_rows, "left_rows")
+        check_block_count(b, "b", right_cols, "right_cols")
         block_rows = RowPartition(left_rows, a).block_rows
         block_cols = RowPartition(right_cols, b).block_rows
         scheduler, chunks = _harmonise_granularity(scheduler, num_chunks, block_rows)
@@ -446,13 +449,12 @@ class BatchCodedRunner(_BatchRunnerBase):
 class BatchOverDecompositionRunner(_BatchRunnerBase):
     """The Charm++-like over-decomposition baseline's loop (§7.2).
 
-    Plans are still built per trial — each trial's holder table evolves
-    independently as migrated copies become resident (as in Charm++: a
-    persistent speed skew pays its migrations once, while churning speeds
-    keep paying) — but the simulated chunk timelines (migration fetches,
-    compute, reply) run through the stacked
-    :meth:`~repro.cluster.simulator.OverDecompositionIterationSim.run_batch`
-    path.  :class:`~repro.runtime.session.OverDecompositionSession` is its
+    Each round is one
+    :func:`~repro.scheduling.overdecomposition.plan_assignment_batch` call
+    over the operator's holder table, whose rows evolve per trial as
+    migrated copies become resident (as in Charm++: a persistent speed
+    skew pays its migrations once, while churning speeds keep paying).
+    :class:`~repro.runtime.session.OverDecompositionSession` is its
     one-trial view.
     """
 
@@ -470,6 +472,9 @@ class BatchOverDecompositionRunner(_BatchRunnerBase):
         placement = OverDecompositionPlacement(
             self.n_workers, factor=self.factor, replication=self.replication
         )
+        check_block_count(
+            placement.num_partitions, "factor × n_workers", total_rows, "total_rows"
+        )
         part = RowPartition(total_rows, placement.num_partitions)
         sim = OverDecompositionIterationSim(
             rows_per_partition=part.block_rows,
@@ -477,32 +482,20 @@ class BatchOverDecompositionRunner(_BatchRunnerBase):
             network=self.network,
             cost=self.cost,
         )
-        self._add_operator(
-            _BatchOperator(
-                name=name,
-                sim=sim,
-                holders=[list(placement.holders) for _ in range(self.n_trials)],
-            )
-        )
+        holders = np.repeat(holder_table(placement.holders)[None], self.n_trials, 0)
+        self._add_operator(_BatchOperator(name=name, sim=sim, holders=holders))
 
     def _plan_round(self, op: _BatchOperator, predicted: np.ndarray):
-        return [
-            plan_assignment(
-                op.holders[t],
-                np.clip(predicted[t], 1e-9, None),
-                self.n_workers,
-            )
-            for t in range(self.n_trials)
-        ]
+        return plan_assignment_batch(op.holders, np.clip(predicted, 1e-9, None))
 
     def _finish_round(self, op: _BatchOperator, plans, outcome) -> np.ndarray:
-        # Migrated copies become resident on their new worker (per trial).
-        for t, plan in enumerate(plans):
-            holders = op.holders[t]
-            for partition in np.flatnonzero(plan.migrated):
-                worker = int(plan.owner[partition])
-                if worker not in holders[partition]:
-                    holders[partition] = holders[partition] + (worker,)
+        # A migrated copy stays resident: its new owner (never a holder,
+        # whose quota pass 1 spent) takes the row's first free slot.
+        t, p = np.nonzero(plans.migrated)
+        free = (op.holders[t, p] >= 0).sum(axis=1)
+        if np.any(free == op.holders.shape[2]):
+            op.holders = np.pad(op.holders, [(0, 0)] * 2 + [(0, 1)], constant_values=-1)
+        op.holders[t, p, free] = plans.owner[t, p]
         return super()._finish_round(op, plans, outcome)
 
 
@@ -526,6 +519,7 @@ class BatchReplicationRunner(_BatchRunnerBase):
         A ``total_rows × width`` matrix split into ``n`` partitions with a
         seed-0 replica placement; no matrix is built.
         """
+        check_block_count(self.n_workers, "n_workers", total_rows, "total_rows")
         sim = ReplicationIterationSim(
             placement=ReplicaPlacement(
                 self.n_workers, self.config.replication, seed=0

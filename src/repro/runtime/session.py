@@ -258,7 +258,7 @@ class OverDecompositionSession(_UncodedSession):
         if name not in self._operators:
             raise KeyError(f"no operator named {name!r}")
         holders = self._runner._operators[name].holders[0]
-        copies = sum(len(h) for h in holders)
+        copies = int((holders >= 0).sum())
         return copies / len(holders) / self.n_workers
 
     def matvec(self, name: str, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ time and is the reason this baseline loses to S2C2 under churn (Fig 10).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +22,18 @@ from repro._util import check_positive_int, largest_remainder_round
 __all__ = [
     "OverDecompositionPlacement",
     "OverDecompositionPlan",
+    "holder_table",
     "plan_assignment",
+    "plan_assignment_batch",
 ]
+
+
+def holder_table(holders: Sequence[Sequence[int]]) -> np.ndarray:
+    """``holders[p]`` as one ``(partitions, slots)`` int row each, -1 padded."""
+    table = np.full((len(holders), max(map(len, holders), default=0)), -1)
+    for partition, row in enumerate(holders):
+        table[partition, : len(row)] = row
+    return table
 
 
 def plan_assignment(
@@ -33,46 +44,75 @@ def plan_assignment(
     """Assign every partition to one worker, load ∝ predicted speed.
 
     ``holders[p]`` lists the workers currently storing partition ``p``
-    (the home copy plus any replicas or previously-migrated copies).
-    Workers get integer partition quotas via largest-remainder
-    apportionment of ``speeds``; partitions are matched to quota slots
-    preferring copy-holders (no movement), and the leftovers migrate.
+    (the home copy plus any replicas or previously-migrated copies).  One
+    row of :func:`plan_assignment_batch`.
     """
     speeds = np.asarray(speeds, dtype=np.float64)
     if speeds.shape != (n_workers,):
         raise ValueError(
             f"speeds must have shape ({n_workers},), got {speeds.shape}"
         )
-    if np.all(speeds <= 0):
+    plan = plan_assignment_batch(holder_table(holders)[None], speeds[None])
+    return OverDecompositionPlan(plan.owner[0], plan.migrated[0])
+
+
+def plan_assignment_batch(
+    holders: np.ndarray, speeds: np.ndarray
+) -> "OverDecompositionPlan":
+    """Plan every trial of a round at once; ``(trials, …)`` rows throughout.
+
+    Row ``holders[t, p]`` lists partition ``p``'s holders in trial ``t`` in
+    preference order (home, replicas, then migrated copies), -1 padded.
+    Workers get partition quotas by largest-remainder apportionment of
+    their (clipped at 0) ``speeds``; pass 1 gives each partition in turn
+    its first holder with spare quota, pass 2 migrates the rest in turn
+    to the first worker with the most spare quota.
+    """
+    speeds, holders = np.asarray(speeds, dtype=np.float64), np.asarray(holders)
+    if speeds.ndim != 2 or holders.ndim != 3 or len(holders) != len(speeds):
+        raise ValueError(
+            "speeds must be (trials, workers) and holders (trials, partitions, "
+            f"slots), got {speeds.shape} and {holders.shape}"
+        )
+    if not np.all(np.isfinite(speeds)):
+        raise ValueError("speeds must be finite (no NaN or inf)")
+    if np.any(np.all(speeds <= 0, axis=1)):
         raise ValueError("at least one worker must have positive speed")
-    num_partitions = len(holders)
-    quota = largest_remainder_round(np.clip(speeds, 0.0, None), num_partitions)
-    owner = np.full(num_partitions, -1, dtype=np.int64)
-    migrated = np.zeros(num_partitions, dtype=bool)
-    remaining = quota.astype(np.int64).copy()
-    # Pass 1: place partitions on holders with spare quota (home first).
-    for partition in range(num_partitions):
-        for worker in holders[partition]:
-            if remaining[worker] > 0:
-                owner[partition] = worker
-                remaining[worker] -= 1
-                break
-    # Pass 2: remaining partitions migrate to any worker with quota,
-    # most-spare-quota first to keep loads level.
-    unplaced = np.flatnonzero(owner < 0)
-    for partition in unplaced:
-        worker = int(np.argmax(remaining))
-        if remaining[worker] <= 0:  # pragma: no cover - quota sums match
-            raise AssertionError("quota exhausted before placement finished")
-        owner[partition] = worker
-        remaining[worker] -= 1
-        migrated[partition] = True
-    return OverDecompositionPlan(owner=owner, migrated=migrated)
+    trials, partitions, _ = holders.shape
+    quota = largest_remainder_round(np.clip(speeds, 0.0, None), partitions)
+    # Spare quota flat (entry t·n + worker), plus a last, always-0 entry
+    # that the padding slots point at.
+    spare = np.append(quota, 0)
+    rows = np.arange(trials)
+    base = speeds.shape[1] * rows
+    index = np.where(holders >= 0, holders + base[:, None, None], spare.size - 1)
+    owner = np.full((trials, partitions), -1)  # flat entries until pass 2
+    for partition in range(partitions):
+        ok = spare[index[:, partition]] > 0
+        slot = ok.argmax(axis=1)
+        hit = ok[rows, slot]
+        pick = index[rows, partition, slot][hit]
+        spare[pick] -= 1
+        owner[hit, partition] = pick
+    migrated = owner < 0
+    owner -= np.where(migrated, 0, base[:, None])
+    remaining = spare[:-1].reshape(speeds.shape)
+    # Quotas sum to the partition count, so a worker always has spare.
+    for partition in np.flatnonzero(migrated.any(axis=0)):
+        need = np.flatnonzero(migrated[:, partition])
+        worker = remaining[need].argmax(axis=1)
+        owner[need, partition] = worker
+        remaining[need, worker] -= 1
+    return OverDecompositionPlan(owner, migrated)
 
 
 @dataclass(frozen=True)
 class OverDecompositionPlan:
     """One iteration's partition→worker map plus the required migrations.
+
+    :func:`plan_assignment_batch` returns one plan stacked over trials,
+    both arrays shaped ``(trials, num_partitions)``; :meth:`partitions_of`
+    and :meth:`migration_count` read a one-trial plan.
 
     Attributes
     ----------
@@ -161,8 +201,8 @@ class OverDecompositionPlacement:
 
         Long-running runs should instead track the holders as copies
         migrate (as
-        :class:`~repro.runtime.batch.BatchOverDecompositionRunner` does per
-        trial) — migrated partitions stay resident on their new worker, so
-        a stable skew only pays the migration once.
+        :class:`~repro.runtime.batch.BatchOverDecompositionRunner` does in
+        its holder table) — migrated partitions stay resident on their new
+        worker, so a stable skew only pays the migration once.
         """
         return plan_assignment(self.holders, speeds, self.n_workers)

@@ -33,7 +33,8 @@ class SpeculationConfig:
     replication:
         Copies of each partition stored in the cluster (paper: 3).
     max_speculative:
-        Total speculative task launches allowed per iteration (paper: 6).
+        Total speculative task launches allowed per iteration (paper: 6);
+        a non-negative int, 0 meaning no speculation.
     watch_fraction:
         Fraction of tasks that must complete before speculation starts —
         the "reactive" delay the paper criticises (Hadoop-like: 0.75).
@@ -51,8 +52,17 @@ class SpeculationConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.replication, "replication")
+        if not isinstance(self.max_speculative, (int, np.integer)) or isinstance(
+            self.max_speculative, bool
+        ):
+            raise TypeError(
+                "max_speculative must be an int, got "
+                f"{type(self.max_speculative).__name__}"
+            )
         if self.max_speculative < 0:
-            raise ValueError("max_speculative must be >= 0")
+            raise ValueError(
+                f"max_speculative must be >= 0, got {self.max_speculative}"
+            )
         if not 0.0 <= self.watch_fraction < 1.0:
             raise ValueError("watch_fraction must be in [0, 1)")
 

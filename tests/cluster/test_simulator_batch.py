@@ -8,9 +8,9 @@ of the batch.  These tests sweep the plan shapes the schedulers produce
 (full, exact-coverage wraparound, repair-armed — including idle-helper
 recruitment, multi-cutoff repair, and opportunistic rejection), general
 plans, failures, and both uncoded baselines' stacked outcomes.
-Over-decomposition's ``run`` is itself one row of the stacked timeline, so
-both of its entries are pinned against a frozen per-worker loop
-(``tests/cluster/conftest.py``).  Every ``run_batch`` rejects an empty
+Both uncoded ``run`` entries are one row of their stacked pass, so both
+entries of each are pinned against the frozen per-trial walks
+(``uncoded_reference.py``).  Every ``run_batch`` rejects an empty
 trial batch the same way, and the coded entries a plan whose chunk count
 is not the grid's.
 """
@@ -37,7 +37,10 @@ from repro.coding.partition import ChunkGrid
 from repro.scheduling.base import full_plan
 from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
+    OverDecompositionPlan,
+    holder_table,
     plan_assignment,
+    plan_assignment_batch,
 )
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
@@ -45,6 +48,8 @@ from repro.scheduling.static import StaticCodedScheduler
 from repro.scheduling.timeout import TimeoutPolicy
 
 from coded_reference import reference_run
+from uncoded_reference import reference_plan_assignment
+from uncoded_reference import reference_run as reference_replication_run
 
 
 N = 8
@@ -299,7 +304,8 @@ class TestReplicationBatchEquivalence:
         )
         launches = 0
         for t in range(speeds.shape[0]):
-            want = sim.run(speeds[t], failed_list[t])
+            want = reference_replication_run(sim, speeds[t], failed_list[t])
+            assert sim.run(speeds[t], failed_list[t]) == want, f"trial {t}"
             assert batch.completion_time[t] == want.completion_time, f"trial {t}"
             assert batch.broadcast_time == want.broadcast_time
             assert batch.data_moved_bytes[t] == want.data_moved_bytes
@@ -380,9 +386,30 @@ class TestOverDecompositionBatchEquivalence:
         placement = OverDecompositionPlacement(N, factor=4, replication=1.42)
         predicted = _speed_batch(10, stragglers=2, seed=5)
         actual = _speed_batch(10, stragglers=2, seed=29)
-        plans = [plan_assignment(placement.holders, row, N) for row in predicted]
+        plans = [reference_plan_assignment(placement.holders, row, N) for row in predicted]
         batch = self._check(self._sim(), plans, actual)
         assert batch.migrations.sum() > 0, "skewed speeds should migrate"
+
+    def test_stacked_plan_equals_its_rows(self):
+        # The runner's planner returns one plan with (trials, partitions)
+        # rows; run_batch reads it like the list of its rows.
+        placement = OverDecompositionPlacement(N, factor=4, replication=1.42)
+        predicted = _speed_batch(10, stragglers=2, seed=5)
+        actual = _speed_batch(10, stragglers=2, seed=29)
+        stacked = plan_assignment_batch(
+            np.repeat(holder_table(placement.holders)[None], 10, axis=0), predicted
+        )
+        rows = [
+            OverDecompositionPlan(owner=o, migrated=m)
+            for o, m in zip(stacked.owner, stacked.migrated)
+        ]
+        sim = self._sim()
+        want = self._check(sim, rows, actual)
+        got = sim.run_batch(stacked, actual)
+        for f in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+        with pytest.raises(ValueError, match="got 10 plans for 3 trials"):
+            sim.run_batch(stacked, actual[:3])
 
     def test_shared_plan(self):
         placement = OverDecompositionPlacement(N, factor=3, replication=1.0)

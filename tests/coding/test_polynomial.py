@@ -35,6 +35,14 @@ class TestPolynomialCode:
         with pytest.raises(ValueError, match="inner"):
             code.encode(np.ones((4, 3)), np.ones((5, 4)))
 
+    def test_too_few_rows_or_columns_named(self):
+        # The error names the split that does not fit and the operand it
+        # splits, not the row partition's internal ``k``/``total_rows``.
+        with pytest.raises(ValueError, match="b=3 blocks cannot exceed right's columns=2"):
+            PolynomialCode(6, 1, 3).encode(np.ones((2, 3)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="a=3 blocks cannot exceed left's rows=2"):
+            PolynomialCode(6, 3, 1).encode(np.ones((2, 3)), np.ones((3, 2)))
+
     def test_paper_example_n5_a2_b2(self):
         # §5's worked example: n=5, a=b=2, any 4 of 5 decode.
         code = PolynomialCode(5, 2, 2, points="integer")

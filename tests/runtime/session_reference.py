@@ -6,16 +6,20 @@ of :mod:`repro.runtime.batch`: every round is played by
 ``_BatchRunnerBase.matvec``, and a session adds only encode, compute and
 decode.  This module is the session loop they replaced, frozen here so the
 equivalence suites can pin the views and the runners against it: each
-session forecasts, plans (``Scheduler.plan`` / ``plan_assignment``),
-simulates one trial with the simulators' scalar ``run``, decodes, feeds
-the measured speeds back and records an :class:`IterationRecord` into a
-:class:`RunMetrics`.  The ``run_*_lr_like`` harnesses drive the 'A then
-Aᵀ' round pattern of the LR-like figures on them.
+session forecasts, plans (``Scheduler.plan``, or the frozen per-trial
+over-decomposition planner), simulates one trial (the coded simulator's
+``run``, the frozen uncoded walks of ``tests/cluster/uncoded_reference.py``),
+decodes, feeds the measured speeds back and records an
+:class:`IterationRecord` into a :class:`RunMetrics`.  The
+``run_*_lr_like`` harnesses drive the 'A then Aᵀ' round pattern of the
+LR-like figures on them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,12 +36,15 @@ from repro.coding.polynomial import PolynomialCode
 from repro.experiments.harness import controlled_cost, controlled_network
 from repro.prediction.predictor import OnlinePredictor, misprediction_rate
 from repro.scheduling.base import Scheduler
-from repro.scheduling.overdecomposition import (
-    OverDecompositionPlacement,
-    plan_assignment,
-)
+from repro.scheduling.overdecomposition import OverDecompositionPlacement
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.timeout import TimeoutPolicy
+
+# The frozen uncoded walks live with the other simulator oracles.
+_CLUSTER_TESTS = str(Path(__file__).resolve().parents[1] / "cluster")
+if _CLUSTER_TESTS not in sys.path:
+    sys.path.append(_CLUSTER_TESTS)
+import uncoded_reference as uncoded  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -429,7 +436,7 @@ class ReplicationSession(_BaseSession):
         op, sim = entry
         actual = np.asarray(self.speed_model.speeds(self._iteration), dtype=np.float64)
         predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
-        outcome = sim.run(actual, failed_workers=self._take_failures())
+        outcome = uncoded.reference_run(sim, actual, self._take_failures())
         result = op.matrix @ np.asarray(x, dtype=np.float64)
         responded = np.array(
             [s.response_time is not None for s in outcome.workers], dtype=bool
@@ -512,15 +519,13 @@ class OverDecompositionSession(_BaseSession):
         op, holders, sim = entry
         actual = np.asarray(self.speed_model.speeds(self._iteration), dtype=np.float64)
         predicted = np.asarray(self.predictor.predict(), dtype=np.float64)
-        plan = plan_assignment(
+        plan = uncoded.reference_plan_assignment(
             holders, np.clip(predicted, 1e-9, None), self.n_workers
         )
-        outcome = sim.run(plan, actual, failed_workers=self._take_failures())
-        # Migrated copies become resident on their new worker.
-        for partition in np.flatnonzero(plan.migrated):
-            worker = int(plan.owner[partition])
-            if worker not in holders[partition]:
-                holders[partition] = holders[partition] + (worker,)
+        outcome = uncoded.reference_overdecomposition_run(
+            sim, plan, actual, self._take_failures()
+        )
+        uncoded.grow_holders(holders, plan)
         result = op.matrix @ np.asarray(x, dtype=np.float64)
         responded = np.array(
             [s.response_time is not None for s in outcome.workers], dtype=bool

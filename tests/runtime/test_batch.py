@@ -287,3 +287,49 @@ def test_coded_registration_rejects_undecodable_thresholds(k, coverage):
     # Coverage above k still decodes.
     runner.register_matvec("B", ROWS, COLS, 4, GeneralS2C2Scheduler(coverage=5))
     runner.matvec("B")
+
+
+def _blank_runner(family: str, **knobs):
+    from repro.runtime.batch import build_batch_runner
+
+    return build_batch_runner(
+        family,
+        StackedSpeeds([_controlled(0)]),
+        StackedPredictor([LastValuePredictor(N)]),
+        **knobs,
+    )
+
+
+@pytest.mark.parametrize(
+    "register, message",
+    [
+        (
+            lambda: _blank_runner("coded").register_bilinear(
+                "H", 2, COLS, ROWS, 3, 1, StaticCodedScheduler(coverage=3)
+            ),
+            "a=3 blocks cannot exceed left_rows=2",
+        ),
+        (
+            lambda: _blank_runner("coded").register_bilinear(
+                "H", ROWS, COLS, 2, 1, 3, StaticCodedScheduler(coverage=3)
+            ),
+            "b=3 blocks cannot exceed right_cols=2",
+        ),
+        (
+            lambda: _blank_runner("overdecomposition", factor=2).register_matvec(
+                "A", 5, COLS
+            ),
+            "factor × n_workers=24 blocks cannot exceed total_rows=5",
+        ),
+        (
+            lambda: _blank_runner("replication").register_matvec("A", 5, COLS),
+            "n_workers=12 blocks cannot exceed total_rows=5",
+        ),
+    ],
+    ids=["bilinear-a", "bilinear-b", "overdecomposition", "replication"],
+)
+def test_too_few_rows_name_the_callers_inputs(register, message):
+    # Each entry point checks its own geometry, so the error names its
+    # parameters rather than RowPartition's ``k`` and ``total_rows``.
+    with pytest.raises(ValueError, match=message):
+        register()

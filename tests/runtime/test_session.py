@@ -288,6 +288,15 @@ class TestReplicationSession:
         x = RNG.normal(size=6)
         np.testing.assert_allclose(session.matvec("A", x), matrix @ x, atol=1e-10)
 
+    def test_too_few_rows_named(self):
+        session = ReplicationSession(
+            speed_model=ConstantSpeeds(np.ones(6)), predictor=LastValuePredictor(6)
+        )
+        with pytest.raises(
+            ValueError, match="n_workers=6 blocks cannot exceed total_rows=5"
+        ):
+            session.register_matvec("A", np.ones((5, 3)))
+
     def test_straggler_increases_latency(self):
         fast, matrix = self.make()
         slow, _ = self.make(stragglers=3)
@@ -338,3 +347,13 @@ class TestOverDecompositionSession:
         with pytest.raises(ValueError, match=r"x must have shape \(6,\)"):
             session.matvec("A", np.ones(5))
         assert session.iteration == 0
+
+    def test_too_few_rows_named(self):
+        session = OverDecompositionSession(
+            speed_model=ConstantSpeeds(np.ones(6)), predictor=LastValuePredictor(6)
+        )
+        with pytest.raises(
+            ValueError,
+            match="factor × n_workers=24 blocks cannot exceed total_rows=5",
+        ):
+            session.register_matvec("A", np.ones((5, 3)))

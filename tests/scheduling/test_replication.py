@@ -25,6 +25,25 @@ class TestSpeculationConfig:
         with pytest.raises(ValueError):
             SpeculationConfig(watch_fraction=1.0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), 2.5, float("inf"), True, "6", None])
+    def test_max_speculative_must_be_an_int(self, cap):
+        # A float cap is no budget: ``launches >= nan`` never holds, and
+        # 2.5 allowed three launches.
+        with pytest.raises(TypeError, match="max_speculative must be an int"):
+            SpeculationConfig(max_speculative=cap)
+
+    def test_max_speculative_reaches_the_policy_build(self):
+        from repro.scheduling.policies import build_policy
+
+        with pytest.raises(TypeError, match="max_speculative"):
+            build_policy("replication", 10, 7, max_speculative=float("nan"))
+        with pytest.raises(ValueError, match="max_speculative must be >= 0"):
+            build_policy("replication", 10, 7, max_speculative=-1)
+
+    def test_zero_and_numpy_caps_allowed(self):
+        assert SpeculationConfig(max_speculative=0).max_speculative == 0
+        assert SpeculationConfig(max_speculative=np.int64(3)).max_speculative == 3
+
 
 class TestReplicaPlacement:
     def test_primary_is_home_worker(self):

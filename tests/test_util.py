@@ -117,9 +117,37 @@ class TestLargestRemainderRound:
         with pytest.raises(ValueError):
             largest_remainder_round(np.array([-1.0, 2.0]), 3)
 
-    def test_2d_rejected(self):
-        with pytest.raises(ValueError):
-            largest_remainder_round(np.ones((2, 2)), 3)
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError, match="at least one axis"):
+            largest_remainder_round(np.float64(2.0), 3)
+
+    def test_any_row_without_weight_rejected(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            largest_remainder_round(np.array([[1.0, 2.0], [0.0, 0.0]]), 3)
+
+    @given(
+        trials=st.integers(1, 6),
+        n=st.integers(1, 20),
+        total=st.integers(0, 200),
+        levels=st.integers(0, 4),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=80)
+    def test_rows_equal_the_1d_call(self, trials, n, total, levels, seed):
+        # Apportions along the last axis: row t of a 2-D call is the 1-D
+        # call on weights[t], remainder ties (few weight levels) included.
+        rng = np.random.default_rng(seed)
+        if levels:
+            weights = rng.integers(0, levels + 1, size=(trials, n)).astype(float)
+            weights[:, 0] += 1.0
+        else:
+            weights = rng.uniform(0.01, 5.0, size=(trials, n))
+        shares = largest_remainder_round(weights, total)
+        assert shares.shape == weights.shape
+        for t in range(trials):
+            np.testing.assert_array_equal(
+                shares[t], largest_remainder_round(weights[t], total)
+            )
 
     @given(
         n=st.integers(1, 20),
